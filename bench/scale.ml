@@ -176,12 +176,8 @@ let phase_bench m ~tier ~n ~reps =
 
 (* --- ring bench -------------------------------------------------------- *)
 
-(* Shard counters of the most recent ring_bench run on a sharded
-   engine: (windows, cross-shard messages, max queue skew). *)
-let last_shard_stats = ref None
-
 let ring_bench ?(sanitize = false) ?(flight = true) ?(profile = false)
-    ?(record = true) ?(shards = 1) ?(domains = 1) m ~tier ~n =
+    ?(record = true) m ~tier ~n =
   let cfg =
     {
       cfg_base with
@@ -194,10 +190,6 @@ let ring_bench ?(sanitize = false) ?(flight = true) ?(profile = false)
       (* recorder-off arm of the flight-overhead probe; recording draws
          no randomness, so the schedule is identical either way *)
       flight_capacity = (if flight then cfg_base.Config.flight_capacity else 0);
-      (* domains axis: 4 sites over [shards] shards, windows executed
-         by [domains] worker domains *)
-      shards;
-      domains;
     }
   in
   let sim = Sim.make ~cfg () in
@@ -241,7 +233,7 @@ let ring_bench ?(sanitize = false) ?(flight = true) ?(profile = false)
      age of the oldest still-uncollected garbage (0 once clean); sim
      time and the oracle are deterministic, so the series gates exactly
      like a counter. *)
-  (* Unrecorded arms (the shard speedup A/B runs) skip the oracle
+  (* Unrecorded arms (the overhead-probe reps) skip the oracle
      sample entirely: it is a pure read — no RNG draws, no scheduling —
      so the simulation is unaffected, but each sample is a full-heap
      reachability pass whose allocation debt would otherwise be paid by
@@ -326,58 +318,7 @@ let ring_bench ?(sanitize = false) ?(flight = true) ?(profile = false)
           p)
       (Engine.profile eng)
   in
-  last_shard_stats := Engine.shard_stats eng;
-  let result =
-    (Sim_time.to_seconds (Engine.now eng), !wall_ms, Engine.series eng,
-     prof_json)
-  in
-  Engine.teardown eng;
-  result
-
-(* --- shard bench: the sharded-engine domains axis ---------------------- *)
-
-(* The ring bench on the sharded engine: 4 sites over 4 shards (one
-   site per shard), so each round's local traces — the hot path — run
-   one per worker domain. The schedule, and so every counter, is
-   byte-identical across domain counts; only wall clock moves. Probe
-   discipline mirrors the flight/profiler overhead probes: each arm's
-   best of a few reps, because wall noise only ever inflates an arm.
-   Speedup is wall-clock and machine-dependent, so compare.exe never
-   gates shard.* keys. *)
-let shard_bench ?(pairs = 3) m ~tier ~n =
-  say "tier %s: sharded engine domains axis (4 shards, 1 vs 4 domains)" tier;
-  let arm d =
-    let _, w, _, _ =
-      ring_bench ~shards:4 ~domains:d ~record:false m ~tier ~n
-    in
-    w
-  in
-  ignore (arm 1);
-  (* warm-up *)
-  let w1 = ref infinity and w4 = ref infinity in
-  for _ = 1 to pairs do
-    let a = arm 1 in
-    let b = arm 4 in
-    if a < !w1 then w1 := a;
-    if b < !w4 then w4 := b
-  done;
-  (* Speedup from each arm's best rep: noise only ever inflates a
-     wall, so the per-arm minimum is the cleanest estimate of each
-     arm, and their ratio the cleanest estimate of the speedup. *)
-  let speedup = if !w4 > 0. then !w1 /. !w4 else 0. in
-  let stats = !last_shard_stats in
-  let c name v = Metrics.add m (Printf.sprintf "shard.%s.%s" tier name) v in
-  c "speedup_milli" (int_of_float (speedup *. 1000.));
-  c "wall_ms_domains1" (int_of_float !w1);
-  c "wall_ms_domains4" (int_of_float !w4);
-  (match stats with
-  | Some (windows, xmsgs, skew) ->
-      c "windows" windows;
-      c "cross_shard_msgs" xmsgs;
-      c "max_queue_skew" skew
-  | None -> ());
-  say "  %-6s shard walls: domains1=%.1fms domains4=%.1fms speedup=%.2fx" tier
-    !w1 !w4 speedup
+  (Sim_time.to_seconds (Engine.now eng), !wall_ms, Engine.series eng, prof_json)
 
 (* --- driver ------------------------------------------------------------ *)
 
@@ -416,11 +357,6 @@ let () =
       end;
       sim_secs := !sim_secs +. secs)
     tiers;
-  (* Sharded-engine domains axis: the smoke probe runs at t1k; --full
-     adds the headline t100k speedup measurement. All shard.* keys are
-     informational (never gated by compare.exe). *)
-  shard_bench m ~tier:"t1k" ~n:1_000;
-  if full then shard_bench ~pairs:2 m ~tier:"t100k" ~n:100_000;
   (* dgc-san overhead probe: re-run the t10k ring with the sanitizer's
      vector clocks riding every delivery. Wall clock only — the
      schedule (and so every counter) must be identical — and purely

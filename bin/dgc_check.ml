@@ -291,7 +291,6 @@ let smoke_opts ~seed =
     o_workloads = [ "fig2" ];
     o_suts = [ "san-race-broken" ];
     o_tweaks = [ "sanitize"; "no_timeouts" ];
-    o_shards = [ 1 ];
     o_horizon_ms = 15_000.;
     o_events = 2;
     o_max_steps = 64;
@@ -308,8 +307,6 @@ let print_fuzz_report (r : Freport.t) =
   say "  corpus pool: %d inputs (%d plans, %d schedules), %d promoted"
     r.Freport.r_pool_size r.Freport.r_pool_plans r.Freport.r_pool_schedules
     r.Freport.r_promoted;
-  if r.Freport.r_san_skipped > 0 then
-    say "  sanitizer-blind execs (sharded engine): %d" r.Freport.r_san_skipped;
   List.iter
     (fun o ->
       say "  op %-10s tried %3d, novel %3d, failing %3d" o.Freport.op_name
@@ -333,7 +330,7 @@ let split_commas s =
   String.split_on_char ',' s |> List.filter (fun x -> not (String.equal x ""))
 
 let run_fuzz smoke with_baseline out promote seed execs workloads suts tweaks
-    shards horizon_ms events max_steps width corpus =
+    horizon_ms events max_steps width corpus =
   let opts =
     if smoke then smoke_opts ~seed
     else
@@ -345,7 +342,6 @@ let run_fuzz smoke with_baseline out promote seed execs workloads suts tweaks
         o_workloads = split_commas workloads;
         o_suts = split_commas suts;
         o_tweaks = split_commas tweaks;
-        o_shards = List.map int_of_string (split_commas shards);
         o_horizon_ms = horizon_ms;
         o_events = events;
         o_max_steps = max_steps;
@@ -462,12 +458,6 @@ let fuzz_cmd =
       & info [ "tweaks" ]
           ~doc:"Comma-separated config tweaks armed on every plan run.")
   in
-  let shards =
-    Arg.(
-      value & opt string "1,4"
-      & info [ "shards" ]
-          ~doc:"Comma-separated shard counts plan runs rotate over.")
-  in
   let horizon_ms =
     Arg.(
       value & opt float 20_000.
@@ -496,8 +486,8 @@ let fuzz_cmd =
     (Cmd.info "fuzz" ~doc)
     Term.(
       const run_fuzz $ smoke $ baseline $ out $ promote $ seed $ execs
-      $ workloads $ suts $ tweaks $ shards $ horizon_ms $ events $ max_steps
-      $ width $ corpus)
+      $ workloads $ suts $ tweaks $ horizon_ms $ events $ max_steps $ width
+      $ corpus)
 
 let cmd =
   let doc =

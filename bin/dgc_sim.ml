@@ -43,7 +43,6 @@ type opts = {
   o_dot : string option;
   o_journal : int;
   o_profile : bool;
-  o_domains : int option;
 }
 
 let say fmt = Format.printf (fmt ^^ "@.")
@@ -72,29 +71,19 @@ let build_workload eng opts =
            ~out_degree:1.5 ~remote_frac:0.3 ~root_frac:0.08)
   | w -> Fmt.failwith "unknown workload %S" w
 
-(* [--domains N] selects the sharded engine at a fixed shard count of
-   4: artifacts are a function of (seed, shards) only, so any N gives
-   byte-identical output while N domains do the tracing work. *)
-let det_shards = 4
-
 let config_of opts =
-  let base =
-    {
-      Config.default with
-      Config.n_sites = opts.o_sites;
-      seed = opts.o_seed;
-      delta = opts.o_delta;
-      threshold2 = opts.o_threshold2;
-      trace_interval = Sim_time.of_seconds opts.o_interval;
-      trace_jitter = Sim_time.of_seconds (opts.o_interval /. 10.);
-      trace_duration = Sim_time.of_seconds opts.o_window;
-      ext_drop = opts.o_drop;
-      profile = opts.o_profile;
-    }
-  in
-  match opts.o_domains with
-  | None -> base
-  | Some d -> { base with Config.shards = det_shards; domains = d }
+  {
+    Config.default with
+    Config.n_sites = opts.o_sites;
+    seed = opts.o_seed;
+    delta = opts.o_delta;
+    threshold2 = opts.o_threshold2;
+    trace_interval = Sim_time.of_seconds opts.o_interval;
+    trace_jitter = Sim_time.of_seconds (opts.o_interval /. 10.);
+    trace_duration = Sim_time.of_seconds opts.o_window;
+    ext_drop = opts.o_drop;
+    profile = opts.o_profile;
+  }
 
 (* The journal is always attached (capacity from the configuration);
    its tail is the first thing an operator wants when a run ends in a
@@ -110,7 +99,7 @@ let attach_profiler cfg eng =
     Engine.attach_profile eng (Prof.create ())
 
 let print_journal_tail ?(n = 20) eng =
-  match Engine.merged_journal eng with
+  match Engine.journal eng with
   | None -> ()
   | Some j ->
       say "-- journal tail (last %d entries) --------------------------" n;
@@ -118,11 +107,8 @@ let print_journal_tail ?(n = 20) eng =
         (fun e -> say "%a" Journal.pp_entry e)
         (Journal.entries ~last:n j)
 
-(* All read-out paths use the merged accessors: on a sharded engine
-   they interleave the per-shard documents deterministically, and at
-   shards=1 they are content-identical to the facade's own. *)
 let report eng ~verbose =
-  let m = Engine.merged_metrics eng in
+  let m = Engine.metrics eng in
   say "-- per-site summary ----------------------------------------";
   say "%a" Report.pp_summary eng;
   say "%s" (Report.garbage_overview eng);
@@ -169,7 +155,7 @@ let dump_dot opts eng =
 
 let print_journal opts eng =
   if opts.o_journal > 0 then
-    match Engine.merged_journal eng with
+    match Engine.journal eng with
     | Some j ->
         say "-- journal (last %d events) --------------------------------"
           opts.o_journal;
@@ -186,9 +172,9 @@ let write_artifact ?audit ~out ~name eng =
     Run_artifact.make ~name
       ~sim_seconds:(Sim_time.to_seconds (Engine.now eng))
       ?audit
-      ~series:(Engine.merged_series eng)
+      ~series:(Engine.series eng)
       ?profile
-      (Engine.merged_metrics eng)
+      (Engine.metrics eng)
   in
   Run_artifact.write ~path:out art;
   say "wrote run artifact to %s" out
@@ -212,10 +198,6 @@ let dump_flight_to eng path =
    though the run ended without a failure. *)
 let run ?artifact ?dump_flight ?(prom = false) ?prom_out opts =
   let cfg = config_of opts in
-  if opts.o_domains <> None && opts.o_collector <> Back_tracing then
-    Fmt.failwith
-      "--domains is only supported with --collector back (the baseline \
-       collectors observe message order and need the classic engine)";
   say "dgc-sim: %a" Config.pp cfg;
   let minutes = Sim_time.of_minutes opts.o_minutes in
   let audited = ref None in
@@ -318,11 +300,11 @@ let run ?artifact ?dump_flight ?(prom = false) ?prom_out opts =
         eng
   in
   Option.iter (dump_flight_to eng) dump_flight;
-  if prom then print_string (Series.to_prom (Engine.merged_series eng));
+  if prom then print_string (Series.to_prom (Engine.series eng));
   Option.iter
     (fun path ->
       let oc = open_out path in
-      output_string oc (Series.to_prom (Engine.merged_series eng));
+      output_string oc (Series.to_prom (Engine.series eng));
       close_out oc;
       say "wrote Prometheus exposition to %s" path)
     prom_out;
@@ -333,7 +315,6 @@ let run ?artifact ?dump_flight ?(prom = false) ?prom_out opts =
       in
       write_artifact ?audit ~out ~name:"dgc-sim" eng)
     artifact;
-  Engine.teardown eng;
   0
 
 (* --- trace subcommand: record one scenario as causal spans ------------- *)
@@ -567,60 +548,6 @@ let run_inspect scenario rounds out =
       say "wrote snapshots to %s" path)
     out;
   0
-
-(* --- det subcommand: the @detgate determinism surface ------------------- *)
-
-(* Run a figure scenario on the sharded engine (fixed shard count) and
-   write its run artifact. The artifact is a function of (seed, shards)
-   only — never of the worker-domain count — so the @detgate alias
-   diffs the output of --domains 1/2/4 byte-for-byte. *)
-let run_det scenario rounds domains out =
-  let cfg = { scenario_cfg with Config.shards = det_shards; domains } in
-  let sim = scenario_sim ~cfg scenario in
-  let eng = sim.Sim.eng in
-  Sim.start sim;
-  Sim.run_rounds sim rounds;
-  let art =
-    Run_artifact.make ~name:("det-" ^ scenario)
-      ~sim_seconds:(Sim_time.to_seconds (Engine.now eng))
-      ~series:(Engine.merged_series eng)
-      (Engine.merged_metrics eng)
-  in
-  Run_artifact.write ~path:out art;
-  say "wrote determinism artifact for %s to %s (domains=%d)" scenario out
-    domains;
-  Engine.teardown eng;
-  0
-
-let det_cmd =
-  let doc =
-    "run a figure scenario on the sharded engine and write its \
-     $(b,dgc.run/1) artifact; the output must be byte-identical for any \
-     $(b,--domains) value (the $(b,@detgate) alias diffs 1/2/4)"
-  in
-  let scenario =
-    Arg.(
-      value & opt string "fig1"
-      & info [ "scenario" ] ~doc:"Scenario: $(b,fig1)..$(b,fig6).")
-  in
-  let rounds =
-    Arg.(
-      value & opt int 6
-      & info [ "rounds" ] ~doc:"Local-trace rounds to run before exporting.")
-  in
-  let domains =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ]
-          ~doc:"Worker domains executing the shard windows (1 = inline).")
-  in
-  let out =
-    Arg.(
-      value & opt string "dgc_det.json"
-      & info [ "out"; "o" ] ~doc:"Artifact output path.")
-  in
-  Cmd.v (Cmd.info "det" ~doc)
-    Term.(const run_det $ scenario $ rounds $ domains $ out)
 
 (* --- profile subcommand: the lib/profile cost profiler ------------------ *)
 
@@ -880,7 +807,7 @@ let chaos_smoke ~tweak () =
   else 1
 
 let run_chaos workload seed cases horizon_ms events plan out shrink broken
-    sanitize no_timeouts no_oracle smoke domains =
+    sanitize no_timeouts no_oracle smoke =
   let tweak cfg =
     let cfg =
       if broken then { cfg with Config.enable_transfer_barrier = false }
@@ -889,11 +816,6 @@ let run_chaos workload seed cases horizon_ms events plan out shrink broken
     let cfg = if sanitize then { cfg with Config.sanitize = true } else cfg in
     let cfg =
       if no_timeouts then { cfg with Config.enable_timeouts = false } else cfg
-    in
-    let cfg =
-      match domains with
-      | None -> cfg
-      | Some d -> { cfg with Config.shards = det_shards; domains = d }
     in
     if no_oracle then { cfg with Config.oracle_checks = false } else cfg
   in
@@ -1008,20 +930,10 @@ let chaos_cmd =
       & info [ "smoke" ]
           ~doc:"Run the small fixed CI campaign (fig1 + ring) and exit.")
   in
-  let domains =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains" ]
-          ~doc:
-            "Run cases on the sharded engine (4 shards) with N worker \
-             domains; artifacts are byte-identical for any N.")
-  in
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(
       const run_chaos $ workload $ seed $ cases $ horizon $ events $ plan
-      $ out $ shrink $ broken $ sanitize $ no_timeouts $ no_oracle $ smoke
-      $ domains)
+      $ out $ shrink $ broken $ sanitize $ no_timeouts $ no_oracle $ smoke)
 
 (* --- cmdliner ----------------------------------------------------------- *)
 
@@ -1126,20 +1038,9 @@ let opts_term =
              commands embed its $(b,dgc.profile/1) section. Schedules are \
              event-identical with or without it.")
   in
-  let domains =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains" ]
-          ~doc:
-            "Run the sharded engine (4 shards, conservative time windows) \
-             with N worker domains. Reports and artifacts are \
-             byte-identical for any N; only wall-clock time changes. \
-             Requires $(b,--collector back).")
-  in
   let make o_sites o_seed o_workload o_span o_per_site o_delta o_threshold2
       o_interval o_window o_drop o_churn o_minutes o_crash o_collector
-      o_verbose o_dot o_journal o_profile o_domains =
+      o_verbose o_dot o_journal o_profile =
     {
       o_sites;
       o_seed;
@@ -1159,12 +1060,11 @@ let opts_term =
       o_dot;
       o_journal;
       o_profile;
-      o_domains;
     }
   in
   const make $ sites $ seed $ workload $ span $ per_site $ delta $ threshold2
   $ interval $ window $ drop $ churn $ minutes $ crash $ collector $ verbose
-  $ dot $ journal $ profile $ domains
+  $ dot $ journal $ profile
 
 let dump_flight_arg =
   Arg.(
@@ -1338,7 +1238,6 @@ let cmd =
       run_cmd;
       trace_cmd;
       metrics_cmd;
-      det_cmd;
       profile_cmd;
       audit_cmd;
       inspect_cmd;

@@ -59,11 +59,7 @@ type outcome = {
   oc_sim_seconds : float;
   oc_injected : int;
   oc_sanitizer : string;
-      (** ["off"], ["on"], or ["skipped-sharded"] — the last means the
-          (tweaked) config asked for dgc-san but the engine was sharded
-          and the sanitizer was downgraded to a journal warning; the
-          artifact carries it so a fuzz run can never count race/leak
-          detection it did not actually have *)
+      (** ["off"] or ["on"] *)
   oc_journal : string list;
   oc_counters : (string * int) list;
   oc_run : Json.t;
@@ -106,23 +102,13 @@ let run_case ?(tweak = fun c -> c) ?probe case =
   Engine.attach_tracer eng (Tel.Tracer.create ());
   (* dgc-san rides along when the (tweaked) config asks for it; the
      detectors' verdicts become first-class failures below, so ddmin
-     shrinks race and leak reports like any other. A sharded engine
-     refuses the sanitizer (no single observation order), so skip it
-     with a journal warning rather than dying. *)
+     shrinks race and leak reports like any other. *)
   let san, sanitizer_status =
-    if cfg.Config.sanitize then
-      if Engine.sharded eng then begin
-        Journal.record journal ~level:Journal.Warn ~at:(Engine.now eng)
-          ~cat:"shard"
-          "sanitize requested but engine is sharded; dgc-san skipped \
-           (rerun at shards=1)";
-        (None, "skipped-sharded")
-      end
-      else begin
-        let s = Dgc_sanitize.Sanitizer.install eng in
-        Dgc_sanitize.Sanitizer.set_shared s (Collector.back sim.Sim.col);
-        (Some s, "on")
-      end
+    if cfg.Config.sanitize then begin
+      let s = Dgc_sanitize.Sanitizer.install eng in
+      Dgc_sanitize.Sanitizer.set_shared s (Collector.back sim.Sim.col);
+      (Some s, "on")
+    end
     else (None, "off")
   in
   if not spec.Workloads.settled then Scenario.settle sim ~rounds:5;
@@ -203,39 +189,27 @@ let run_case ?(tweak = fun c -> c) ?probe case =
       (fun p -> Dgc_profile.Profile.to_json ~wall:false ~name:case.cs_name p)
       (Engine.profile eng)
   in
-  (* Merged accessors: on a sharded engine these interleave the
-     per-shard registries/rings deterministically; at shards=1 they are
-     the plain facade documents. *)
   let run =
     Tel.Run_artifact.make ~name:case.cs_name ~sim_seconds ~extra ~audit
-      ~series:(Engine.merged_series eng) ?profile (Engine.merged_metrics eng)
+      ~series:(Engine.series eng) ?profile (Engine.metrics eng)
   in
-  let journal_entries =
-    match Engine.merged_journal eng with
-    | Some j -> Journal.entries j
-    | None -> Journal.entries journal
-  in
-  let outcome =
-    {
-      oc_case = case;
-      oc_failure = !failure;
-      oc_sim_seconds = sim_seconds;
-      oc_injected = Inject.injected inj;
-      oc_sanitizer = sanitizer_status;
-      oc_journal =
-        List.map
-          (fun e -> Format.asprintf "%a" Journal.pp_entry e)
-          journal_entries;
-      oc_counters =
-        List.sort
-          (fun (a, _) (b, _) -> String.compare a b)
-          (Metrics.counters (Engine.merged_metrics eng));
-      oc_run = run;
-      oc_flight = flight;
-    }
-  in
-  Engine.teardown eng;
-  outcome
+  {
+    oc_case = case;
+    oc_failure = !failure;
+    oc_sim_seconds = sim_seconds;
+    oc_injected = Inject.injected inj;
+    oc_sanitizer = sanitizer_status;
+    oc_journal =
+      List.map
+        (fun e -> Format.asprintf "%a" Journal.pp_entry e)
+        (Journal.entries journal);
+    oc_counters =
+      List.sort
+        (fun (a, _) (b, _) -> String.compare a b)
+        (Metrics.counters (Engine.metrics eng));
+    oc_run = run;
+    oc_flight = flight;
+  }
 
 let shrink_case ?tweak case failure0 =
   let evs = Array.of_list case.cs_plan.Plan.events in

@@ -51,13 +51,10 @@ type outcome = {
   oc_sim_seconds : float;
   oc_injected : int;  (** fault windows actually opened *)
   oc_sanitizer : string;
-      (** dgc-san status of this run: ["off"] (not requested), ["on"]
-          (armed, its verdicts were live failure detectors), or
-          ["skipped-sharded"] (requested but the engine was sharded, so
-          the sanitizer was downgraded to a journal warning). Also
-          carried in the ["dgc.chaos/1"] artifact's outcome section so
-          downstream consumers — the fuzzer above all — cannot mistake
-          a sanitizer-blind run for sanitizer coverage. *)
+      (** dgc-san status of this run: ["off"] (not requested) or
+          ["on"] (armed, its verdicts were live failure detectors).
+          Also carried in the ["dgc.chaos/1"] artifact's outcome
+          section. *)
   oc_journal : string list;  (** rendered journal, oldest first *)
   oc_counters : (string * int) list;  (** sorted *)
   oc_run : Json.t;  (** embedded ["dgc.run/1"] artifact with audit *)

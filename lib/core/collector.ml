@@ -191,11 +191,7 @@ let profiled_compute t input =
 
 (* Everything that happens after a trace's mark phase: install the
    outcome (frees, table swap, update sends), sample the memory
-   gauges, trigger back traces, notify. On a classic engine this runs
-   inline; on a sharded engine it is deferred to the synchronization
-   barrier, because it reaches across sites (update messages, oracle
-   liveness, back-trace frames) while the mark phase itself is
-   site-local and may run concurrently with other shards. *)
+   gauges, trigger back traces, notify. *)
 let apply_outcome t site_id outcome ~window_cleans =
   let c = ctl t site_id in
   Local_trace.apply t.eng c.ctl_site outcome ~window_cleans
@@ -205,40 +201,15 @@ let apply_outcome t site_id outcome ~window_cleans =
   if t.auto_back_traces then ignore (trigger_back_traces t site_id);
   t.after_trace site_id
 
-(* Sharded: the heavy [compute] just ran in the window; leave the
-   window open so transfer-barrier cleans that land between now and
-   the barrier are still recorded, and replay them at apply time —
-   the same snapshot-at-beginning discipline §6.2 uses against
-   concurrent mutation, reused against barrier deferral. *)
-let apply_at_barrier t site_id outcome =
-  let c = ctl t site_id in
-  Engine.at_barrier t.eng (fun () ->
-      match c.ctl_window with
-      | None -> ()
-      | Some w ->
-          c.ctl_window <- None;
-          apply_outcome t site_id outcome
-            ~window_cleans:(List.rev w.w_cleans))
-
 let finish_window t site_id =
   let c = ctl t site_id in
   match c.ctl_window with
   | None -> ()
   | Some w ->
-      if Engine.sharded t.eng then begin
-        if c.ctl_site.Site.crashed then c.ctl_window <- None
-        else begin
-          let outcome = profiled_compute t w.w_input in
-          apply_at_barrier t site_id outcome
-        end
-      end
-      else begin
-        c.ctl_window <- None;
-        if not c.ctl_site.Site.crashed then begin
-          let outcome = profiled_compute t w.w_input in
-          apply_outcome t site_id outcome
-            ~window_cleans:(List.rev w.w_cleans)
-        end
+      c.ctl_window <- None;
+      if not c.ctl_site.Site.crashed then begin
+        let outcome = profiled_compute t w.w_input in
+        apply_outcome t site_id outcome ~window_cleans:(List.rev w.w_cleans)
       end
 
 let run_scheduled_trace t site_id =
@@ -246,27 +217,9 @@ let run_scheduled_trace t site_id =
   if c.ctl_window = None then begin
     let conf = cfg t in
     if Sim_time.compare conf.Config.trace_duration Sim_time.zero <= 0 then begin
-      if Engine.sharded t.eng then begin
-        (* Atomic trace, sharded: mark now (concurrently — this is the
-           work the shards exist to parallelize), apply at the
-           barrier. The pseudo-window collects any transfer-barrier
-           cleans arriving in between. *)
-        let input = Local_trace.input_of_site t.eng c.ctl_site in
-        let outcome = profiled_compute t input in
-        c.ctl_window <- Some { w_input = input; w_cleans = [] };
-        apply_at_barrier t site_id outcome
-      end
-      else begin
-        (* Atomic trace. *)
-        let input = Local_trace.input_of_site t.eng c.ctl_site in
-        let outcome = profiled_compute t input in
-        Local_trace.apply t.eng c.ctl_site outcome ~window_cleans:[]
-          ~on_cleaned:(Back_trace.on_cleaned t.back site_id)
-          ~oracle_check:conf.Config.oracle_checks;
-        sample_memory t site_id outcome;
-        if t.auto_back_traces then ignore (trigger_back_traces t site_id);
-        t.after_trace site_id
-      end
+      (* Atomic trace. *)
+      let input = Local_trace.input_of_site t.eng c.ctl_site in
+      apply_outcome t site_id (profiled_compute t input) ~window_cleans:[]
     end
     else begin
       (* Open a snapshot-at-beginning window (§6.2); back traces keep

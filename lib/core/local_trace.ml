@@ -103,10 +103,8 @@ type outinfo = { oi_dist : int; mutable oi_clean : bool }
    - [w_vis] is a sub-trace visited stamp against [w_vep] (one bump
      per §5.1 independent trace, one for the whole naive scan).
 
-   [compute] is synchronous, but the sharded engine runs one [compute]
-   per worker domain concurrently, so the workspace is domain-local
-   (one per domain, via [Domain.DLS]); each grows to the largest
-   allocation clock its domain has seen. *)
+   [compute] is synchronous, so one module-level workspace serves every
+   trace; it grows to the largest allocation clock seen so far. *)
 type ws = {
   mutable w_cap : int;
   mutable w_mark : int array;
@@ -123,23 +121,22 @@ type ws = {
   mutable w_vep : int;
 }
 
-let ws_key : ws Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      {
-        w_cap = 0;
-        w_mark = [||];
-        w_num = [||];
-        w_nume = [||];
-        w_lead = [||];
-        w_oset = [||];
-        w_vis = [||];
-        w_stack = Array.make 256 0;
-        w_fx = Array.make 256 0;
-        w_fk = Array.make 256 0;
-        w_comp = Array.make 256 0;
-        w_epoch = 0;
-        w_vep = 0;
-      })
+let ws =
+  {
+    w_cap = 0;
+    w_mark = [||];
+    w_num = [||];
+    w_nume = [||];
+    w_lead = [||];
+    w_oset = [||];
+    w_vis = [||];
+    w_stack = Array.make 256 0;
+    w_fx = Array.make 256 0;
+    w_fk = Array.make 256 0;
+    w_comp = Array.make 256 0;
+    w_epoch = 0;
+    w_vep = 0;
+  }
 
 let ws_ensure ws cap =
   if cap > ws.w_cap then begin
@@ -162,7 +159,6 @@ let compute ?(mode = Bottom_up) ?probe inp =
   and pool = d.Dense.d_pool
   and pres = d.Dense.d_present in
   let present i = Bytes.get pres i <> '\000' in
-  let ws = Domain.DLS.get ws_key in
   ws_ensure ws bound;
   ws.w_epoch <- ws.w_epoch + 1;
   let epoch = ws.w_epoch in

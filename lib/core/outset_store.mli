@@ -9,14 +9,8 @@
 
     A store lives for one local trace and is discarded afterwards;
     only the resulting per-inref outsets (plain lists) are retained,
-    as in the paper.
-
-    Domain-safety: a store is confined to the single [compute] call
-    that created it — every cache (interning table, union memo,
-    singleton cache) is per-instance, never module-level — so
-    concurrent traces on different shards each build their own store
-    and never share one. Do not retain a store across the trace or
-    hand it to another domain. *)
+    as in the paper. Every cache (interning table, union memo,
+    singleton cache) is per-instance, never module-level. *)
 
 open Dgc_heap
 

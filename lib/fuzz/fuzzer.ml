@@ -17,7 +17,6 @@ type opts = {
   o_workloads : string list;
   o_suts : string list;
   o_tweaks : string list;
-  o_shards : int list;
   o_horizon_ms : float;
   o_events : int;
   o_max_steps : int;
@@ -36,7 +35,6 @@ let default_opts =
     o_workloads = [ "churn"; "fig2" ];
     o_suts = [];
     o_tweaks = [];
-    o_shards = [ 1 ];
     o_horizon_ms = 20_000.;
     o_events = 3;
     o_max_steps = 400;
@@ -51,7 +49,6 @@ let default_opts =
 type exec_result = {
   x_bits : int list;  (** the run's coverage hit set *)
   x_failure : (string * string) option;  (** kind, detail *)
-  x_san_skipped : bool;
 }
 
 (* Both taps share one per-run recorder sized and seeded like the
@@ -62,14 +59,12 @@ type exec_result = {
    different inside a partition window than outside one. *)
 let attach_taps ~local ~mask_of ~journal eng =
   let last_state = ref 0 in
-  if not (Engine.sharded eng) then begin
-    let conf = Conformance.create () in
-    Conformance.attach conf eng;
-    Conformance.set_observer conf (fun ~kind ~state ->
-        last_state := state;
-        Coverage.record local
-          (Printf.sprintf "p|%s|%d|%d" kind state (mask_of ())))
-  end;
+  let conf = Conformance.create () in
+  Conformance.attach conf eng;
+  Conformance.set_observer conf (fun ~kind ~state ->
+      last_state := state;
+      Coverage.record local
+        (Printf.sprintf "p|%s|%d|%d" kind state (mask_of ())));
   Journal.set_on_record journal (fun e ->
       Coverage.record local
         (Printf.sprintf "j|%s|%d|%d" e.Journal.cat (mask_of ()) !last_state))
@@ -79,15 +74,13 @@ let contains_sub ~sub s =
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   go 0
 
-let plan_tweak opts ~shards cfg =
+let plan_tweak opts cfg =
   let cfg = Input.tweak_all opts.o_tweaks cfg in
   (* The flight recorder owns the journal's single on-record tap; fuzz
-     runs trade the crash dump for the coverage signal. [domains] is
-     pinned to 1: artifacts are a function of (seed, shards) alone and
-     worker domains buy nothing inside a fuzz exec. *)
-  { cfg with Config.shards; domains = 1; flight_capacity = 0 }
+     runs trade the crash dump for the coverage signal. *)
+  { cfg with Config.flight_capacity = 0 }
 
-let exec_plan opts ~local ~shards (p : Input.plan_case) =
+let exec_plan opts ~local (p : Input.plan_case) =
   let case = Input.case_of_plan ~name:"fuzz" p in
   let case = { case with Campaign.cs_horizon_ms = p.Input.pi_horizon_ms } in
   let probe pb =
@@ -95,7 +88,7 @@ let exec_plan opts ~local ~shards (p : Input.plan_case) =
       ~mask_of:(fun () -> Inject.active_mask pb.Campaign.pb_inject)
       ~journal:pb.Campaign.pb_journal pb.Campaign.pb_eng
   in
-  let oc = Campaign.run_case ~tweak:(plan_tweak opts ~shards) ~probe case in
+  let oc = Campaign.run_case ~tweak:(plan_tweak opts) ~probe case in
   let failure =
     Option.map
       (fun f -> (Campaign.failure_kind f, Campaign.failure_to_string f))
@@ -104,11 +97,7 @@ let exec_plan opts ~local ~shards (p : Input.plan_case) =
   (match failure with
   | Some (kind, _) -> Coverage.record local ("v|plan|" ^ kind)
   | None -> ());
-  {
-    x_bits = Coverage.bits local;
-    x_failure = failure;
-    x_san_skipped = String.equal oc.Campaign.oc_sanitizer "skipped-sharded";
-  }
+  { x_bits = Coverage.bits local; x_failure = failure }
 
 (* The sanitizer SUTs judge through [i_check], so the violation text is
    the sanitizer's vocabulary; the explorer turns oracle exceptions
@@ -122,7 +111,7 @@ let classify_sched_violation msgs =
 
 let exec_sched ~local (s : Input.sched_case) =
   match Sut.find s.Input.si_sut with
-  | None -> { x_bits = []; x_failure = None; x_san_skipped = false }
+  | None -> { x_bits = []; x_failure = None }
   | Some sut ->
       let probe inst =
         let eng = inst.Explorer.i_sim.Dgc_core.Sim.eng in
@@ -154,21 +143,21 @@ let exec_sched ~local (s : Input.sched_case) =
       (match failure with
       | Some (kind, _) -> Coverage.record local ("v|schedule|" ^ kind)
       | None -> ());
-      { x_bits = Coverage.bits local; x_failure = failure; x_san_skipped = false }
+      { x_bits = Coverage.bits local; x_failure = failure }
 
-let execute opts ~seed ~shards input =
+let execute opts ~seed input =
   let local = Coverage.create ~size:opts.o_cov_size ~seed () in
   match input with
-  | Input.Plan_input p -> exec_plan opts ~local ~shards p
+  | Input.Plan_input p -> exec_plan opts ~local p
   | Input.Schedule_input s -> exec_sched ~local s
 
 (* ---- shrinking and promotion ----------------------------------------- *)
 
-let shrink_input opts ~shards input (kind, _detail) =
+let shrink_input opts input (kind, _detail) =
   match input with
   | Input.Plan_input p -> (
       let case = Input.case_of_plan ~name:"fuzz-shrink" p in
-      let tweak = plan_tweak opts ~shards in
+      let tweak = plan_tweak opts in
       match (Campaign.run_case ~tweak case).Campaign.oc_failure with
       | Some f ->
           let plan, _replays = Campaign.shrink_case ~tweak case f in
@@ -249,7 +238,6 @@ let campaign ~guided opts =
   let found = ref [] in
   let found_kinds = ref [] in
   let promoted = ref 0 in
-  let san_skipped = ref 0 in
   let seen_sigs = ref [] in
   (* warm the pool from the seed corpus: each file costs one exec *)
   let seeds =
@@ -293,13 +281,7 @@ let campaign ~guided opts =
           (None, s)
       | [] -> next_input ()
     in
-    let shards =
-      match opts.o_shards with
-      | [] -> 1
-      | l -> List.nth l (exec_ix mod List.length l)
-    in
-    let res = execute opts ~seed:opts.o_seed ~shards input in
-    if res.x_san_skipped then incr san_skipped;
+    let res = execute opts ~seed:opts.o_seed input in
     let novel = Coverage.absorb global res.x_bits in
     if guided && novel > 0 then Pool.add pool input res.x_bits;
     (match op with
@@ -317,8 +299,8 @@ let campaign ~guided opts =
           seen_sigs := key :: !seen_sigs;
           let promoted_as =
             match opts.o_promote_dir with
-            | Some dir when guided && shards = 1 ->
-                let shrunk = shrink_input opts ~shards input (kind, detail) in
+            | Some dir when guided ->
+                let shrunk = shrink_input opts input (kind, detail) in
                 incr promoted;
                 Some (promote opts ~dir ~kind ~signature shrunk)
             | _ -> None
@@ -361,7 +343,6 @@ let campaign ~guided opts =
         ops []
       |> List.sort (fun a b -> String.compare a.Report.op_name b.Report.op_name);
     r_found = List.rev !found;
-    r_san_skipped = !san_skipped;
     r_baseline = None;
   }
 

@@ -25,7 +25,6 @@ type opts = {
   o_workloads : string list;  (** plan-input targets; [] = none *)
   o_suts : string list;  (** schedule-input targets; [] = none *)
   o_tweaks : string list;  (** config tweaks armed on every plan run *)
-  o_shards : int list;  (** shard counts plan runs rotate over *)
   o_horizon_ms : float;  (** plan-run chaos horizon *)
   o_events : int;  (** fault windows per fresh random plan *)
   o_max_steps : int;  (** schedule-run step bound *)
@@ -39,7 +38,7 @@ type opts = {
 
 val default_opts : opts
 (** seed 1, 48 execs, 16384 slots, churn + fig2 workloads, no suts,
-    no tweaks, shards [1], 20s horizon, 3 events, 400 steps, width 3,
+    no tweaks, 20s horizon, 3 events, 400 steps, width 3,
     no stop set, no promotion, cold corpus. *)
 
 val run : opts -> Report.t

@@ -29,7 +29,6 @@ type t = {
   r_promoted : int;
   r_ops : op_stat list;
   r_found : found list;
-  r_san_skipped : int;
   r_baseline : (int * int) option;
 }
 
@@ -52,7 +51,6 @@ let to_json t =
        ("seed", Json.Int t.r_seed);
        ("mode", Json.Str t.r_mode);
        ("execs", Json.Int t.r_execs);
-       ("sanitizer_skipped", Json.Int t.r_san_skipped);
        ("coverage", coverage);
        ( "corpus",
          Json.Obj
@@ -139,7 +137,6 @@ let validate doc =
       else Error (Printf.sprintf "unknown mode %S" mode)
     in
     let* execs = need_int doc "execs" in
-    let* _ = need_int doc "sanitizer_skipped" in
     let* cov = need_obj doc "coverage" in
     let* _ = need_int cov "size" in
     let* hits = need_int cov "hits" in

@@ -37,9 +37,6 @@ type t = {
   r_promoted : int;  (** reproducers written to the corpus *)
   r_ops : op_stat list;
   r_found : found list;
-  r_san_skipped : int;
-      (** executions whose sanitizer was downgraded (sharded engine) —
-          honest accounting of sanitizer-blind coverage *)
   r_baseline : (int * int) option;  (** random arm: (execs, hits) *)
 }
 

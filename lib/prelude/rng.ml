@@ -2,10 +2,6 @@ type t = Random.State.t
 
 let create ~seed = Random.State.make [| seed; 0x6d6c3937 |]
 
-(* Lane 0 is reserved: [stream ~seed ~lane:0] is NOT [create ~seed];
-   the extra key word always participates so lanes never collide with
-   the classic two-word stream. *)
-let stream ~seed ~lane = Random.State.make [| seed; 0x6d6c3937; 0x736864 + lane |]
 let split t = Random.State.make [| Random.State.bits t; Random.State.bits t |]
 let int t n = Random.State.int t n
 

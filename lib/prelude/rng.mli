@@ -7,12 +7,6 @@ type t
 
 val create : seed:int -> t
 
-val stream : seed:int -> lane:int -> t
-(** [stream ~seed ~lane] is an independent deterministic stream keyed
-    by [(seed, lane)]: the sharded scheduler gives shard [i] lane [i],
-    so the draws of one shard never depend on another shard's progress.
-    No lane coincides with the stream [create ~seed] produces. *)
-
 val split : t -> t
 (** [split t] is a new independent stream derived from [t]; drawing from
     one does not perturb the other. *)

@@ -39,8 +39,6 @@ type t = {
       (** attach the deterministic sim-cost profiler + cost ledger;
           draws no randomness, so schedules are event-identical either
           way *)
-  shards : int;
-  domains : int;
 }
 
 let default =
@@ -73,18 +71,15 @@ let default =
     journal_capacity = 2048;
     flight_capacity = 32768;
     profile = false;
-    shards = 1;
-    domains = 1;
   }
 
 let pp ppf t =
   Format.fprintf ppf
     "@[<v>sites=%d seed=%d Δ=%d Δ2=%d bump=%d interval=%a window=%a \
      latency=%a drop=%.2f dup=%.2f retries=%d barriers(t=%b,c=%b,i=%b) \
-     checks=%s shards=%d domains=%d@]"
+     checks=%s@]"
     t.n_sites t.seed t.delta t.threshold2 t.threshold_bump Sim_time.pp
     t.trace_interval Sim_time.pp t.trace_duration Latency.pp t.latency
     t.ext_drop t.ext_dup t.retry_limit t.enable_transfer_barrier
     t.enable_clean_rule t.enable_insert_barrier
     (check_level_name t.check_level)
-    t.shards t.domains

@@ -115,21 +115,6 @@ type t = {
           are byte-identical across same-seed runs, and the scale
           bench gates its wall-clock overhead at ≤ 1.10×. Off by
           default. *)
-  shards : int;
-      (** number of logical engine shards. [1] (the default) is the
-          classic single-queue engine, byte-for-byte. [> 1] partitions
-          sites round-robin into that many shards, each with its own
-          event queue, RNG lane and telemetry buffers, synchronized by
-          conservative time windows whose lookahead is
-          [Latency.min_bound latency]. The shard count — not the
-          domain count — defines the sharded timeline: artifacts are a
-          function of [(seed, shards)] alone. *)
-  domains : int;
-      (** worker domains executing the shards' windows. Any value
-          (clamped to [1 .. shards]) produces byte-identical runs —
-          shards are data-race-free within a window, so parallel and
-          sequential window execution coincide. Ignored when
-          [shards = 1]. *)
 }
 
 val default : t

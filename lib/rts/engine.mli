@@ -9,34 +9,7 @@
     Determinism: all randomness comes from the engine's seeded
     generator, and simultaneous events fire in scheduling order, so a
     run is a pure function of the configuration and the installed
-    behaviours.
-
-    {2 Sharded engines}
-
-    With [Config.shards > 1] the engine becomes one {e facade} (the
-    handle returned by {!create}: it owns a coordinator event queue,
-    the fault/chaos state and the worker pool) plus that many shard
-    records, each owning a private event queue, seeded rng lane and
-    telemetry buffers, with sites partitioned round-robin. The run
-    loop alternates coordinator events (faults, redeliveries, agent
-    programs, barrier-deferred trace applies — all serial) with
-    conservative time windows in which every shard drains its own
-    queue, concurrently across up to [Config.domains] domains; the
-    window bound is the minimum cross-shard latency
-    ({!Latency.min_bound}). Cross-shard sends buffer in the sender's
-    outbox and integrate at the next barrier in (arrival, sender
-    shard, sender sequence) order.
-
-    Every public function below accepts the facade everywhere; calls
-    made while a shard's window is executing resolve to that shard via
-    domain-local state. Artifacts are a function of [(seed, shards)]
-    alone — any domain count replays the identical run. [shards = 1]
-    is the classic engine, bit-for-bit. A sharded engine refuses the
-    single-control-flow observers (tracer, profiler, sanitizer,
-    message monitor, {!step_nth}); read results back through
-    {!merged_metrics}, {!merged_journal}, {!merged_series} and
-    {!dump_flight}, which interleave per-shard buffers by simulated
-    time. *)
+    behaviours. One event queue drives the whole run, serially. *)
 
 open Dgc_prelude
 open Dgc_simcore
@@ -303,49 +276,3 @@ val run_until : t -> Sim_time.t -> unit
 val run_for : t -> Sim_time.t -> unit
 val trace_rounds_completed : t -> int
 (** Minimum over sites of completed local traces. *)
-
-(** {1 Sharding} *)
-
-val sharded : t -> bool
-(** True iff this engine was created with [Config.shards > 1]. *)
-
-val at_barrier : t -> (unit -> unit) -> unit
-(** Run a thunk at the next synchronization barrier, on the
-    coordinator, after this window's shard tasks have all finished —
-    the collectors defer trace application, oracle checks and
-    back-trace triggering through this so heavy in-window work can run
-    concurrently while everything that touches cross-site state stays
-    serial. From a shard's window the thunk is queued (per shard,
-    FIFO; barrier queues drain in shard order); from coordinator
-    context — including a classic engine — it runs immediately. *)
-
-val shard_stats : t -> (int * int * int) option
-(** [(windows, cross_shard_msgs, max_queue_skew)] for a sharded
-    engine: synchronization windows executed, messages integrated
-    across shard boundaries, and the largest per-window spread between
-    the busiest and idlest shard (events drained). [None] when
-    [shards = 1]. The same numbers land in the facade's metrics as
-    [window.count] and [window.cross_shard_msgs]. *)
-
-val teardown : t -> unit
-(** Join the worker-domain pool, if one was started. Idempotent; safe
-    on classic engines (no-op). Long-lived processes that create many
-    sharded engines should call this when done with each (OCaml caps
-    live domains); any pool still alive is joined at process exit. *)
-
-val merged_metrics : t -> Metrics.t
-(** Classic: the engine's registry itself. Sharded: a fresh registry
-    folding the facade's and every shard's ({!Metrics.merge_into} —
-    counters add, same-bounds histograms add bucket-wise), merged in
-    record order, so it is deterministic for a deterministic run. *)
-
-val merged_journal : t -> Journal.t option
-(** Classic: the attached journal. Sharded: a fresh journal holding
-    the facade's and every shard's retained entries interleaved by
-    (sim time, record, ring position), sized to evict nothing. *)
-
-val merged_series : t -> Dgc_telemetry.Series.t
-(** Classic: the engine's registry itself. Sharded: a fresh registry
-    folding all records' series ({!Series.merge_into} — bucket values
-    add for counters and gauges alike, each shard gauging a disjoint
-    population). *)

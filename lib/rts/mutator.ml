@@ -8,14 +8,7 @@ type t = {
   mutable at : Site_id.t;
   vars : (string, Oid.t) Hashtbl.t;
   mutable pin_token : int option;
-  traveling : bool Atomic.t;
-      (* Atomic as defensive hardening for the sharded engine: agents
-         live on the coordinator, but [set_extra_roots] reads
-         [traveling]/[at] from worker domains during a trace window
-         (windows never overlap coordinator events, so the values are
-         stable; the atomic removes the data race the memory model
-         would otherwise flag). Always write [at] before clearing
-         [traveling]. *)
+  mutable traveling : bool;
   mutable arrival_k : (unit -> unit) option;
 }
 
@@ -51,7 +44,7 @@ let manager eng =
           | None -> ());
           a.pin_token <- None;
           a.at <- dst;
-          Atomic.set a.traveling false;
+          a.traveling <- false;
           repin a;
           let k = a.arrival_k in
           a.arrival_k <- None;
@@ -59,7 +52,7 @@ let manager eng =
   Engine.set_extra_roots eng (fun site_id ->
       Hashtbl.fold
         (fun _ a acc ->
-          if (not (Atomic.get a.traveling)) && Site_id.equal a.at site_id
+          if (not (a.traveling)) && Site_id.equal a.at site_id
           then
             var_refs a @ acc
           else acc)
@@ -74,7 +67,7 @@ let spawn mgr ~at =
       at;
       vars = Hashtbl.create 8;
       pin_token = None;
-      traveling = Atomic.make false;
+      traveling = false;
       arrival_k = None;
     }
   in
@@ -83,7 +76,7 @@ let spawn mgr ~at =
   a
 
 let agent_site a = a.at
-let traveling a = Atomic.get a.traveling
+let traveling a = a.traveling
 
 let vars a =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) a.vars []
@@ -104,7 +97,7 @@ let set_var a name r =
   Hashtbl.replace a.vars name r;
   repin a
 
-let ready a = not (Atomic.get a.traveling)
+let ready a = not (a.traveling)
 
 let load_root a ~dst =
   if not (ready a) then fail a "traveling"
@@ -218,7 +211,7 @@ let travel a ~via ~k =
           ok a
         end
         else begin
-          Atomic.set a.traveling true;
+          a.traveling <- true;
           Engine.move_agent a.mgr.eng ~agent:a.id ~src:a.at ~dst
             ~refs:(var_refs a);
           ok a

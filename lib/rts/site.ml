@@ -40,23 +40,13 @@ let create id =
 
 let is_local t r = Site_id.equal (Oid.site r) t.id
 
-(* One process-wide lock for label interning: the table is per-site
-   but sites can be labelled from concurrent shard windows, and the
-   call is per-trace (not per-object), so contention is negligible. *)
-let labels_mu = Mutex.create ()
-
 let metric_label t base =
-  Mutex.lock labels_mu;
-  let s =
-    match Hashtbl.find_opt t.labels base with
-    | Some s -> s
-    | None ->
-        let s = Printf.sprintf "%s{site=%d}" base (Site_id.to_int t.id) in
-        Hashtbl.add t.labels base s;
-        s
-  in
-  Mutex.unlock labels_mu;
-  s
+  match Hashtbl.find_opt t.labels base with
+  | Some s -> s
+  | None ->
+      let s = Printf.sprintf "%s{site=%d}" base (Site_id.to_int t.id) in
+      Hashtbl.add t.labels base s;
+      s
 
 let pin t ~token refs =
   Hashtbl.replace t.pin_tbl token refs;

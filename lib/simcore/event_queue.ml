@@ -107,22 +107,6 @@ let pop_nth t n =
     Option.map (fun e -> (e.at, e.payload)) picked
   end
 
-let push_batch t items =
-  (* One [grow] for the whole batch, then sift each entry in arrival
-     order: the batch behaves exactly like the equivalent sequence of
-     [push] calls (same sequence numbers, same tie-break order). *)
-  List.iter (fun (at, payload) -> push t ~at payload) items
-
-let pop_until t bound =
-  let rec go acc =
-    if t.size > 0 && Sim_time.compare t.heap.(0).at bound <= 0 then
-      match pop t with
-      | Some (at, payload) -> go ((at, payload) :: acc)
-      | None -> List.rev acc
-    else List.rev acc
-  in
-  go []
-
 let nth_time t n =
   if n < 0 || n >= t.size then None
   else begin

@@ -14,20 +14,6 @@ val push : 'a t -> at:Sim_time.t -> 'a -> unit
 val pop : 'a t -> (Sim_time.t * 'a) option
 (** Remove and return the earliest event, or [None] if empty. *)
 
-val push_batch : 'a t -> (Sim_time.t * 'a) list -> unit
-(** Schedule a batch of events, in list order. Equivalent to folding
-    {!push} over the list: list order decides the tie-break sequence
-    numbers, so a deterministic batch order (e.g. the sharded
-    scheduler's sorted outbox integration) yields a deterministic
-    drain order. *)
-
-val pop_until : 'a t -> Sim_time.t -> (Sim_time.t * 'a) list
-(** Drain every event with timestamp [<= bound], earliest first
-    (ties in insertion order) — the window-drain primitive of the
-    sharded scheduler's equal-time windows. Events pushed {e after}
-    the call are not included; callers that may schedule new events
-    inside the window must re-drain until empty. *)
-
 val pop_nth : 'a t -> int -> (Sim_time.t * 'a) option
 (** Remove and return the [n]-th earliest event (0 = {!pop});
     [None] if fewer than [n+1] events are pending. Events skipped over

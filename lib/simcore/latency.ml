@@ -19,15 +19,6 @@ let mean = function
   | Uniform (lo, hi) -> (lo +. hi) /. 2.
   | Exponential m -> m
 
-(* Conservative lookahead for the sharded scheduler: no sample is ever
-   below this bound. Exponential samples are strictly positive but not
-   bounded away from zero, so its bound is 0 (the scheduler degrades to
-   equal-time windows, which stay correct because samples are > 0). *)
-let min_bound = function
-  | Fixed d -> d
-  | Uniform (lo, _) -> lo
-  | Exponential _ -> Sim_time.zero
-
 let pp ppf = function
   | Fixed d -> Format.fprintf ppf "fixed(%a)" Sim_time.pp d
   | Uniform (lo, hi) ->

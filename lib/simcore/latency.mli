@@ -8,10 +8,4 @@ type t =
 val sample : Dgc_prelude.Rng.t -> t -> Sim_time.t
 val mean : t -> Sim_time.t
 
-val min_bound : t -> Sim_time.t
-(** Greatest lower bound on {!sample}: the conservative lookahead of
-    the sharded scheduler's time windows. [Exponential] has bound 0
-    (samples are strictly positive but arbitrarily small), for which
-    the scheduler falls back to equal-time windows. *)
-
 val pp : Format.formatter -> t -> unit

@@ -271,54 +271,6 @@ let hists t =
   Hashtbl.fold (fun k h acc -> (k, stats_of h) :: acc) t.hists []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-(* --- merging ---------------------------------------------------------- *)
-
-(* Fold one registry into another (sharded engines: per-shard
-   registries merged into one document at the end of a run). Counters
-   add; histograms with identical bounds add bucket-wise, so the
-   merged percentiles are exactly what one registry would have
-   recorded; samples append the retained observations (capped by the
-   destination's reservoir bound) while the exact aggregates
-   (n/sum/max) always add. Iteration is in sorted name order, so a
-   merge of deterministic registries is itself deterministic. *)
-let merge_into ~into src =
-  let sorted tbl =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  List.iter (fun (name, v) -> add into name v) (counters src);
-  List.iter
-    (fun (name, s) ->
-      let d = sample_ref into name in
-      for i = 0 to s.len - 1 do
-        let full = match d.cap with Some c -> d.len >= c | None -> false in
-        if not full then begin
-          if d.len = Array.length d.xs then begin
-            let grown = Array.make (max 8 (2 * d.len)) 0. in
-            Array.blit d.xs 0 grown 0 d.len;
-            d.xs <- grown
-          end;
-          d.xs.(d.len) <- s.xs.(i);
-          d.len <- d.len + 1
-        end
-      done;
-      d.n_obs <- d.n_obs + s.n_obs;
-      d.sum <- d.sum +. s.sum;
-      if s.mx > d.mx then d.mx <- s.mx)
-    (sorted src.samples);
-  List.iter
-    (fun (name, h) ->
-      let d = hist_ref into ~buckets:h.bounds name in
-      if d.bounds = h.bounds then begin
-        Array.iteri (fun i c -> d.counts.(i) <- d.counts.(i) + c) h.counts;
-        d.h_n <- d.h_n + h.h_n;
-        d.h_sum <- d.h_sum +. h.h_sum;
-        if h.h_min < d.h_min then d.h_min <- h.h_min;
-        if h.h_max > d.h_max then d.h_max <- h.h_max
-      end
-      (* differing bounds: already reported via on_bucket_mismatch *))
-    (sorted src.hists)
-
 (* --- printing --------------------------------------------------------- *)
 
 let pp ppf t =

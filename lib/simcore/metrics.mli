@@ -83,19 +83,6 @@ val hist_stats : t -> string -> hist_stats option
 val hists : t -> (string * hist_stats) list
 (** Sorted by name. *)
 
-(** {1 Merging} *)
-
-val merge_into : into:t -> t -> unit
-(** Fold [src] into [into] (sharded engines merge their per-shard
-    registries into one document at the end of a run): counters add,
-    same-bounds histograms add bucket-wise (merged percentiles equal
-    what a single registry would have recorded), samples append the
-    retained observations up to [into]'s reservoir cap while the exact
-    aggregates (n/sum/max) always add. Names are visited in sorted
-    order, so merging deterministic registries is deterministic. A
-    histogram whose bounds disagree with one already in [into] is
-    skipped and reported through {!set_on_bucket_mismatch}. *)
-
 val pp : Format.formatter -> t -> unit
 (** Counters, then samples, then histograms — each block sorted by
     name, so output is deterministic and diffable. *)

@@ -106,33 +106,6 @@ let total t name =
 let evicted t name =
   match Hashtbl.find_opt t.tbl name with Some s -> s.s_evicted | None -> 0
 
-(* --- merging ----------------------------------------------------------- *)
-
-(* Fold one registry into another (sharded engines: per-shard series
-   merged into one document). Bucket values add for both kinds: a
-   counter's buckets are per-window sums, and each shard's gauges
-   sample a disjoint population (its own sites and frames), so the
-   whole-engine gauge is the sum of the shard gauges. Names are
-   visited in sorted order, so merging deterministic registries is
-   deterministic. *)
-let merge_into ~into src =
-  if into.win <> src.win then invalid_arg "Series.merge_into: window mismatch";
-  List.iter
-    (fun (name, _) ->
-      let s = Hashtbl.find src.tbl name in
-      let d = series_ref into name ~kind:s.s_kind in
-      if s.any then begin
-        Hashtbl.fold (fun i v acc -> (i, v) :: acc) s.buckets []
-        |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-        |> List.iter (fun (i, v) ->
-               Hashtbl.replace d.buckets i
-                 (v +. Option.value ~default:0. (Hashtbl.find_opt d.buckets i));
-               touch into d i);
-        d.s_total <- d.s_total +. s.s_total;
-        d.s_evicted <- d.s_evicted + s.s_evicted
-      end)
-    (names src)
-
 (* --- labels ------------------------------------------------------------ *)
 
 (* "bytes_resident{site=2}" -> ("bytes_resident", Some ("site", "2")) *)

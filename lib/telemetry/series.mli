@@ -58,18 +58,6 @@ val total : t -> string -> float
 val evicted : t -> string -> int
 (** Buckets dropped by the retention bound. *)
 
-(** {1 Merging} *)
-
-val merge_into : into:t -> t -> unit
-(** Fold [src] into [into] (sharded engines merge their per-shard
-    registries into one document). Bucket values add for both kinds —
-    counters are per-window sums, and each shard's gauges sample a
-    disjoint population (its own sites and frames), so the
-    whole-engine gauge is the sum of the shard gauges. Names are
-    visited in sorted order, so merging deterministic registries is
-    deterministic. Raises [Invalid_argument] on a window mismatch or
-    when a name's kind disagrees between the registries. *)
-
 (** {1 Export} *)
 
 val to_json : t -> Json.t

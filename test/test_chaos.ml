@@ -444,6 +444,21 @@ let expect_needle path = function
   | "leak" -> "lost trace"
   | e -> Alcotest.failf "%s: unknown expect %S" path e
 
+(* Byte-identity pins: the digest of each plan file's dgc.chaos/1
+   replay artifact. Every engine refactor must leave these unchanged;
+   a deliberate behaviour change (or a newly promoted plan) updates the
+   entry named in the failure message. *)
+let plan_artifact_digests =
+  [
+    ("chaos_3328.json", "4c56edaeeb47bfb3aedcd56b78eb2a52");
+    ("crash_mid_trace.json", "c666efb763880363d558b13dc9323182");
+    ("drop_retry.json", "1db0166d8223ade0b652d9336ddce362");
+    ("dup_burst.json", "1b2b56ef798f23c9f791e05d3dd45795");
+    ("fuzz_leak_fd91bd36.json", "5e6da47c5a23316fb8bac46e0e04014f");
+    ("partition_during_report.json", "e6b7393ae4d38fc1927c387cdccfb098");
+    ("san_lost_trace.json", "f7c4e9f9e43a234e29d45b107365793f");
+  ]
+
 let replay_plan_case f (p : Finput.plan_case) (meta : Finput.meta) =
   Alcotest.(check bool)
     (f ^ ": known workload") true
@@ -452,28 +467,24 @@ let replay_plan_case f (p : Finput.plan_case) (meta : Finput.meta) =
   let case =
     Finput.case_of_plan ~name:(Filename.remove_extension f) p
   in
-  (let oc = Campaign.run_case ~tweak case in
-   match (meta.Finput.m_expect, oc.Campaign.oc_failure) with
-   | None, None -> ()
-   | None, Some fl -> Alcotest.failf "%s: %s" f (Campaign.failure_to_string fl)
-   | Some e, Some fl when String.equal e (Campaign.failure_kind fl) -> ()
-   | Some e, Some fl ->
-       Alcotest.failf "%s: expected %s, got %s" f e
-         (Campaign.failure_to_string fl)
-   | Some e, None -> Alcotest.failf "%s: expected %s, replayed clean" f e);
-  (* The determinism half: on a sharded engine the artifact must be a
-     function of (seed, shards) alone, never of the worker domain
-     count — replay the same case at domains 1 and 4 and hold the
-     dgc.chaos/1 documents to byte equality. *)
-  let sharded domains cfg =
-    { (tweak cfg) with Config.shards = 4; domains }
+  let oc = Campaign.run_case ~tweak case in
+  (match (meta.Finput.m_expect, oc.Campaign.oc_failure) with
+  | None, None -> ()
+  | None, Some fl -> Alcotest.failf "%s: %s" f (Campaign.failure_to_string fl)
+  | Some e, Some fl when String.equal e (Campaign.failure_kind fl) -> ()
+  | Some e, Some fl ->
+      Alcotest.failf "%s: expected %s, got %s" f e
+        (Campaign.failure_to_string fl)
+  | Some e, None -> Alcotest.failf "%s: expected %s, replayed clean" f e);
+  let got =
+    Digest.to_hex
+      (Digest.string (Json.to_string (Campaign.artifact oc)))
   in
-  let doc domains =
-    Json.to_string (Campaign.artifact (Campaign.run_case ~tweak:(sharded domains) case))
-  in
-  Alcotest.(check string)
-    (f ^ ": domains 1/4 byte-identical artifact")
-    (doc 1) (doc 4)
+  match List.assoc_opt f plan_artifact_digests with
+  | Some want -> Alcotest.(check string) (f ^ ": artifact digest") want got
+  | None ->
+      Alcotest.failf "%s: no artifact pin; add (%S, %S) to plan_artifact_digests"
+        f f got
 
 let replay_sched_case f (s : Finput.sched_case) (meta : Finput.meta) =
   let sut =
@@ -503,6 +514,11 @@ let test_corpus_replays_clean () =
   let dir = corpus_dir () in
   let files = corpus_files dir in
   Alcotest.(check bool) "corpus is non-empty" true (List.length files >= 7);
+  List.iter
+    (fun (f, _) ->
+      if not (List.mem f files) then
+        Alcotest.failf "%s: pinned but missing from the corpus" f)
+    plan_artifact_digests;
   List.iter
     (fun f ->
       match Finput.load ~path:(Filename.concat dir f) with

@@ -342,6 +342,46 @@ let test_deferral_wire_savings () =
     true
     (defer_total <= eager_total * 2)
 
+(* A batched collector message lost to a partition is a partition drop,
+   never a crash drop — both when the partition is already up at the
+   flush and when it cuts the batch in flight. *)
+let test_deferral_partition_drops () =
+  let drops ~partition_after_ms =
+    let c =
+      { (cfg 2) with Config.defer_interval = Sim_time.of_millis 100. }
+    in
+    let sim = Sim.make ~cfg:c () in
+    let eng = sim.Sim.eng in
+    ignore (Graph_gen.ring eng ~sites:[ s 0; s 1 ] ~per_site:1 ~rooted:false);
+    Scenario.settle sim ~rounds:8;
+    let m = Engine.metrics eng in
+    let before = Metrics.get m "msg.batches" in
+    Engine.schedule eng ~delay:(Sim_time.of_millis partition_after_ms)
+      (fun () -> Engine.partition eng [ [ s 0 ]; [ s 1 ] ]);
+    let started = ref false in
+    Array.iter
+      (fun st ->
+        Tables.iter_outrefs st.Site.tables (fun o ->
+            if (not !started) && not (Ioref.outref_clean o) then
+              started :=
+                Collector.start_back_trace sim.Sim.col st.Site.id
+                  o.Ioref.or_target
+                <> None))
+      (Engine.sites eng);
+    Alcotest.(check bool) "a back trace started" true !started;
+    Engine.run_for eng (Sim_time.of_seconds 1.);
+    Alcotest.(check bool) "the call went out batched" true
+      (Metrics.get m "msg.batches" > before);
+    (Metrics.get m "msg.dropped.partition", Metrics.get m "msg.dropped.crashed")
+  in
+  List.iter
+    (fun (label, after) ->
+      let partition, crashed = drops ~partition_after_ms:after in
+      Alcotest.(check bool) (label ^ ": counted as partition") true
+        (partition > 0);
+      Alcotest.(check int) (label ^ ": not counted as crashed") 0 crashed)
+    [ ("partitioned at flush", 0.); ("partitioned in flight", 102.) ]
+
 let () =
   Alcotest.run "faults"
     [
@@ -373,5 +413,7 @@ let () =
           Alcotest.test_case "batches and still collects" `Quick
             test_deferral_batches_messages;
           Alcotest.test_case "wire savings" `Quick test_deferral_wire_savings;
+          Alcotest.test_case "partition drops counted as partition" `Quick
+            test_deferral_partition_drops;
         ] );
     ]

@@ -248,7 +248,6 @@ let det_opts () =
     o_workloads = [ "fig2" ];
     o_suts = [ "san-race-broken" ];
     o_tweaks = [ "sanitize"; "no_timeouts" ];
-    o_shards = [ 1 ];
     o_horizon_ms = 15_000.;
     o_events = 2;
     o_max_steps = 64;

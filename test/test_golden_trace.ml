@@ -12,12 +12,18 @@
 
      GOLDEN_DUMP=1 dune exec test/test_golden_trace.exe
 
-   and paste the printed table over [expected]. *)
+   and paste the printed tables over [expected] and [expected_runs].
+
+   The second table pins whole runs: each figure scenario runs 6 trace
+   rounds under the [dgc-sim] scenario config, and the digest of its
+   rendered dgc.run/1 artifact (every counter, histogram summary and
+   series bucket) must not move when the engine is refactored. *)
 
 open Dgc_simcore
 open Dgc_rts
 open Dgc_core
 open Dgc_workload
+module Tel = Dgc_telemetry
 
 let cfg_atomic =
   {
@@ -36,14 +42,14 @@ let suspect_everything eng =
             ir.Ioref.ir_sources))
     (Engine.sites eng)
 
-let figs : (string * (unit -> Sim.t)) list =
+let figs : (string * (Config.t -> Sim.t)) list =
   [
-    ("fig1", fun () -> (Scenario.fig1 ~cfg:cfg_atomic ()).Scenario.f1_sim);
-    ("fig2", fun () -> (Scenario.fig2 ~cfg:cfg_atomic ()).Scenario.f2_sim);
-    ("fig3", fun () -> (Scenario.fig3 ~cfg:cfg_atomic ()).Scenario.f3_sim);
-    ("fig4", fun () -> (Scenario.fig4 ~cfg:cfg_atomic ()).Scenario.f4_sim);
-    ("fig5", fun () -> (Scenario.fig5 ~cfg:cfg_atomic ()).Scenario.f5_sim);
-    ("fig6", fun () -> (fst (Scenario.fig6 ~cfg:cfg_atomic ())).Scenario.f5_sim);
+    ("fig1", fun cfg -> (Scenario.fig1 ~cfg ()).Scenario.f1_sim);
+    ("fig2", fun cfg -> (Scenario.fig2 ~cfg ()).Scenario.f2_sim);
+    ("fig3", fun cfg -> (Scenario.fig3 ~cfg ()).Scenario.f3_sim);
+    ("fig4", fun cfg -> (Scenario.fig4 ~cfg ()).Scenario.f4_sim);
+    ("fig5", fun cfg -> (Scenario.fig5 ~cfg ()).Scenario.f5_sim);
+    ("fig6", fun cfg -> (fst (Scenario.fig6 ~cfg ())).Scenario.f5_sim);
   ]
 
 let modes =
@@ -77,7 +83,7 @@ let compute_all () =
     (fun (fig, build) ->
       List.concat_map
         (fun (vname, rounds) ->
-          let sim = build () in
+          let sim = build cfg_atomic in
           Scenario.settle sim ~rounds;
           suspect_everything sim.Sim.eng;
           List.map
@@ -127,11 +133,43 @@ let expected =
     (("fig6.settled", "naive"), "6dd30c885326e30f35588b7f81a41f66");
   ]
 
+(* The [dgc-sim] scenario config: [cfg_atomic] plus the threshold bump. *)
+let cfg_run = { cfg_atomic with Config.threshold_bump = 4 }
+
+let run_digests () =
+  List.map
+    (fun (fig, build) ->
+      let sim = build cfg_run in
+      let eng = sim.Sim.eng in
+      Sim.start sim;
+      Sim.run_rounds sim 6;
+      let art =
+        Tel.Run_artifact.make ~name:fig
+          ~sim_seconds:(Sim_time.to_seconds (Engine.now eng))
+          ~series:(Engine.series eng) (Engine.metrics eng)
+      in
+      (fig, Digest.to_hex (Digest.string (Tel.Json.to_string art))))
+    figs
+
+let expected_runs =
+  [
+    ("fig1", "54215484122d06570c614f8b794fd28d");
+    ("fig2", "f58a7da115d6506ee1566c6d875eb91f");
+    ("fig3", "1f03561c2a4d2f797fc2e7485f77562e");
+    ("fig4", "23f06e403890fc9924873cc4f1631afd");
+    ("fig5", "1c2e49db01051e4e50f49f5a7a1b72a5");
+    ("fig6", "6e99add892fc51bbe8faae7d7b7d648c");
+  ]
+
 let dump () =
   List.iter
     (fun ((fig, mode), d) ->
       Printf.printf "    ((%S, %S), %S);\n" fig mode d)
-    (compute_all ())
+    (compute_all ());
+  print_newline ();
+  List.iter
+    (fun (fig, d) -> Printf.printf "    (%S, %S);\n" fig d)
+    (run_digests ())
 
 let test_golden () =
   let got = compute_all () in
@@ -147,11 +185,26 @@ let test_golden () =
   Alcotest.(check int)
     "digest count" (List.length expected) (List.length got)
 
+let test_runs () =
+  let got = run_digests () in
+  List.iter
+    (fun (fig, want) ->
+      Alcotest.(check string)
+        (fig ^ " run artifact digest")
+        want
+        (Option.value ~default:"missing" (List.assoc_opt fig got)))
+    expected_runs;
+  Alcotest.(check int)
+    "run digest count" (List.length expected_runs) (List.length got)
+
 let () =
   if Sys.getenv_opt "GOLDEN_DUMP" = Some "1" then dump ()
   else
     Alcotest.run "golden_trace"
       [
         ( "golden",
-          [ Alcotest.test_case "figs 1-6, all modes" `Quick test_golden ] );
+          [
+            Alcotest.test_case "figs 1-6, all modes" `Quick test_golden;
+            Alcotest.test_case "figs 1-6, run artifacts" `Quick test_runs;
+          ] );
       ]

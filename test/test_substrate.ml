@@ -160,6 +160,47 @@ let test_queue_interleaved () =
   Alcotest.(check (list int)) "interleaved pushes" [ 2; 5; 7 ] rest;
   Alcotest.(check int) "length" 0 (Event_queue.length q)
 
+(* Model-based laws. Times come from a tiny range so ties are the
+   common case, and the payload is the list index so insertion order
+   is observable. The reference model is a stable sort by time:
+   earliest first, ties in insertion order. *)
+
+let drain_all q =
+  let rec go acc =
+    match Event_queue.pop q with None -> List.rev acc | Some e -> go (e :: acc)
+  in
+  go []
+
+let queue_of times =
+  let evs =
+    List.mapi (fun i t -> (Sim_time.of_millis (float_of_int t), i)) times
+  in
+  let q = Event_queue.create () in
+  List.iter (fun (at, p) -> Event_queue.push q ~at p) evs;
+  (q, List.stable_sort (fun (a, _) (b, _) -> Sim_time.compare a b) evs)
+
+let times_arb = QCheck.(list_of_size Gen.(0 -- 40) (int_bound 4))
+
+let prop_drain_is_stable_sort =
+  QCheck.Test.make ~count:500 ~name:"drain = stable sort by time" times_arb
+    (fun times ->
+      let q, model = queue_of times in
+      drain_all q = model)
+
+(* [pop_nth] is the schedule explorer's deviation primitive: it removes
+   exactly the n-th event and every survivor keeps its position and
+   tie-break order. *)
+let prop_pop_nth_preserves_order =
+  QCheck.Test.make ~count:500 ~name:"pop_nth removes nth; survivors keep order"
+    QCheck.(pair times_arb (int_bound 45))
+    (fun (times, n) ->
+      let q, model = queue_of times in
+      match Event_queue.pop_nth q n with
+      | None -> n >= List.length model && drain_all q = model
+      | Some e ->
+          e = List.nth model n
+          && drain_all q = List.filteri (fun i _ -> i <> n) model)
+
 (* --- latency -------------------------------------------------------------- *)
 
 let test_latency () =
@@ -253,6 +294,10 @@ let () =
           Alcotest.test_case "interleaved" `Quick test_queue_interleaved;
           QCheck_alcotest.to_alcotest prop_queue_sorted;
         ] );
+      ( "event_queue laws",
+        List.map
+          (fun t -> QCheck_alcotest.to_alcotest t)
+          [ prop_drain_is_stable_sort; prop_pop_nth_preserves_order ] );
       ("latency", [ Alcotest.test_case "models" `Quick test_latency ]);
       ( "journal",
         [
