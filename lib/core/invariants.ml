@@ -64,7 +64,7 @@ let each_site ?(skip = no_skip) eng f =
 let local_safety ?skip eng =
   let acc = ref [] in
   each_site ?skip eng (fun s ->
-      let graph = Reach.of_heap s.Site.heap in
+      let graph = Dense.of_heap s.Site.heap in
       (* Ground truth: for every non-flagged inref, the set of remote
          references locally reachable from it. *)
       let reach_of_inref =

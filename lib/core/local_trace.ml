@@ -7,8 +7,7 @@ type mode = Bottom_up | Independent | Naive_bottom_up
 
 type input = {
   in_site : Site_id.t;
-  in_graph : Reach.graph;
-  in_indices : int list;
+  in_graph : Dense.t;
   in_roots : Oid.t list;
   in_inrefs : (Oid.t * int * bool) list;
   in_outrefs : Oid.t list;
@@ -31,33 +30,20 @@ let sample_tables site =
   in
   (inrefs, outrefs)
 
-let input_of_site eng site =
-  let heap = site.Site.heap in
-  let inrefs, outrefs = sample_tables site in
-  let graph = Reach.of_heap heap in
-  {
-    in_site = site.Site.id;
-    in_graph = graph;
-    in_indices = Dense.indices graph.Reach.g_dense;
-    in_roots = Heap.persistent_roots heap @ Engine.app_roots eng site.Site.id;
-    in_inrefs = inrefs;
-    in_outrefs = outrefs;
-    in_delta = (Engine.config eng).Config.delta;
-  }
-
 let input_of_snapshot eng site snap =
   let inrefs, outrefs = sample_tables site in
-  let graph = Reach.of_snapshot snap in
   {
     in_site = site.Site.id;
-    in_graph = graph;
-    in_indices = Dense.indices graph.Reach.g_dense;
+    in_graph = Snapshot.dense snap;
     in_roots =
       Snapshot.persistent_roots snap @ Engine.app_roots eng site.Site.id;
     in_inrefs = inrefs;
     in_outrefs = outrefs;
     in_delta = (Engine.config eng).Config.delta;
   }
+
+let input_of_site eng site =
+  input_of_snapshot eng site (Snapshot.take site.Site.heap)
 
 type out_result = {
   o_ref : Oid.t;
@@ -151,8 +137,7 @@ let ws_ensure ws cap =
   end
 
 let compute ?(mode = Bottom_up) ?probe inp =
-  let graph = inp.in_graph in
-  let d = graph.Reach.g_dense in
+  let d = inp.in_graph in
   let bound = d.Dense.d_bound in
   let codes = d.Dense.d_codes
   and starts = d.Dense.d_start
@@ -560,8 +545,7 @@ let compute ?(mode = Bottom_up) ?probe inp =
             })
       inp.in_outrefs
   in
-  (* Unmarked present objects, ascending — same order the old
-     [in_indices] filter produced. *)
+  (* Unmarked present objects, ascending. *)
   let dead =
     let acc = ref [] in
     for i = bound - 1 downto 0 do

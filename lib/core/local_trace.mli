@@ -33,8 +33,7 @@ type mode =
 
 type input = {
   in_site : Site_id.t;
-  in_graph : Reach.graph;
-  in_indices : int list;  (** local objects existing at sample time *)
+  in_graph : Dense.t;  (** the captured object graph and object set *)
   in_roots : Oid.t list;  (** persistent + application roots (distance 0) *)
   in_inrefs : (Oid.t * int * bool) list;  (** target, distance, flagged *)
   in_outrefs : Oid.t list;
@@ -42,7 +41,8 @@ type input = {
 }
 
 val input_of_site : Engine.t -> Site.t -> input
-(** Sample the site's current state (atomic trace). *)
+(** Sample the site's current state (atomic trace):
+    [input_of_snapshot] over a snapshot taken now. *)
 
 val input_of_snapshot : Engine.t -> Site.t -> Snapshot.t -> input
 (** Graph and object set from the snapshot (taken at window start);

@@ -28,61 +28,62 @@ let indices t =
   done;
   !acc
 
-(* Generic two-pass CSR construction. [iter_objs f] must call
-   [f index fields] once per live object; field order is preserved
+let fields t i =
+  if not (present t i) then []
+  else begin
+    let out = ref [] in
+    for k = t.d_start.(i + 1) - 1 downto t.d_start.(i) do
+      let c = t.d_codes.(k) in
+      let oid =
+        if c >= 0 then Oid.make ~site:t.d_site ~index:c
+        else t.d_pool.(-c - 1)
+      in
+      out := oid :: !out
+    done;
+    !out
+  end
+
+(* One [Heap.iter] pass gathers each object's field list by index, then
+   the CSR arrays fill in index order. The captured lists are shared
+   with the heap, never copied: [Heap] replaces [o.fields] on every
+   mutation and never mutates a list cell. Field order is preserved
    exactly (the trace's union-call sequence depends on it). *)
-let build ~site ~bound ~roots ~n_objects iter_objs =
+let of_heap heap =
+  let site = Heap.site heap and bound = Heap.alloc_clock heap in
+  let fields = Array.make bound [] in
   let d_present = Bytes.make (max bound 1) '\000' in
   let d_roots = Bytes.make (max bound 1) '\000' in
-  let deg = Array.make (bound + 1) 0 in
-  iter_objs (fun i fields ->
-      if i >= 0 && i < bound then begin
-        Bytes.set d_present i '\001';
-        deg.(i) <- List.length fields
-      end);
-  List.iter
-    (fun r ->
-      let i = Oid.index r in
-      if i >= 0 && i < bound then Bytes.set d_roots i '\001')
-    roots;
+  Heap.iter heap (fun o ->
+      let i = Oid.index o.Heap.oid in
+      fields.(i) <- o.Heap.fields;
+      Bytes.set d_present i '\001');
+  List.iter (fun r -> Bytes.set d_roots (Oid.index r) '\001')
+    (Heap.persistent_roots heap);
   let d_start = Array.make (bound + 1) 0 in
   for i = 0 to bound - 1 do
-    d_start.(i + 1) <- d_start.(i) + deg.(i)
+    d_start.(i + 1) <- d_start.(i) + List.length fields.(i)
   done;
   let d_codes = Array.make (max d_start.(bound) 1) 0 in
   (* The pool collects every target that is not an in-bound local
      index: remote references, plus (defensively) local oids outside
      [0, bound). Encoded as [-(pool_index + 1)]. *)
-  let pool_rev = ref [] in
-  let n_pool = ref 0 in
-  iter_objs (fun i fields ->
-      if i >= 0 && i < bound then begin
-        let k = ref d_start.(i) in
-        List.iter
-          (fun r ->
-            let code =
-              if Site_id.equal (Oid.site r) site then begin
-                let j = Oid.index r in
-                if j >= 0 && j < bound then j
-                else begin
-                  let p = !n_pool in
-                  incr n_pool;
-                  pool_rev := r :: !pool_rev;
-                  -(p + 1)
-                end
-              end
-              else begin
-                let p = !n_pool in
-                incr n_pool;
-                pool_rev := r :: !pool_rev;
-                -(p + 1)
-              end
-            in
-            d_codes.(!k) <- code;
-            incr k)
-          fields
-      end);
-  let d_pool = Array.of_list (List.rev !pool_rev) in
+  let pool_rev = ref [] and n_pool = ref 0 in
+  let rec fill k = function
+    | [] -> ()
+    | r :: tl ->
+        let j = Oid.index r in
+        d_codes.(k) <-
+          (if Site_id.equal (Oid.site r) site && j >= 0 && j < bound then j
+           else begin
+             pool_rev := r :: !pool_rev;
+             incr n_pool;
+             - !n_pool
+           end);
+        fill (k + 1) tl
+  in
+  for i = 0 to bound - 1 do
+    fill d_start.(i) fields.(i)
+  done;
   {
     d_site = site;
     d_bound = bound;
@@ -90,18 +91,6 @@ let build ~site ~bound ~roots ~n_objects iter_objs =
     d_roots;
     d_start;
     d_codes;
-    d_pool;
-    d_count = n_objects;
+    d_pool = Array.of_list (List.rev !pool_rev);
+    d_count = Heap.object_count heap;
   }
-
-let of_heap heap =
-  build ~site:(Heap.site heap) ~bound:(Heap.alloc_clock heap)
-    ~roots:(Heap.persistent_roots heap)
-    ~n_objects:(Heap.object_count heap)
-    (fun f -> Heap.iter heap (fun o -> f (Oid.index o.Heap.oid) o.Heap.fields))
-
-let of_snapshot snap =
-  build ~site:(Snapshot.site snap) ~bound:(Snapshot.alloc_clock snap)
-    ~roots:(Snapshot.persistent_roots snap)
-    ~n_objects:(Snapshot.object_count snap)
-    (fun f -> Snapshot.iter_edges snap f)

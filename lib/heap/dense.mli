@@ -2,8 +2,9 @@
 
     The per-trace hot paths (clean phase, fused Tarjan suspect phase,
     dead-set scan) run over contiguous int-indexed arrays instead of
-    closure-per-lookup [find]s. A [t] is a snapshot of the graph at
-    construction time: indices are heap object indices in
+    closure-per-lookup [find]s. A [t] is a frozen capture of the graph
+    at construction time — the §6.2 snapshot ({!Snapshot}) is one, with
+    the root list alongside. Indices are heap object indices in
     [0, bound) where [bound] is the heap's allocation clock, adjacency
     is in CSR form, and roots are a bitset.
 
@@ -34,9 +35,8 @@ type t = {
 }
 
 val of_heap : Heap.t -> t
-(** Captures the graph now; later heap mutations are not reflected. *)
-
-val of_snapshot : Snapshot.t -> t
+(** Captures the graph now, in one pass over the heap; later heap
+    mutations are not reflected. O(objects + references). *)
 
 val site : t -> Site_id.t
 val bound : t -> int
@@ -50,3 +50,7 @@ val is_root : t -> int -> bool
 val indices : t -> int list
 (** Live indices, ascending — equals [Heap.indices] of the source heap
     at capture time, without the sort. *)
+
+val fields : t -> int -> Oid.t list
+(** Object [i]'s captured fields decoded back to oids, in field order;
+    [] for an index that is not present. *)

@@ -1,34 +1,10 @@
 open Dgc_prelude
 
-type graph = {
-  g_site : Site_id.t;
-  g_mem : Oid.t -> bool;
-  g_fields : Oid.t -> Oid.t list;
-  g_dense : Dense.t;
-}
-
-let of_heap heap =
-  {
-    g_site = Heap.site heap;
-    g_mem = (fun oid -> Heap.mem heap oid);
-    g_fields = (fun oid -> Heap.fields heap oid);
-    g_dense = Dense.of_heap heap;
-  }
-
-let of_snapshot snap =
-  {
-    g_site = Snapshot.site snap;
-    g_mem = (fun oid -> Snapshot.mem snap oid);
-    g_fields = (fun oid -> Snapshot.fields snap oid);
-    g_dense = Dense.of_snapshot snap;
-  }
-
-let is_local g oid = Site_id.equal (Oid.site oid) g.g_site
+let is_local (d : Dense.t) oid = Site_id.equal (Oid.site oid) d.Dense.d_site
 
 exception Found
 
-let closure g ~from =
-  let d = g.g_dense in
+let closure d ~from =
   let bound = d.Dense.d_bound in
   let visited = Bytes.make (max bound 1) '\000' in
   let locals = ref Oid.Set.empty in
@@ -37,13 +13,13 @@ let closure g ~from =
   let visit_idx i =
     if Bytes.get visited i = '\000' then begin
       Bytes.set visited i '\001';
-      locals := Oid.Set.add (Oid.make ~site:g.g_site ~index:i) !locals;
+      locals := Oid.Set.add (Oid.make ~site:d.Dense.d_site ~index:i) !locals;
       stack := i :: !stack
     end
   in
   List.iter
     (fun r ->
-      if is_local g r then begin
+      if is_local d r then begin
         let i = Oid.index r in
         if Dense.present d i then visit_idx i
       end
@@ -61,7 +37,7 @@ let closure g ~from =
           end
           else begin
             let r = d.Dense.d_pool.(-c - 1) in
-            if not (is_local g r) then remotes := Oid.Set.add r !remotes
+            if not (is_local d r) then remotes := Oid.Set.add r !remotes
           end
         done;
         drain ()
@@ -73,17 +49,16 @@ let closure g ~from =
    [src], or occurs among the fields of some locally-reachable present
    object (that covers present locals — they are visited via a field —
    dangling locals, and remotes alike). *)
-let reaches g ~src ~dst =
+let reaches d ~src ~dst =
   if Oid.equal src dst then true
   else begin
-    let d = g.g_dense in
     let bound = d.Dense.d_bound in
-    if not (is_local g src && Dense.present d (Oid.index src)) then false
+    if not (is_local d src && Dense.present d (Oid.index src)) then false
     else begin
       (* dst as a code: a local in-bound target compares by index, any
          other target compares by oid against the pool. *)
       let dst_idx =
-        if is_local g dst && Oid.index dst >= 0 && Oid.index dst < bound then
+        if is_local d dst && Oid.index dst >= 0 && Oid.index dst < bound then
           Oid.index dst
         else -1
       in

@@ -3,32 +3,20 @@
     "Locally reachable" follows §4.1, footnote 1: a reference [b] is
     locally reachable from reference [a] if there is a path of zero or
     more local references from the object [a] names to an object
-    containing [b]. *)
+    containing [b].
 
-open Dgc_prelude
+    Both queries run over a frozen {!Dense} capture and read nothing
+    else: take it with [Dense.of_heap] right before computing over it,
+    or from a {!Snapshot}. *)
 
-type graph = {
-  g_site : Site_id.t;
-  g_mem : Oid.t -> bool;  (** object is present locally *)
-  g_fields : Oid.t -> Oid.t list;
-  g_dense : Dense.t;
-      (** dense export used by the traversal hot paths. Captured when
-          the graph is built: with [of_heap], later heap mutations show
-          through [g_mem]/[g_fields] but not here — build the graph
-          immediately before computing over it. *)
-}
-
-val of_heap : Heap.t -> graph
-val of_snapshot : Snapshot.t -> graph
-
-val closure : graph -> from:Oid.t list -> Oid.Set.t * Oid.Set.t
-(** [closure g ~from] is [(locals, remotes)]: the set of local objects
+val closure : Dense.t -> from:Oid.t list -> Oid.Set.t * Oid.Set.t
+(** [closure d ~from] is [(locals, remotes)]: the set of local objects
     reachable from the starting references by local paths, and the set
     of remote references contained in those objects (plus any starting
     references that are themselves remote). Starting references naming
     absent local objects are ignored. *)
 
-val reaches : graph -> src:Oid.t -> dst:Oid.t -> bool
-(** [reaches g ~src ~dst]: [dst] is locally reachable from [src]
+val reaches : Dense.t -> src:Oid.t -> dst:Oid.t -> bool
+(** [reaches d ~src ~dst]: [dst] is locally reachable from [src]
     (including [src = dst]). Early-exit membership test — does not
     materialize the closure. *)

@@ -1,35 +1,22 @@
 open Dgc_prelude
 
-type t = {
-  site : Site_id.t;
-  edges : (int, Oid.t list) Hashtbl.t;
-  roots : Oid.t list;
-  clock : int;
-}
+type t = { dense : Dense.t; roots : Oid.t list }
 
 let take heap =
-  let edges = Hashtbl.create (Heap.object_count heap) in
-  Heap.iter heap (fun o -> Hashtbl.add edges (Oid.index o.Heap.oid) o.fields);
-  {
-    site = Heap.site heap;
-    edges;
-    roots = Heap.persistent_roots heap;
-    clock = Heap.alloc_clock heap;
-  }
+  { dense = Dense.of_heap heap; roots = Heap.persistent_roots heap }
 
-let site t = t.site
+let dense t = t.dense
+let site t = Dense.site t.dense
 
 let mem t oid =
-  Site_id.equal (Oid.site oid) t.site && Hashtbl.mem t.edges (Oid.index oid)
+  Site_id.equal (Oid.site oid) (site t)
+  && Dense.present t.dense (Oid.index oid)
 
 let fields t oid =
-  if not (Site_id.equal (Oid.site oid) t.site) then []
-  else Option.value ~default:[] (Hashtbl.find_opt t.edges (Oid.index oid))
-
-let indices t =
-  Hashtbl.fold (fun i _ acc -> i :: acc) t.edges [] |> List.sort Int.compare
+  if Site_id.equal (Oid.site oid) (site t) then
+    Dense.fields t.dense (Oid.index oid)
+  else []
 
 let persistent_roots t = t.roots
-let alloc_clock t = t.clock
-let object_count t = Hashtbl.length t.edges
-let iter_edges t f = Hashtbl.iter f t.edges
+let alloc_clock t = Dense.bound t.dense
+let object_count t = Dense.object_count t.dense

@@ -18,7 +18,7 @@ let run eng site =
     @ Engine.app_roots eng site.Site.id
     @ inref_roots
   in
-  let locals, remotes = Reach.closure (Reach.of_heap heap) ~from:roots in
+  let locals, remotes = Reach.closure (Dense.of_heap heap) ~from:roots in
   (* Sweep local objects. *)
   let dead =
     Heap.fold heap ~init:[] ~f:(fun acc o ->

@@ -85,18 +85,40 @@ let test_heap_indices_and_counts () =
 
 let test_snapshot_immutable () =
   let h = Heap.create s0 in
-  let a = Heap.alloc h in
-  let b = Heap.alloc h in
+  let a = Heap.alloc h and b = Heap.alloc h and c = Heap.alloc h in
+  let r = Oid.make ~site:s1 ~index:4 in
   Heap.add_field h ~obj:a ~target:b;
+  Heap.add_field h ~obj:a ~target:r;
+  Heap.add_field h ~obj:b ~target:c;
+  Heap.add_field h ~obj:c ~target:a;
   let snap = Snapshot.take h in
-  (* mutate after the snapshot *)
+  (* Every mutation after capture leaves the snapshot as captured. *)
+  let check_captured after =
+    List.iter
+      (fun (o, fields) ->
+        Alcotest.(check bool) (after ^ ": member") true (Snapshot.mem snap o);
+        Alcotest.(check (list oid)) (after ^ ": fields") fields
+          (Snapshot.fields snap o))
+      [ (a, [ r; b ]); (b, [ c ]); (c, [ a ]) ];
+    Alcotest.(check int) (after ^ ": clock") 3 (Snapshot.alloc_clock snap);
+    Alcotest.(check int) (after ^ ": object count") 3
+      (Snapshot.object_count snap)
+  in
+  check_captured "capture";
+  Heap.add_field h ~obj:b ~target:a;
+  check_captured "add_field";
   ignore (Heap.remove_field h ~obj:a ~target:b);
-  let c = Heap.alloc h in
-  Alcotest.(check (list oid)) "snapshot keeps old edge" [ b ]
-    (Snapshot.fields snap a);
-  Alcotest.(check bool) "snapshot lacks new object" false (Snapshot.mem snap c);
-  Alcotest.(check int) "clock from capture time" 2 (Snapshot.alloc_clock snap);
-  Alcotest.(check int) "object count" 2 (Snapshot.object_count snap)
+  check_captured "remove_field";
+  Heap.clear_fields h c;
+  check_captured "clear_fields";
+  let d = Heap.alloc h in
+  Heap.add_field h ~obj:d ~target:a;
+  check_captured "alloc";
+  Alcotest.(check bool) "snapshot lacks new object" false (Snapshot.mem snap d);
+  Alcotest.(check (list oid)) "no fields for new object" []
+    (Snapshot.fields snap d);
+  Alcotest.(check int) "free" 1 (Heap.free h [ Oid.index b ]);
+  check_captured "free"
 
 (* --- reachability --------------------------------------------------------- *)
 
@@ -108,13 +130,13 @@ let test_reach_closure () =
   Heap.add_field h ~obj:b ~target:r;
   Heap.add_field h ~obj:c ~target:a;
   (* c unreachable from a *)
-  let locals, remotes = Reach.closure (Reach.of_heap h) ~from:[ a ] in
+  let locals, remotes = Reach.closure (Dense.of_heap h) ~from:[ a ] in
   Alcotest.(check bool) "a in" true (Oid.Set.mem a locals);
   Alcotest.(check bool) "b in" true (Oid.Set.mem b locals);
   Alcotest.(check bool) "c out" false (Oid.Set.mem c locals);
   Alcotest.(check bool) "remote collected" true (Oid.Set.mem r remotes);
   (* starting at a remote ref *)
-  let locals2, remotes2 = Reach.closure (Reach.of_heap h) ~from:[ r ] in
+  let locals2, remotes2 = Reach.closure (Dense.of_heap h) ~from:[ r ] in
   Alcotest.(check int) "no locals from remote" 0 (Oid.Set.cardinal locals2);
   Alcotest.(check bool) "remote itself" true (Oid.Set.mem r remotes2)
 
@@ -123,10 +145,10 @@ let test_reach_cycle_terminates () =
   let a = Heap.alloc h and b = Heap.alloc h in
   Heap.add_field h ~obj:a ~target:b;
   Heap.add_field h ~obj:b ~target:a;
-  let locals, _ = Reach.closure (Reach.of_heap h) ~from:[ a ] in
+  let locals, _ = Reach.closure (Dense.of_heap h) ~from:[ a ] in
   Alcotest.(check int) "cycle closed" 2 (Oid.Set.cardinal locals);
   Alcotest.(check bool) "reaches itself" true
-    (Reach.reaches (Reach.of_heap h) ~src:a ~dst:a)
+    (Reach.reaches (Dense.of_heap h) ~src:a ~dst:a)
 
 (* --- SCC ------------------------------------------------------------------ *)
 
@@ -247,7 +269,7 @@ let prop_closure_matches_bfs =
           Heap.add_field h ~obj:src ~target:dst)
         edges;
       let start = objs.(0) in
-      let locals, remotes = Reach.closure (Reach.of_heap h) ~from:[ start ] in
+      let locals, remotes = Reach.closure (Dense.of_heap h) ~from:[ start ] in
       (* brute force *)
       let seen = Array.make n false in
       let rem = ref Oid.Set.empty in

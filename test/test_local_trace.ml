@@ -153,12 +153,12 @@ let brute_outsets inp =
         let rec go z =
           if Site_id.equal (Oid.site z) inp.Local_trace.in_site then begin
             if
-              graph.Reach.g_mem z
+              Dense.present graph (Oid.index z)
               && (not (Oid.Set.mem z clean_locals))
               && not (Oid.Set.mem z !visited)
             then begin
               visited := Oid.Set.add z !visited;
-              List.iter go (graph.Reach.g_fields z)
+              List.iter go (Dense.fields graph (Oid.index z))
             end
           end
           else if not (Oid.Set.mem z clean_remotes) then
@@ -433,6 +433,46 @@ let test_inset_is_inverse_of_outset () =
         outcome.Local_trace.in_results)
     (Engine.sites eng)
 
+(* Atomic and windowed traces share one input path: over an unmutated
+   heap, an input built from a snapshot taken at window open computes
+   the same outcome, byte for byte, as an atomic trace. *)
+let outcome_digest inp =
+  Digest.to_hex
+    (Digest.string
+       (Marshal.to_string (Local_trace.compute inp) [ Marshal.No_sharing ]))
+
+let check_windowed_matches_atomic eng =
+  Array.iter
+    (fun s ->
+      let windowed =
+        Local_trace.input_of_snapshot eng s (Snapshot.take s.Site.heap)
+      in
+      Alcotest.(check string)
+        (Format.asprintf "site %a outcome" Site_id.pp s.Site.id)
+        (outcome_digest (Local_trace.input_of_site eng s))
+        (outcome_digest windowed))
+    (Engine.sites eng)
+
+let test_windowed_matches_atomic () =
+  let f = Scenario.fig2 ~cfg:cfg_atomic () in
+  let eng = f.Scenario.f2_sim.Sim.eng in
+  suspect_everything eng;
+  check_windowed_matches_atomic eng;
+  let eng = Engine.create { cfg_atomic with Config.n_sites = 3; seed = 7 } in
+  let rng = Rng.create ~seed:7 in
+  ignore
+    (Graph_gen.random_graph eng ~rng ~objects_per_site:200 ~out_degree:2.5
+       ~remote_frac:0.3 ~root_frac:0.05);
+  (* Holes from frees leave dangling local references in the capture. *)
+  Array.iter
+    (fun s ->
+      let heap = s.Site.heap in
+      let victims = List.filter (fun i -> i mod 7 = 3) (Heap.indices heap) in
+      ignore (Heap.free heap victims))
+    (Engine.sites eng);
+  suspect_everything eng;
+  check_windowed_matches_atomic eng
+
 (* The §3 theorem on arbitrary strongly connected garbage, not just
    clean rings: random chords added to a ring keep it one SCC; the
    minimum estimated distance must still dominate the round count. *)
@@ -509,6 +549,8 @@ let () =
             test_memoization_effective_on_chains;
           Alcotest.test_case "insets invert outsets" `Quick
             test_inset_is_inverse_of_outset;
+          Alcotest.test_case "windowed outcome equals atomic" `Quick
+            test_windowed_matches_atomic;
         ] );
       ( "apply",
         [
