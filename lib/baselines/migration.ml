@@ -70,12 +70,7 @@ let arrive t site_id ~old_oid ~fields ~size ~from =
   List.iter (fun z -> Heap.add_field heap ~obj:fresh ~target:z) rewritten;
   List.iter (fun z -> register_ref t ~holder:site_id z) rewritten;
   (* Patch every local reference to the old identity. *)
-  Heap.iter heap (fun o ->
-      if not (Oid.equal o.Heap.oid fresh) then
-        o.Heap.fields <-
-          List.map
-            (fun z -> if Oid.equal z old_oid then fresh else z)
-            o.Heap.fields);
+  Heap.retarget heap ~old_oid ~fresh;
   (* The outref for the old object is dead now. *)
   Tables.remove_outref site.Site.tables old_oid;
   Metrics.incr (Engine.metrics t.eng) "migration.arrivals";

@@ -1,6 +1,6 @@
 open Dgc_prelude
 
-type t = {
+type t = Heap.capture = {
   d_site : Site_id.t;
   d_bound : int;
   d_present : Bytes.t;
@@ -11,6 +11,7 @@ type t = {
   d_count : int;
 }
 
+let of_heap = Heap.capture
 let site t = t.d_site
 let bound t = t.d_bound
 let object_count t = t.d_count
@@ -42,55 +43,3 @@ let fields t i =
     done;
     !out
   end
-
-(* One [Heap.iter] pass gathers each object's field list by index, then
-   the CSR arrays fill in index order. The captured lists are shared
-   with the heap, never copied: [Heap] replaces [o.fields] on every
-   mutation and never mutates a list cell. Field order is preserved
-   exactly (the trace's union-call sequence depends on it). *)
-let of_heap heap =
-  let site = Heap.site heap and bound = Heap.alloc_clock heap in
-  let fields = Array.make bound [] in
-  let d_present = Bytes.make (max bound 1) '\000' in
-  let d_roots = Bytes.make (max bound 1) '\000' in
-  Heap.iter heap (fun o ->
-      let i = Oid.index o.Heap.oid in
-      fields.(i) <- o.Heap.fields;
-      Bytes.set d_present i '\001');
-  List.iter (fun r -> Bytes.set d_roots (Oid.index r) '\001')
-    (Heap.persistent_roots heap);
-  let d_start = Array.make (bound + 1) 0 in
-  for i = 0 to bound - 1 do
-    d_start.(i + 1) <- d_start.(i) + List.length fields.(i)
-  done;
-  let d_codes = Array.make (max d_start.(bound) 1) 0 in
-  (* The pool collects every target that is not an in-bound local
-     index: remote references, plus (defensively) local oids outside
-     [0, bound). Encoded as [-(pool_index + 1)]. *)
-  let pool_rev = ref [] and n_pool = ref 0 in
-  let rec fill k = function
-    | [] -> ()
-    | r :: tl ->
-        let j = Oid.index r in
-        d_codes.(k) <-
-          (if Site_id.equal (Oid.site r) site && j >= 0 && j < bound then j
-           else begin
-             pool_rev := r :: !pool_rev;
-             incr n_pool;
-             - !n_pool
-           end);
-        fill (k + 1) tl
-  in
-  for i = 0 to bound - 1 do
-    fill d_start.(i) fields.(i)
-  done;
-  {
-    d_site = site;
-    d_bound = bound;
-    d_present;
-    d_roots;
-    d_start;
-    d_codes;
-    d_pool = Array.of_list (List.rev !pool_rev);
-    d_count = Heap.object_count heap;
-  }

@@ -8,22 +8,30 @@
     [0, bound) where [bound] is the heap's allocation clock, adjacency
     is in CSR form, and roots are a bitset.
 
+    Captures are cached per heap ({!Heap.capture}): until the heap's
+    shape changes, consecutive captures share [d_start], [d_codes],
+    [d_pool] and [d_roots] physically and differ only in their copy of
+    the live-object bitset.
+
     The representation is exposed on purpose — the trace loops index
     [d_start]/[d_codes] directly. Invariants:
 
-    - [d_start] has length [d_bound + 1]; object [i]'s field codes are
-      [d_codes.(d_start.(i)) .. d_codes.(d_start.(i+1) - 1)], in exact
-      field order (outset-union call order depends on it).
+    - [d_start] has length [d_bound + 1]; a present object [i]'s field
+      codes are [d_codes.(d_start.(i)) .. d_codes.(d_start.(i+1) - 1)],
+      in exact field order (outset-union call order depends on it).
     - A code [c >= 0] is a local target index (check [present t c]:
       dangling references to freed local objects keep their index).
     - A code [c < 0] names [d_pool.(-c - 1)]: a remote reference, or —
-      defensively — a local oid outside [0, bound).
-    - [d_present]/[d_roots] are byte-per-index bitsets; only indices
-      with [d_present] non-zero carry adjacency. *)
+      defensively — a local oid outside [0, bound). Pool numbering is
+      not meaningful.
+    - [d_present]/[d_roots] are byte-per-index bitsets. An absent
+      index's row may be stale (the object was freed after the arrays
+      were built) and is never read: every reader checks [d_present]
+      before it expands a row. *)
 
 open Dgc_prelude
 
-type t = {
+type t = Heap.capture = {
   d_site : Site_id.t;
   d_bound : int;  (** allocation clock at capture *)
   d_present : Bytes.t;  (** live-object bitset, length [d_bound] *)
@@ -35,8 +43,9 @@ type t = {
 }
 
 val of_heap : Heap.t -> t
-(** Captures the graph now, in one pass over the heap; later heap
-    mutations are not reflected. O(objects + references). *)
+(** Captures the graph now; later heap writes are not reflected.
+    O(bound) while the heap's shape is unchanged since its last
+    capture, else one pass over the heap, O(objects + references). *)
 
 val site : t -> Site_id.t
 val bound : t -> int

@@ -3,8 +3,19 @@ open Dgc_prelude
 type obj = {
   oid : Oid.t;
   mutable fields : Oid.t list;
-  mutable birth : int;
-  mutable size : int;
+  birth : int;
+  size : int;
+}
+
+type capture = {
+  d_site : Site_id.t;
+  d_bound : int;
+  d_present : Bytes.t;
+  d_roots : Bytes.t;
+  d_start : int array;
+  d_codes : int array;
+  d_pool : Oid.t array;
+  d_count : int;
 }
 
 type t = {
@@ -13,19 +24,39 @@ type t = {
   mutable next_index : int;
   mutable roots : Oid.t list;
   mutable resident : int;  (** running sum of live object sizes *)
+  mutable live : Bytes.t;
+      (** byte per index, non-zero iff live; length >= [next_index] *)
+  mutable shape : capture option;
+      (** last capture; dropped by every write that changes the shape *)
 }
 
 let create site =
-  { site; objects = Hashtbl.create 64; next_index = 0; roots = []; resident = 0 }
+  {
+    site;
+    objects = Hashtbl.create 64;
+    next_index = 0;
+    roots = [];
+    resident = 0;
+    live = Bytes.make 64 '\000';
+    shape = None;
+  }
 
 let site t = t.site
+let invalidate t = t.shape <- None
 
 let alloc ?(size = 1) t =
   let index = t.next_index in
   t.next_index <- index + 1;
   let oid = Oid.make ~site:t.site ~index in
   Hashtbl.add t.objects index { oid; fields = []; birth = index; size };
+  if index >= Bytes.length t.live then begin
+    let b = Bytes.make (2 * Bytes.length t.live) '\000' in
+    Bytes.blit t.live 0 b 0 index;
+    t.live <- b
+  end;
+  Bytes.set t.live index '\001';
   t.resident <- t.resident + size;
+  invalidate t;
   oid
 
 let bytes_resident t = t.resident
@@ -36,7 +67,11 @@ let find t oid =
   if not (Site_id.equal (Oid.site oid) t.site) then None
   else Hashtbl.find_opt t.objects (Oid.index oid)
 
-let mem t oid = Option.is_some (find t oid)
+let mem t oid =
+  Site_id.equal (Oid.site oid) t.site
+  &&
+  let i = Oid.index oid in
+  i >= 0 && i < t.next_index && Bytes.get t.live i <> '\000'
 
 let get t oid =
   match find t oid with Some o -> o | None -> raise Not_found
@@ -45,7 +80,8 @@ let fields t oid = match find t oid with Some o -> o.fields | None -> []
 
 let add_field t ~obj ~target =
   let o = get t obj in
-  o.fields <- target :: o.fields
+  o.fields <- target :: o.fields;
+  invalidate t
 
 let remove_field t ~obj ~target =
   match find t obj with
@@ -62,16 +98,32 @@ let remove_field t ~obj ~target =
             else x :: drop_one tl
       in
       o.fields <- drop_one o.fields;
+      if !removed then invalidate t;
       !removed
 
 let clear_fields t oid =
-  match find t oid with None -> () | Some o -> o.fields <- []
+  match find t oid with
+  | None -> ()
+  | Some o ->
+      o.fields <- [];
+      invalidate t
+
+let retarget t ~old_oid ~fresh =
+  Hashtbl.iter
+    (fun _ o ->
+      if List.exists (Oid.equal old_oid) o.fields then
+        o.fields <-
+          List.map (fun z -> if Oid.equal z old_oid then fresh else z) o.fields)
+    t.objects;
+  invalidate t
 
 let add_persistent_root t oid =
   if not (mem t oid) then
     invalid_arg "Heap.add_persistent_root: not a live local object";
-  if not (List.exists (Oid.equal oid) t.roots) then
-    t.roots <- oid :: t.roots
+  if not (List.exists (Oid.equal oid) t.roots) then begin
+    t.roots <- oid :: t.roots;
+    invalidate t
+  end
 
 let persistent_roots t = t.roots
 let iter t f = Hashtbl.iter (fun _ o -> f o) t.objects
@@ -79,8 +131,15 @@ let fold t ~init ~f = Hashtbl.fold (fun _ o acc -> f acc o) t.objects init
 let object_count t = Hashtbl.length t.objects
 
 let indices t =
-  Hashtbl.fold (fun i _ acc -> i :: acc) t.objects [] |> List.sort Int.compare
+  let acc = ref [] in
+  for i = t.next_index - 1 downto 0 do
+    if Bytes.get t.live i <> '\000' then acc := i :: !acc
+  done;
+  !acc
 
+(* Freeing leaves the shape alone: a capture's row for a freed index
+   goes stale but is never read, since every reader checks
+   [d_present] first. *)
 let free t idxs =
   (* Root indices once up front, not a root-list walk per freed index. *)
   let root_idx = Hashtbl.create (max 8 (List.length t.roots)) in
@@ -90,10 +149,70 @@ let free t idxs =
       match Hashtbl.find_opt t.objects i with
       | Some o when not (Hashtbl.mem root_idx i) ->
           Hashtbl.remove t.objects i;
+          Bytes.set t.live i '\000';
           t.resident <- t.resident - o.size;
           n + 1
       | Some _ | None -> n)
     0 idxs
+
+(* One [Hashtbl.iter] pass gathers each object's field list by index,
+   then the CSR arrays fill in index order. The gathered lists are
+   shared with the heap, never copied: [Heap] replaces [o.fields] on
+   every write and never mutates a list cell. Field order is preserved
+   exactly (the trace's union-call sequence depends on it). *)
+let build t ~present =
+  let site = t.site and bound = t.next_index in
+  let fields = Array.make bound [] in
+  Hashtbl.iter (fun i o -> fields.(i) <- o.fields) t.objects;
+  let d_roots = Bytes.make (max bound 1) '\000' in
+  List.iter (fun r -> Bytes.set d_roots (Oid.index r) '\001') t.roots;
+  let d_start = Array.make (bound + 1) 0 in
+  for i = 0 to bound - 1 do
+    d_start.(i + 1) <- d_start.(i) + List.length fields.(i)
+  done;
+  let d_codes = Array.make (max d_start.(bound) 1) 0 in
+  (* The pool collects every target that is not an in-bound local
+     index: remote references, plus (defensively) local oids outside
+     [0, bound). Encoded as [-(pool_index + 1)]. *)
+  let pool_rev = ref [] and n_pool = ref 0 in
+  let rec fill k = function
+    | [] -> ()
+    | r :: tl ->
+        let j = Oid.index r in
+        d_codes.(k) <-
+          (if Site_id.equal (Oid.site r) site && j >= 0 && j < bound then j
+           else begin
+             pool_rev := r :: !pool_rev;
+             incr n_pool;
+             - !n_pool
+           end);
+        fill (k + 1) tl
+  in
+  for i = 0 to bound - 1 do
+    fill d_start.(i) fields.(i)
+  done;
+  {
+    d_site = site;
+    d_bound = bound;
+    d_present = present;
+    d_roots;
+    d_start;
+    d_codes;
+    d_pool = Array.of_list (List.rev !pool_rev);
+    d_count = Hashtbl.length t.objects;
+  }
+
+(* Until the shape changes, a capture is the cached CSR arrays plus a
+   copy of the live bitset: only frees happened since, and they only
+   clear bits. *)
+let capture t =
+  let present = Bytes.sub t.live 0 (max t.next_index 1) in
+  match t.shape with
+  | Some c -> { c with d_present = present; d_count = Hashtbl.length t.objects }
+  | None ->
+      let c = build t ~present in
+      t.shape <- Some c;
+      c
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>heap %a: %d objects, roots [%a]@," Site_id.pp

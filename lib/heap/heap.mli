@@ -9,12 +9,14 @@
 
 open Dgc_prelude
 
-type obj = {
+type obj = private {
   oid : Oid.t;
   mutable fields : Oid.t list;  (** outgoing references, duplicates allowed *)
-  mutable birth : int;  (** allocation sequence number, for allocate-live *)
-  mutable size : int;  (** abstract payload size, for migration-cost accounting *)
+  birth : int;  (** allocation sequence number, for allocate-live *)
+  size : int;  (** abstract payload size, for migration-cost accounting *)
 }
+(** Read-only outside this module: every write goes through a function
+    below, so none can bypass the capture cache ({!capture}). *)
 
 type t
 
@@ -35,7 +37,8 @@ val alloc_clock : t -> int
     snapshot-at-beginning sweeps. *)
 
 val mem : t -> Oid.t -> bool
-(** True iff the object is local to this site and not freed. *)
+(** True iff the object is local to this site and not freed: one byte
+    of the live-object bitset the heap keeps in {!alloc}/{!free}. *)
 
 val find : t -> Oid.t -> obj option
 val get : t -> Oid.t -> obj
@@ -52,6 +55,10 @@ val remove_field : t -> obj:Oid.t -> target:Oid.t -> bool
 
 val clear_fields : t -> Oid.t -> unit
 
+val retarget : t -> old_oid:Oid.t -> fresh:Oid.t -> unit
+(** Rewrite every local object's references to [old_oid] into [fresh]
+    (a migrated object's new local identity). *)
+
 val add_persistent_root : t -> Oid.t -> unit
 (** Raises [Invalid_argument] if the oid is not a live local object. *)
 
@@ -61,11 +68,39 @@ val iter : t -> (obj -> unit) -> unit
 val fold : t -> init:'a -> f:('a -> obj -> 'a) -> 'a
 val object_count : t -> int
 val indices : t -> int list
-(** Local indices of live objects, ascending. *)
+(** Local indices of live objects, ascending: a scan of the live-object
+    bitset. *)
 
 val free : t -> int list -> int
 (** Free the objects with the given local indices; absent indices are
     ignored; persistent roots are never freed. Returns the number
     actually freed. *)
+
+(** {2 Dense capture}
+
+    The frozen CSR export of the object graph that every trace reads;
+    {!Dense} documents the fields and re-exports the type, and
+    [Dense.of_heap] is the entry point. *)
+
+type capture = {
+  d_site : Site_id.t;
+  d_bound : int;
+  d_present : Bytes.t;
+  d_roots : Bytes.t;
+  d_start : int array;
+  d_codes : int array;
+  d_pool : Oid.t array;
+  d_count : int;
+}
+
+val capture : t -> capture
+(** The heap's graph now. The heap keeps its last capture and, until
+    the {i shape} changes, answers with that capture's CSR arrays and
+    persistent-root bitset plus a fresh copy of the live-object bitset
+    and count. The shape changes on {!alloc}, {!add_field}, a
+    successful {!remove_field}, {!clear_fields}, {!retarget} and a new
+    {!add_persistent_root}; {!free} only clears live bits, so a freed
+    index keeps its stale row in a reused capture. Captures are never
+    mutated: later heap writes are not reflected in them. *)
 
 val pp : Format.formatter -> t -> unit

@@ -12,7 +12,9 @@ type t
 
 val take : Heap.t -> t
 (** Capture the current adjacency, object set, persistent roots and
-    allocation clock of [heap] in one pass. O(objects + references). *)
+    allocation clock of [heap] with {!Dense.of_heap}: O(bound) while
+    the heap's shape is unchanged since its last capture, else one pass,
+    O(objects + references). *)
 
 val dense : t -> Dense.t
 (** The captured graph the trace loops run over. *)

@@ -7,6 +7,7 @@ open Dgc_prelude
 open Dgc_simcore
 open Dgc_heap
 open Dgc_rts
+open Dgc_core
 open Dgc_workload
 
 let cfg n seed =
@@ -140,13 +141,226 @@ let prop_capture_is_frozen =
         (Engine.sites eng);
       true)
 
+(* Captures interleaved at random with every heap write — the writes
+   that change the shape and [free], which does not: each capture
+   matches the heap at its own time, and at the end every earlier
+   capture still does, so neither the arrays shared between captures
+   nor the copied live bitsets ever change. *)
+let interleave rng heap =
+  let site = Heap.site heap in
+  let remote k = Oid.make ~site:(Site_id.of_int 1) ~index:k in
+  let pick () =
+    match Heap.indices heap with
+    | [] -> None
+    | l ->
+        Some (Oid.make ~site ~index:(List.nth l (Rng.int rng (List.length l))))
+  in
+  (* A target: live or freed local, or one of a few remotes. *)
+  let target () =
+    match Rng.int rng 3 with
+    | 0 -> remote (Rng.int rng 4)
+    | _ -> Oid.make ~site ~index:(Rng.int rng (max 1 (Heap.alloc_clock heap)))
+  in
+  let taken = ref [] in
+  for _ = 1 to 80 do
+    match (Rng.int rng 9, pick ()) with
+    | 0, _ -> ignore (Heap.alloc heap)
+    | 1, Some a -> Heap.add_field heap ~obj:a ~target:(target ())
+    | 2, Some a -> (
+        match Heap.fields heap a with
+        | [] -> ()
+        | fs ->
+            ignore
+              (Heap.remove_field heap ~obj:a
+                 ~target:(List.nth fs (Rng.int rng (List.length fs)))))
+    | 3, Some a -> Heap.clear_fields heap a
+    | 4, Some a -> Heap.add_persistent_root heap a
+    | 5, _ ->
+        let victims =
+          List.filter (fun _ -> Rng.int rng 4 = 0) (Heap.indices heap)
+        in
+        ignore (Heap.free heap victims)
+    | 6, _ -> Heap.retarget heap ~old_oid:(target ()) ~fresh:(target ())
+    | _ ->
+        let st = state_of_heap heap in
+        let snap = Snapshot.take heap in
+        check_capture st snap;
+        taken := (st, snap) :: !taken
+  done;
+  List.iter (fun (st, snap) -> check_capture st snap) !taken
+
+let prop_interleaved_captures =
+  QCheck2.Test.make ~name:"captures interleaved with every heap write"
+    ~count:100 ~print:QCheck2.Print.int
+    QCheck2.Gen.(1 -- 100_000)
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      let heap = Heap.create (Site_id.of_int 0) in
+      for _ = 1 to 1 + Rng.int rng 8 do
+        ignore (Heap.alloc heap)
+      done;
+      interleave rng heap;
+      true)
+
 let test_empty_heap () =
   let heap = Heap.create (Site_id.of_int 0) in
   check_capture (state_of_heap heap) (Snapshot.take heap)
 
+(* Captures with no shape change between them share the CSR arrays; a
+   [free] only clears the freed object's bit in the newer capture. *)
+let test_capture_reuse () =
+  let site = Site_id.of_int 0 in
+  let heap = Heap.create site in
+  let a = Heap.alloc heap and b = Heap.alloc heap in
+  Heap.add_persistent_root heap a;
+  Heap.add_field heap ~obj:a ~target:b;
+  Heap.add_field heap ~obj:b
+    ~target:(Oid.make ~site:(Site_id.of_int 1) ~index:0);
+  let check = Alcotest.(check bool) in
+  let d1 = Dense.of_heap heap in
+  let d2 = Dense.of_heap heap in
+  check "no write: codes shared" true (d1.Dense.d_codes == d2.Dense.d_codes);
+  check "no write: starts shared" true (d1.Dense.d_start == d2.Dense.d_start);
+  check "bitset copied" false (d1.Dense.d_present == d2.Dense.d_present);
+  ignore (Heap.free heap [ Oid.index b ]);
+  let d3 = Dense.of_heap heap in
+  check "after free: codes shared" true (d1.Dense.d_codes == d3.Dense.d_codes);
+  check "after free: b absent" false (Dense.present d3 (Oid.index b));
+  Alcotest.(check int) "after free: count" 1 (Dense.object_count d3);
+  check "earlier capture: b present" true (Dense.present d1 (Oid.index b));
+  Alcotest.(check int) "earlier capture: count" 2 (Dense.object_count d1);
+  Heap.add_field heap ~obj:a ~target:a;
+  let d4 = Dense.of_heap heap in
+  check "after add_field: rebuilt" false (d1.Dense.d_codes == d4.Dense.d_codes)
+
+(* A migration arrival retargets references through [Heap], so the
+   capture taken after it shows the rewritten fields. Two-site garbage
+   ring: S1's object migrates to S0, whose object's reference to it is
+   rewritten to the fresh local copy. *)
+let test_capture_after_migration () =
+  let eng =
+    Engine.create
+      {
+        (cfg 2 5) with
+        Config.trace_interval = Sim_time.of_seconds 10.;
+        trace_jitter = Sim_time.of_seconds 1.;
+      }
+  in
+  let m = Dgc_baselines.Migration.install eng in
+  let objs =
+    Graph_gen.ring eng
+      ~sites:[ Site_id.of_int 0; Site_id.of_int 1 ]
+      ~per_site:1 ~rooted:false
+  in
+  let moved = List.nth objs 1 in
+  let heap = (Engine.site eng (Site_id.of_int 0)).Site.heap in
+  let clock = Heap.alloc_clock heap in
+  let before = state_of_heap heap in
+  let snap = Snapshot.take heap in
+  Engine.start_gc_schedule eng;
+  let steps = ref 0 in
+  while Heap.alloc_clock heap = clock && !steps < 600 do
+    Engine.run_for eng (Sim_time.of_seconds 1.);
+    incr steps
+  done;
+  Alcotest.(check bool)
+    "migrated" true
+    (Dgc_baselines.Migration.migrations m > 0);
+  Alcotest.(check bool) "arrived" true (Heap.alloc_clock heap > clock);
+  let after = Snapshot.take heap in
+  check_capture (state_of_heap heap) after;
+  check_capture before snap;
+  let fresh = Oid.make ~site:(Heap.site heap) ~index:clock in
+  let refs target d =
+    List.exists
+      (fun i -> List.exists (Oid.equal target) (Dense.fields d i))
+      (Dense.indices d)
+  in
+  Alcotest.(check bool) "before: reference to the migrating object" true
+    (refs moved (Snapshot.dense snap));
+  Alcotest.(check bool) "after: no reference to the old identity" false
+    (refs moved (Snapshot.dense after));
+  Alcotest.(check bool) "after: reference to the fresh copy" true
+    (refs fresh (Snapshot.dense after))
+
+(* Stale rows are never read: root [a] -> [x] -> remote [r], then [x]
+   is freed and the heap recaptured (reusing the capture that still
+   holds [x]'s row). *)
+let stale_heap ~free_first =
+  let site = Site_id.of_int 0 in
+  let heap = Heap.create site in
+  let a = Heap.alloc heap and x = Heap.alloc heap in
+  let y = Heap.alloc heap and z = Heap.alloc heap in
+  let r = Oid.make ~site:(Site_id.of_int 1) ~index:0 in
+  let r2 = Oid.make ~site:(Site_id.of_int 2) ~index:0 in
+  Heap.add_persistent_root heap a;
+  Heap.add_field heap ~obj:a ~target:x;
+  Heap.add_field heap ~obj:x ~target:r;
+  Heap.add_field heap ~obj:y ~target:x;
+  Heap.add_field heap ~obj:y ~target:r2;
+  Heap.add_field heap ~obj:z ~target:y;
+  if free_first then ignore (Heap.free heap [ Oid.index x ]);
+  let first = Dense.of_heap heap in
+  if not free_first then ignore (Heap.free heap [ Oid.index x ]);
+  (heap, first, (a, y, z, r, r2))
+
+let outcome_digest mode inp =
+  Digest.to_hex
+    (Digest.string
+       (Marshal.to_string
+          (Local_trace.compute ~mode inp)
+          [ Marshal.No_sharing ]))
+
+let test_stale_rows_unread () =
+  let heap, first, (a, y, z, r, r2) = stale_heap ~free_first:false in
+  let d = Dense.of_heap heap in
+  Alcotest.(check bool)
+    "capture reused" true
+    (first.Dense.d_codes == d.Dense.d_codes);
+  let locals, remotes = Reach.closure d ~from:[ a ] in
+  Alcotest.(check (list string)) "closure locals" [ Oid.to_string a ]
+    (strings (Oid.Set.elements locals));
+  Alcotest.(check bool) "closure misses r" false (Oid.Set.mem r remotes);
+  Alcotest.(check bool)
+    "reaches misses r" false
+    (Reach.reaches d ~src:a ~dst:r);
+  let _twin, fresh, _ = stale_heap ~free_first:true in
+  let input g =
+    {
+      Local_trace.in_site = Dense.site g;
+      in_graph = g;
+      in_roots = Heap.persistent_roots heap;
+      in_inrefs = [ (y, 5, false); (z, 6, false) ];
+      in_outrefs = [ r; r2 ];
+      in_delta = 3;
+    }
+  in
+  List.iter
+    (fun (name, mode) ->
+      Alcotest.(check string)
+        (name ^ " outcome equals the twin's")
+        (outcome_digest mode (input fresh))
+        (outcome_digest mode (input d)))
+    [
+      ("bottom-up", Local_trace.Bottom_up);
+      ("independent", Local_trace.Independent);
+      ("naive", Local_trace.Naive_bottom_up);
+    ]
+
 let () =
   Alcotest.run "dense"
     [
-      ("unit", [ Alcotest.test_case "empty heap" `Quick test_empty_heap ]);
-      ("properties", [ QCheck_alcotest.to_alcotest prop_capture_is_frozen ]);
+      ( "unit",
+        [
+          Alcotest.test_case "empty heap" `Quick test_empty_heap;
+          Alcotest.test_case "capture reuse" `Quick test_capture_reuse;
+          Alcotest.test_case "capture after migration" `Quick
+            test_capture_after_migration;
+          Alcotest.test_case "stale rows unread" `Quick test_stale_rows_unread;
+        ] );
+      ( "properties",
+        [
+          QCheck_alcotest.to_alcotest prop_capture_is_frozen;
+          QCheck_alcotest.to_alcotest prop_interleaved_captures;
+        ] );
     ]
