@@ -194,9 +194,9 @@ let ring_bench ?(sanitize = false) ?(flight = true) ?(profile = false)
   in
   let sim = Sim.make ~cfg () in
   let eng = sim.Sim.eng in
-  (* The sanitizer's capsules piggyback on every delivery but must not
-     perturb the schedule: the sanitized pass reproduces the plain
-     pass's rounds exactly, so the only delta is wall clock. *)
+  (* The sanitizer follows every message but must not perturb the
+     schedule: the sanitized pass reproduces the plain pass's rounds
+     exactly, so the only delta is wall clock. *)
   if sanitize then begin
     let san = Dgc_sanitize.Sanitizer.install eng in
     Dgc_sanitize.Sanitizer.set_shared san (Collector.back sim.Sim.col)

@@ -28,7 +28,6 @@ type t = {
      per delivery (the coverage-guided fuzzer reads it on every one) *)
   mutable unacked_moves : int;
   mutable open_inserts : int;
-  mutable observer : (kind:string -> state:int -> unit) option;
 }
 
 let create () =
@@ -42,10 +41,7 @@ let create () =
     total = 0;
     unacked_moves = 0;
     open_inserts = 0;
-    observer = None;
   }
-
-let set_observer t f = t.observer <- Some f
 
 (* A compact fingerprint of the ordering automata: how many moves are
    inside their insert-barrier window, how many inserts await their
@@ -152,27 +148,26 @@ let rules : (t * Site_id.t) Protocol.handlers =
     h_ext = (fun (_, _) ~src:_ _ -> (* collector-specific, opaque here *) ());
   }
 
-let hook t ~phase ~src ~dst payload =
-  (* count under the constructor's label, not the registered ext label,
-     so coverage is judged against [Protocol.base_kinds] *)
-  let base = if Protocol.is_ext payload then "ext" else Protocol.kind payload in
-  match phase with
-  | `Send -> add_site t.senders base src
-  | `Deliver ->
+(* count under the constructor's label, not the registered ext label,
+   so coverage is judged against [Protocol.base_kinds] *)
+let base_kind payload =
+  if Protocol.is_ext payload then "ext" else Protocol.kind payload
+
+let hook t = function
+  | Engine.Send { src; payload; _ } ->
+      add_site t.senders (base_kind payload) src
+  | Engine.Deliver { src; dst; payload; _ } ->
+      let base = base_kind payload in
       t.total <- t.total + 1;
       bump t.deliveries base 1;
       add_site t.receivers base dst;
       if (not (Protocol.is_ext payload)) && Site_id.equal src dst then
         note t ~rule:"no-self-send" "%s delivered from %a to itself" base
           Site_id.pp src;
-      Protocol.dispatch rules (t, dst) ~src payload;
-      (* observers see the registered label (back_call, g_mark, ...) so
-         coverage can tell the collectors' ext kinds apart *)
-      match t.observer with
-      | Some f -> f ~kind:(Protocol.kind payload) ~state:(state_code t)
-      | None -> ()
+      Protocol.dispatch rules (t, dst) ~src payload
+  | _ -> ()
 
-let attach t eng = Engine.set_msg_monitor eng (hook t)
+let attach t eng = Engine.subscribe eng (hook t)
 
 let finish t =
   Hashtbl.iter

@@ -1,7 +1,9 @@
 (** Protocol conformance: per-role ordering automata over the message
     stream plus handler-coverage accounting.
 
-    The monitor hangs off {!Dgc_rts.Engine.set_msg_monitor} and models
+    The monitor subscribes to the engine's event stream
+    ({!Dgc_rts.Engine.subscribe}), reads its [Send] and [Deliver]
+    events, and models
     each {!Dgc_rts.Protocol.payload} kind as a small state machine
     keyed on delivery events:
 
@@ -22,7 +24,6 @@
     against {!Dgc_rts.Protocol.base_kinds}: a kind never delivered by
     the battery is reported as uncovered. *)
 
-open Dgc_prelude
 open Dgc_rts
 
 type violation = { c_rule : string; c_message : string }
@@ -35,33 +36,23 @@ type t
 val create : unit -> t
 
 val attach : t -> Engine.t -> unit
-(** Install the monitor as the engine's message monitor (replacing any
-    previous one). One monitor may observe several engines in turn. *)
+(** Subscribe the monitor to the engine. One monitor may observe
+    several engines in turn. *)
 
-val hook :
-  t ->
-  phase:[ `Send | `Deliver ] ->
-  src:Site_id.t ->
-  dst:Site_id.t ->
-  Protocol.payload ->
-  unit
-(** The raw monitor callback, for callers that multiplex monitors. *)
+val hook : t -> Engine.event -> unit
+(** The raw subscriber: [Send] and [Deliver] drive the automata, every
+    other event is ignored. *)
 
 val finish : t -> violation list
 (** End-of-run obligations (moves acked, inserts answered) plus
     everything recorded along the way, in detection order. *)
 
-val set_observer : t -> (kind:string -> state:int -> unit) -> unit
-(** Install a tap fired after every delivery the monitor processes,
-    with the payload's registered kind label (ext kinds keep their
-    specific label: [back_call], [g_mark], ...) and {!state_code} as
-    of after the delivery. One observer at a time; the coverage-guided
-    fuzzer uses this as its protocol-automaton coverage signal. *)
-
 val state_code : t -> int
 (** A compact fingerprint of the ordering automata in [0, 32): bucketed
     counts of unacknowledged moves and outstanding inserts, plus a
-    violation bit. O(1). *)
+    violation bit. O(1). A subscriber that runs after the monitor reads
+    it as of after the delivery; the coverage-guided fuzzer uses that
+    as its protocol-automaton coverage signal. *)
 
 type report = {
   r_violations : violation list;

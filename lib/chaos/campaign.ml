@@ -69,7 +69,7 @@ type outcome = {
 
 type probe = {
   pb_eng : Dgc_rts.Engine.t;
-  pb_journal : Journal.t;
+  pb_col : Collector.t;
   pb_inject : Inject.t;
 }
 
@@ -115,7 +115,7 @@ let run_case ?(tweak = fun c -> c) ?probe case =
   Sim.start sim;
   let inj = Inject.arm eng case.cs_plan in
   (match probe with
-  | Some f -> f { pb_eng = eng; pb_journal = journal; pb_inject = inj }
+  | Some f -> f { pb_eng = eng; pb_col = sim.Sim.col; pb_inject = inj }
   | None -> ());
   let failure = ref None in
   let catchf f =

@@ -77,12 +77,13 @@ val base_cfg : case -> Dgc_rts.Config.t
 
 type probe = {
   pb_eng : Dgc_rts.Engine.t;
-  pb_journal : Dgc_simcore.Journal.t;
+  pb_col : Dgc_core.Collector.t;
   pb_inject : Inject.t;
 }
-(** What a {!run_case} probe sees: the live engine, the campaign's
-    journal and the armed injector — enough to attach coverage taps
-    (conformance observer, journal tap, {!Inject.active_mask} polls). *)
+(** What a {!run_case} probe sees: the live engine (with the campaign's
+    journal and tracer attached), its collector and the armed injector
+    — enough to subscribe coverage taps or a watchdog and poll
+    {!Inject.active_mask}. *)
 
 val run_case :
   ?tweak:(Dgc_rts.Config.t -> Dgc_rts.Config.t) ->

@@ -581,7 +581,7 @@ and record_visit sh st trace r =
       if not cfg.Config.enable_timeouts then ()
       else
       Engine.schedule sh.eng
-        ~san:(fun () -> (self_id st, timer_key_ttl trace ~site:(self_id st)))
+        ~label:(fun () -> (self_id st, timer_key_ttl trace ~site:(self_id st)))
         ~delay:ttl (fun () ->
           if Hashtbl.mem st.visited_refs trace then begin
             (* Never heard the outcome: assume Live (§4.6). *)
@@ -691,7 +691,7 @@ and step_remote sh st trace i parent =
                         *. (cfg.Config.retry_backoff ** float_of_int attempt))
                   in
                   Engine.schedule sh.eng
-                    ~san:(fun () ->
+                    ~label:(fun () ->
                       (self_id st, timer_key_call trace ~site:(self_id st) seq))
                     ~delay (fun () ->
                       match Hashtbl.find_opt st.frames fr.fr_id with

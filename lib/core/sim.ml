@@ -24,7 +24,7 @@ let make ?(cfg = Config.default) () =
   | Config.Check_step ->
       (* Sanitizer mode: the continuously-maintained §6.1 invariants
          after every event, skipping sites mid-trace-window (§6.2). *)
-      Engine.set_on_step eng (fun () ->
+      Engine.add_step_watcher eng (fun () ->
           Invariants.check_exn ~skip:(Collector.in_window col) eng)
   | Config.Check_off | Config.Check_final -> ());
   { eng; col; muts }

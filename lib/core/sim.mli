@@ -19,8 +19,10 @@ type t = {
 }
 
 val make : ?cfg:Config.t -> unit -> t
-(** Assemble a simulation. Under [cfg.check_level = Check_step] the
-    engine's step hook runs {!Invariants.per_step} after every event
+(** Assemble a simulation. The flight recorder (when
+    [cfg.flight_capacity > 0]) is the engine's first subscriber. Under
+    [cfg.check_level = Check_step] the next one, on every [Step], runs
+    {!Invariants.per_step} after every event
     (skipping sites with an open trace window) and raises
     [Invariants.Violation] on the first inconsistent state. *)
 

@@ -53,32 +53,33 @@ type exec_result = {
 
 (* Both taps share one per-run recorder sized and seeded like the
    global map, so slot indices line up for [Coverage.absorb]. The
-   protocol key crosses the automaton state with the live fault mask;
-   the journal key crosses the category with the mask and the last
-   automaton state seen — the same journal line means something
-   different inside a partition window than outside one. *)
-let attach_taps ~local ~mask_of ~journal eng =
+   protocol key crosses the automaton state (read after the monitor,
+   which subscribes first, has taken the delivery) with the live fault
+   mask; the journal key crosses the category with the mask and the
+   last automaton state seen — the same journal line means something
+   different inside a partition window than outside one. Protocol keys
+   use the registered kind label (back_call, g_mark, ...) so coverage
+   can tell the collectors' ext kinds apart. *)
+let attach_taps ~local ~mask_of eng =
   let last_state = ref 0 in
   let conf = Conformance.create () in
   Conformance.attach conf eng;
-  Conformance.set_observer conf (fun ~kind ~state ->
-      last_state := state;
-      Coverage.record local
-        (Printf.sprintf "p|%s|%d|%d" kind state (mask_of ())));
-  Journal.set_on_record journal (fun e ->
-      Coverage.record local
-        (Printf.sprintf "j|%s|%d|%d" e.Journal.cat (mask_of ()) !last_state))
+  Engine.subscribe eng (function
+    | Engine.Deliver { payload; _ } ->
+        let state = Conformance.state_code conf in
+        last_state := state;
+        Coverage.record local
+          (Printf.sprintf "p|%s|%d|%d" (Protocol.kind payload) state
+             (mask_of ()))
+    | Engine.Journal e ->
+        Coverage.record local
+          (Printf.sprintf "j|%s|%d|%d" e.Journal.cat (mask_of ()) !last_state)
+    | _ -> ())
 
 let contains_sub ~sub s =
   let n = String.length sub and m = String.length s in
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   go 0
-
-let plan_tweak opts cfg =
-  let cfg = Input.tweak_all opts.o_tweaks cfg in
-  (* The flight recorder owns the journal's single on-record tap; fuzz
-     runs trade the crash dump for the coverage signal. *)
-  { cfg with Config.flight_capacity = 0 }
 
 let exec_plan opts ~local (p : Input.plan_case) =
   let case = Input.case_of_plan ~name:"fuzz" p in
@@ -86,9 +87,11 @@ let exec_plan opts ~local (p : Input.plan_case) =
   let probe pb =
     attach_taps ~local
       ~mask_of:(fun () -> Inject.active_mask pb.Campaign.pb_inject)
-      ~journal:pb.Campaign.pb_journal pb.Campaign.pb_eng
+      pb.Campaign.pb_eng
   in
-  let oc = Campaign.run_case ~tweak:(plan_tweak opts) ~probe case in
+  let oc =
+    Campaign.run_case ~tweak:(Input.tweak_all opts.o_tweaks) ~probe case
+  in
   let failure =
     Option.map
       (fun f -> (Campaign.failure_kind f, Campaign.failure_to_string f))
@@ -115,15 +118,10 @@ let exec_sched ~local (s : Input.sched_case) =
   | Some sut ->
       let probe inst =
         let eng = inst.Explorer.i_sim.Dgc_core.Sim.eng in
-        let journal =
-          match Engine.journal eng with
-          | Some j -> j
-          | None ->
-              let j = Journal.create () in
-              Engine.attach_journal eng j;
-              j
-        in
-        attach_taps ~local ~mask_of:(fun () -> 0) ~journal eng
+        (* the journal tap needs a journal to hear *)
+        if Option.is_none (Engine.journal eng) then
+          Engine.attach_journal eng (Journal.create ());
+        attach_taps ~local ~mask_of:(fun () -> 0) eng
       in
       let run =
         Explorer.run_schedule ~probe sut ~max_steps:s.Input.si_max_steps
@@ -157,7 +155,7 @@ let shrink_input opts input (kind, _detail) =
   match input with
   | Input.Plan_input p -> (
       let case = Input.case_of_plan ~name:"fuzz-shrink" p in
-      let tweak = plan_tweak opts in
+      let tweak = Input.tweak_all opts.o_tweaks in
       match (Campaign.run_case ~tweak case).Campaign.oc_failure with
       | Some f ->
           let plan, _replays = Campaign.shrink_case ~tweak case f in

@@ -3,12 +3,13 @@
     Each execution runs one {!Input.t} against the real system — plan
     inputs through {!Dgc_chaos.Campaign.run_case}, schedule inputs
     through {!Dgc_analysis.Explorer.run_schedule} — with two passive
-    coverage taps attached through the probe hooks: the
-    {!Conformance} observer (protocol-automaton state crossed with the
-    injector's {!Dgc_chaos.Inject.active_mask}) and the journal tap
-    (category crossed with the fault mask and the last automaton
-    state). The hit set feeds the global {!Coverage} map; inputs that
-    light new edges join the {!Pool}, future inputs are mutations of
+    coverage taps subscribed to the engine through the probe hooks:
+    the protocol tap ({!Conformance} automaton state after each
+    delivery, crossed with the injector's
+    {!Dgc_chaos.Inject.active_mask}) and the journal tap (category
+    crossed with the fault mask and the last automaton state). The hit
+    set feeds the global {!Coverage} map; inputs that light new edges
+    join the {!Pool}, future inputs are mutations of
     rarity-weighted pool picks, and failing inputs are ddmin-shrunk
     and promoted into the regression corpus keyed by (failure kind,
     coverage signature).

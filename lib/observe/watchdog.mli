@@ -1,9 +1,10 @@
 (** Liveness/progress watchdog.
 
     Attached to a collector, the watchdog re-checks progress every
-    [check_interval] of simulated time (driven by an engine step
-    watcher) and raises an alert — a Warn journal entry in category
-    ["watchdog"] plus a [watchdog.*] counter — the first time it sees:
+    [check_interval] of simulated time (a [Step] subscriber of the
+    engine's event stream) and raises an alert — a Warn journal entry
+    in category ["watchdog"] plus a [watchdog.*] counter — the first
+    time it sees:
 
     - {b stuck_frame}: an activation frame still open after
       [stuck_factor] × the §4.7 [back_call_timeout];

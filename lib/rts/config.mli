@@ -86,15 +86,14 @@ type t = {
   oracle_checks : bool;  (** assert oracle safety at every sweep *)
   check_level : check_level;
       (** how aggressively the §6.1 invariants are checked during a
-          run; {!Check_step} is wired up by [Sim.make] through the
-          engine's step hook *)
+          run; {!Check_step} is wired up by [Sim.make] as a [Step]
+          subscriber of the engine's event stream *)
   sanitize : bool;
-      (** arm the happens-before sanitizer (dgc-san): the engine
-          piggybacks vector-clock capsules on every delivery and
-          labels §4.6 timers so the race and lost-trace detectors can
-          order events causally. Off by default; when off the engine
-          makes no sanitizer calls at all and runs are bit-identical
-          to builds without the hooks. The layers that can see
+      (** arm the happens-before sanitizer (dgc-san): a subscriber
+          that threads vector clocks through the engine's message and
+          §4.6 timer events so the race and lost-trace detectors can
+          order events causally. Off by default; on or off, runs are
+          event-identical. The layers that can see
           [lib/sanitize] (campaigns, the explorer SUTs, the CLI) read
           this flag to decide whether to install the detectors *)
   journal_capacity : int;

@@ -10,25 +10,42 @@ type move_wait = {
   wait_since : Sim_time.t;  (** insert-barrier stall start (§6.1.2) *)
 }
 
-(* Sanitizer hooks (dgc-san). When installed, the engine piggybacks an
-   opaque capsule (minted by [san_send]) on every payload so the
-   sanitizer can carry vector clocks from send to delivery, reports
-   the fate of every copy (delivered, dropped, duplicated), and labels
-   §4.6 timers. When absent — the default — none of these are called,
-   no capsule state exists, and the event/rng stream is bit-identical
-   to a build without the hooks. *)
-type san_hooks = {
-  san_send : src:Site_id.t -> dst:Site_id.t -> Protocol.payload -> int;
-      (** a logical send: returns the capsule to ride with the payload
-          (one in-flight copy is implied) *)
-  san_copy : int -> unit;  (** another in-flight copy (dup channel) *)
-  san_dropped : int -> reason:string -> unit;
-      (** one copy destroyed without delivery *)
-  san_deliver :
-    src:Site_id.t -> dst:Site_id.t -> capsule:int -> Protocol.payload -> unit;
-  san_timer_armed : site:Site_id.t -> key:string -> at:Sim_time.t -> int;
-  san_timer_fired : int -> unit;
-}
+(* The engine's one observation channel: everything the protocol does
+   that an observer may want to see. Subscribers run synchronously, in
+   subscription order; none of them may draw engine randomness or
+   schedule events, so a run is event-identical with or without them. *)
+type event =
+  | Send of {
+      id : int;
+      src : Site_id.t;
+      dst : Site_id.t;
+      payload : Protocol.payload;
+    }
+  | Deliver of {
+      id : int;
+      src : Site_id.t;
+      dst : Site_id.t;
+      payload : Protocol.payload;
+    }
+  | Drop of {
+      id : int;
+      src : Site_id.t;
+      dst : Site_id.t;
+      payload : Protocol.payload;
+      reason : string;
+    }
+  | Dup of { id : int }
+  | Timer_armed of {
+      id : int;
+      label : unit -> Site_id.t * string;
+      at : Sim_time.t;
+    }
+  | Timer_fired of { id : int }
+  | Fault of { tag : string; detail : string }
+  | Journal of Journal.entry
+  | Span_start of Tel.Tracer.span
+  | Span_end of Tel.Tracer.span
+  | Step
 
 type t = {
   cfg : Config.t;
@@ -38,7 +55,9 @@ type t = {
   mutable now : Sim_time.t;
   sites : Site.t array;
   mutable next_token : int;
-  mutable next_msg_id : int;
+  mutable next_msg : int;  (** logical message ids, one per [send] *)
+  mutable next_copy : int;  (** in-flight copy ids (dup adds a copy) *)
+  mutable next_timer : int;
   in_flight : (int, Oid.t list) Hashtbl.t;
   parked :
     (Site_id.t, (Site_id.t * Protocol.payload * int) list ref) Hashtbl.t;
@@ -66,19 +85,37 @@ type t = {
   mutable flight : Tel.Flight.t option;
   mutable profile : Prof.t option;
   series : Tel.Series.t;
-  mutable msg_monitor :
-    (phase:[ `Send | `Deliver ] ->
-    src:Site_id.t ->
-    dst:Site_id.t ->
-    Protocol.payload ->
-    unit)
-    option;
-  mutable on_step : (unit -> unit) option;
-  mutable step_watchers : (unit -> unit) list;  (** run after [on_step] *)
-  mutable sanitizer : san_hooks option;
+  mutable subs : (event -> unit) list;  (** in subscription order *)
 }
 
 exception Metrics_bucket_mismatch of string
+
+let subscribe t f = t.subs <- t.subs @ [ f ]
+
+(* A top-level loop, not [List.iter] with a closure over [ev]: emitting
+   allocates nothing beyond the event itself. *)
+let rec emit_to ev = function
+  | [] -> ()
+  | f :: rest ->
+      f ev;
+      emit_to ev rest
+
+let emit t ev = emit_to ev t.subs
+let add_step_watcher t f = subscribe t (function Step -> f () | _ -> ())
+let now_s t = Sim_time.to_seconds t.now
+
+(* Every journal write goes through here, so subscribers see each entry
+   once, right after it lands in the ring. *)
+let jlog t ?(level = Journal.Info) ~cat fmt =
+  match t.journal with
+  | Some j ->
+      Format.kasprintf
+        (fun text ->
+          let e = { Journal.at = t.now; level; cat; text } in
+          Journal.add j e;
+          emit t (Journal e))
+        fmt
+  | None -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
 
 (* A ?buckets spec that disagrees with a histogram's existing bounds
    is a measurement bug: fail fast under the per-step sanitizer,
@@ -87,12 +124,7 @@ let wire_bucket_mismatch t =
   Metrics.set_on_bucket_mismatch t.metrics (fun msg ->
       if t.cfg.Config.check_level = Config.Check_step then
         raise (Metrics_bucket_mismatch msg)
-      else
-        match t.journal with
-        | Some j ->
-            Journal.recordf j ~level:Journal.Warn ~at:t.now ~cat:"metrics"
-              "%s" msg
-        | None -> ())
+      else jlog t ~level:Journal.Warn ~cat:"metrics" "%s" msg)
 
 let create cfg =
   let t =
@@ -105,7 +137,9 @@ let create cfg =
       sites =
         Array.init cfg.Config.n_sites (fun i -> Site.create (Site_id.of_int i));
       next_token = 0;
-      next_msg_id = 0;
+      next_msg = 0;
+      next_copy = 0;
+      next_timer = 0;
       in_flight = Hashtbl.create 64;
       parked = Hashtbl.create 8;
       awaiting_insert = Hashtbl.create 16;
@@ -124,125 +158,66 @@ let create cfg =
       flight = None;
       profile = None;
       series = Tel.Series.create ();
-      msg_monitor = None;
-      on_step = None;
-      step_watchers = [];
-      sanitizer = None;
+      subs = [];
     }
   in
   wire_bucket_mismatch t;
   t
 
-let set_msg_monitor t f = t.msg_monitor <- Some f
-
-let clear_msg_monitor t = t.msg_monitor <- None
-let set_on_step t f = t.on_step <- Some f
-let clear_on_step t = t.on_step <- None
-
-let add_step_watcher t f = t.step_watchers <- t.step_watchers @ [ f ]
-
-let set_sanitizer t h = t.sanitizer <- Some h
-let clear_sanitizer t = t.sanitizer <- None
-let sanitizing t = t.sanitizer <> None
-
-let san_send t ~src ~dst payload =
-  match t.sanitizer with
-  | Some h -> h.san_send ~src ~dst payload
-  | None -> -1
-
-let san_copy t capsule =
-  match t.sanitizer with Some h -> h.san_copy capsule | None -> ()
-
-let san_dropped t capsule ~reason =
-  match t.sanitizer with
-  | Some h -> h.san_dropped capsule ~reason
-  | None -> ()
-
-let san_deliver t ~src ~dst ~capsule payload =
-  match t.sanitizer with
-  | Some h -> h.san_deliver ~src ~dst ~capsule payload
-  | None -> ()
-
-let monitor_msg t ~phase ~src ~dst payload =
-  (match t.flight with
-  | Some f ->
-      let kind, site =
-        match phase with
-        | `Send -> (Tel.Flight.Send, src)
-        | `Deliver -> (Tel.Flight.Deliver, dst)
-      in
-      Tel.Flight.record f ~site:(Site_id.to_int site)
-        ~at:(Sim_time.to_seconds t.now) ~kind ~a:(Site_id.to_int src)
-        ~b:(Site_id.to_int dst) ~tag:(Protocol.kind payload) ()
-  | None -> ());
-  match t.msg_monitor with
-  | Some f -> f ~phase ~src ~dst payload
-  | None -> ()
-
-let now_s t = Sim_time.to_seconds t.now
-
-(* Mirror journal entries and span edges into the flight recorder's
-   rings. Wired whenever both halves are attached (in either order). *)
-let wire_flight t =
-  match t.flight with
-  | None -> ()
-  | Some f ->
-      (match t.journal with
-      | Some j ->
-          Journal.set_on_record j (fun e ->
-              Tel.Flight.record f ~site:(-1)
-                ~at:(Sim_time.to_seconds e.Journal.at) ~kind:Tel.Flight.Journal
-                ~a:(Journal.level_rank e.Journal.level) ~tag:e.Journal.cat
-                ~payload:e.Journal.text ())
-      | None -> ());
-      (match t.tracer with
-      | Some tr ->
-          let span_edge kind (sp : Tel.Tracer.span) =
-            let b =
-              match kind with
-              | Tel.Flight.Span_start ->
-                  Option.value ~default:(-1) sp.Tel.Tracer.parent
-              | _ ->
-                  if List.mem_assoc "aborted" sp.Tel.Tracer.attrs then 1 else 0
-            in
-            let at =
-              match kind with
-              | Tel.Flight.Span_start -> sp.Tel.Tracer.start
-              | _ -> Option.value ~default:sp.Tel.Tracer.start sp.Tel.Tracer.finish
-            in
-            Tel.Flight.record f ~site:sp.Tel.Tracer.site ~at ~kind
-              ~a:sp.Tel.Tracer.id ~b ~tag:sp.Tel.Tracer.name
-              ~payload:sp.Tel.Tracer.trace ()
-          in
-          Tel.Tracer.set_span_hooks tr
-            ~on_start:(span_edge Tel.Flight.Span_start)
-            ~on_finish:(span_edge Tel.Flight.Span_end)
-      | None -> ())
-
-let attach_journal t j =
-  t.journal <- Some j;
-  wire_flight t
-
+let attach_journal t j = t.journal <- Some j
 let journal t = t.journal
-
-let jlog t ?level ~cat fmt =
-  match t.journal with
-  | Some j -> Journal.recordf j ?level ~at:t.now ~cat fmt
-  | None -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
 
 let attach_tracer t tr =
   t.tracer <- Some tr;
-  wire_flight t
+  Tel.Tracer.set_span_hooks tr
+    ~on_start:(fun sp -> emit t (Span_start sp))
+    ~on_finish:(fun sp -> emit t (Span_end sp))
 
 let tracer t = t.tracer
 
+(* The flight recorder's subscriber: message traffic, drops with their
+   reason, faults, journal entries and span edges go into its rings;
+   timers, dup copies and steps are not recorded. *)
+let flight_recorder t f =
+  let msg kind ~site ~src ~dst ?payload p =
+    Tel.Flight.record f ~site:(Site_id.to_int site) ~at:(now_s t) ~kind
+      ~a:(Site_id.to_int src) ~b:(Site_id.to_int dst) ~tag:(Protocol.kind p)
+      ?payload ()
+  in
+  let span kind (sp : Tel.Tracer.span) ~b ~at =
+    Tel.Flight.record f ~site:sp.site ~at ~kind ~a:sp.id ~b ~tag:sp.name
+      ~payload:sp.trace ()
+  in
+  function
+  | Send { src; dst; payload; _ } ->
+      msg Tel.Flight.Send ~site:src ~src ~dst payload
+  | Deliver { src; dst; payload; _ } ->
+      msg Tel.Flight.Deliver ~site:dst ~src ~dst payload
+  | Drop { src; dst; payload; reason; _ } ->
+      msg Tel.Flight.Drop ~site:src ~src ~dst ~payload:reason payload
+  | Fault { tag; detail } ->
+      Tel.Flight.record f ~site:(-1) ~at:(now_s t) ~kind:Tel.Flight.Fault ~tag
+        ~payload:detail ()
+  | Journal e ->
+      Tel.Flight.record f ~site:(-1) ~at:(Sim_time.to_seconds e.Journal.at)
+        ~kind:Tel.Flight.Journal ~a:(Journal.level_rank e.Journal.level)
+        ~tag:e.Journal.cat ~payload:e.Journal.text ()
+  | Span_start sp ->
+      span Tel.Flight.Span_start sp
+        ~b:(Option.value ~default:(-1) sp.parent)
+        ~at:sp.start
+  | Span_end sp ->
+      span Tel.Flight.Span_end sp
+        ~b:(if List.mem_assoc "aborted" sp.attrs then 1 else 0)
+        ~at:(Option.value ~default:sp.start sp.finish)
+  | Dup _ | Timer_armed _ | Timer_fired _ | Step -> ()
+
 let attach_flight t f =
   t.flight <- Some f;
-  wire_flight t
+  subscribe t (flight_recorder t f)
 
 let flight t = t.flight
 let attach_profile t p = t.profile <- Some p
-
 let profile t = t.profile
 
 (* Work-unit attribution to the profiler's innermost open scope; a
@@ -256,21 +231,6 @@ let series t = t.series
 let series_add t name n = Tel.Series.add t.series name ~at:(now_s t) n
 let series_incr t name = Tel.Series.incr t.series name ~at:(now_s t)
 let series_set t name v = Tel.Series.set t.series name ~at:(now_s t) v
-
-let flight_drop t ~src ~dst ~reason payload =
-  match t.flight with
-  | None -> ()
-  | Some f ->
-      Tel.Flight.record f ~site:(Site_id.to_int src) ~at:(now_s t)
-        ~kind:Tel.Flight.Drop ~a:(Site_id.to_int src) ~b:(Site_id.to_int dst)
-        ~tag:(Protocol.kind payload) ~payload:reason ()
-
-let flight_fault t ~tag detail =
-  match t.flight with
-  | None -> ()
-  | Some f ->
-      Tel.Flight.record f ~site:(-1) ~at:(now_s t) ~kind:Tel.Flight.Fault ~tag
-        ~payload:detail ()
 
 let set_chaos_drop t p = t.chaos_drop <- p
 let set_chaos_dup t p = t.chaos_dup <- p
@@ -309,20 +269,22 @@ let dump_flight t ~reason =
       | None -> ());
       Some (Tel.Flight.to_json (Tel.Flight.dump f ~reason ~at:(now_s t)))
 
-(* [?san] labels the scheduled closure as a protocol timer for the
-   sanitizer: the thunk (forced only when a sanitizer is installed)
-   names the owning site and a stable key, so the lost-trace detector
-   can see that a continuation path is still armed. Plain closures
-   (mutator steps, trace schedule ticks) stay unlabeled. *)
-let schedule t ?san ~delay f =
+(* [?label] marks the scheduled closure as a protocol timer: the thunk
+   names the owning site and a stable key, so a subscriber (the
+   lost-trace detector) can see that a continuation path is still
+   armed. It rides in the events unforced. Plain closures (mutator
+   steps, trace schedule ticks) stay unlabeled, and with no subscriber
+   a labelled timer is a plain closure too. *)
+let schedule t ?label ~delay f =
   let at = Sim_time.add t.now delay in
   let f =
-    match (t.sanitizer, san) with
-    | Some h, Some info ->
-        let site, key = info () in
-        let id = h.san_timer_armed ~site ~key ~at in
+    match (label, t.subs) with
+    | Some label, _ :: _ ->
+        let id = t.next_timer in
+        t.next_timer <- id + 1;
+        emit t (Timer_armed { id; label; at });
         fun () ->
-          h.san_timer_fired id;
+          emit t (Timer_fired { id });
           f ()
     | _ -> f
   in
@@ -450,12 +412,11 @@ let rec base_handlers =
       (fun (t, dst) ~src e -> (site t dst).Site.hooks.h_ext ~src e);
   }
 
-(* [san_deliver] runs before dispatch: the receiver's clock must join
-   the capsule first so any message the handler sends in response is
-   causally after this delivery. *)
-and deliver t ~src ~dst ~capsule payload =
-  monitor_msg t ~phase:`Deliver ~src ~dst payload;
-  san_deliver t ~src ~dst ~capsule payload;
+(* [Deliver] is emitted before dispatch: the sanitizer's receiver clock
+   must join the sender's first so any message the handler sends in
+   response is causally after this delivery. *)
+and deliver t ~src ~dst ~id payload =
+  emit t (Deliver { id; src; dst; payload });
   (* Per-handler dispatch scope: everything a handler does — including
      the sends and frames it causes — lands under deliver;<kind>. *)
   match t.profile with
@@ -485,7 +446,13 @@ and note_move_stalled t ~why payload =
         "move-ack (token %d) parked by %s: sender pins held" token why
   | _ -> ()
 
-and send_now t ~src ~dst ~capsule payload =
+(* One copy of a message destroyed without delivery, counted under its
+   cause ("crashed" / "partition" / "lossy"). *)
+and drop t ~src ~dst ~id ~reason payload =
+  Metrics.incr t.metrics ("msg.dropped." ^ reason);
+  emit t (Drop { id; src; dst; payload; reason })
+
+and send_now t ~src ~dst ~id payload =
   let kind = Protocol.kind payload in
   let bytes = Protocol.approx_bytes payload in
   Metrics.incr t.metrics ("msg." ^ kind);
@@ -496,24 +463,15 @@ and send_now t ~src ~dst ~capsule payload =
   Metrics.hist_observe t.metrics ("msg.size." ^ kind) (float_of_int bytes);
   let dst_site = site t dst in
   let is_ext = Protocol.is_ext payload in
-  if is_ext && dst_site.Site.crashed then begin
-    Metrics.incr t.metrics "msg.dropped.crashed";
-    flight_drop t ~src ~dst ~reason:"crashed" payload;
-    san_dropped t capsule ~reason:"crashed"
-  end
-  else if is_ext && not (reachable t src dst) then begin
-    Metrics.incr t.metrics "msg.dropped.partition";
-    flight_drop t ~src ~dst ~reason:"partition" payload;
-    san_dropped t capsule ~reason:"partition"
-  end
-  else if is_ext && Rng.chance t.rng (ext_drop_p t) then begin
-    Metrics.incr t.metrics "msg.dropped.lossy";
-    flight_drop t ~src ~dst ~reason:"lossy" payload;
-    san_dropped t capsule ~reason:"lossy"
-  end
+  if is_ext && dst_site.Site.crashed then
+    drop t ~src ~dst ~id ~reason:"crashed" payload
+  else if is_ext && not (reachable t src dst) then
+    drop t ~src ~dst ~id ~reason:"partition" payload
+  else if is_ext && Rng.chance t.rng (ext_drop_p t) then
+    drop t ~src ~dst ~id ~reason:"lossy" payload
   else if not (reachable t src dst) then begin
     note_move_stalled t ~why:"partition" payload;
-    t.part_parked <- (src, dst, payload, capsule) :: t.part_parked
+    t.part_parked <- (src, dst, payload, id) :: t.part_parked
   end
   else if dst_site.Site.crashed then begin
     note_move_stalled t ~why:"crash" payload;
@@ -525,37 +483,29 @@ and send_now t ~src ~dst ~capsule payload =
           Hashtbl.add t.parked dst q;
           q
     in
-    q := (src, payload, capsule) :: !q
+    q := (src, payload, id) :: !q
   end
   else begin
     let fly () =
-      let id = t.next_msg_id in
-      t.next_msg_id <- id + 1;
+      let copy = t.next_copy in
+      t.next_copy <- copy + 1;
       (match Protocol.refs_carried payload with
       | [] -> ()
-      | refs -> Hashtbl.replace t.in_flight id refs);
+      | refs -> Hashtbl.replace t.in_flight copy refs);
       let delay = sample_latency t in
       schedule t ~delay (fun () ->
-          Hashtbl.remove t.in_flight id;
+          Hashtbl.remove t.in_flight copy;
           if not (reachable t src dst) then begin
             (* Partitioned while the message was in flight. *)
-            if is_ext then begin
-              Metrics.incr t.metrics "msg.dropped.partition";
-              flight_drop t ~src ~dst ~reason:"partition" payload;
-              san_dropped t capsule ~reason:"partition"
-            end
+            if is_ext then drop t ~src ~dst ~id ~reason:"partition" payload
             else begin
               note_move_stalled t ~why:"partition" payload;
-              t.part_parked <- (src, dst, payload, capsule) :: t.part_parked
+              t.part_parked <- (src, dst, payload, id) :: t.part_parked
             end
           end
           else if (site t dst).Site.crashed then begin
             (* Crashed while the message was in flight. *)
-            if is_ext then begin
-              Metrics.incr t.metrics "msg.dropped.crashed";
-              flight_drop t ~src ~dst ~reason:"crashed" payload;
-              san_dropped t capsule ~reason:"crashed"
-            end
+            if is_ext then drop t ~src ~dst ~id ~reason:"crashed" payload
             else begin
               note_move_stalled t ~why:"crash" payload;
               let q =
@@ -566,10 +516,10 @@ and send_now t ~src ~dst ~capsule payload =
                     Hashtbl.add t.parked dst q;
                     q
               in
-              q := (src, payload, capsule) :: !q
+              q := (src, payload, id) :: !q
             end
           end
-          else deliver t ~src ~dst ~capsule payload)
+          else deliver t ~src ~dst ~id payload)
     in
     fly ();
     (* Duplicate-delivery fault channel: a second, independent copy of
@@ -578,7 +528,7 @@ and send_now t ~src ~dst ~capsule payload =
        guard keeps the rng stream untouched when the channel is cold. *)
     if is_ext && ext_dup_p t > 0. && Rng.chance t.rng (ext_dup_p t) then begin
       Metrics.incr t.metrics "msg.duplicated";
-      san_copy t capsule;
+      emit t (Dup { id });
       fly ()
     end
   end
@@ -606,12 +556,7 @@ and flush_batch t ~src ~dst payloads =
      as the unbatched path: crash before partition at send time,
      partition before crash at landing. *)
   let drop_all reason =
-    Metrics.add t.metrics ("msg.dropped." ^ reason) (List.length payloads);
-    List.iter
-      (fun (p, c) ->
-        flight_drop t ~src ~dst ~reason p;
-        san_dropped t c ~reason)
-      payloads
+    List.iter (fun (p, id) -> drop t ~src ~dst ~id ~reason p) payloads
   in
   if (site t dst).Site.crashed then drop_all "crashed"
   else if not (reachable t src dst) then drop_all "partition"
@@ -623,31 +568,30 @@ and flush_batch t ~src ~dst payloads =
           if not (reachable t src dst) then drop_all "partition"
           else if (site t dst).Site.crashed then drop_all "crashed"
           else
-            List.iter
-              (fun (p, capsule) -> deliver t ~src ~dst ~capsule p)
-              payloads)
+            List.iter (fun (p, id) -> deliver t ~src ~dst ~id p) payloads)
     in
     fly ();
     (* Whole-batch duplication: deferred collector batches are one wire
        message, so the fault channel duplicates the wire message. *)
     if ext_dup_p t > 0. && Rng.chance t.rng (ext_dup_p t) then begin
       Metrics.add t.metrics "msg.duplicated" (List.length payloads);
-      List.iter (fun (_, c) -> san_copy t c) payloads;
+      List.iter (fun (_, id) -> emit t (Dup { id })) payloads;
       fly ()
     end
   end
 
 and send t ~src ~dst payload =
-  monitor_msg t ~phase:`Send ~src ~dst payload;
-  let capsule = san_send t ~src ~dst payload in
+  let id = t.next_msg in
+  t.next_msg <- id + 1;
+  emit t (Send { id; src; dst; payload });
   let defer = t.cfg.Config.defer_interval in
   if Protocol.is_ext payload && Sim_time.compare defer Sim_time.zero > 0
   then begin
     let key = (src, dst) in
     match Hashtbl.find_opt t.defer_queues key with
-    | Some q -> q := (payload, capsule) :: !q
+    | Some q -> q := (payload, id) :: !q
     | None ->
-        let q = ref [ (payload, capsule) ] in
+        let q = ref [ (payload, id) ] in
         Hashtbl.add t.defer_queues key q;
         schedule t ~delay:defer (fun () ->
             match Hashtbl.find_opt t.defer_queues key with
@@ -656,7 +600,7 @@ and send t ~src ~dst payload =
                 Hashtbl.remove t.defer_queues key;
                 flush_batch t ~src ~dst (List.rev !q))
   end
-  else send_now t ~src ~dst ~capsule payload
+  else send_now t ~src ~dst ~id payload
 
 (* --- mutator moves --------------------------------------------------- *)
 
@@ -673,7 +617,8 @@ let move_agent t ~agent ~src ~dst ~refs =
 (* --- fault injection -------------------------------------------------- *)
 
 let partition t groups =
-  flight_fault t ~tag:"partition" (Printf.sprintf "%d groups" (List.length groups));
+  let detail = Printf.sprintf "%d groups" (List.length groups) in
+  emit t (Fault { tag = "partition"; detail });
   jlog t ~level:Journal.Warn ~cat:"fault" "partition into %d groups" (List.length groups);
   let parts = Array.make (Array.length t.sites) (List.length groups) in
   List.iteri
@@ -686,12 +631,12 @@ let partition t groups =
 (* Deliver a previously parked base message; if the destination is
    unavailable again when it lands, re-park it rather than lose it —
    the base protocol must be reliable. *)
-let redeliver_parked t ~src ~dst ~capsule payload =
+let redeliver_parked t ~src ~dst ~id payload =
   let delay = sample_latency t in
   schedule t ~delay (fun () ->
       if not (reachable t src dst) then begin
         note_move_stalled t ~why:"partition" payload;
-        t.part_parked <- (src, dst, payload, capsule) :: t.part_parked
+        t.part_parked <- (src, dst, payload, id) :: t.part_parked
       end
       else if (site t dst).Site.crashed then begin
         note_move_stalled t ~why:"crash" payload;
@@ -703,30 +648,31 @@ let redeliver_parked t ~src ~dst ~capsule payload =
               Hashtbl.add t.parked dst q;
               q
         in
-        q := (src, payload, capsule) :: !q
+        q := (src, payload, id) :: !q
       end
-      else deliver t ~src ~dst ~capsule payload)
+      else deliver t ~src ~dst ~id payload)
 
 let heal t =
-  flight_fault t ~tag:"heal" "";
+  emit t (Fault { tag = "heal"; detail = "" });
   jlog t ~level:Journal.Warn ~cat:"fault" "heal";
   t.partition_of <- Array.make (Array.length t.sites) 0;
   Metrics.incr t.metrics "fault.heal";
   let parked = List.rev t.part_parked in
   t.part_parked <- [];
   List.iter
-    (fun (src, dst, payload, capsule) ->
-      redeliver_parked t ~src ~dst ~capsule payload)
+    (fun (src, dst, payload, id) ->
+      redeliver_parked t ~src ~dst ~id payload)
     parked
 
 let crash t id =
-  flight_fault t ~tag:"crash" (string_of_int (Site_id.to_int id));
+  emit t (Fault { tag = "crash"; detail = string_of_int (Site_id.to_int id) });
   jlog t ~level:Journal.Warn ~cat:"fault" "crash %a" Site_id.pp id;
   (site t id).Site.crashed <- true;
   Metrics.incr t.metrics "fault.crash"
 
 let recover t id =
-  flight_fault t ~tag:"recover" (string_of_int (Site_id.to_int id));
+  emit t
+    (Fault { tag = "recover"; detail = string_of_int (Site_id.to_int id) });
   jlog t ~level:Journal.Warn ~cat:"fault" "recover %a" Site_id.pp id;
   let s = site t id in
   if s.Site.crashed then begin
@@ -738,8 +684,8 @@ let recover t id =
         let msgs = List.rev !q in
         Hashtbl.remove t.parked id;
         List.iter
-          (fun (src, payload, capsule) ->
-            redeliver_parked t ~src ~dst:id ~capsule payload)
+          (fun (src, payload, msg) ->
+            redeliver_parked t ~src ~dst:id ~id:msg payload)
           msgs
   end
 
@@ -784,10 +730,6 @@ let stop_gc_schedule t = t.gc_running <- false
 
 (* --- run loop --------------------------------------------------------- *)
 
-let run_step_hooks t =
-  (match t.on_step with Some h -> h () | None -> ());
-  List.iter (fun w -> w ()) t.step_watchers
-
 let step_nth t n =
   match Event_queue.pop_nth t.queue n with
   | None -> false
@@ -797,7 +739,7 @@ let step_nth t n =
       if Sim_time.compare at t.now > 0 then t.now <- at;
       profile_work t "events" 1;
       f ();
-      run_step_hooks t;
+      emit t Step;
       true
 
 let step t = step_nth t 0

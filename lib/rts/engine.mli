@@ -24,6 +24,69 @@ exception Metrics_bucket_mismatch of string
     Warn entry (cat ["metrics"]) in the attached journal. *)
 
 val create : Config.t -> t
+
+(** {1 Observation}
+
+    Every observer — the flight recorder, dgc-san, the conformance
+    automata, the watchdog, [Config.Check_step], fuzz coverage — sees
+    the run through one typed event stream. *)
+
+type event =
+  | Send of {
+      id : int;
+      src : Site_id.t;
+      dst : Site_id.t;
+      payload : Protocol.payload;
+    }
+      (** a logical send, once, before deferral, drops or parking; [id]
+          is engine-minted and names the message in every later event *)
+  | Deliver of {
+      id : int;
+      src : Site_id.t;
+      dst : Site_id.t;
+      payload : Protocol.payload;
+    }
+      (** one copy is about to dispatch (batched flushes and
+          redeliveries after heal/recover included); emitted {e before}
+          the handler runs, so anything it sends is causally after *)
+  | Drop of {
+      id : int;
+      src : Site_id.t;
+      dst : Site_id.t;
+      payload : Protocol.payload;
+      reason : string;
+    }
+      (** one copy destroyed without delivery: ["crashed"],
+          ["partition"] or ["lossy"] *)
+  | Dup of { id : int }  (** the fault model added another copy *)
+  | Timer_armed of {
+      id : int;
+      label : unit -> Site_id.t * string;
+      at : Sim_time.t;
+    }
+      (** a [?label]led timer was armed; [label] (owning site, stable
+          key) is left to the subscriber to force *)
+  | Timer_fired of { id : int }  (** that timer is about to run *)
+  | Fault of { tag : string; detail : string }
+      (** crash / recover / partition / heal *)
+  | Journal of Journal.entry  (** an entry just landed in the journal *)
+  | Span_start of Dgc_telemetry.Tracer.span
+  | Span_end of Dgc_telemetry.Tracer.span
+  | Step  (** an event finished executing *)
+
+val subscribe : t -> (event -> unit) -> unit
+(** Append a subscriber for the engine's lifetime. Subscribers run
+    synchronously in subscription order, and events they cause (a
+    journal line written while handling a delivery) reach every
+    subscriber before the outer event reaches the next one. A
+    subscriber must not draw engine randomness or schedule events:
+    runs are event-identical with or without subscribers. Exceptions
+    propagate out of the run functions. With no subscriber a labelled
+    timer is a plain closure. *)
+
+val add_step_watcher : t -> (unit -> unit) -> unit
+(** [subscribe] to {!Step} only. *)
+
 val config : t -> Config.t
 val sites : t -> Site.t array
 val site : t -> Site_id.t -> Site.t
@@ -33,23 +96,24 @@ val metrics : t -> Metrics.t
 
 val attach_journal : t -> Journal.t -> unit
 (** Attach a bounded event journal; the runtime and collectors record
-    faults, traces, sweeps and verdicts into it. *)
+    faults, traces, sweeps and verdicts into it through {!jlog}, and
+    every entry is also emitted as a {!Journal} event. *)
 
 val journal : t -> Journal.t option
 
 val attach_tracer : t -> Dgc_telemetry.Tracer.t -> unit
 (** Attach a span tracer; the collectors record back-trace activation
-    frames, leaps, reports and timeouts into it as causal spans. *)
+    frames, leaps, reports and timeouts into it as causal spans, and
+    each span's opening and closing are emitted as {!Span_start} /
+    {!Span_end} events. *)
 
 val tracer : t -> Dgc_telemetry.Tracer.t option
 
 val attach_flight : t -> Dgc_telemetry.Flight.t -> unit
-(** Attach a flight recorder. The engine mirrors message sends,
-    deliveries, drops (with the drop reason), crash/recover/partition
-    faults, journal entries and tracer span edges into its binary
-    rings. Wiring works in any attachment order: journal and tracer
-    taps are (re)installed whenever both halves are present. [Sim.make]
-    attaches one automatically when [Config.flight_capacity > 0]. *)
+(** Attach a flight recorder: a subscriber that writes message sends,
+    deliveries, drops (with the drop reason), faults, journal entries
+    and tracer span edges into its binary rings. [Sim.make] attaches
+    one, as the first subscriber, when [Config.flight_capacity > 0]. *)
 
 val flight : t -> Dgc_telemetry.Flight.t option
 
@@ -104,12 +168,15 @@ val jlog :
 (** {1 Scheduling and messaging} *)
 
 val schedule :
-  t -> ?san:(unit -> Site_id.t * string) -> delay:Sim_time.t -> (unit -> unit) -> unit
-(** Schedule a thunk after [delay]. [?san] labels the timer for the
-    sanitizer: a thunk producing the owning site and a stable key (e.g.
-    ["back_call:t3:s1:7"]). It is forced only when a sanitizer is
-    installed — with none, scheduling is exactly the pre-sanitizer
-    code path. *)
+  t ->
+  ?label:(unit -> Site_id.t * string) ->
+  delay:Sim_time.t ->
+  (unit -> unit) ->
+  unit
+(** Schedule a thunk after [delay]. [?label] marks a protocol timer: a
+    thunk producing the owning site and a stable key (e.g.
+    ["back_call/t3/..."]), carried unforced in {!Timer_armed}; the
+    timer emits {!Timer_fired} just before it runs. *)
 
 val send : t -> src:Site_id.t -> dst:Site_id.t -> Protocol.payload -> unit
 (** Sample a latency and schedule delivery. Base-protocol messages to a
@@ -204,70 +271,6 @@ val pending : t -> int
 val peek_time : t -> Sim_time.t option
 val nth_time : t -> int -> Sim_time.t option
 (** Timestamp of the earliest / [n]-th earliest pending event. *)
-
-val set_on_step : t -> (unit -> unit) -> unit
-(** Install a hook that runs after every executed event ({!step},
-    {!step_nth}, and thus {!run_until}/{!run_for}). [Sim.make] uses it
-    to wire [Config.Check_step] sanitizer checking; exceptions raised
-    by the hook propagate out of the run functions. *)
-
-val clear_on_step : t -> unit
-
-val add_step_watcher : t -> (unit -> unit) -> unit
-(** Append a step watcher: watchers run after every executed event, in
-    registration order, after the {!set_on_step} hook, and are never
-    cleared by {!clear_on_step}. Unlike the single [on_step] slot
-    (owned by [Sim.make]'s sanitizer), any number of watchers can
-    coexist — the watchdog registers itself here. *)
-
-val set_msg_monitor :
-  t ->
-  (phase:[ `Send | `Deliver ] ->
-  src:Site_id.t ->
-  dst:Site_id.t ->
-  Protocol.payload ->
-  unit) ->
-  unit
-(** Observe every base-protocol/ext message: [`Send] fires once at the
-    original send (before deferral, drops or parking), [`Deliver] fires
-    at actual delivery (including batched flushes and redeliveries
-    after heal/recover). The conformance checker keys its per-role
-    ordering automata on [`Deliver] events. *)
-
-val clear_msg_monitor : t -> unit
-
-(** {1 Sanitizer hooks}
-
-    The dgc-san happens-before sanitizer (lib/sanitize) installs these
-    to thread vector clocks through message traffic and timers. The
-    engine stays causally faithful but opaque: it mints an [int]
-    capsule at send time via [san_send] and hands it back at delivery,
-    drop, or duplication; it never inspects clock contents. With no
-    sanitizer installed every hook site is a no-op and capsules are
-    [-1] — behaviour, rng draws and event order are identical to a
-    build without the hooks. *)
-
-type san_hooks = {
-  san_send : src:Site_id.t -> dst:Site_id.t -> Protocol.payload -> int;
-      (** mint a capsule snapshotting the sender's clock at send time *)
-  san_copy : int -> unit;
-      (** the capsule's message was duplicated by the fault model *)
-  san_dropped : int -> reason:string -> unit;
-      (** the capsule's message will never be delivered
-          ("crashed" / "partition" / "lossy") *)
-  san_deliver :
-    src:Site_id.t -> dst:Site_id.t -> capsule:int -> Protocol.payload -> unit;
-      (** one delivery of the capsule's message is about to dispatch;
-          runs {e before} the handler so anything the handler sends is
-          causally after the join *)
-  san_timer_armed : site:Site_id.t -> key:string -> at:Sim_time.t -> int;
-      (** a [?san]-labelled timer was armed; returns a timer id *)
-  san_timer_fired : int -> unit;  (** that timer is about to run *)
-}
-
-val set_sanitizer : t -> san_hooks -> unit
-val clear_sanitizer : t -> unit
-val sanitizing : t -> bool
 
 val run_until : t -> Sim_time.t -> unit
 (** Process events with timestamps up to the given absolute time;

@@ -22,11 +22,11 @@ type leak = {
   lk_at : Sim_time.t;
 }
 
-(* One in-flight message: the sender's clock snapshot plus enough
-   payload identity for the leak detector's in-flight accounting.
-   [c_outstanding] counts undelivered copies (dup channel adds one);
-   the capsule dies when it reaches zero. *)
-type capsule = {
+(* One in-flight message, keyed by the engine's message id: the
+   sender's clock snapshot plus enough payload identity for the leak
+   detector's in-flight accounting. [c_outstanding] counts undelivered
+   copies (dup channel adds one); the entry dies when it reaches zero. *)
+type msg = {
   c_clock : Vclock.t;
   c_trace : Trace_id.t option;
   mutable c_outstanding : int;
@@ -47,8 +47,8 @@ type access = {
 
 (* A transfer delivery whose protection verdict is still pending: the
    barrier bits are set by the handler, i.e. during dispatch, which
-   runs after [san_deliver] — so the verdict must wait for the
-   post-event step watcher. *)
+   runs after the [Deliver] event — so the verdict must wait for the
+   [Step] event. *)
 type candidate = {
   pc_oid : Oid.t;
   pc_site : Site_id.t;
@@ -59,11 +59,9 @@ type candidate = {
 type t = {
   eng : Engine.t;
   clocks : Vclock.t array;
-  capsules : (int, capsule) Hashtbl.t;
-  mutable next_capsule : int;
+  msgs : (int, msg) Hashtbl.t;
   (* armed, not-yet-fired timers: id -> trace tag of the key *)
   timers : (int, string) Hashtbl.t;
-  mutable next_timer : int;
   (* per-trace-tag counts for O(1) leak queries *)
   inflight : (string, int ref) Hashtbl.t;
   armed : (string, int ref) Hashtbl.t;
@@ -77,7 +75,6 @@ type t = {
   mutable leaks : leak list;
   leak_seen : (string, unit) Hashtbl.t;
   mutable sh : Back_trace.shared option;
-  mutable active : bool;
 }
 
 let tstr trace = Format.asprintf "%a" Trace_id.pp trace
@@ -174,14 +171,12 @@ let record_race t ~oid ~trace ~trace_site ~transfer ~harmful =
       Oid.pp oid Trace_id.pp trace
   end
 
-(* --- engine hooks ------------------------------------------------------ *)
+(* --- engine events ----------------------------------------------------- *)
 
-let on_send t ~src ~dst payload =
+let on_send t ~id ~src ~dst payload =
   Vclock.tick t.clocks.(sid src) (sid src);
-  let id = t.next_capsule in
-  t.next_capsule <- id + 1;
   let trace = payload_trace payload in
-  Hashtbl.replace t.capsules id
+  Hashtbl.replace t.msgs id
     {
       c_clock = Vclock.copy t.clocks.(sid src);
       c_trace = trace;
@@ -194,11 +189,10 @@ let on_send t ~src ~dst payload =
   | Protocol.Ext (Back_trace.Back_call { trace; reply_site; call_seq; _ }) ->
       Hashtbl.replace t.callees (tstr trace, sid reply_site, call_seq) dst
   | _ -> ());
-  Metrics.incr (metrics t) "san.capsules";
-  id
+  Metrics.incr (metrics t) "san.capsules"
 
-let on_copy t capsule =
-  match Hashtbl.find_opt t.capsules capsule with
+let on_copy t id =
+  match Hashtbl.find_opt t.msgs id with
   | None -> ()
   | Some c ->
       c.c_outstanding <- c.c_outstanding + 1;
@@ -207,8 +201,8 @@ let on_copy t capsule =
       | None -> ());
       Metrics.incr (metrics t) "san.dup_copies"
 
-let consume t capsule =
-  match Hashtbl.find_opt t.capsules capsule with
+let consume t id =
+  match Hashtbl.find_opt t.msgs id with
   | None -> None
   | Some c ->
       c.c_outstanding <- c.c_outstanding - 1;
@@ -216,25 +210,24 @@ let consume t capsule =
       | Some tr -> bump t.inflight (tstr tr) (-1)
       | None -> ());
       if c.c_outstanding <= 0 && c.c_delivered > 0 then
-        Hashtbl.remove t.capsules capsule;
+        Hashtbl.remove t.msgs id;
       Some c
 
-let on_dropped t capsule ~reason =
-  match consume t capsule with
+let on_dropped t id =
+  match consume t id with
   | None -> ()
   | Some c ->
-      if c.c_outstanding <= 0 then Hashtbl.remove t.capsules capsule;
-      Metrics.incr (metrics t) "san.dropped";
-      ignore reason
+      if c.c_outstanding <= 0 then Hashtbl.remove t.msgs id;
+      Metrics.incr (metrics t) "san.dropped"
 
-let on_deliver t ~src:_ ~dst ~capsule payload =
-  let c = consume t capsule in
+let on_deliver t ~id ~dst payload =
+  let c = consume t id in
   (match c with
   | Some c ->
       c.c_delivered <- c.c_delivered + 1;
       if c.c_delivered > 1 then Metrics.incr (metrics t) "san.dup_delivered";
-      (* all copies accounted for: the capsule can leave the table *)
-      if c.c_outstanding <= 0 then Hashtbl.remove t.capsules capsule;
+      (* all copies accounted for: the message can leave the table *)
+      if c.c_outstanding <= 0 then Hashtbl.remove t.msgs id;
       Vclock.join t.clocks.(sid dst) c.c_clock
   | None -> ());
   Vclock.tick t.clocks.(sid dst) (sid dst);
@@ -295,14 +288,11 @@ let on_deliver t ~src:_ ~dst ~capsule payload =
       | _ -> ())
   | _ -> ()
 
-let on_timer_armed t ~site:_ ~key ~at:_ =
-  let id = t.next_timer in
-  t.next_timer <- id + 1;
+let on_timer_armed t ~id ~key =
   let tag = match key_tag key with Some tag -> tag | None -> key in
   Hashtbl.replace t.timers id tag;
   bump t.armed tag 1;
-  Metrics.incr (metrics t) "san.timers_armed";
-  id
+  Metrics.incr (metrics t) "san.timers_armed"
 
 let on_timer_fired t id =
   match Hashtbl.find_opt t.timers id with
@@ -444,10 +434,8 @@ let install eng =
     {
       eng;
       clocks = Array.init n (fun _ -> Vclock.create n);
-      capsules = Hashtbl.create 256;
-      next_capsule = 0;
+      msgs = Hashtbl.create 256;
       timers = Hashtbl.create 64;
-      next_timer = 0;
       inflight = Hashtbl.create 32;
       armed = Hashtbl.create 32;
       callees = Hashtbl.create 64;
@@ -459,28 +447,21 @@ let install eng =
       leaks = [];
       leak_seen = Hashtbl.create 8;
       sh = None;
-      active = true;
     }
   in
-  Engine.set_sanitizer eng
-    {
-      Engine.san_send = (fun ~src ~dst p -> on_send t ~src ~dst p);
-      san_copy = (fun c -> on_copy t c);
-      san_dropped = (fun c ~reason -> on_dropped t c ~reason);
-      san_deliver =
-        (fun ~src ~dst ~capsule p -> on_deliver t ~src ~dst ~capsule p);
-      san_timer_armed =
-        (fun ~site ~key ~at -> on_timer_armed t ~site ~key ~at);
-      san_timer_fired = (fun id -> on_timer_fired t id);
-    };
-  Engine.add_step_watcher eng (fun () -> if t.active then resolve_pending t);
+  Engine.subscribe eng (function
+    | Engine.Send { id; src; dst; payload } -> on_send t ~id ~src ~dst payload
+    | Engine.Dup { id } -> on_copy t id
+    | Engine.Drop { id; _ } -> on_dropped t id
+    | Engine.Deliver { id; dst; payload; _ } -> on_deliver t ~id ~dst payload
+    | Engine.Timer_armed { id; label; _ } ->
+        on_timer_armed t ~id ~key:(snd (label ()))
+    | Engine.Timer_fired { id } -> on_timer_fired t id
+    | Engine.Step -> resolve_pending t
+    | _ -> ());
   t
 
 let set_shared t sh = t.sh <- Some sh
-
-let uninstall t =
-  t.active <- false;
-  Engine.clear_sanitizer t.eng
 
 let races t = List.rev t.races
 let harmful_races t = List.filter (fun r -> r.rc_harmful) (races t)
@@ -542,6 +523,6 @@ let to_json t =
       ("schema", Json.Str "dgc.san/1");
       ("races", Json.Arr (List.map race_json (races t)));
       ("leaks", Json.Arr (List.map leak_json (leaks t)));
-      ("live_capsules", Json.Int (Hashtbl.length t.capsules));
+      ("live_capsules", Json.Int (Hashtbl.length t.msgs));
       ("armed_timers", Json.Int (Hashtbl.length t.timers));
     ]

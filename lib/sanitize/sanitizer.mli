@@ -1,8 +1,9 @@
 (** dgc-san: the dynamic happens-before sanitizer.
 
     Installed on an engine it threads a {!Vclock} per site through
-    every message (via the engine's capsule hooks) and every labelled
-    §4.6 timer, and runs two detectors over the causal order:
+    every message and every labelled §4.6 timer (it subscribes to the
+    engine's event stream, keyed by the engine's message and timer
+    ids), and runs two detectors over the causal order:
 
     - a {b message-race detector}: a reference transfer (a [Move] or
       [Insert] carrying an oid) and a back-trace read of the same oid
@@ -21,9 +22,9 @@
       callees).
 
     Everything lands in [san.*] counters, Warn journal entries
-    (cat ["san"]) and the ["dgc.san/1"] report ({!to_json}). With no
-    sanitizer installed the engine makes no hook calls at all; runs
-    are event-identical to builds without it. *)
+    (cat ["san"]) and the ["dgc.san/1"] report ({!to_json}). Like
+    every subscriber it draws no randomness and schedules nothing, so
+    runs are event-identical with or without it. *)
 
 open Dgc_prelude
 open Dgc_simcore
@@ -51,16 +52,13 @@ type leak = {
 type t
 
 val install : Engine.t -> t
-(** Arm the sanitizer: sets the engine's capsule hooks and registers a
-    step watcher that resolves transfer-barrier protection after each
-    dispatch. One sanitizer per engine. *)
+(** Arm the sanitizer: subscribes it to the engine; on each [Step] it
+    resolves the transfer-barrier protection of the event just
+    dispatched. One sanitizer per engine, for the engine's lifetime. *)
 
 val set_shared : t -> Back_trace.shared -> unit
 (** Give the detectors the collector's frame tables; without it the
     leak detector and the report-reorder counter stay silent. *)
-
-val uninstall : t -> unit
-(** Clear the engine hooks; the step watcher becomes a no-op. *)
 
 val races : t -> race list
 (** Every race found so far, oldest first (benign and harmful). *)
@@ -86,5 +84,5 @@ val check : t -> string list
     message per harmful race and per proved leak ([] = clean). *)
 
 val to_json : t -> Dgc_telemetry.Json.t
-(** The ["dgc.san/1"] report: races, leaks, live capsule and armed
-    timer counts. *)
+(** The ["dgc.san/1"] report: races, leaks, live message (the
+    [live_capsules] field) and armed timer counts. *)

@@ -9,23 +9,20 @@ type t = {
   buf : entry option array;
   mutable next : int;  (** write cursor *)
   mutable total : int;
-  mutable on_record : (entry -> unit) option;
 }
 
 let create ?(capacity = 2048) () =
   if capacity <= 0 then invalid_arg "Journal.create: capacity";
-  { buf = Array.make capacity None; next = 0; total = 0; on_record = None }
+  { buf = Array.make capacity None; next = 0; total = 0 }
 
 let capacity t = Array.length t.buf
-let set_on_record t f = t.on_record <- Some f
-let clear_on_record t = t.on_record <- None
 
-let record t ?(level = Info) ~at ~cat text =
-  let e = { at; level; cat; text } in
+let add t e =
   t.buf.(t.next) <- Some e;
   t.next <- (t.next + 1) mod Array.length t.buf;
-  t.total <- t.total + 1;
-  match t.on_record with Some f -> f e | None -> ()
+  t.total <- t.total + 1
+
+let record t ?(level = Info) ~at ~cat text = add t { at; level; cat; text }
 
 let recordf t ?level ~at ~cat fmt =
   Format.kasprintf (fun s -> record t ?level ~at ~cat s) fmt

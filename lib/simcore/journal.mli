@@ -27,13 +27,8 @@ val record : t -> ?level:level -> at:Sim_time.t -> cat:string -> string -> unit
 (** [cat] is a short label ("back", "gc", "barrier", "fault", ...);
     [level] defaults to [Info]. *)
 
-val set_on_record : t -> (entry -> unit) -> unit
-(** Install a tap invoked synchronously with every recorded entry
-    (after it lands in the ring). The flight recorder mirrors journal
-    entries into its binary ring through this. One tap at a time; a
-    second call replaces the first. *)
-
-val clear_on_record : t -> unit
+val add : t -> entry -> unit
+(** Append a ready-made entry ({!record} builds one). *)
 
 val recordf :
   t ->

@@ -15,7 +15,8 @@ let oid site index = Oid.make ~site:(s site) ~index
 (* --- conformance automata --------------------------------------------- *)
 
 let deliver mon ~src ~dst payload =
-  Conformance.hook mon ~phase:`Deliver ~src:(s src) ~dst:(s dst) payload
+  Conformance.hook mon
+    (Engine.Deliver { id = 0; src = s src; dst = s dst; payload })
 
 let rules vs = List.map (fun v -> v.Conformance.c_rule) vs
 

@@ -13,6 +13,7 @@ open Dgc_chaos
 module Json = Dgc_telemetry.Json
 module Oracle = Dgc_oracle.Oracle
 module Shrink = Dgc_analysis.Shrink
+module Conformance = Dgc_analysis.Conformance
 
 let s k = Site_id.of_int k
 
@@ -527,6 +528,124 @@ let test_corpus_replays_clean () =
       | Ok (Finput.Schedule_input s, meta) -> replay_sched_case f s meta)
     files
 
+(* --- observation: one event stream, schedule-neutral ---------------------- *)
+
+(* Every fault kind, so the stream carries drops, dup copies, faults and
+   redeliveries as well as plain traffic. *)
+let neutral_plan =
+  {
+    Plan.events =
+      [
+        { Plan.at_ms = 1_000.; dur_ms = 14_000.; ev = Plan.Drop { p = 0.3 } };
+        { Plan.at_ms = 2_000.; dur_ms = 3_000.; ev = Plan.Crash { site = 1 } };
+        { Plan.at_ms = 3_000.; dur_ms = 14_000.; ev = Plan.Dup { p = 0.5 } };
+        {
+          Plan.at_ms = 6_000.;
+          dur_ms = 3_000.;
+          ev = Plan.Partition { groups = [ [ 0; 1 ]; [ 2; 3; 4 ] ] };
+        };
+        {
+          Plan.at_ms = 10_000.;
+          dur_ms = 2_000.;
+          ev = Plan.Slow { factor = 4. };
+        };
+      ];
+  }
+
+(* Events executed so far, from the profiler's per-scope [events] work
+   (the profiler is not a subscriber). *)
+let profiled_events eng =
+  match Engine.profile eng with
+  | None -> Alcotest.fail "profiler not attached"
+  | Some p ->
+      Dgc_profile.Profile.to_folded ~unit_:"events" p
+      |> String.split_on_char '\n'
+      |> List.fold_left
+           (fun acc line ->
+             match String.rindex_opt line ' ' with
+             | Some i ->
+                 acc
+                 + int_of_string
+                     (String.sub line (i + 1) (String.length line - i - 1))
+             | None -> acc)
+           0
+
+(* The one neutrality contract for the event stream: the same seeded
+   campaign with no optional subscriber and with the flight recorder,
+   dgc-san, the conformance automata, the watchdog and a counting
+   subscriber all attached runs the same events to the same clock and
+   the same counters. Only the observers' own counters (the san. and
+   watchdog. families) and the dump-time tracer.aborted_spans may
+   differ. *)
+let test_subscribers_schedule_neutral () =
+  List.iter
+    (fun workload ->
+      let case =
+        {
+          Campaign.cs_name = "neutral-" ^ workload;
+          cs_workload = workload;
+          cs_seed = 7;
+          cs_horizon_ms = 20_000.;
+          cs_plan = neutral_plan;
+        }
+      in
+      let run ~observed =
+        let eng = ref None and at_probe = ref 0 and steps = ref 0 in
+        let tweak c =
+          {
+            c with
+            Config.profile = true;
+            sanitize = observed;
+            flight_capacity =
+              (if observed then c.Config.flight_capacity else 0);
+          }
+        in
+        let probe pb =
+          let e = pb.Campaign.pb_eng in
+          eng := Some e;
+          at_probe := profiled_events e;
+          if observed then begin
+            Conformance.attach (Conformance.create ()) e;
+            ignore (Dgc_observe.Watchdog.attach pb.Campaign.pb_col);
+            Engine.subscribe e (function Engine.Step -> incr steps | _ -> ())
+          end
+        in
+        let oc = Campaign.run_case ~tweak ~probe case in
+        let events = profiled_events (Option.get !eng) in
+        (oc, events, events - !at_probe, !steps)
+      in
+      let bare, bare_events, _, _ = run ~observed:false in
+      let full, full_events, after_probe, steps = run ~observed:true in
+      let fail_str oc =
+        Option.fold ~none:"passed" ~some:Campaign.failure_to_string
+          oc.Campaign.oc_failure
+      in
+      Alcotest.(check string)
+        (workload ^ ": same verdict") (fail_str bare) (fail_str full);
+      Alcotest.(check (float 0.))
+        (workload ^ ": same simulated clock") bare.Campaign.oc_sim_seconds
+        full.Campaign.oc_sim_seconds;
+      Alcotest.(check int) (workload ^ ": same event count") bare_events
+        full_events;
+      Alcotest.(check int)
+        (workload ^ ": the counting subscriber saw every later step")
+        after_probe steps;
+      let own (k, _) =
+        String.starts_with ~prefix:"san." k
+        || String.starts_with ~prefix:"watchdog." k
+        || k = "tracer.aborted_spans"
+      in
+      let strip = List.filter (fun c -> not (own c)) in
+      Alcotest.(check (list (pair string int)))
+        (workload ^ ": same counters")
+        (strip bare.Campaign.oc_counters)
+        (strip full.Campaign.oc_counters);
+      Alcotest.(check bool)
+        (workload ^ ": the observed run did observe")
+        true
+        (List.exists own full.Campaign.oc_counters))
+    [ "churn"; "ring" ]
+
 let () =
   Alcotest.run "chaos"
     [
@@ -577,5 +696,10 @@ let () =
         [
           Alcotest.test_case "committed plans replay clean" `Quick
             test_corpus_replays_clean;
+        ] );
+      ( "observation",
+        [
+          Alcotest.test_case "every subscriber is schedule-neutral" `Quick
+            test_subscribers_schedule_neutral;
         ] );
     ]

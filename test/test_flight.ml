@@ -262,6 +262,36 @@ let test_engine_dump_round_trip () =
   Alcotest.(check bool) "span starts mirrored" true (has Flight.Span_start);
   Alcotest.(check bool) "span ends mirrored" true (has Flight.Span_end)
 
+let test_second_journal_subscriber () =
+  (* Subscribers coexist: a second journal listener on a recording
+     engine hears every entry, and the recorder's own journal mirror
+     keeps working next to it. *)
+  let f = Scenario.fig1 ~cfg:cfg_fast () in
+  let sim = f.Scenario.f1_sim in
+  let eng = sim.Sim.eng in
+  let journal = Journal.create ~capacity:65536 () in
+  Engine.attach_journal eng journal;
+  let heard = ref [] in
+  Engine.subscribe eng (function
+    | Engine.Journal e -> heard := e :: !heard
+    | _ -> ());
+  Sim.start sim;
+  ignore (Sim.collect_all sim ~max_rounds:30 ());
+  Engine.jlog eng ~cat:"test" "about to dump";
+  Alcotest.(check bool) "the run journaled" true (Journal.total journal > 1);
+  Alcotest.(check bool) "the listener heard every entry, in order" true
+    (List.rev !heard = Journal.entries journal);
+  match Engine.dump_flight eng ~reason:"two journal subscribers" with
+  | None -> Alcotest.fail "default config did not attach a flight recorder"
+  | Some j -> (
+      match Flight.of_json j with
+      | Error e -> Alcotest.failf "dump rejected: %s" e
+      | Ok d ->
+          Alcotest.(check bool) "journal still mirrored into the flight" true
+            (List.exists
+               (fun e -> e.Flight.ev_kind = Flight.Journal)
+               (Flight.events d ~site:(-1))))
+
 let test_dump_aborts_open_spans () =
   let f = Scenario.fig1 ~cfg:cfg_fast () in
   let sim = f.Scenario.f1_sim in
@@ -398,6 +428,8 @@ let () =
             test_engine_dump_round_trip;
           Alcotest.test_case "dump aborts open spans" `Quick
             test_dump_aborts_open_spans;
+          Alcotest.test_case "second journal subscriber keeps the mirror"
+            `Quick test_second_journal_subscriber;
         ] );
       ( "chaos",
         [
