@@ -262,10 +262,14 @@ let parent_span sh st trace = function
 let tkey_of_key key =
   match String.split_on_char '/' key with _ :: t :: _ -> t | _ -> key
 
-let start_msg_span sh key ~name ~site ~parent attrs =
+(* A message span's key, parent and attributes come from a thunk that
+   runs only when a tracer is attached: untraced runs build none of
+   their strings. *)
+let start_msg_span sh ~name ~site span =
   match tracer sh with
   | None -> ()
   | Some tr ->
+      let key, parent, attrs = span () in
       let id =
         Tel.Tracer.start_span tr ?parent ~trace:(tkey_of_key key)
           ~name ~site ~at:(now_s sh) attrs
@@ -276,7 +280,7 @@ let finish_msg_span sh key attrs =
   match tracer sh with
   | None -> ()
   | Some tr -> (
-      match Hashtbl.find_opt sh.m_spans key with
+      match Hashtbl.find_opt sh.m_spans (key ()) with
       | Some id -> Tel.Tracer.finish_span tr id ~at:(now_s sh) attrs
       | None -> ())
 
@@ -345,16 +349,16 @@ let rec finish sh st fr v =
         | None -> ()
       end
     | P_remote { site; frame; call_seq } ->
-        start_msg_span sh
-          (reply_key fr.fr_trace ~replier:(self_id st) ~target:site call_seq)
-          ~name:"leap.reply"
+        start_msg_span sh ~name:"leap.reply"
           ~site:(Site_id.to_int (self_id st))
-          ~parent:(if fr.fr_span >= 0 then Some fr.fr_span else None)
-          [
-            ("src", jsite (self_id st));
-            ("dst", jsite site);
-            ("verdict", jstr (Verdict.to_string v));
-          ];
+          (fun () ->
+            ( reply_key fr.fr_trace ~replier:(self_id st) ~target:site call_seq,
+              (if fr.fr_span >= 0 then Some fr.fr_span else None),
+              [
+                ("src", jsite (self_id st));
+                ("dst", jsite site);
+                ("verdict", jstr (Verdict.to_string v));
+              ] ));
         let reply =
           Back_reply
             {
@@ -392,18 +396,17 @@ and return_to sh st trace parent v =
       | None -> ()
     end
   | P_remote { site; frame; call_seq } ->
-      start_msg_span sh
-        (reply_key trace ~replier:(self_id st) ~target:site call_seq)
-        ~name:"leap.reply"
+      start_msg_span sh ~name:"leap.reply"
         ~site:(Site_id.to_int (self_id st))
-        ~parent:
-          (Hashtbl.find_opt sh.m_spans
-             (call_key trace ~caller:site ~callee:(self_id st) call_seq))
-        [
-          ("src", jsite (self_id st));
-          ("dst", jsite site);
-          ("verdict", jstr (Verdict.to_string v));
-        ];
+        (fun () ->
+          ( reply_key trace ~replier:(self_id st) ~target:site call_seq,
+            Hashtbl.find_opt sh.m_spans
+              (call_key trace ~caller:site ~callee:(self_id st) call_seq),
+            [
+              ("src", jsite (self_id st));
+              ("dst", jsite site);
+              ("verdict", jstr (Verdict.to_string v));
+            ] ));
       let reply =
         Back_reply
           { trace; reply_frame = frame; call_seq; verdict = v; participants = parts }
@@ -458,14 +461,16 @@ and conclude sh st trace outcome parts =
   Site_id.Set.iter
     (fun p ->
       if not (Site_id.equal p (self_id st)) then begin
-        start_msg_span sh (report_key trace p) ~name:"report"
+        start_msg_span sh ~name:"report"
           ~site:(Site_id.to_int (self_id st))
-          ~parent:(root_span sh trace)
-          [
-            ("src", jsite (self_id st));
-            ("dst", jsite p);
-            ("outcome", jstr (Verdict.to_string outcome));
-          ];
+          (fun () ->
+            ( report_key trace p,
+              root_span sh trace,
+              [
+                ("src", jsite (self_id st));
+                ("dst", jsite p);
+                ("outcome", jstr (Verdict.to_string outcome));
+              ] ));
         led sh (fun l -> Dgc_profile.Ledger.on_report l ~trace:(lkey trace));
         send_back sh ~src:(self_id st) ~dst:p trace
           (Back_report { trace; outcome })
@@ -654,16 +659,16 @@ and step_remote sh st trace i parent =
                 bump_stat sh trace (fun s -> s.ts_calls <- s.ts_calls + 1);
                 led sh (fun l ->
                     Dgc_profile.Ledger.on_call l ~trace:(lkey trace));
-                start_msg_span sh
-                  (call_key trace ~caller:(self_id st) ~callee:q seq)
-                  ~name:"leap.call"
+                start_msg_span sh ~name:"leap.call"
                   ~site:(Site_id.to_int (self_id st))
-                  ~parent:(if fr.fr_span >= 0 then Some fr.fr_span else None)
-                  [
-                    ("src", jsite (self_id st));
-                    ("dst", jsite q);
-                    ("ref", jstr (Oid.to_string i));
-                  ];
+                  (fun () ->
+                    ( call_key trace ~caller:(self_id st) ~callee:q seq,
+                      (if fr.fr_span >= 0 then Some fr.fr_span else None),
+                      [
+                        ("src", jsite (self_id st));
+                        ("dst", jsite q);
+                        ("ref", jstr (Oid.to_string i));
+                      ] ));
                 let send_call () =
                   send_back sh ~src:(self_id st) ~dst:q trace
                     (Back_call
@@ -725,8 +730,9 @@ and step_remote sh st trace i parent =
                                 Dgc_profile.Ledger.on_timeout l
                                   ~trace:(lkey trace));
                             finish_msg_span sh
-                              (call_key trace ~caller:(self_id st) ~callee:q
-                                 seq)
+                              (fun () ->
+                                call_key trace ~caller:(self_id st) ~callee:q
+                                  seq)
                               [ ("timeout", Tel.Json.Bool true) ];
                             (match tracer sh with
                             | None -> ()
@@ -795,7 +801,7 @@ let handle_ext sh site_id ~src ext =
   match ext with
   | Back_call { trace; r; reply_site; reply_frame; call_seq } ->
       finish_msg_span sh
-        (call_key trace ~caller:reply_site ~callee:site_id call_seq)
+        (fun () -> call_key trace ~caller:reply_site ~callee:site_id call_seq)
         [];
       let key = (trace, reply_site, call_seq) in
       (match Hashtbl.find_opt st.call_memo key with
@@ -824,7 +830,7 @@ let handle_ext sh site_id ~src ext =
       true
   | Back_reply { trace; reply_frame; call_seq; verdict; participants } ->
       finish_msg_span sh
-        (reply_key trace ~replier:src ~target:site_id call_seq)
+        (fun () -> reply_key trace ~replier:src ~target:site_id call_seq)
         [];
       (match Hashtbl.find_opt st.frames reply_frame with
       | Some fr when Int_set.mem call_seq fr.fr_calls ->
@@ -833,7 +839,7 @@ let handle_ext sh site_id ~src ext =
       | Some _ | None -> ());
       true
   | Back_report { trace; outcome } ->
-      finish_msg_span sh (report_key trace site_id) [];
+      finish_msg_span sh (fun () -> report_key trace site_id) [];
       apply_report sh st trace outcome;
       true
   | _ -> false

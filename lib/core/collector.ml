@@ -8,7 +8,13 @@ type window = {
   mutable w_cleans : Oid.t list;
 }
 
-type site_ctl = { ctl_site : Site.t; mutable ctl_window : window option }
+(* [ctl_memo] is the site's root-closure memo: per collector, so it
+   dies with its engine. *)
+type site_ctl = {
+  ctl_site : Site.t;
+  mutable ctl_window : window option;
+  ctl_memo : Local_trace.memo;
+}
 
 type t = {
   eng : Engine.t;
@@ -153,10 +159,11 @@ let sample_memory t site_id outcome =
    [?probe] hook, plus the outcome's deterministic work-unit stats —
    object visits, outset algebra, memo hits, workspace bytes —
    attributed to the [local_trace] node. Without a profiler this is
-   exactly the bare compute. *)
-let profiled_compute t input =
+   exactly the bare compute. Both run with the site's memo. *)
+let profiled_compute t c input =
+  let memo = c.ctl_memo in
   match Engine.profile t.eng with
-  | None -> Local_trace.compute input
+  | None -> Local_trace.compute ~memo input
   | Some p ->
       let module Prof = Dgc_profile.Profile in
       Prof.enter p "local_trace";
@@ -177,7 +184,7 @@ let profiled_compute t input =
           close_sub ();
           Prof.leave p)
         (fun () ->
-          let outcome = Local_trace.compute ~probe input in
+          let outcome = Local_trace.compute ~probe ~memo input in
           close_sub ();
           let st = outcome.Local_trace.ot_stats in
           Prof.work p "visits"
@@ -208,7 +215,7 @@ let finish_window t site_id =
   | Some w ->
       c.ctl_window <- None;
       if not c.ctl_site.Site.crashed then begin
-        let outcome = profiled_compute t w.w_input in
+        let outcome = profiled_compute t c w.w_input in
         apply_outcome t site_id outcome ~window_cleans:(List.rev w.w_cleans)
       end
 
@@ -219,7 +226,7 @@ let run_scheduled_trace t site_id =
     if Sim_time.compare conf.Config.trace_duration Sim_time.zero <= 0 then begin
       (* Atomic trace. *)
       let input = Local_trace.input_of_site t.eng c.ctl_site in
-      apply_outcome t site_id (profiled_compute t input) ~window_cleans:[]
+      apply_outcome t site_id (profiled_compute t c input) ~window_cleans:[]
     end
     else begin
       (* Open a snapshot-at-beginning window (§6.2); back traces keep
@@ -237,7 +244,7 @@ let force_local_trace t site_id =
   (* Discard any open window: the atomic trace supersedes it. *)
   c.ctl_window <- None;
   let input = Local_trace.input_of_site t.eng c.ctl_site in
-  let outcome = profiled_compute t input in
+  let outcome = profiled_compute t c input in
   Local_trace.apply t.eng c.ctl_site outcome ~window_cleans:[]
     ~on_cleaned:(Back_trace.on_cleaned t.back site_id)
     ~oracle_check:(cfg t).Config.oracle_checks;
@@ -249,6 +256,13 @@ let force_local_trace_all t =
       if not c.ctl_site.Site.crashed then force_local_trace t c.ctl_site.Site.id)
     t.ctls
 
+let root_memo_stats t =
+  Array.fold_left
+    (fun (h, m) c ->
+      let h', m' = Local_trace.memo_stats c.ctl_memo in
+      (h + h', m + m'))
+    (0, 0) t.ctls
+
 let install eng =
   let t =
     {
@@ -256,7 +270,8 @@ let install eng =
       back = Back_trace.create eng;
       ctls =
         Array.map
-          (fun s -> { ctl_site = s; ctl_window = None })
+          (fun s ->
+            { ctl_site = s; ctl_window = None; ctl_memo = Local_trace.memo () })
           (Engine.sites eng);
       auto_back_traces = true;
       after_trace = (fun _ -> ());

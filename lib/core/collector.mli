@@ -55,3 +55,7 @@ val effective_threshold2 : t -> int
 
 val in_window : t -> Site_id.t -> bool
 (** A local trace window is currently open at the site. *)
+
+val root_memo_stats : t -> int * int
+(** (hits, misses) of the sites' root-closure memos
+    ({!Local_trace.memo}) summed over every local trace so far. *)

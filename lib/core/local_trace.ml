@@ -136,7 +136,53 @@ let ws_ensure ws cap =
     ws.w_cap <- c
   end
 
-let compute ?(mode = Bottom_up) ?probe inp =
+(* Root-closure memo: what the distance-0 root group marked clean, kept
+   per site across traces. A memo recorded over capture [m_codes] with
+   roots [m_roots] is still exact for an input with the same capture
+   (physically: same rows, bound and pool; the present set can only
+   have shrunk, since only frees happen without a shape change) and
+   the same root list, provided every index it marks is still present:
+   the root group then expands exactly the same rows, in the same
+   order, as it did when recorded. [m_codes = [||]] means "no memo" — a
+   capture's [d_codes] is never empty. *)
+type memo = {
+  mutable m_codes : int array;
+  mutable m_roots : Oid.t list;
+  mutable m_marked : Bytes.t;  (** byte per local index: marked clean *)
+  mutable m_remotes : Oid.t list;  (** remote refs reached, first-reach order *)
+  mutable m_visits : int;
+  mutable m_hits : int;
+  mutable m_misses : int;
+}
+
+let memo () =
+  {
+    m_codes = [||];
+    m_roots = [];
+    m_marked = Bytes.empty;
+    m_remotes = [];
+    m_visits = 0;
+    m_hits = 0;
+    m_misses = 0;
+  }
+
+let memo_stats m = (m.m_hits, m.m_misses)
+
+let memo_valid m inp =
+  let d = inp.in_graph in
+  m.m_codes == d.Dense.d_codes
+  && List.equal Oid.equal m.m_roots inp.in_roots
+  &&
+  let pres = d.Dense.d_present and marked = m.m_marked in
+  let ok = ref true and i = ref 0 in
+  while !ok && !i < Bytes.length marked do
+    if Bytes.get marked !i <> '\000' && Bytes.get pres !i = '\000' then
+      ok := false;
+    incr i
+  done;
+  !ok
+
+let compute ?(mode = Bottom_up) ?probe ?memo inp =
   let d = inp.in_graph in
   let bound = d.Dense.d_bound in
   let codes = d.Dense.d_codes
@@ -178,13 +224,15 @@ let compute ?(mode = Bottom_up) ?probe inp =
     incr sp
   in
 
-  (* ---- clean phase: trace distance-ordered clean roots (§3) ---- *)
-  let clean_groups =
-    (0, inp.in_roots)
-    :: List.filter_map
-         (fun (r, d, flagged) ->
-           if flagged || d > inp.in_delta then None else Some (d, [ r ]))
-         inp.in_inrefs
+  (* ---- clean phase: trace distance-ordered clean roots (§3) ----
+     The distance-0 root group runs first, from an unmarked workspace;
+     the inref groups follow in increasing distance (never negative),
+     ties in table order. *)
+  let inref_groups =
+    List.filter_map
+      (fun (r, d, flagged) ->
+        if flagged || d > inp.in_delta then None else Some (d, [ r ]))
+      inp.in_inrefs
     |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
   in
   let reach_out_clean dg r =
@@ -194,7 +242,7 @@ let compute ?(mode = Bottom_up) ?probe inp =
     | Some oi -> oi.oi_clean <- true
     | None -> Oid.Tbl.add outinfo r { oi_dist = dg + 1; oi_clean = true }
   in
-  let trace_clean_group (dg, roots) =
+  let trace_clean_group ~reach roots =
     List.iter
       (fun r ->
         if is_local r then begin
@@ -205,7 +253,7 @@ let compute ?(mode = Bottom_up) ?probe inp =
             push i
           end
         end
-        else reach_out_clean dg r)
+        else reach r)
       roots;
     while !sp > 0 do
       decr sp;
@@ -221,12 +269,42 @@ let compute ?(mode = Bottom_up) ?probe inp =
         end
         else begin
           let r = pool.(-c - 1) in
-          if not (is_local r) then reach_out_clean dg r
+          if not (is_local r) then reach r
         end
       done
     done
   in
-  List.iter trace_clean_group clean_groups;
+  (match memo with
+  | Some m when memo_valid m inp ->
+      m.m_hits <- m.m_hits + 1;
+      let marked = m.m_marked in
+      for i = 0 to Bytes.length marked - 1 do
+        if Bytes.unsafe_get marked i <> '\000' then mark_set i 1
+      done;
+      clean_visits := m.m_visits;
+      List.iter (reach_out_clean 0) m.m_remotes
+  | Some m ->
+      m.m_misses <- m.m_misses + 1;
+      let reached = ref [] in
+      trace_clean_group inp.in_roots ~reach:(fun r ->
+          if not (Oid.Tbl.mem outinfo r) then reached := r :: !reached;
+          reach_out_clean 0 r);
+      let marked =
+        if Bytes.length m.m_marked = bound then m.m_marked
+        else Bytes.create bound
+      in
+      for i = 0 to bound - 1 do
+        Bytes.unsafe_set marked i (if mark_get i = 1 then '\001' else '\000')
+      done;
+      m.m_codes <- codes;
+      m.m_roots <- inp.in_roots;
+      m.m_marked <- marked;
+      m.m_remotes <- List.rev !reached;
+      m.m_visits <- !clean_visits
+  | None -> trace_clean_group inp.in_roots ~reach:(reach_out_clean 0));
+  List.iter
+    (fun (dg, roots) -> trace_clean_group roots ~reach:(reach_out_clean dg))
+    inref_groups;
   note "clean";
 
   (* ---- suspect phase ---- *)

@@ -86,9 +86,29 @@ type outcome = {
   ot_stats : stats;
 }
 
-val compute : ?mode:mode -> ?probe:(string -> unit) -> input -> outcome
+type memo
+(** A site's root-closure memo: the local indices the distance-0 root
+    group marked clean, the remote references it reached (in
+    first-reach order) and its visit count. It stays valid while the
+    input has the physically same capture ([d_codes ==]: same build,
+    so only frees happened since), the same root list element by
+    element, and every index it marks is still present. *)
+
+val memo : unit -> memo
+(** An empty memo: the next [compute] with it misses. *)
+
+val memo_stats : memo -> int * int
+(** (hits, misses) over every [compute] given this memo. *)
+
+val compute :
+  ?mode:mode -> ?probe:(string -> unit) -> ?memo:memo -> input -> outcome
 (** [probe] (for benchmarks) fires once per internal phase as it
-    completes, with tags ["clean"], ["suspect"], ["assemble"]. *)
+    completes, with tags ["clean"], ["suspect"], ["assemble"].
+
+    With [memo], a valid memo is replayed in place of tracing the root
+    group, and a miss traces the group and records a new memo. The
+    outcome is the same, byte for byte, with or without a memo:
+    [clean_visits] counts objects marked clean, traced or replayed. *)
 
 val apply :
   Engine.t ->

@@ -17,7 +17,9 @@
    The second table pins whole runs: each figure scenario runs 6 trace
    rounds under the [dgc-sim] scenario config, and the digest of its
    rendered dgc.run/1 artifact (every counter, histogram summary and
-   series bucket) must not move when the engine is refactored. *)
+   series bucket) must not move when the engine is refactored. Those
+   runs must also hit the sites' root-closure memos, or the pins would
+   not cover the memoized clean phase. *)
 
 open Dgc_simcore
 open Dgc_rts
@@ -136,7 +138,8 @@ let expected =
 (* The [dgc-sim] scenario config: [cfg_atomic] plus the threshold bump. *)
 let cfg_run = { cfg_atomic with Config.threshold_bump = 4 }
 
-let run_digests () =
+(* Per figure: the artifact digest and the root-memo (hits, misses). *)
+let run_figs () =
   List.map
     (fun (fig, build) ->
       let sim = build cfg_run in
@@ -148,8 +151,13 @@ let run_digests () =
           ~sim_seconds:(Sim_time.to_seconds (Engine.now eng))
           ~series:(Engine.series eng) (Engine.metrics eng)
       in
-      (fig, Digest.to_hex (Digest.string (Tel.Json.to_string art))))
+      ( fig,
+        ( Digest.to_hex (Digest.string (Tel.Json.to_string art)),
+          Collector.root_memo_stats sim.Sim.col ) ))
     figs
+
+let digests_of figs = List.map (fun (fig, (d, _)) -> (fig, d)) figs
+let run_digests () = digests_of (run_figs ())
 
 let expected_runs =
   [
@@ -186,7 +194,8 @@ let test_golden () =
     "digest count" (List.length expected) (List.length got)
 
 let test_runs () =
-  let got = run_digests () in
+  let figs = run_figs () in
+  let got = digests_of figs in
   List.iter
     (fun (fig, want) ->
       Alcotest.(check string)
@@ -194,6 +203,10 @@ let test_runs () =
         want
         (Option.value ~default:"missing" (List.assoc_opt fig got)))
     expected_runs;
+  List.iter
+    (fun (fig, (_, (hits, _))) ->
+      Alcotest.(check bool) (fig ^ " run hits the root memo") true (hits > 0))
+    figs;
   Alcotest.(check int)
     "run digest count" (List.length expected_runs) (List.length got)
 

@@ -436,10 +436,12 @@ let test_inset_is_inverse_of_outset () =
 (* Atomic and windowed traces share one input path: over an unmutated
    heap, an input built from a snapshot taken at window open computes
    the same outcome, byte for byte, as an atomic trace. *)
-let outcome_digest inp =
+let outcome_digest ?mode ?memo inp =
   Digest.to_hex
     (Digest.string
-       (Marshal.to_string (Local_trace.compute inp) [ Marshal.No_sharing ]))
+       (Marshal.to_string
+          (Local_trace.compute ?mode ?memo inp)
+          [ Marshal.No_sharing ]))
 
 let check_windowed_matches_atomic eng =
   Array.iter
@@ -472,6 +474,152 @@ let test_windowed_matches_atomic () =
     (Engine.sites eng);
   suspect_everything eng;
   check_windowed_matches_atomic eng
+
+(* --- root-closure memo ---------------------------------------------------- *)
+
+let all_modes =
+  [
+    ("bottom_up", Local_trace.Bottom_up);
+    ("independent", Local_trace.Independent);
+    ("naive", Local_trace.Naive_bottom_up);
+  ]
+
+(* A memo hit or miss must not show in the outcome: in every mode, the
+   memoized compute equals the memo-less one byte for byte. Returns
+   whether the bottom-up compute hit. *)
+let memo_agrees memo inp =
+  List.fold_left
+    (fun hit (name, mode) ->
+      let h0, _ = Local_trace.memo_stats memo in
+      let memoized = outcome_digest ~mode ~memo inp in
+      let h1, _ = Local_trace.memo_stats memo in
+      Alcotest.(check string)
+        (name ^ ": memoized outcome = fresh outcome")
+        (outcome_digest ~mode inp) memoized;
+      if mode = Local_trace.Bottom_up then h1 > h0 else hit)
+    false all_modes
+
+(* A random heap at site 1 with local edges, outrefs to site 2, inrefs
+   from site 0 at random distances, one persistent root and a mutable
+   application-root list; then random writes interleaved with traces. *)
+let prop_memo_equals_fresh =
+  QCheck2.Test.make ~name:"memoized compute equals fresh compute" ~count:150
+    ~print:string_of_int
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let rand = Random.State.make [| seed |] in
+      let rnd n = Random.State.int rand n in
+      let eng = Engine.create { cfg_atomic with Config.n_sites = 3 } in
+      let q = Engine.site eng (site_id 1) in
+      let heap = q.Site.heap in
+      let n = 4 + rnd 16 in
+      let objs = Array.init n (fun _ -> Heap.alloc heap) in
+      for _ = 1 to 2 * n do
+        Heap.add_field heap ~obj:objs.(rnd n) ~target:objs.(rnd n)
+      done;
+      let remotes =
+        Array.init
+          (1 + (n / 4))
+          (fun _ ->
+            let r = Builder.obj eng (site_id 2) in
+            Builder.link eng ~src:objs.(rnd n) ~dst:r;
+            r)
+      in
+      for _ = 1 to 1 + (n / 4) do
+        let o = objs.(rnd n) in
+        let holder = Builder.obj eng (site_id 0) in
+        Builder.link eng ~src:holder ~dst:o;
+        Builder.set_source_distance eng ~inref:o ~src:(site_id 0) (rnd 8)
+      done;
+      Heap.add_persistent_root heap objs.(0);
+      let app = ref [ objs.(rnd n) ] in
+      Engine.set_extra_roots eng (fun id ->
+          if Site_id.equal id q.Site.id then !app else []);
+      let live () =
+        List.map
+          (fun index -> Oid.make ~site:q.Site.id ~index)
+          (Heap.indices heap)
+      in
+      let pick l = List.nth l (rnd (List.length l)) in
+      let write () =
+        let l = live () in
+        match rnd 11 with
+        | 0 -> ignore (Heap.alloc heap)
+        | 1 -> Heap.add_field heap ~obj:(pick l) ~target:(pick l)
+        | 2 ->
+            Heap.add_field heap ~obj:(pick l)
+              ~target:remotes.(rnd (Array.length remotes))
+        | 3 -> (
+            let a = pick l in
+            match Heap.fields heap a with
+            | [] -> ()
+            | fs -> ignore (Heap.remove_field heap ~obj:a ~target:(pick fs)))
+        | 4 -> Heap.clear_fields heap (pick l)
+        | 5 -> Heap.add_persistent_root heap (pick l)
+        | 6 -> Heap.retarget heap ~old_oid:(pick l) ~fresh:(pick l)
+        | 7 ->
+            app :=
+              (match rnd 3 with
+              | 0 -> pick l :: !app
+              | 1 -> ( match !app with [] -> [] | _ :: tl -> tl)
+              | _ -> [ pick l ])
+        | 8 | 9 -> (
+            let roots = Heap.persistent_roots heap @ !app in
+            match
+              List.filter (fun o -> not (List.exists (Oid.equal o) roots)) l
+            with
+            | [] -> ()
+            | victims -> ignore (Heap.free heap [ Oid.index (pick victims) ]))
+        | _ -> ()
+      in
+      let memo = Local_trace.memo () in
+      for _ = 1 to 12 do
+        write ();
+        ignore (memo_agrees memo (Local_trace.input_of_site eng q))
+      done;
+      true)
+
+(* Each event that can change the root group's closure forces a miss;
+   a sweep that frees only garbage keeps the memo. *)
+let test_memo_misses_and_hits () =
+  let eng = Engine.create { cfg_atomic with Config.n_sites = 2 } in
+  let q = Engine.site eng (site_id 0) in
+  let heap = q.Site.heap in
+  let root = Heap.alloc heap in
+  let a = Heap.alloc heap and b = Heap.alloc heap and c = Heap.alloc heap in
+  let g1 = Heap.alloc heap and g2 = Heap.alloc heap in
+  Heap.add_persistent_root heap root;
+  Heap.add_field heap ~obj:root ~target:a;
+  Heap.add_field heap ~obj:a ~target:b;
+  Heap.add_field heap ~obj:g1 ~target:g2;
+  let app = ref [] in
+  Engine.set_extra_roots eng (fun _ -> !app);
+  let memo = Local_trace.memo () in
+  let expect name hit =
+    Alcotest.(check bool)
+      name hit
+      (memo_agrees memo (Local_trace.input_of_site eng q))
+  in
+  expect "first trace misses" false;
+  expect "unchanged heap hits" true;
+  ignore (Heap.free heap [ Oid.index g2 ]);
+  expect "sweep of garbage only hits" true;
+  List.iter
+    (fun (event, f) ->
+      f ();
+      expect (event ^ " misses") false;
+      expect ("hit again after " ^ event) true)
+    [
+      ("alloc", fun () -> ignore (Heap.alloc heap));
+      ("add_field", fun () -> Heap.add_field heap ~obj:b ~target:c);
+      ("remove_field", fun () -> ignore (Heap.remove_field heap ~obj:b ~target:c));
+      ("clear_fields", fun () -> Heap.clear_fields heap g1);
+      ("add_persistent_root", fun () -> Heap.add_persistent_root heap c);
+      ("retarget", fun () -> Heap.retarget heap ~old_oid:b ~fresh:c);
+      ("app-root change", fun () -> app := [ g1 ]);
+      ("free of a root-reachable object", fun () ->
+          ignore (Heap.free heap [ Oid.index a ]));
+    ]
 
 (* The §3 theorem on arbitrary strongly connected garbage, not just
    clean rings: random chords added to a ring keep it one SCC; the
@@ -522,6 +670,7 @@ let qsuite =
       prop_modes_equal_brute;
       prop_independent_cost;
       prop_distance_theorem_random_sccs;
+      prop_memo_equals_fresh;
     ]
 
 let () =
@@ -551,6 +700,8 @@ let () =
             test_inset_is_inverse_of_outset;
           Alcotest.test_case "windowed outcome equals atomic" `Quick
             test_windowed_matches_atomic;
+          Alcotest.test_case "root memo: misses and hits" `Quick
+            test_memo_misses_and_hits;
         ] );
       ( "apply",
         [

@@ -57,6 +57,11 @@ let churn_scenario ~seed ~windowed ~drop () =
      sweep and raise on any unsafe free. *)
   Sim.run_for sim (Sim_time.of_minutes 4.);
   Alcotest.(check bool) "churn performed work" true (Churn.ops_done churn > 50);
+  (* Each site's first trace misses its root memo; mutator writes
+     between traces must cause more. *)
+  let _, misses = Collector.root_memo_stats sim.Sim.col in
+  Alcotest.(check bool) "mutator writes miss the root memo" true
+    (misses > Array.length (Engine.sites eng));
   Churn.stop churn;
   (* Let in-flight operations land, then demand completeness. *)
   Sim.run_for sim (Sim_time.of_seconds 30.);
