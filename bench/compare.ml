@@ -37,9 +37,10 @@ let obj_fields = function Some (Json.Obj fields) -> fields | _ -> []
 
 (* retry.*, chaos.* and san.* counters come from the delivery-hardening,
    fault-injection and sanitizer channels: they appear only in runs that
-   exercised them. profile.* and ledger.* counters come from the
-   sim-cost profiler and its per-trace cost ledger, which only runs
-   when [Config.profile] is set. All are judged against 0 when absent
+   exercised them. profile.* counters come from the sim-cost profiler,
+   which only runs when [Config.profile] is set, and ledger.* counters
+   only from the benches that report the collector's cost ledger. All
+   are judged against 0 when absent
    rather than flagged as a disappearance, so artifacts from before the
    channel existed (or with it switched off) still gate cleanly. *)
 let optional_counter k =

@@ -1035,7 +1035,7 @@ let exp_bench () =
   and l_retries = ref 0 in
   List.iter
     (fun (span, per_site, seed) ->
-      let cfg = { base_cfg with Config.n_sites = span; seed; profile = true } in
+      let cfg = { base_cfg with Config.n_sites = span; seed } in
       let sim = Sim.make ~cfg () in
       let eng = sim.Sim.eng in
       ignore
@@ -1072,18 +1072,14 @@ let exp_bench () =
             || String.starts_with ~prefix:"back." k
           then Metrics.add agg k v)
         (Metrics.counters (Engine.metrics eng));
-      match Engine.profile eng with
-      | None -> ()
-      | Some p ->
-          let r =
-            Dgc_profile.Ledger.rollup (Dgc_profile.Profile.ledger p)
-          in
-          l_traces := !l_traces + r.Dgc_profile.Ledger.r_traces;
-          l_collected := !l_collected + r.Dgc_profile.Ledger.r_collected;
-          l_msgs := !l_msgs + r.Dgc_profile.Ledger.r_msgs;
-          l_bytes := !l_bytes + r.Dgc_profile.Ledger.r_bytes;
-          l_frames := !l_frames + r.Dgc_profile.Ledger.r_frames;
-          l_retries := !l_retries + r.Dgc_profile.Ledger.r_retries)
+      let module L = Dgc_profile.Ledger in
+      let r = L.rollup (Back_trace.ledger_rows (Collector.back sim.Sim.col)) in
+      l_traces := !l_traces + r.L.r_traces;
+      l_collected := !l_collected + r.L.r_collected;
+      l_msgs := !l_msgs + r.L.r_msgs;
+      l_bytes := !l_bytes + r.L.r_bytes;
+      l_frames := !l_frames + r.L.r_frames;
+      l_retries := !l_retries + r.L.r_retries)
     [ (2, 1, 11); (3, 2, 12); (4, 2, 13) ];
   Metrics.add agg "ledger.traces" !l_traces;
   Metrics.add agg "ledger.collected" !l_collected;

@@ -287,26 +287,26 @@ let ring_bench ?(sanitize = false) ?(flight = true) ?(profile = false)
     Metrics.add m
       (Printf.sprintf "scale.%s.ring_collected" tier)
       (if collected then 1 else 0);
-    (* Cost-ledger rollup: every count is a function of the
-       deterministic schedule, so the per-cycle budget numbers gate
-       exactly alongside the visit counters above. *)
-    (match Engine.profile eng with
-    | None -> ()
-    | Some p ->
-        let r = Dgc_profile.Ledger.rollup (Dgc_profile.Profile.ledger p) in
-        let c name v =
-          Metrics.add m (Printf.sprintf "ledger.%s.%s" tier name) v
-        in
-        c "traces" r.Dgc_profile.Ledger.r_traces;
-        c "collected" r.Dgc_profile.Ledger.r_collected;
-        c "msgs" r.Dgc_profile.Ledger.r_msgs;
-        c "bytes" r.Dgc_profile.Ledger.r_bytes;
-        c "frames" r.Dgc_profile.Ledger.r_frames;
-        c "msgs_per_cycle_milli" r.Dgc_profile.Ledger.r_msgs_per_cycle_milli;
-        c "bytes_per_cycle_milli" r.Dgc_profile.Ledger.r_bytes_per_cycle_milli;
-        say "  %-6s ledger: %.3f msgs / %.1f bytes per collected cycle" tier
-          (float_of_int r.Dgc_profile.Ledger.r_msgs_per_cycle_milli /. 1000.)
-          (float_of_int r.Dgc_profile.Ledger.r_bytes_per_cycle_milli /. 1000.));
+    (* Cost-ledger rollup, reported by the profiled tiers: every count
+       is a function of the deterministic schedule, so the per-cycle
+       budget numbers gate exactly alongside the visit counters above. *)
+    if profile then begin
+      let module L = Dgc_profile.Ledger in
+      let r = L.rollup (Back_trace.ledger_rows (Collector.back sim.Sim.col)) in
+      let c name v =
+        Metrics.add m (Printf.sprintf "ledger.%s.%s" tier name) v
+      in
+      c "traces" r.L.r_traces;
+      c "collected" r.L.r_collected;
+      c "msgs" r.L.r_msgs;
+      c "bytes" r.L.r_bytes;
+      c "frames" r.L.r_frames;
+      c "msgs_per_cycle_milli" r.L.r_msgs_per_cycle_milli;
+      c "bytes_per_cycle_milli" r.L.r_bytes_per_cycle_milli;
+      say "  %-6s ledger: %.3f msgs / %.1f bytes per collected cycle" tier
+        (float_of_int r.L.r_msgs_per_cycle_milli /. 1000.)
+        (float_of_int r.L.r_bytes_per_cycle_milli /. 1000.)
+    end;
     say "  %-6s rings %s in %d rounds" tier
       (if collected then "collected" else "NOT collected")
       rounds
@@ -315,6 +315,7 @@ let ring_bench ?(sanitize = false) ?(flight = true) ?(profile = false)
     Option.map
       (fun p ->
         Dgc_profile.Profile.to_json ~name:(Printf.sprintf "scale-%s-ring" tier)
+          ~ledger:(Back_trace.ledger_rows (Collector.back sim.Sim.col))
           p)
       (Engine.profile eng)
   in
@@ -407,7 +408,7 @@ let () =
   say "  flight ring wall: off=%.1fms on=%.1fms ratio=%.2fx" fl_off fl_on
     fl_ratio;
   (* Profiler overhead probe: the t10k ring with the sim-cost profiler
-     (scopes + work counters + cost ledger) on vs off, same best-pair
+     (scopes + work counters) on vs off, same best-pair
      discipline as the flight probe. Gated (≤ 1.10×) by compare.exe via
      --profile-ratio-max. *)
   say "tier t10k: profiler on/off overhead probe";

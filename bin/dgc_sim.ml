@@ -164,10 +164,20 @@ let print_journal opts eng =
           (Journal.entries ~last:opts.o_journal j)
     | None -> ()
 
-let write_artifact ?audit ~out ~name eng =
+(* [col] is the back-tracing collector, when the run has one: it adds
+   the audit section and the profile's ledger rows. *)
+let write_artifact ?col ~out ~name eng =
+  let audit =
+    Option.map (fun col -> Obs.Audit.to_json (Obs.Audit.run col)) col
+  in
+  let ledger =
+    Option.map (fun col -> Back_trace.ledger_rows (Collector.back col)) col
+  in
   (* An attached profiler lands as the artifact's "profile" section
      automatically — no extra flag beyond --profile. *)
-  let profile = Option.map (fun p -> Prof.to_json ~name p) (Engine.profile eng) in
+  let profile =
+    Option.map (fun p -> Prof.to_json ~name ?ledger p) (Engine.profile eng)
+  in
   let art =
     Run_artifact.make ~name
       ~sim_seconds:(Sim_time.to_seconds (Engine.now eng))
@@ -309,11 +319,7 @@ let run ?artifact ?dump_flight ?(prom = false) ?prom_out opts =
       say "wrote Prometheus exposition to %s" path)
     prom_out;
   Option.iter
-    (fun out ->
-      let audit =
-        Option.map (fun col -> Obs.Audit.to_json (Obs.Audit.run col)) !audited
-      in
-      write_artifact ?audit ~out ~name:"dgc-sim" eng)
+    (fun out -> write_artifact ?col:!audited ~out ~name:"dgc-sim" eng)
     artifact;
   0
 
@@ -568,7 +574,8 @@ let run_profile scenario rounds out folded speedscope unit_ =
       2
   | Some p ->
       let name = "profile-" ^ scenario in
-      let doc = Prof.to_json ~name p in
+      let ledger = Back_trace.ledger_rows (Collector.back sim.Sim.col) in
+      let doc = Prof.to_json ~name ~ledger p in
       let valid = Prof.validate doc in
       (match valid with
       | Ok () -> say "profile: schema-valid %s document" Prof.schema
@@ -587,7 +594,7 @@ let run_profile scenario rounds out folded speedscope unit_ =
             (Json.to_string (Prof.to_speedscope ?unit_ ~name p) ^ "\n");
           say "wrote speedscope profile to %s (open at speedscope.app)" path)
         speedscope;
-      let r = Ledg.rollup (Prof.ledger p) in
+      let r = Ledg.rollup ledger in
       say
         "ledger: %d traces (%d garbage, %d live), %d msgs, %d bytes, %d frames"
         r.Ledg.r_traces r.Ledg.r_collected r.Ledg.r_live r.Ledg.r_msgs

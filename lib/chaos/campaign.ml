@@ -186,7 +186,10 @@ let run_case ?(tweak = fun c -> c) ?probe case =
      non-deterministic quantity the profiler holds. *)
   let profile =
     Option.map
-      (fun p -> Dgc_profile.Profile.to_json ~wall:false ~name:case.cs_name p)
+      (fun p ->
+        Dgc_profile.Profile.to_json ~wall:false ~name:case.cs_name
+          ~ledger:(Back_trace.ledger_rows (Collector.back sim.Sim.col))
+          p)
       (Engine.profile eng)
   in
   let run =

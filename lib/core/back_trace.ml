@@ -104,9 +104,20 @@ type trace_stat = {
   ts_initiator : Site_id.t;
   ts_root : Oid.t;
   ts_started : Sim_time.t;
+  mutable ts_span : int option;
   mutable ts_msgs : int;
+  mutable ts_call_msgs : int;
+  mutable ts_call_bytes : int;
+  mutable ts_reply_msgs : int;
+  mutable ts_reply_bytes : int;
+  mutable ts_report_msgs : int;
+  mutable ts_report_bytes : int;
   mutable ts_calls : int;
   mutable ts_frames : int;
+  mutable ts_retries : int;
+  mutable ts_memo_hits : int;
+  mutable ts_timeouts : int;
+  mutable ts_reports : int;
   mutable ts_participants : Site_id.Set.t;
   mutable ts_outcome : (Verdict.t * Sim_time.t) option;
 }
@@ -115,9 +126,8 @@ type shared = {
   eng : Engine.t;
   states : site_state array;
   tstats : (Trace_id.t, trace_stat) Hashtbl.t;
-  (* telemetry: root span per trace, and in-flight message spans keyed
-     by a (trace, endpoints, seq) string *)
-  t_spans : (Trace_id.t, int) Hashtbl.t;
+  (* telemetry: in-flight message spans keyed by a (trace, endpoints,
+     seq) string *)
   m_spans : (string, int) Hashtbl.t;
   mutable observers : (Trace_id.t -> Verdict.t -> Site_id.Set.t -> unit) list;
   (* live totals behind the [back.in_flight] / [back.frames_held]
@@ -144,7 +154,6 @@ let create eng =
           })
         (Engine.sites eng);
     tstats = Hashtbl.create 16;
-    t_spans = Hashtbl.create 16;
     m_spans = Hashtbl.create 32;
     observers = [];
     in_flight = 0;
@@ -165,25 +174,23 @@ let on_outcome sh f = sh.observers <- f :: sh.observers
 let bump_stat sh trace f =
   match Hashtbl.find_opt sh.tstats trace with Some s -> f s | None -> ()
 
-(* Cost-ledger feed (lib/profile): every per-trace cost below is also
-   attributed to the trace's ledger entry when a profiler is attached.
-   [led] is a no-op otherwise. *)
-let led sh f =
-  match Engine.profile sh.eng with
-  | Some p -> f (Dgc_profile.Profile.ledger p)
-  | None -> ()
-
-let lkey = Format.asprintf "%a" Trace_id.pp
-
 let send_back sh ~src ~dst trace ext =
-  bump_stat sh trace (fun s -> s.ts_msgs <- s.ts_msgs + 1);
+  let payload = Protocol.Ext ext in
+  bump_stat sh trace (fun s ->
+      let b = Protocol.approx_bytes payload in
+      s.ts_msgs <- s.ts_msgs + 1;
+      match ext with
+      | Back_call _ ->
+          s.ts_call_msgs <- s.ts_call_msgs + 1;
+          s.ts_call_bytes <- s.ts_call_bytes + b
+      | Back_reply _ ->
+          s.ts_reply_msgs <- s.ts_reply_msgs + 1;
+          s.ts_reply_bytes <- s.ts_reply_bytes + b
+      | _ ->
+          s.ts_report_msgs <- s.ts_report_msgs + 1;
+          s.ts_report_bytes <- s.ts_report_bytes + b);
   Metrics.incr (Engine.metrics sh.eng) "back.msgs";
-  led sh (fun l ->
-      let payload = Protocol.Ext ext in
-      Dgc_profile.Ledger.on_msg l ~trace:(lkey trace)
-        ~kind:(Protocol.kind payload)
-        ~bytes:(Protocol.approx_bytes payload));
-  Engine.send sh.eng ~src ~dst (Protocol.Ext ext)
+  Engine.send sh.eng ~src ~dst payload
 
 (* Cap on memoized calls per site: entries normally die with the
    trace's report, but a lost report would otherwise leak them. *)
@@ -236,7 +243,8 @@ let timer_key_call trace ~site seq =
 let timer_key_ttl trace ~site =
   Printf.sprintf "visited_ttl/%s/%d" (tkey trace) (Site_id.to_int site)
 
-let root_span sh trace = Hashtbl.find_opt sh.t_spans trace
+let root_span sh trace =
+  Option.bind (Hashtbl.find_opt sh.tstats trace) (fun s -> s.ts_span)
 
 (* The span of the activation that issued this parent link: the local
    caller frame, the leap that carried the remote call, or the trace
@@ -313,7 +321,6 @@ let new_frame sh st trace parent ioref ~kind =
   gauge_frames sh 1;
   bump_stat sh trace (fun s -> s.ts_frames <- s.ts_frames + 1);
   Engine.profile_work sh.eng "frames" 1;
-  led sh (fun l -> Dgc_profile.Ledger.on_frame l ~trace:(lkey trace));
   (match tracer sh with
   | None -> ()
   | Some tr ->
@@ -415,7 +422,16 @@ and return_to sh st trace parent v =
       send_back sh ~src:(self_id st) ~dst:site trace reply
   | P_initiator -> conclude sh st trace v parts
 
+(* A trace concludes once, when the initiator's root frame finishes:
+   its record keeps the first outcome, and a second conclusion, were
+   one to come, would neither re-count the outcome nor re-report it. *)
 and conclude sh st trace outcome parts =
+  match Hashtbl.find_opt sh.tstats trace with
+  | Some ({ ts_outcome = None; _ } as s) ->
+      conclude_first sh st s trace outcome parts
+  | Some _ | None -> ()
+
+and conclude_first sh st s trace outcome parts =
   Engine.jlog sh.eng ~cat:"back" "%a concluded %a (%d participants)"
     Trace_id.pp trace Verdict.pp outcome (Site_id.Set.cardinal parts);
   let metrics = Engine.metrics sh.eng in
@@ -423,28 +439,19 @@ and conclude sh st trace outcome parts =
     (match outcome with
     | Verdict.Garbage -> "back.outcome_garbage"
     | Verdict.Live -> "back.outcome_live");
-  led sh (fun l ->
-      Dgc_profile.Ledger.on_conclude l ~trace:(lkey trace)
-        ~outcome:(String.lowercase_ascii (Verdict.to_string outcome))
-        ~at:(now_s sh));
-  bump_stat sh trace (fun s ->
-      if s.ts_outcome = None then gauge_in_flight sh (-1);
-      s.ts_outcome <- Some (outcome, Engine.now sh.eng);
-      s.ts_participants <- parts;
-      let lat_ms =
-        1000.
-        *. Sim_time.to_seconds (Sim_time.sub (Engine.now sh.eng) s.ts_started)
-      in
-      Metrics.hist_observe metrics "back.latency_ms" lat_ms;
-      Metrics.hist_observe metrics
-        (Site.metric_label
-           (Engine.site sh.eng s.ts_initiator)
-           "back.latency_ms")
-        lat_ms;
-      Metrics.hist_observe metrics "back.frames_per_trace"
-        (float_of_int s.ts_frames);
-      Metrics.hist_observe metrics "back.msgs_per_trace"
-        (float_of_int s.ts_msgs));
+  gauge_in_flight sh (-1);
+  s.ts_outcome <- Some (outcome, Engine.now sh.eng);
+  s.ts_participants <- parts;
+  let lat_ms =
+    1000. *. Sim_time.to_seconds (Sim_time.sub (Engine.now sh.eng) s.ts_started)
+  in
+  Metrics.hist_observe metrics "back.latency_ms" lat_ms;
+  Metrics.hist_observe metrics
+    (Site.metric_label (Engine.site sh.eng s.ts_initiator) "back.latency_ms")
+    lat_ms;
+  Metrics.hist_observe metrics "back.frames_per_trace"
+    (float_of_int s.ts_frames);
+  Metrics.hist_observe metrics "back.msgs_per_trace" (float_of_int s.ts_msgs);
   (match tracer sh with
   | None -> ()
   | Some tr -> (
@@ -471,7 +478,7 @@ and conclude sh st trace outcome parts =
                 ("dst", jsite p);
                 ("outcome", jstr (Verdict.to_string outcome));
               ] ));
-        led sh (fun l -> Dgc_profile.Ledger.on_report l ~trace:(lkey trace));
+        s.ts_reports <- s.ts_reports + 1;
         send_back sh ~src:(self_id st) ~dst:p trace
           (Back_report { trace; outcome })
       end)
@@ -494,8 +501,7 @@ and conclude sh st trace outcome parts =
              Engine.schedule sh.eng ~delay (fun () ->
                  Metrics.incr (Engine.metrics sh.eng) "retry.back_report";
                  Engine.series_incr sh.eng "retry.back_report";
-                 led sh (fun l ->
-                     Dgc_profile.Ledger.on_retry l ~trace:(lkey trace));
+                 s.ts_retries <- s.ts_retries + 1;
                  send_back sh ~src:(self_id st) ~dst:p trace
                    (Back_report { trace; outcome }))
            done)
@@ -591,8 +597,7 @@ and record_visit sh st trace r =
           if Hashtbl.mem st.visited_refs trace then begin
             (* Never heard the outcome: assume Live (§4.6). *)
             Metrics.incr (Engine.metrics sh.eng) "back.visited_ttl_expired";
-            led sh (fun l ->
-                Dgc_profile.Ledger.on_timeout l ~trace:(lkey trace));
+            bump_stat sh trace (fun s -> s.ts_timeouts <- s.ts_timeouts + 1);
             (match tracer sh with
             | None -> ()
             | Some tr ->
@@ -657,8 +662,6 @@ and step_remote sh st trace i parent =
                 st.next_call <- seq + 1;
                 fr.fr_calls <- Int_set.add seq fr.fr_calls;
                 bump_stat sh trace (fun s -> s.ts_calls <- s.ts_calls + 1);
-                led sh (fun l ->
-                    Dgc_profile.Ledger.on_call l ~trace:(lkey trace));
                 start_msg_span sh ~name:"leap.call"
                   ~site:(Site_id.to_int (self_id st))
                   (fun () ->
@@ -707,9 +710,8 @@ and step_remote sh st trace i parent =
                             Metrics.incr (Engine.metrics sh.eng)
                               "retry.back_call";
                             Engine.series_incr sh.eng "retry.back_call";
-                            led sh (fun l ->
-                                Dgc_profile.Ledger.on_retry l
-                                  ~trace:(lkey trace));
+                            bump_stat sh trace (fun s ->
+                                s.ts_retries <- s.ts_retries + 1);
                             Engine.jlog sh.eng ~level:Journal.Debug
                               ~cat:"retry"
                               "%a call %d to %a unanswered: retry %d/%d"
@@ -726,9 +728,8 @@ and step_remote sh st trace i parent =
                                 "retry.exhausted";
                             Metrics.incr (Engine.metrics sh.eng)
                               "back.call_timeout";
-                            led sh (fun l ->
-                                Dgc_profile.Ledger.on_timeout l
-                                  ~trace:(lkey trace));
+                            bump_stat sh trace (fun s ->
+                                s.ts_timeouts <- s.ts_timeouts + 1);
                             finish_msg_span sh
                               (fun () ->
                                 call_key trace ~caller:(self_id st) ~callee:q
@@ -767,29 +768,40 @@ let start sh site_id outref =
   | Some o when not (Ioref.outref_clean o) ->
       let trace = Trace_id.make ~initiator:site_id ~seq:st.next_trace in
       st.next_trace <- st.next_trace + 1;
-      Hashtbl.replace sh.tstats trace
+      let s =
         {
           ts_initiator = site_id;
           ts_root = outref;
           ts_started = Engine.now sh.eng;
+          ts_span = None;
           ts_msgs = 0;
+          ts_call_msgs = 0;
+          ts_call_bytes = 0;
+          ts_reply_msgs = 0;
+          ts_reply_bytes = 0;
+          ts_report_msgs = 0;
+          ts_report_bytes = 0;
           ts_calls = 0;
           ts_frames = 0;
+          ts_retries = 0;
+          ts_memo_hits = 0;
+          ts_timeouts = 0;
+          ts_reports = 0;
           ts_participants = Site_id.Set.empty;
           ts_outcome = None;
-        };
+        }
+      in
+      Hashtbl.replace sh.tstats trace s;
       Metrics.incr (Engine.metrics sh.eng) "back.traces_started";
-      led sh (fun l ->
-          Dgc_profile.Ledger.on_start l ~trace:(lkey trace)
-            ~root:(Oid.to_string outref) ~at:(now_s sh));
       gauge_in_flight sh 1;
       (match tracer sh with
       | None -> ()
       | Some tr ->
-          Hashtbl.replace sh.t_spans trace
-            (Tel.Tracer.start_span tr ~trace:(tkey trace) ~name:"back_trace"
-               ~site:(Site_id.to_int site_id) ~at:(now_s sh)
-               [ ("root", jstr (Oid.to_string outref)) ]));
+          s.ts_span <-
+            Some
+              (Tel.Tracer.start_span tr ~trace:(tkey trace) ~name:"back_trace"
+                 ~site:(Site_id.to_int site_id) ~at:(now_s sh)
+                 [ ("root", jstr (Oid.to_string outref)) ]));
       Engine.jlog sh.eng ~cat:"back" "%a started from outref %a" Trace_id.pp
         trace Oid.pp outref;
       step_local sh st trace outref P_initiator;
@@ -810,7 +822,7 @@ let handle_ext sh site_id ~src ext =
              reply verbatim (at-least-once delivery, exactly-once
              tracing). *)
           Metrics.incr (Engine.metrics sh.eng) "back.call_replayed";
-          led sh (fun l -> Dgc_profile.Ledger.on_memo_hit l ~trace:(lkey trace));
+          bump_stat sh trace (fun s -> s.ts_memo_hits <- s.ts_memo_hits + 1);
           Engine.jlog sh.eng ~level:Journal.Debug ~cat:"back"
             "%a duplicate call %d from %a: replaying cached reply"
             Trace_id.pp trace call_seq Site_id.pp reply_site;
@@ -819,7 +831,7 @@ let handle_ext sh site_id ~src ext =
           (* Duplicate of a call still being traced: the eventual
              reply answers both copies. *)
           Metrics.incr (Engine.metrics sh.eng) "back.dup_call_ignored";
-          led sh (fun l -> Dgc_profile.Ledger.on_memo_hit l ~trace:(lkey trace));
+          bump_stat sh trace (fun s -> s.ts_memo_hits <- s.ts_memo_hits + 1);
           Engine.jlog sh.eng ~level:Journal.Debug ~cat:"back"
             "%a duplicate call %d from %a ignored (in progress)"
             Trace_id.pp trace call_seq Site_id.pp reply_site
@@ -981,3 +993,35 @@ let approx_bytes sh =
   !n
 
 let find_stat sh trace = Hashtbl.find_opt sh.tstats trace
+
+let ledger_row trace s =
+  let secs = Sim_time.to_seconds in
+  {
+    Dgc_profile.Ledger.e_trace = tkey trace;
+    e_root = Oid.to_string s.ts_root;
+    e_started = secs s.ts_started;
+    e_concluded = Option.map (fun (_, at) -> secs at) s.ts_outcome;
+    e_outcome =
+      Option.map
+        (fun (v, _) -> String.lowercase_ascii (Verdict.to_string v))
+        s.ts_outcome;
+    e_frames = s.ts_frames;
+    e_calls = s.ts_calls;
+    e_retries = s.ts_retries;
+    e_memo_hits = s.ts_memo_hits;
+    e_timeouts = s.ts_timeouts;
+    e_reports = s.ts_reports;
+    e_kinds =
+      List.filter
+        (fun (_, n, _) -> n > 0)
+        [
+          ("back_call", s.ts_call_msgs, s.ts_call_bytes);
+          ("back_reply", s.ts_reply_msgs, s.ts_reply_bytes);
+          ("back_report", s.ts_report_msgs, s.ts_report_bytes);
+        ];
+  }
+
+let ledger_rows sh =
+  let open Dgc_profile.Ledger in
+  Hashtbl.fold (fun trace s acc -> ledger_row trace s :: acc) sh.tstats []
+  |> List.sort (fun a b -> String.compare a.e_trace b.e_trace)

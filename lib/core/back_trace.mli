@@ -53,12 +53,28 @@ type trace_stat = {
   ts_initiator : Site_id.t;
   ts_root : Oid.t;  (** the outref the trace started from *)
   ts_started : Sim_time.t;
+  mutable ts_span : int option;
+      (** root telemetry span id when a tracer is attached *)
   mutable ts_msgs : int;  (** back-trace messages sent on its behalf *)
+  mutable ts_call_msgs : int;  (** of which [Back_call] *)
+  mutable ts_call_bytes : int;  (** their {!Protocol.approx_bytes} *)
+  mutable ts_reply_msgs : int;  (** of which [Back_reply] *)
+  mutable ts_reply_bytes : int;
+  mutable ts_report_msgs : int;  (** of which [Back_report] *)
+  mutable ts_report_bytes : int;
   mutable ts_calls : int;  (** remote back calls (≈ inter-site refs walked) *)
   mutable ts_frames : int;  (** activation frames created across all sites *)
+  mutable ts_retries : int;  (** §4.6 call and report re-sends *)
+  mutable ts_memo_hits : int;  (** duplicate calls absorbed by the memo *)
+  mutable ts_timeouts : int;
+      (** calls given up as Live, plus visited TTLs expired *)
+  mutable ts_reports : int;  (** §4.5 outcome reports sent *)
   mutable ts_participants : Site_id.Set.t;
   mutable ts_outcome : (Verdict.t * Sim_time.t) option;
+      (** the first (and only) conclusion *)
 }
+(** The one record of a back trace's life, always kept: the cost
+    ledger's rows ({!ledger_rows}) are a view of it. *)
 
 val create : Engine.t -> shared
 
@@ -120,6 +136,14 @@ val approx_bytes : shared -> int
     would leak, so a flat-lining gauge is the healthy shape. *)
 
 val find_stat : shared -> Trace_id.t -> trace_stat option
+
+val ledger_row : Trace_id.t -> trace_stat -> Dgc_profile.Ledger.row
+(** The trace's cost-ledger row. *)
+
+val ledger_rows : shared -> Dgc_profile.Ledger.row list
+(** Every trace's ledger row, sorted by the trace id's string form
+    (["TS0.10"] before ["TS0.2"]; {!stats} sorts by {!Trace_id.compare}):
+    the order of the [dgc.profile/1] ledger section. *)
 
 val on_outcome : shared -> (Trace_id.t -> Verdict.t -> Site_id.Set.t -> unit) -> unit
 (** Register an observer called at the initiator when a trace

@@ -350,16 +350,15 @@ let decide eng back si objects cs =
         (List.hd stats_touching) (List.tl stats_touching)
     in
     let key = tkey trace in
-    (* When the profiler's cost ledger tracked this trace, cite its
-       budget line: a timed-out or incomplete verdict reads differently
-       at 2 messages than at 40 messages and 6 retries. *)
+    (* With a profiler attached, cite the trace's cost-ledger line: a
+       timed-out or incomplete verdict reads differently at 2 messages
+       than at 40 messages and 6 retries. *)
     let ledger_ev =
       match Engine.profile eng with
       | None -> []
-      | Some p -> (
-          match Dgc_profile.Ledger.find (Dgc_profile.Profile.ledger p) key with
-          | Some e -> [ E_state (Dgc_profile.Ledger.describe e) ]
-          | None -> [])
+      | Some _ ->
+          let row = Back_trace.ledger_row trace st in
+          [ E_state (Dgc_profile.Ledger.describe row) ]
     in
     let tspans = spans_of_trace si key in
     let open_spans =

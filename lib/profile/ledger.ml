@@ -1,107 +1,22 @@
 module Json = Dgc_telemetry.Json
 
-type entry = {
+type row = {
   e_trace : string;
-  mutable e_root : string;
-  mutable e_started : float;  (** sim seconds; negative = unknown *)
-  mutable e_concluded : float option;
-  mutable e_outcome : string option;  (** ["garbage"] or ["live"] *)
-  mutable e_frames : int;
-  mutable e_calls : int;
-  mutable e_retries : int;
-  mutable e_memo_hits : int;
-  mutable e_timeouts : int;
-  mutable e_reports : int;
-  e_msgs : (string, int ref) Hashtbl.t;
-  e_bytes : (string, int ref) Hashtbl.t;
+  e_root : string;
+  e_started : float;
+  e_concluded : float option;
+  e_outcome : string option;
+  e_frames : int;
+  e_calls : int;
+  e_retries : int;
+  e_memo_hits : int;
+  e_timeouts : int;
+  e_reports : int;
+  e_kinds : (string * int * int) list;
 }
 
-type t = { entries : (string, entry) Hashtbl.t }
-
-let create () = { entries = Hashtbl.create 64 }
-
-let entry t trace =
-  match Hashtbl.find_opt t.entries trace with
-  | Some e -> e
-  | None ->
-      let e =
-        {
-          e_trace = trace;
-          e_root = "";
-          e_started = -1.;
-          e_concluded = None;
-          e_outcome = None;
-          e_frames = 0;
-          e_calls = 0;
-          e_retries = 0;
-          e_memo_hits = 0;
-          e_timeouts = 0;
-          e_reports = 0;
-          e_msgs = Hashtbl.create 8;
-          e_bytes = Hashtbl.create 8;
-        }
-      in
-      Hashtbl.add t.entries trace e;
-      e
-
-let bump tbl k n =
-  match Hashtbl.find_opt tbl k with
-  | Some r -> r := !r + n
-  | None -> Hashtbl.add tbl k (ref n)
-
-let on_start t ~trace ~root ~at =
-  let e = entry t trace in
-  if e.e_root = "" then e.e_root <- root;
-  if e.e_started < 0. then e.e_started <- at
-
-let on_msg t ~trace ~kind ~bytes =
-  let e = entry t trace in
-  bump e.e_msgs kind 1;
-  bump e.e_bytes kind bytes
-
-let on_frame t ~trace =
-  let e = entry t trace in
-  e.e_frames <- e.e_frames + 1
-
-let on_call t ~trace =
-  let e = entry t trace in
-  e.e_calls <- e.e_calls + 1
-
-let on_retry t ~trace =
-  let e = entry t trace in
-  e.e_retries <- e.e_retries + 1
-
-let on_memo_hit t ~trace =
-  let e = entry t trace in
-  e.e_memo_hits <- e.e_memo_hits + 1
-
-let on_timeout t ~trace =
-  let e = entry t trace in
-  e.e_timeouts <- e.e_timeouts + 1
-
-let on_report t ~trace =
-  let e = entry t trace in
-  e.e_reports <- e.e_reports + 1
-
-(* First conclusion wins: a blind §4.5 report re-send may conclude the
-   same trace twice at the initiator; the ledger keeps the original
-   verdict and critical path. *)
-let on_conclude t ~trace ~outcome ~at =
-  let e = entry t trace in
-  if e.e_outcome = None then begin
-    e.e_outcome <- Some outcome;
-    e.e_concluded <- Some at
-  end
-
-let find t trace = Hashtbl.find_opt t.entries trace
-
-let entries t =
-  Hashtbl.fold (fun _ e acc -> e :: acc) t.entries []
-  |> List.sort (fun a b -> String.compare a.e_trace b.e_trace)
-
-let tbl_total tbl = Hashtbl.fold (fun _ r acc -> acc + !r) tbl 0
-let msg_total e = tbl_total e.e_msgs
-let byte_total e = tbl_total e.e_bytes
+let msg_total e = List.fold_left (fun a (_, n, _) -> a + n) 0 e.e_kinds
+let byte_total e = List.fold_left (fun a (_, _, b) -> a + b) 0 e.e_kinds
 
 type rollup = {
   r_traces : int;
@@ -120,34 +35,29 @@ type rollup = {
    concluded Live or never concluded: that protocol budget was spent
    either way. Ratios are integer milli-units so exact-counter bench
    gates can pin them. *)
-let rollup t =
-  let es = entries t in
-  let collected =
-    List.length (List.filter (fun e -> e.e_outcome = Some "garbage") es)
+let rollup rows =
+  let count outcome =
+    List.length (List.filter (fun e -> e.e_outcome = Some outcome) rows)
   in
-  let live =
-    List.length (List.filter (fun e -> e.e_outcome = Some "live") es)
-  in
-  let msgs = List.fold_left (fun a e -> a + msg_total e) 0 es in
-  let bytes = List.fold_left (fun a e -> a + byte_total e) 0 es in
+  let sum f = List.fold_left (fun a e -> a + f e) 0 rows in
+  let collected = count "garbage" in
+  let msgs = sum msg_total and bytes = sum byte_total in
   let per_cycle total = if collected = 0 then 0 else 1000 * total / collected in
   {
-    r_traces = List.length es;
+    r_traces = List.length rows;
     r_collected = collected;
-    r_live = live;
+    r_live = count "live";
     r_msgs = msgs;
     r_bytes = bytes;
-    r_frames = List.fold_left (fun a e -> a + e.e_frames) 0 es;
-    r_retries = List.fold_left (fun a e -> a + e.e_retries) 0 es;
-    r_memo_hits = List.fold_left (fun a e -> a + e.e_memo_hits) 0 es;
+    r_frames = sum (fun e -> e.e_frames);
+    r_retries = sum (fun e -> e.e_retries);
+    r_memo_hits = sum (fun e -> e.e_memo_hits);
     r_msgs_per_cycle_milli = per_cycle msgs;
     r_bytes_per_cycle_milli = per_cycle bytes;
   }
 
 let critical_path_ms e =
-  match e.e_concluded with
-  | Some c when e.e_started >= 0. -> Some ((c -. e.e_started) *. 1000.)
-  | _ -> None
+  Option.map (fun c -> (c -. e.e_started) *. 1000.) e.e_concluded
 
 let describe e =
   Printf.sprintf
@@ -159,16 +69,13 @@ let describe e =
     | Some ms -> Printf.sprintf " critical_path=%.1fms" ms
     | None -> " (no conclusion)")
 
-let sorted_obj tbl =
-  Hashtbl.fold (fun k r acc -> (k, Json.Int !r) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let json_of_entry e =
+let json_of_row e =
+  let by_kind f = Json.Obj (List.map f e.e_kinds) in
   Json.Obj
     [
       ("trace", Json.Str e.e_trace);
       ("root", Json.Str e.e_root);
-      ("started", if e.e_started < 0. then Json.Null else Json.Float e.e_started);
+      ("started", Json.Float e.e_started);
       ( "concluded",
         match e.e_concluded with Some c -> Json.Float c | None -> Json.Null );
       ( "outcome",
@@ -179,8 +86,8 @@ let json_of_entry e =
       ("memo_hits", Json.Int e.e_memo_hits);
       ("timeouts", Json.Int e.e_timeouts);
       ("reports", Json.Int e.e_reports);
-      ("msgs", Json.Obj (sorted_obj e.e_msgs));
-      ("bytes", Json.Obj (sorted_obj e.e_bytes));
+      ("msgs", by_kind (fun (k, n, _) -> (k, Json.Int n)));
+      ("bytes", by_kind (fun (k, _, b) -> (k, Json.Int b)));
       ( "critical_path_ms",
         match critical_path_ms e with
         | Some ms -> Json.Float ms
@@ -202,11 +109,11 @@ let json_of_rollup r =
       ("bytes_per_cycle_milli", Json.Int r.r_bytes_per_cycle_milli);
     ]
 
-let to_json t =
+let to_json rows =
   Json.Obj
     [
-      ("traces", Json.Arr (List.map json_of_entry (entries t)));
-      ("rollup", json_of_rollup (rollup t));
+      ("traces", Json.Arr (List.map json_of_row rows));
+      ("rollup", json_of_rollup (rollup rows));
     ]
 
 (* ---- validation ------------------------------------------------------- *)

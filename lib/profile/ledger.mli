@@ -1,4 +1,4 @@
-(** Per-back-trace cost ledger.
+(** Format of the per-back-trace cost ledger.
 
     End-to-end attribution of protocol budget per trace id: messages
     and bytes by payload kind, frames, calls, retries, memo hits,
@@ -8,59 +8,40 @@
     Allen & Terriberry-style overhead figure a distributed cycle
     collector pays for each cycle it actually reclaims.
 
+    The collector records these costs itself, always, in its per-trace
+    record ([Back_trace.trace_stat]); [Back_trace.ledger_rows] turns
+    that record into the rows below. This module only owns the
+    format: the rollup, the audit evidence line, and the writer and
+    validator of the [dgc.profile/1] ["ledger"] section.
+
     Every quantity is derived from the deterministic simulation
     (counts and sim timestamps), so two same-seed runs produce
     byte-identical ledger JSON. *)
 
 module Json = Dgc_telemetry.Json
 
-type entry = {
+type row = {
   e_trace : string;
-  mutable e_root : string;
-  mutable e_started : float;  (** sim seconds; negative = unknown *)
-  mutable e_concluded : float option;
-  mutable e_outcome : string option;  (** ["garbage"] or ["live"] *)
-  mutable e_frames : int;
-  mutable e_calls : int;
-  mutable e_retries : int;
-  mutable e_memo_hits : int;
-  mutable e_timeouts : int;
-  mutable e_reports : int;
-  e_msgs : (string, int ref) Hashtbl.t;  (** by payload kind *)
-  e_bytes : (string, int ref) Hashtbl.t;  (** by payload kind *)
+  e_root : string;
+  e_started : float;  (** sim seconds *)
+  e_concluded : float option;  (** sim seconds *)
+  e_outcome : string option;  (** ["garbage"] or ["live"] *)
+  e_frames : int;
+  e_calls : int;
+  e_retries : int;
+  e_memo_hits : int;
+  e_timeouts : int;
+  e_reports : int;
+  e_kinds : (string * int * int) list;
+      (** (payload kind, messages, bytes), sorted by kind *)
 }
+(** One back trace's costs. *)
 
-type t
+val msg_total : row -> int
+val byte_total : row -> int
+val critical_path_ms : row -> float option
 
-val create : unit -> t
-
-(** {1 Attribution feeds} *)
-
-val on_start : t -> trace:string -> root:string -> at:float -> unit
-(** First call wins; [at] is sim seconds. *)
-
-val on_msg : t -> trace:string -> kind:string -> bytes:int -> unit
-val on_frame : t -> trace:string -> unit
-val on_call : t -> trace:string -> unit
-val on_retry : t -> trace:string -> unit
-val on_memo_hit : t -> trace:string -> unit
-val on_timeout : t -> trace:string -> unit
-val on_report : t -> trace:string -> unit
-
-val on_conclude : t -> trace:string -> outcome:string -> at:float -> unit
-(** First conclusion wins (duplicate reports re-conclude). *)
-
-(** {1 Reading} *)
-
-val find : t -> string -> entry option
-val entries : t -> entry list
-(** Sorted by trace id — deterministic. *)
-
-val msg_total : entry -> int
-val byte_total : entry -> int
-val critical_path_ms : entry -> float option
-
-val describe : entry -> string
+val describe : row -> string
 (** One audit-quality evidence line naming every cost field. *)
 
 type rollup = {
@@ -77,10 +58,11 @@ type rollup = {
   r_bytes_per_cycle_milli : int;
 }
 
-val rollup : t -> rollup
+val rollup : row list -> rollup
 
-val to_json : t -> Json.t
-(** Deterministic: entries sorted by trace id, kind maps sorted by key. *)
+val to_json : row list -> Json.t
+(** The ["ledger"] section: the rows in the order given, then their
+    rollup. [Back_trace.ledger_rows] gives trace-id string order. *)
 
 val validate : Json.t -> (unit, string) result
 (** Shape-check a ledger section produced by {!to_json}. *)

@@ -21,7 +21,6 @@ type t = {
   p_root : node;
   mutable p_stack : (node * float) list;
   p_clock : unit -> float;
-  p_ledger : Ledger.t;
 }
 
 (* The clock runs twice per scope on hot paths, so it must be the
@@ -31,14 +30,8 @@ type t = {
    also actually measures wall time, which is what the [wall_ns]
    field advertises. *)
 let create ?(clock = Unix.gettimeofday) () =
-  {
-    p_root = new_node "all";
-    p_stack = [];
-    p_clock = clock;
-    p_ledger = Ledger.create ();
-  }
+  { p_root = new_node "all"; p_stack = []; p_clock = clock }
 
-let ledger t = t.p_ledger
 let current t = match t.p_stack with (n, _) :: _ -> n | [] -> t.p_root
 let depth t = List.length t.p_stack
 
@@ -192,8 +185,10 @@ let to_speedscope ?unit_ ?(name = "dgc-profile") t =
 (* The dgc.profile/1 artifact. Work-unit fields are deterministic
    (same seed => byte-identical); wall_ns is host time and excluded
    when [wall:false] — which is also how bit-reproducible artifacts
-   (chaos campaigns, bench baselines) embed their profile sections. *)
-let to_json ?(wall = true) ?(name = "profile") t =
+   (chaos campaigns, bench baselines) embed their profile sections.
+   The ledger rows come from the collector; runs without back traces
+   (baselines) pass none and print an empty section. *)
+let to_json ?(wall = true) ?(name = "profile") ?(ledger = []) t =
   let nodes =
     fold_nodes
       (fun acc path n kids ->
@@ -222,10 +217,8 @@ let to_json ?(wall = true) ?(name = "profile") t =
       ("name", Json.Str name);
       ("units", Json.Arr (List.map (fun u -> Json.Str u) (units t)));
       ("nodes", Json.Arr (List.rev nodes));
-      ("ledger", Ledger.to_json t.p_ledger);
+      ("ledger", Ledger.to_json ledger);
     ]
-
-let work_fingerprint t = Json.to_string (to_json ~wall:false t)
 
 (* ---- validation ------------------------------------------------------- *)
 

@@ -6,7 +6,7 @@
     attributed to the innermost open scope — plus inclusive host wall
     time. Work units are pure functions of the simulated schedule, so
     two same-seed runs produce byte-identical work sections
-    ({!work_fingerprint}); wall time is machine-dependent and kept in
+    ([to_json ~wall:false]); wall time is machine-dependent and kept in
     a separate field that bit-reproducible artifacts omit.
 
     The profiler draws no randomness and schedules no events, so runs
@@ -15,8 +15,9 @@
     Exports: flamegraph.pl folded stacks ({!to_folded}), speedscope
     sampled JSON ({!to_speedscope}), and the [dgc.profile/1] artifact
     ({!to_json}) with {!validate} and a per-node {!diff} carrying a
-    top-level phase-share regression verdict. Each profile also owns
-    the per-back-trace cost {!Ledger}. *)
+    top-level phase-share regression verdict. The artifact also
+    renders the per-back-trace cost {!Ledger}, whose rows the collector
+    records. *)
 
 module Json = Dgc_telemetry.Json
 
@@ -29,8 +30,6 @@ val create : ?clock:(unit -> float) -> unit -> t
 (** [clock] supplies host seconds for wall accounting (default
     [Unix.gettimeofday] — vDSO-cheap where [Sys.time] is a syscall);
     it never influences work units or the schedule. *)
-
-val ledger : t -> Ledger.t
 
 (** {1 Scopes and work} *)
 
@@ -61,15 +60,13 @@ val to_folded : ?unit_:string -> t -> string
 val to_speedscope : ?unit_:string -> ?name:string -> t -> Json.t
 (** speedscope "sampled" profile over the same weights. *)
 
-val to_json : ?wall:bool -> ?name:string -> t -> Json.t
+val to_json :
+  ?wall:bool -> ?name:string -> ?ledger:Ledger.row list -> t -> Json.t
 (** The [dgc.profile/1] artifact: pre-order nodes (children in name
-    order) with sorted work maps, the unit list, and the embedded
-    ledger. [wall:false] omits the host-time [wall_ns] fields so the
-    document is bit-reproducible across machines. *)
-
-val work_fingerprint : t -> string
-(** [Json.to_string (to_json ~wall:false t)] — the determinism
-    surface: equal for same-seed runs. *)
+    order) with sorted work maps, the unit list, and the ledger
+    section rendered from [ledger] (default none: an empty section).
+    [wall:false] omits the host-time [wall_ns] fields so the document
+    is bit-reproducible across machines: equal for same-seed runs. *)
 
 val validate : Json.t -> (unit, string) result
 (** Schema/shape check used by [bench/schema_check.ml]: declared

@@ -36,9 +36,8 @@ type t = {
   journal_capacity : int;
   flight_capacity : int;
   profile : bool;
-      (** attach the deterministic sim-cost profiler + cost ledger;
-          draws no randomness, so schedules are event-identical either
-          way *)
+      (** attach the deterministic sim-cost profiler; draws no
+          randomness, so schedules are event-identical either way *)
 }
 
 let default =

@@ -106,9 +106,11 @@ type t = {
           so runs are event-identical with it on or off — only wall
           clock moves, which the scale bench gates at ≤ 1.05×. *)
   profile : bool;
-      (** attach the deterministic sim-cost profiler and per-trace
-          cost ledger ([Sim.make] creates one and the engine/collector
-          taps feed it). Like the flight recorder it draws no
+      (** attach the deterministic sim-cost scope profiler ([Sim.make]
+          creates one and the engine/collector scopes feed it). The
+          per-trace cost ledger does not depend on it: the collector
+          always records it, and a profile only renders it. Like the
+          flight recorder the profiler draws no
           randomness and schedules nothing, so schedules are
           event-identical with it on or off; its work-unit sections
           are byte-identical across same-seed runs, and the scale

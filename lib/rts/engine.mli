@@ -130,10 +130,13 @@ val attach_profile : t -> Dgc_profile.Profile.t -> unit
     [deliver;<kind>] scope around every handler dispatch and attributes
     work units (events, deliveries, msgs_sent, bytes) to the innermost
     open scope; the collector layers add local-trace phase scopes and
-    frame/visit work, and feed the profile's cost {!Dgc_profile.Ledger}
-    per back trace. Like the flight recorder it draws no randomness and
-    schedules nothing, so runs are event-identical with it on or off.
-    [Sim.make] attaches one automatically when [Config.profile]. *)
+    frame/visit work. The per-back-trace cost {!Dgc_profile.Ledger} is
+    not fed from here: the collector records it whether or not a
+    profiler is attached, and callers pass its rows to
+    {!Dgc_profile.Profile.to_json}. Like the flight recorder the
+    profiler draws no randomness and schedules nothing, so runs are
+    event-identical with it on or off. [Sim.make] attaches one
+    automatically when [Config.profile]. *)
 
 val profile : t -> Dgc_profile.Profile.t option
 

@@ -341,7 +341,7 @@ let check_leaks t =
   | Some sh ->
       let fresh = ref [] in
       let concluded trace =
-        match List.assoc_opt trace (Back_trace.stats sh) with
+        match Back_trace.find_stat sh trace with
         | Some st -> st.Back_trace.ts_outcome <> None
         | None -> false
       in
