@@ -187,55 +187,6 @@ let visited_hygiene ?skip eng =
 
 (* --- distance sanity ---------------------------------------------------------- *)
 
-(* True inter-site distances from the roots: 0-1 BFS over the global
-   graph (cross-site edges cost 1, local edges cost 0). *)
-let true_distances eng =
-  let dist : int Oid.Tbl.t = Oid.Tbl.create 256 in
-  let deque = ref [] and back = ref [] in
-  let push_front x = deque := x :: !deque in
-  let push_back x = back := x :: !back in
-  let pop () =
-    match !deque with
-    | x :: tl ->
-        deque := tl;
-        Some x
-    | [] -> (
-        match List.rev !back with
-        | [] -> None
-        | x :: tl ->
-            deque := tl;
-            back := [];
-            Some x)
-  in
-  let heap_of r = (Engine.site eng (Oid.site r)).Site.heap in
-  let relax r d =
-    if Heap.mem (heap_of r) r then begin
-      match Oid.Tbl.find_opt dist r with
-      | Some d' when d' <= d -> ()
-      | _ ->
-          Oid.Tbl.replace dist r d;
-          if d = 0 then push_front (r, d) else push_back (r, d)
-    end
-  in
-  each_site eng (fun s ->
-      List.iter
-        (fun r -> relax r 0)
-        (Heap.persistent_roots s.Site.heap @ Engine.app_roots eng s.Site.id));
-  let rec drain () =
-    match pop () with
-    | None -> ()
-    | Some (r, d) ->
-        if Oid.Tbl.find_opt dist r = Some d then
-          List.iter
-            (fun z ->
-              let w = if Site_id.equal (Oid.site z) (Oid.site r) then 0 else 1 in
-              relax z (d + w))
-            (Heap.fields (heap_of r) r);
-        drain ()
-  in
-  drain ();
-  dist
-
 (* An inref's per-source distance estimates the shortest root path
    that ends with that inter-site reference: at most one more than the
    true distance of some holder of the reference at the source site.
@@ -243,7 +194,7 @@ let true_distances eng =
    in a settled system: recorded <= 1 + min holder distance. *)
 let distance_sanity ?skip eng =
   let acc = ref [] in
-  let truth = true_distances eng in
+  let truth = Dgc_oracle.Oracle.distances eng in
   each_site ?skip eng (fun s ->
       Tables.iter_inrefs s.Site.tables (fun ir ->
           let i = ir.Ioref.ir_target in

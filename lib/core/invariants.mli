@@ -25,7 +25,11 @@
       in a settled system it is at most one more than the true
       distance of some live holder of the reference at the source site
       (estimates are conservative and converge from below; garbage has
-      no live holders, so any estimate is fine).
+      no live holders, so any estimate is fine). The true distances
+      are {!Dgc_oracle.Oracle.distances}: §3 counts every inter-site
+      reference on the path, so an application root naming another
+      site's object puts it at distance 1, as does a reference in an
+      undelivered message.
 
     The three §6.1 invariants plus visited hygiene are maintained
     {e continuously} by the barriers, so {!per_step} may run after

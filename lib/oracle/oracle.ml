@@ -4,41 +4,74 @@ open Dgc_rts
 
 exception Safety_violation of string
 
-let global_roots eng =
-  let sites = Engine.sites eng in
-  let per_site =
-    Array.to_list sites
-    |> List.concat_map (fun s ->
-           Heap.persistent_roots s.Site.heap
-           @ Engine.app_roots eng s.Site.id)
+(* Every root with its §3 distance: a persistent root, or an app root
+   naming an object of its own site, is 0; an app root naming another
+   site's object is one inter-site reference away, 1; a reference
+   inside an undelivered message crosses the wire, 1. *)
+let iter_roots eng f =
+  Array.iter
+    (fun s ->
+      let sid = s.Site.id in
+      List.iter (fun r -> f r 0) (Heap.persistent_roots s.Site.heap);
+      List.iter
+        (fun r -> f r (if Site_id.equal (Oid.site r) sid then 0 else 1))
+        (Engine.app_roots eng sid))
+    (Engine.sites eng);
+  List.iter (fun r -> f r 1) (Engine.in_flight_refs eng)
+
+(* 0-1 BFS over the union of heaps: a local edge costs 0 and goes to
+   the front of the deque, a cross-site edge costs 1 and goes to the
+   back. The deque is [front @ List.rev back]; [level] is the distance
+   being expanded (0 while the roots are seeded). *)
+let distances eng =
+  let dist : int Oid.Tbl.t = Oid.Tbl.create 256 in
+  let heap_of r = (Engine.site eng (Oid.site r)).Site.heap in
+  let front = ref [] and back = ref [] and level = ref 0 in
+  let relax r d =
+    if Heap.mem (heap_of r) r then
+      match Oid.Tbl.find_opt dist r with
+      | Some d' when d' <= d -> ()
+      | Some _ | None ->
+          Oid.Tbl.replace dist r d;
+          if d = !level then front := r :: !front else back := r :: !back
   in
-  per_site @ Engine.in_flight_refs eng
+  iter_roots eng relax;
+  let rec drain () =
+    match !front with
+    | r :: tl ->
+        front := tl;
+        let d = Oid.Tbl.find dist r in
+        (* An entry pushed before [r] was reached more cheaply is
+           stale: its level has passed. *)
+        if d = !level then
+          List.iter
+            (fun z ->
+              let local = Site_id.equal (Oid.site z) (Oid.site r) in
+              relax z (if local then d else d + 1))
+            (Heap.fields (heap_of r) r);
+        drain ()
+    | [] when !back <> [] ->
+        front := List.rev !back;
+        back := [];
+        incr level;
+        drain ()
+    | [] -> ()
+  in
+  drain ();
+  dist
 
 let live_set eng =
-  let heap_of r = (Engine.site eng (Oid.site r)).Site.heap in
-  let visited = ref Oid.Set.empty in
-  let queue = Queue.create () in
-  let visit r =
-    if (not (Oid.Set.mem r !visited)) && Heap.mem (heap_of r) r then begin
-      visited := Oid.Set.add r !visited;
-      Queue.add r queue
-    end
-  in
-  List.iter visit (global_roots eng);
-  while not (Queue.is_empty queue) do
-    let r = Queue.pop queue in
-    List.iter visit (Heap.fields (heap_of r) r)
-  done;
-  !visited
+  Oid.Tbl.fold (fun r _ acc -> Oid.Set.add r acc) (distances eng) Oid.Set.empty
 
-let all_objects eng =
+let garbage_set eng =
+  let dist = distances eng in
   Array.fold_left
     (fun acc s ->
       Heap.fold s.Site.heap ~init:acc ~f:(fun acc o ->
-          Oid.Set.add o.Heap.oid acc))
+          let r = o.Heap.oid in
+          if Oid.Tbl.mem dist r then acc else Oid.Set.add r acc))
     Oid.Set.empty (Engine.sites eng)
 
-let garbage_set eng = Oid.Set.diff (all_objects eng) (live_set eng)
 let garbage_count eng = Oid.Set.cardinal (garbage_set eng)
 
 let cyclic_garbage_sites eng =
@@ -47,15 +80,17 @@ let cyclic_garbage_sites eng =
     (garbage_set eng) Site_id.Set.empty
 
 let check_would_free eng site_id idxs =
-  let live = live_set eng in
-  List.iter
-    (fun i ->
-      let oid = Oid.make ~site:site_id ~index:i in
-      if Oid.Set.mem oid live then
-        raise
-          (Safety_violation
-             (Format.asprintf "about to free live object %a" Oid.pp oid)))
-    idxs
+  if idxs <> [] then begin
+    let dist = distances eng in
+    List.iter
+      (fun i ->
+        let oid = Oid.make ~site:site_id ~index:i in
+        if Oid.Tbl.mem dist oid then
+          raise
+            (Safety_violation
+               (Format.asprintf "about to free live object %a" Oid.pp oid)))
+      idxs
+  end
 
 let assert_no_garbage eng =
   let g = garbage_set eng in

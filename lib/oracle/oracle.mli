@@ -3,12 +3,22 @@
     The oracle sees the whole distributed state at once — every heap,
     every agent variable, every undelivered message — and computes
     exact global reachability. It exists to check the collectors, so it
-    deliberately shares none of their machinery: plain breadth-first
-    search over the union of heaps.
+    deliberately shares none of their machinery: one 0-1 breadth-first
+    search over the union of heaps, from one root set, gives the true
+    §3 distance of every reachable object. The live set, the garbage
+    set, the would-free check and [Invariants.distance_sanity] all read
+    that one table.
 
-    Roots: persistent roots of every site, application roots
-    (variables and pins) of every site, and references carried by
-    in-flight or parked messages. *)
+    Roots, each tagged with its §3 distance (the fewest inter-site
+    references on a path from it):
+    - a persistent root of any site: 0;
+    - an application root (variable or pin) at site [s]: 0 if it names
+      an object at [s], 1 if it names another site's object;
+    - a reference carried by an undelivered message — in flight,
+      parked by a partition or crash, or redelivering after
+      {!Engine.heal}/{!Engine.recover} ({!Engine.in_flight_refs}): 1.
+
+    Along the search a local field costs 0 and a cross-site field 1. *)
 
 open Dgc_prelude
 open Dgc_heap
@@ -16,8 +26,12 @@ open Dgc_rts
 
 exception Safety_violation of string
 
+val distances : Engine.t -> int Oid.Tbl.t
+(** The true §3 distance of every object reachable from the roots;
+    unreachable objects have no entry. A fresh table per call. *)
+
 val live_set : Engine.t -> Oid.Set.t
-(** All objects reachable from the global roots. *)
+(** The keys of {!distances}: all objects reachable from the roots. *)
 
 val garbage_set : Engine.t -> Oid.Set.t
 (** All existing objects not in {!live_set}. *)
@@ -30,7 +44,8 @@ val cyclic_garbage_sites : Engine.t -> Site_id.Set.t
 val check_would_free : Engine.t -> Site_id.t -> int list -> unit
 (** [check_would_free eng site idxs]: the collector at [site] is about
     to free the objects with local indices [idxs]. Raises
-    {!Safety_violation} naming the first live one, if any. *)
+    {!Safety_violation} naming the first live one, if any. With
+    [idxs = []] it returns without searching. *)
 
 val assert_no_garbage : Engine.t -> unit
 (** Raises {!Safety_violation} listing remaining garbage, for

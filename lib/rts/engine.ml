@@ -452,6 +452,50 @@ and drop t ~src ~dst ~id ~reason payload =
   Metrics.incr t.metrics ("msg.dropped." ^ reason);
   emit t (Drop { id; src; dst; payload; reason })
 
+(* A base message that cannot land waits for the heal (partition) or
+   the destination's recovery (crash); the base protocol must be
+   reliable. *)
+and park t cause ~src ~dst ~id payload =
+  match cause with
+  | `Partition ->
+      note_move_stalled t ~why:"partition" payload;
+      t.part_parked <- (src, dst, payload, id) :: t.part_parked
+  | `Crash ->
+      note_move_stalled t ~why:"crash" payload;
+      let q =
+        match Hashtbl.find_opt t.parked dst with
+        | Some q -> q
+        | None ->
+            let q = ref [] in
+            Hashtbl.add t.parked dst q;
+            q
+      in
+      q := (src, payload, id) :: !q
+
+(* One copy on the wire, for a first send and for a redelivery after
+   heal/recover alike: its references stay in [in_flight] until it
+   lands. If the destination became unreachable or crashed meanwhile,
+   a collector message is dropped and a base message parked again. *)
+and fly t ~src ~dst ~id payload =
+  let copy = t.next_copy in
+  t.next_copy <- copy + 1;
+  (match Protocol.refs_carried payload with
+  | [] -> ()
+  | refs -> Hashtbl.replace t.in_flight copy refs);
+  let delay = sample_latency t in
+  schedule t ~delay (fun () ->
+      Hashtbl.remove t.in_flight copy;
+      let is_ext = Protocol.is_ext payload in
+      if not (reachable t src dst) then begin
+        if is_ext then drop t ~src ~dst ~id ~reason:"partition" payload
+        else park t `Partition ~src ~dst ~id payload
+      end
+      else if (site t dst).Site.crashed then begin
+        if is_ext then drop t ~src ~dst ~id ~reason:"crashed" payload
+        else park t `Crash ~src ~dst ~id payload
+      end
+      else deliver t ~src ~dst ~id payload)
+
 and send_now t ~src ~dst ~id payload =
   let kind = Protocol.kind payload in
   let bytes = Protocol.approx_bytes payload in
@@ -469,59 +513,10 @@ and send_now t ~src ~dst ~id payload =
     drop t ~src ~dst ~id ~reason:"partition" payload
   else if is_ext && Rng.chance t.rng (ext_drop_p t) then
     drop t ~src ~dst ~id ~reason:"lossy" payload
-  else if not (reachable t src dst) then begin
-    note_move_stalled t ~why:"partition" payload;
-    t.part_parked <- (src, dst, payload, id) :: t.part_parked
-  end
-  else if dst_site.Site.crashed then begin
-    note_move_stalled t ~why:"crash" payload;
-    let q =
-      match Hashtbl.find_opt t.parked dst with
-      | Some q -> q
-      | None ->
-          let q = ref [] in
-          Hashtbl.add t.parked dst q;
-          q
-    in
-    q := (src, payload, id) :: !q
-  end
+  else if not (reachable t src dst) then park t `Partition ~src ~dst ~id payload
+  else if dst_site.Site.crashed then park t `Crash ~src ~dst ~id payload
   else begin
-    let fly () =
-      let copy = t.next_copy in
-      t.next_copy <- copy + 1;
-      (match Protocol.refs_carried payload with
-      | [] -> ()
-      | refs -> Hashtbl.replace t.in_flight copy refs);
-      let delay = sample_latency t in
-      schedule t ~delay (fun () ->
-          Hashtbl.remove t.in_flight copy;
-          if not (reachable t src dst) then begin
-            (* Partitioned while the message was in flight. *)
-            if is_ext then drop t ~src ~dst ~id ~reason:"partition" payload
-            else begin
-              note_move_stalled t ~why:"partition" payload;
-              t.part_parked <- (src, dst, payload, id) :: t.part_parked
-            end
-          end
-          else if (site t dst).Site.crashed then begin
-            (* Crashed while the message was in flight. *)
-            if is_ext then drop t ~src ~dst ~id ~reason:"crashed" payload
-            else begin
-              note_move_stalled t ~why:"crash" payload;
-              let q =
-                match Hashtbl.find_opt t.parked dst with
-                | Some q -> q
-                | None ->
-                    let q = ref [] in
-                    Hashtbl.add t.parked dst q;
-                    q
-              in
-              q := (src, payload, id) :: !q
-            end
-          end
-          else deliver t ~src ~dst ~id payload)
-    in
-    fly ();
+    fly t ~src ~dst ~id payload;
     (* Duplicate-delivery fault channel: a second, independent copy of
        a collector message, with its own latency. Only Ext payloads —
        the base protocol stays exactly-once. The [ext_dup_p t > 0.]
@@ -529,7 +524,7 @@ and send_now t ~src ~dst ~id payload =
     if is_ext && ext_dup_p t > 0. && Rng.chance t.rng (ext_dup_p t) then begin
       Metrics.incr t.metrics "msg.duplicated";
       emit t (Dup { id });
-      fly ()
+      fly t ~src ~dst ~id payload
     end
   end
 
@@ -628,30 +623,6 @@ let partition t groups =
   t.partition_of <- parts;
   Metrics.incr t.metrics "fault.partition"
 
-(* Deliver a previously parked base message; if the destination is
-   unavailable again when it lands, re-park it rather than lose it —
-   the base protocol must be reliable. *)
-let redeliver_parked t ~src ~dst ~id payload =
-  let delay = sample_latency t in
-  schedule t ~delay (fun () ->
-      if not (reachable t src dst) then begin
-        note_move_stalled t ~why:"partition" payload;
-        t.part_parked <- (src, dst, payload, id) :: t.part_parked
-      end
-      else if (site t dst).Site.crashed then begin
-        note_move_stalled t ~why:"crash" payload;
-        let q =
-          match Hashtbl.find_opt t.parked dst with
-          | Some q -> q
-          | None ->
-              let q = ref [] in
-              Hashtbl.add t.parked dst q;
-              q
-        in
-        q := (src, payload, id) :: !q
-      end
-      else deliver t ~src ~dst ~id payload)
-
 let heal t =
   emit t (Fault { tag = "heal"; detail = "" });
   jlog t ~level:Journal.Warn ~cat:"fault" "heal";
@@ -659,10 +630,7 @@ let heal t =
   Metrics.incr t.metrics "fault.heal";
   let parked = List.rev t.part_parked in
   t.part_parked <- [];
-  List.iter
-    (fun (src, dst, payload, id) ->
-      redeliver_parked t ~src ~dst ~id payload)
-    parked
+  List.iter (fun (src, dst, payload, id) -> fly t ~src ~dst ~id payload) parked
 
 let crash t id =
   emit t (Fault { tag = "crash"; detail = string_of_int (Site_id.to_int id) });
@@ -684,8 +652,7 @@ let recover t id =
         let msgs = List.rev !q in
         Hashtbl.remove t.parked id;
         List.iter
-          (fun (src, payload, msg) ->
-            redeliver_parked t ~src ~dst:id ~id:msg payload)
+          (fun (src, payload, msg) -> fly t ~src ~dst:id ~id:msg payload)
           msgs
   end
 

@@ -245,7 +245,9 @@ val reachable : t -> Site_id.t -> Site_id.t -> bool
 (** {1 Oracle support} *)
 
 val in_flight_refs : t -> Oid.t list
-(** References carried by undelivered (or parked) messages. *)
+(** References carried by undelivered messages: on the wire — first
+    sends and redeliveries after {!heal}/{!recover} alike — or parked
+    by a partition or a crash. The oracle counts them as roots. *)
 
 (** {1 Running} *)
 

@@ -201,6 +201,14 @@ let test_chaos_regression_3328 () =
   try chaos_run ~seed:3328
   with Dgc_oracle.Oracle.Safety_violation m -> Alcotest.failf "unsafe: %s" m
 
+(* Regression: QCHECK_SEED=5 draws this seed. Distance-sanity once put
+   the target of an agent's remote reference at distance 0, not the 1
+   that §3 gives an inter-site reference, and flagged the collector's
+   correct estimates. *)
+let test_chaos_regression_9751 () =
+  try chaos_run ~seed:9751
+  with Dgc_oracle.Oracle.Safety_violation m -> Alcotest.failf "unsafe: %s" m
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -211,5 +219,7 @@ let () =
           QCheck_alcotest.to_alcotest ~long:true prop_chaos;
           Alcotest.test_case "regression: reparked messages (seed 3328)"
             `Quick test_chaos_regression_3328;
+          Alcotest.test_case "regression: remote app-root distance (seed 9751)"
+            `Quick test_chaos_regression_9751;
         ] );
     ]
