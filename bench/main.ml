@@ -139,7 +139,9 @@ let exp_f3 () =
       Tables.iter_inrefs st.Site.tables (fun ir ->
           if not (Oid.equal ir.Ioref.ir_target f.Scenario.f3_a) then
             List.iter
-              (fun src -> Ioref.set_source_dist ir src.Ioref.src_site ~dist:50)
+              (fun src ->
+                Tables.set_source_dist st.Site.tables ir src.Ioref.src_site
+                  ~dist:50)
               ir.Ioref.ir_sources))
     (Engine.sites eng);
   Collector.force_local_trace_all sim.Sim.col;
@@ -163,7 +165,9 @@ let exp_f4 () =
     (fun st ->
       Tables.iter_inrefs st.Site.tables (fun ir ->
           List.iter
-            (fun src -> Ioref.set_source_dist ir src.Ioref.src_site ~dist:50)
+            (fun src ->
+                Tables.set_source_dist st.Site.tables ir src.Ioref.src_site
+                  ~dist:50)
             ir.Ioref.ir_sources))
     (Engine.sites eng);
   let inp = Local_trace.input_of_site eng q in

@@ -121,8 +121,8 @@ let san_lost_trace =
             Dgc_rts.Tables.iter_inrefs s.Site.tables (fun ir ->
                 List.iter
                   (fun src ->
-                    Dgc_rts.Ioref.set_source_dist ir src.Dgc_rts.Ioref.src_site
-                      ~dist:100)
+                    Dgc_rts.Tables.set_source_dist s.Site.tables ir
+                      src.Dgc_rts.Ioref.src_site ~dist:100)
                   ir.Dgc_rts.Ioref.ir_sources))
           (Engine.sites eng);
         Dgc_core.Collector.force_local_trace_all sim.Dgc_core.Sim.col;

@@ -163,7 +163,7 @@ let apply_threshold t st v =
   let tables = st.hs_site.Site.tables in
   Tables.iter_inrefs tables (fun ir ->
       if (not ir.Ioref.ir_fresh) && ir.Ioref.ir_ts < v then begin
-        ir.Ioref.ir_flagged <- true;
+        Tables.flag_inref tables ir;
         Metrics.incr (Engine.metrics t.eng) "hughes.inrefs_flagged"
       end)
 

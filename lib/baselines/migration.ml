@@ -56,7 +56,7 @@ let register_ref t ~holder r =
     ignore (Tables.ensure_outref holder_site.Site.tables r);
     let owner = Engine.site t.eng (Oid.site r) in
     let ir = Tables.ensure_inref owner.Site.tables r in
-    Ioref.add_source ir holder ~dist:1
+    Tables.add_source owner.Site.tables ir holder ~dist:1
   end
 
 let arrive t site_id ~old_oid ~fields ~size ~from =

@@ -523,7 +523,7 @@ and apply_report sh st trace outcome =
                 ir.Ioref.ir_visited <-
                   Trace_id.Set.remove trace ir.Ioref.ir_visited;
                 if Verdict.equal outcome Verdict.Garbage then begin
-                  ir.Ioref.ir_flagged <- true;
+                  Tables.flag_inref (tables st) ir;
                   Metrics.incr (Engine.metrics sh.eng) "back.inrefs_flagged";
                   Engine.jlog sh.eng ~cat:"back" "inref %a flagged garbage"
                     Oid.pp r

@@ -3,17 +3,25 @@ open Dgc_simcore
 open Dgc_heap
 open Dgc_rts
 
-type window = {
-  w_input : Local_trace.input;
-  mutable w_cleans : Oid.t list;
-}
+(* What a trace will install: an outcome kept from an earlier trace
+   with the same input stamp, or an input still to compute ([keep]:
+   retain its outcome for the next trace). *)
+type plan = Reuse of Local_trace.outcome | Compute of Local_trace.input * bool
+
+type window = { w_plan : plan; mutable w_cleans : Oid.t list }
 
 (* [ctl_memo] is the site's root-closure memo: per collector, so it
-   dies with its engine. *)
+   dies with its engine. [ctl_stamp] is the stamp of the last input
+   sampled, and [ctl_kept] that input's outcome, held only once the
+   stamp has repeated. *)
 type site_ctl = {
   ctl_site : Site.t;
   mutable ctl_window : window option;
   ctl_memo : Local_trace.memo;
+  mutable ctl_stamp : Local_trace.stamp option;
+  mutable ctl_kept : Local_trace.outcome option;
+  mutable ctl_reused : int;
+  mutable ctl_computed : int;
 }
 
 type t = {
@@ -74,14 +82,12 @@ let barrier_ref_arrived t site_id r =
           end
     end
     else begin
-      (* §6.1.2 case 3: a suspected outref for an arriving reference. *)
-      match Tables.find_outref tables r with
-      | None -> ()
-      | Some o ->
-          if not (Ioref.outref_clean o) then begin
-            clean_outref t site_id tables r;
-            record_window_clean ()
-          end
+      (* §6.1.2 case 3: a suspected outref for an arriving reference.
+         Every remote arrival during a window is recorded, clean or
+         not: the window's snapshot may not reach it, and the replay
+         keeps its outref. *)
+      clean_outref t site_id tables r;
+      record_window_clean ()
     end
   end
 
@@ -208,32 +214,59 @@ let apply_outcome t site_id outcome ~window_cleans =
   if t.auto_back_traces then ignore (trigger_back_traces t site_id);
   t.after_trace site_id
 
+(* Sample the site's trace input, unless its stamp says the input
+   equals the last one sampled and that input's outcome is kept. A
+   stamp that moved drops the kept outcome at once; a repeated stamp
+   with nothing kept computes and keeps. *)
+let plan_trace t c =
+  let site = c.ctl_site in
+  let repeated =
+    match c.ctl_stamp with
+    | Some before -> Local_trace.same_input (Local_trace.stamp t.eng site) before
+    | None -> false
+  in
+  match c.ctl_kept with
+  | Some outcome when repeated -> Reuse outcome
+  | _ ->
+      c.ctl_kept <- None;
+      let snap = Snapshot.take site.Site.heap in
+      let input = Local_trace.input_of_snapshot t.eng site snap in
+      c.ctl_stamp <- Some (Local_trace.stamp t.eng site);
+      Compute (input, repeated)
+
+let outcome_of_plan t c = function
+  | Reuse outcome ->
+      c.ctl_reused <- c.ctl_reused + 1;
+      outcome
+  | Compute (input, keep) ->
+      c.ctl_computed <- c.ctl_computed + 1;
+      let outcome = profiled_compute t c input in
+      if keep then c.ctl_kept <- Some outcome;
+      outcome
+
 let finish_window t site_id =
   let c = ctl t site_id in
   match c.ctl_window with
   | None -> ()
   | Some w ->
       c.ctl_window <- None;
-      if not c.ctl_site.Site.crashed then begin
-        let outcome = profiled_compute t c w.w_input in
-        apply_outcome t site_id outcome ~window_cleans:(List.rev w.w_cleans)
-      end
+      if not c.ctl_site.Site.crashed then
+        apply_outcome t site_id
+          (outcome_of_plan t c w.w_plan)
+          ~window_cleans:(List.rev w.w_cleans)
 
 let run_scheduled_trace t site_id =
   let c = ctl t site_id in
   if c.ctl_window = None then begin
     let conf = cfg t in
-    if Sim_time.compare conf.Config.trace_duration Sim_time.zero <= 0 then begin
+    let plan = plan_trace t c in
+    if Sim_time.compare conf.Config.trace_duration Sim_time.zero <= 0 then
       (* Atomic trace. *)
-      let input = Local_trace.input_of_site t.eng c.ctl_site in
-      apply_outcome t site_id (profiled_compute t c input) ~window_cleans:[]
-    end
+      apply_outcome t site_id (outcome_of_plan t c plan) ~window_cleans:[]
     else begin
       (* Open a snapshot-at-beginning window (§6.2); back traces keep
          reading the old tables until the swap. *)
-      let snap = Snapshot.take c.ctl_site.Site.heap in
-      let input = Local_trace.input_of_snapshot t.eng c.ctl_site snap in
-      c.ctl_window <- Some { w_input = input; w_cleans = [] };
+      c.ctl_window <- Some { w_plan = plan; w_cleans = [] };
       Engine.schedule t.eng ~delay:conf.Config.trace_duration (fun () ->
           finish_window t site_id)
     end
@@ -243,8 +276,7 @@ let force_local_trace t site_id =
   let c = ctl t site_id in
   (* Discard any open window: the atomic trace supersedes it. *)
   c.ctl_window <- None;
-  let input = Local_trace.input_of_site t.eng c.ctl_site in
-  let outcome = profiled_compute t c input in
+  let outcome = outcome_of_plan t c (plan_trace t c) in
   Local_trace.apply t.eng c.ctl_site outcome ~window_cleans:[]
     ~on_cleaned:(Back_trace.on_cleaned t.back site_id)
     ~oracle_check:(cfg t).Config.oracle_checks;
@@ -263,6 +295,11 @@ let root_memo_stats t =
       (h + h', m + m'))
     (0, 0) t.ctls
 
+let reuse_stats t =
+  Array.fold_left
+    (fun (r, n) c -> (r + c.ctl_reused, n + c.ctl_computed))
+    (0, 0) t.ctls
+
 let install eng =
   let t =
     {
@@ -271,7 +308,15 @@ let install eng =
       ctls =
         Array.map
           (fun s ->
-            { ctl_site = s; ctl_window = None; ctl_memo = Local_trace.memo () })
+            {
+              ctl_site = s;
+              ctl_window = None;
+              ctl_memo = Local_trace.memo ();
+              ctl_stamp = None;
+              ctl_kept = None;
+              ctl_reused = 0;
+              ctl_computed = 0;
+            })
           (Engine.sites eng);
       auto_back_traces = true;
       after_trace = (fun _ -> ());

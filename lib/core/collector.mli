@@ -58,4 +58,11 @@ val in_window : t -> Site_id.t -> bool
 
 val root_memo_stats : t -> int * int
 (** (hits, misses) of the sites' root-closure memos
-    ({!Local_trace.memo}) summed over every local trace so far. *)
+    ({!Local_trace.memo}) summed over every local trace so far. A
+    reused trace (see {!reuse_stats}) counts as neither. *)
+
+val reuse_stats : t -> int * int
+(** (reused, computed) local traces summed over the sites. A trace
+    whose input stamp ({!Local_trace.stamp}) equals the site's last
+    one, once that stamp has repeated, installs the kept outcome
+    without capturing or computing; every other trace computes. *)

@@ -45,6 +45,31 @@ let input_of_snapshot eng site snap =
 let input_of_site eng site =
   input_of_snapshot eng site (Snapshot.take site.Site.heap)
 
+type stamp = {
+  s_gen : int;
+  s_frees : int;
+  s_tables : int;
+  s_roots : Oid.t list;
+  s_delta : int;
+}
+
+let stamp eng site =
+  let heap = site.Site.heap in
+  {
+    s_gen = Heap.generation heap;
+    s_frees = Heap.frees heap;
+    s_tables = Tables.version site.Site.tables;
+    s_roots = Heap.persistent_roots heap @ Engine.app_roots eng site.Site.id;
+    s_delta = (Engine.config eng).Config.delta;
+  }
+
+(* A generation of -1 (the shape changed, no capture yet) matches
+   nothing. *)
+let same_input a b =
+  a.s_gen >= 0 && a.s_gen = b.s_gen && a.s_frees = b.s_frees
+  && a.s_tables = b.s_tables && a.s_delta = b.s_delta
+  && List.equal Oid.equal a.s_roots b.s_roots
+
 type out_result = {
   o_ref : Oid.t;
   o_dist : int;
@@ -172,15 +197,7 @@ let memo_valid m inp =
   let d = inp.in_graph in
   m.m_codes == d.Dense.d_codes
   && List.equal Oid.equal m.m_roots inp.in_roots
-  &&
-  let pres = d.Dense.d_present and marked = m.m_marked in
-  let ok = ref true and i = ref 0 in
-  while !ok && !i < Bytes.length marked do
-    if Bytes.get marked !i <> '\000' && Bytes.get pres !i = '\000' then
-      ok := false;
-    incr i
-  done;
-  !ok
+  && Dense.covers ~present:d.Dense.d_present m.m_marked
 
 let compute ?(mode = Bottom_up) ?probe ?memo inp =
   let d = inp.in_graph in
@@ -277,10 +294,7 @@ let compute ?(mode = Bottom_up) ?probe ?memo inp =
   (match memo with
   | Some m when memo_valid m inp ->
       m.m_hits <- m.m_hits + 1;
-      let marked = m.m_marked in
-      for i = 0 to Bytes.length marked - 1 do
-        if Bytes.unsafe_get marked i <> '\000' then mark_set i 1
-      done;
+      Dense.iter_set m.m_marked (fun i -> mark_set i 1);
       clean_visits := m.m_visits;
       List.iter (reach_out_clean 0) m.m_remotes
   | Some m ->
@@ -698,9 +712,13 @@ let apply eng site outcome ~window_cleans ~on_cleaned ~oracle_check =
       | None -> ()
       | Some o ->
           if res.o_removed then begin
-            if o.Ioref.or_pins > 0 then begin
-              (* Pinned during the window (insert barrier): keep it,
-                 conservatively clean. *)
+            if
+              o.Ioref.or_pins > 0
+              || List.exists (Oid.equal res.o_ref) window_cleans
+            then begin
+              (* Pinned (insert barrier), or its reference arrived
+                 during the window, after the snapshot: keep it,
+                 conservatively clean; the replay below cleans it. *)
               let was_clean = Ioref.outref_clean o in
               o.Ioref.or_suspected <- false;
               o.Ioref.or_inset <- [];

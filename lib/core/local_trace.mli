@@ -48,6 +48,24 @@ val input_of_snapshot : Engine.t -> Site.t -> Snapshot.t -> input
 (** Graph and object set from the snapshot (taken at window start);
     roots and tables sampled now — call this at window start too. *)
 
+type stamp
+(** What the site's next {!input} would be made of, read without taking
+    a capture: the heap's capture generation ({!Heap.generation}) and
+    free count ({!Heap.frees}), the {!Tables.version}, the root list
+    and Δ. *)
+
+val stamp : Engine.t -> Site.t -> stamp
+(** O(1) apart from the root list. Read it before a capture to decide
+    whether to take one, and again just after to record it: a capture
+    that rebuilds moves the generation. *)
+
+val same_input : stamp -> stamp -> bool
+(** [same_input now before]: an input sampled now would equal the one
+    sampled when [before] was read just after its capture, so
+    [compute] (a pure function of its input) would return the same
+    outcome. False whenever [now] was read after a shape change with
+    no capture since. *)
+
 type out_result = {
   o_ref : Oid.t;
   o_dist : int;
@@ -118,8 +136,12 @@ val apply :
   on_cleaned:(Oid.t -> unit) ->
   oracle_check:bool ->
   unit
-(** Atomic swap (§6.2). [window_cleans] are the references barrier-
-    cleaned during the trace window, replayed onto the new copy.
+(** Atomic swap (§6.2). [window_cleans] are the references recorded by
+    the transfer barrier during the trace window — every remote
+    arrival, and every local inref it cleaned — replayed onto the new
+    copy: each named ioref is forced clean, and an outref the trace
+    found untraced is kept rather than removed (its reference arrived
+    after the snapshot).
     [on_cleaned] fires for every ioref that transitions suspected →
     clean (the §6.4 clean-rule notification). With [oracle_check], the
     sweep is verified against {!Dgc_oracle.Oracle} first. *)

@@ -22,6 +22,39 @@ let present t i =
 let is_root t i =
   i >= 0 && i < t.d_bound && Bytes.get t.d_roots i <> '\000'
 
+(* Byte bitmaps hold 0 or 1 per index, so one 8-byte word answers for
+   eight indices at once: [m land lnot p] is non-zero iff some byte is
+   set in [m] and clear in [p]. *)
+let covers ~present marked =
+  let n = Bytes.length marked in
+  let ok = ref true and i = ref 0 in
+  while !ok && !i + 8 <= n do
+    let m = Bytes.get_int64_ne marked !i
+    and p = Bytes.get_int64_ne present !i in
+    if Int64.logand m (Int64.lognot p) <> 0L then ok := false;
+    i := !i + 8
+  done;
+  while !ok && !i < n do
+    if Bytes.get marked !i <> '\000' && Bytes.get present !i = '\000' then
+      ok := false;
+    incr i
+  done;
+  !ok
+
+let iter_set b f =
+  let n = Bytes.length b in
+  let i = ref 0 in
+  while !i + 8 <= n do
+    if Bytes.get_int64_ne b !i <> 0L then
+      for j = !i to !i + 7 do
+        if Bytes.unsafe_get b j <> '\000' then f j
+      done;
+    i := !i + 8
+  done;
+  for j = !i to n - 1 do
+    if Bytes.unsafe_get b j <> '\000' then f j
+  done
+
 let indices t =
   let acc = ref [] in
   for i = t.d_bound - 1 downto 0 do

@@ -24,7 +24,8 @@
     - A code [c < 0] names [d_pool.(-c - 1)]: a remote reference, or —
       defensively — a local oid outside [0, bound). Pool numbering is
       not meaningful.
-    - [d_present]/[d_roots] are byte-per-index bitsets. An absent
+    - [d_present]/[d_roots] are byte-per-index bitsets holding 0 or 1
+      per byte. An absent
       index's row may be stale (the object was freed after the arrays
       were built) and is never read: every reader checks [d_present]
       before it expands a row. *)
@@ -59,6 +60,15 @@ val is_root : t -> int -> bool
 val indices : t -> int list
 (** Live indices, ascending — equals [Heap.indices] of the source heap
     at capture time, without the sort. *)
+
+val covers : present:Bytes.t -> Bytes.t -> bool
+(** [covers ~present marked]: every index set in [marked] is set in
+    [present]. Both are 0-or-1 byte bitmaps and [present] is at least
+    as long as [marked]; eight indices are tested per step. *)
+
+val iter_set : Bytes.t -> (int -> unit) -> unit
+(** [f i] for every index set in a 0-or-1 byte bitmap, ascending;
+    all-clear runs of eight are skipped in one step. *)
 
 val fields : t -> int -> Oid.t list
 (** Object [i]'s captured fields decoded back to oids, in field order;

@@ -18,43 +18,66 @@ type capture = {
   d_count : int;
 }
 
+(* Objects live in one index-addressed slot array: slot [i] holds the
+   object allocated with index [i] while it is live, and [vacant] once
+   it is freed (so a freed object is not kept reachable). The live
+   bitset says which slots are occupied; every read checks it first. *)
 type t = {
   site : Site_id.t;
-  objects : (int, obj) Hashtbl.t;
+  mutable slots : obj array;  (** length >= [next_index] *)
   mutable next_index : int;
+  mutable count : int;  (** live objects *)
   mutable roots : Oid.t list;
   mutable resident : int;  (** running sum of live object sizes *)
   mutable live : Bytes.t;
-      (** byte per index, non-zero iff live; length >= [next_index] *)
+      (** byte per index, 1 iff live, else 0; length = [Array.length slots] *)
   mutable shape : capture option;
       (** last capture; dropped by every write that changes the shape *)
+  mutable builds : int;  (** captures built so far *)
+  mutable frees : int;  (** objects freed so far *)
 }
+
+let vacant =
+  {
+    oid = Oid.make ~site:(Site_id.of_int 0) ~index:(-1);
+    fields = [];
+    birth = -1;
+    size = 0;
+  }
 
 let create site =
   {
     site;
-    objects = Hashtbl.create 64;
+    slots = Array.make 64 vacant;
     next_index = 0;
+    count = 0;
     roots = [];
     resident = 0;
     live = Bytes.make 64 '\000';
     shape = None;
+    builds = 0;
+    frees = 0;
   }
 
 let site t = t.site
 let invalidate t = t.shape <- None
+let live_at t i = Bytes.unsafe_get t.live i <> '\000'
 
 let alloc ?(size = 1) t =
   let index = t.next_index in
   t.next_index <- index + 1;
   let oid = Oid.make ~site:t.site ~index in
-  Hashtbl.add t.objects index { oid; fields = []; birth = index; size };
-  if index >= Bytes.length t.live then begin
-    let b = Bytes.make (2 * Bytes.length t.live) '\000' in
-    Bytes.blit t.live 0 b 0 index;
-    t.live <- b
+  if index >= Array.length t.slots then begin
+    let n = 2 * Array.length t.slots in
+    let slots = Array.make n vacant and live = Bytes.make n '\000' in
+    Array.blit t.slots 0 slots 0 index;
+    Bytes.blit t.live 0 live 0 index;
+    t.slots <- slots;
+    t.live <- live
   end;
+  t.slots.(index) <- { oid; fields = []; birth = index; size };
   Bytes.set t.live index '\001';
+  t.count <- t.count + 1;
   t.resident <- t.resident + size;
   invalidate t;
   oid
@@ -63,15 +86,13 @@ let bytes_resident t = t.resident
 
 let alloc_clock t = t.next_index
 
-let find t oid =
-  if not (Site_id.equal (Oid.site oid) t.site) then None
-  else Hashtbl.find_opt t.objects (Oid.index oid)
-
 let mem t oid =
   Site_id.equal (Oid.site oid) t.site
   &&
   let i = Oid.index oid in
-  i >= 0 && i < t.next_index && Bytes.get t.live i <> '\000'
+  i >= 0 && i < t.next_index && live_at t i
+
+let find t oid = if mem t oid then Some t.slots.(Oid.index oid) else None
 
 let get t oid =
   match find t oid with Some o -> o | None -> raise Not_found
@@ -108,13 +129,16 @@ let clear_fields t oid =
       o.fields <- [];
       invalidate t
 
+let iter t f =
+  for i = 0 to t.next_index - 1 do
+    if live_at t i then f t.slots.(i)
+  done
+
 let retarget t ~old_oid ~fresh =
-  Hashtbl.iter
-    (fun _ o ->
+  iter t (fun o ->
       if List.exists (Oid.equal old_oid) o.fields then
         o.fields <-
-          List.map (fun z -> if Oid.equal z old_oid then fresh else z) o.fields)
-    t.objects;
+          List.map (fun z -> if Oid.equal z old_oid then fresh else z) o.fields);
   invalidate t
 
 let add_persistent_root t oid =
@@ -126,49 +150,67 @@ let add_persistent_root t oid =
   end
 
 let persistent_roots t = t.roots
-let iter t f = Hashtbl.iter (fun _ o -> f o) t.objects
-let fold t ~init ~f = Hashtbl.fold (fun _ o acc -> f acc o) t.objects init
-let object_count t = Hashtbl.length t.objects
+
+let fold t ~init ~f =
+  let acc = ref init in
+  iter t (fun o -> acc := f !acc o);
+  !acc
+
+let object_count t = t.count
 
 let indices t =
   let acc = ref [] in
   for i = t.next_index - 1 downto 0 do
-    if Bytes.get t.live i <> '\000' then acc := i :: !acc
+    if live_at t i then acc := i :: !acc
   done;
   !acc
 
 (* Freeing leaves the shape alone: a capture's row for a freed index
    goes stale but is never read, since every reader checks
    [d_present] first. *)
-let free t idxs =
-  (* Root indices once up front, not a root-list walk per freed index. *)
-  let root_idx = Hashtbl.create (max 8 (List.length t.roots)) in
-  List.iter (fun r -> Hashtbl.replace root_idx (Oid.index r) ()) t.roots;
-  List.fold_left
-    (fun n i ->
-      match Hashtbl.find_opt t.objects i with
-      | Some o when not (Hashtbl.mem root_idx i) ->
-          Hashtbl.remove t.objects i;
-          Bytes.set t.live i '\000';
-          t.resident <- t.resident - o.size;
-          n + 1
-      | Some _ | None -> n)
-    0 idxs
+let free t = function
+  | [] -> 0
+  | idxs ->
+      (* Root indices once up front, not a root-list walk per freed
+         index. *)
+      let root_idx = Hashtbl.create (max 8 (List.length t.roots)) in
+      List.iter (fun r -> Hashtbl.replace root_idx (Oid.index r) ()) t.roots;
+      let n =
+        List.fold_left
+          (fun n i ->
+            if
+              i >= 0 && i < t.next_index && live_at t i
+              && not (Hashtbl.mem root_idx i)
+            then begin
+              t.resident <- t.resident - t.slots.(i).size;
+              t.slots.(i) <- vacant;
+              Bytes.set t.live i '\000';
+              n + 1
+            end
+            else n)
+          0 idxs
+      in
+      t.count <- t.count - n;
+      t.frees <- t.frees + n;
+      n
 
-(* One [Hashtbl.iter] pass gathers each object's field list by index,
-   then the CSR arrays fill in index order. The gathered lists are
-   shared with the heap, never copied: [Heap] replaces [o.fields] on
-   every write and never mutates a list cell. Field order is preserved
-   exactly (the trace's union-call sequence depends on it). *)
+let frees t = t.frees
+let generation t = match t.shape with Some _ -> t.builds | None -> -1
+
+(* The CSR arrays fill in index order straight from the slots (a
+   vacant slot has no fields). The field lists are read, never copied:
+   [Heap] replaces [o.fields] on every write and never mutates a list
+   cell. Field order is preserved exactly (the trace's union-call
+   sequence depends on it). *)
 let build t ~present =
   let site = t.site and bound = t.next_index in
-  let fields = Array.make bound [] in
-  Hashtbl.iter (fun i o -> fields.(i) <- o.fields) t.objects;
+  let slots = t.slots in
+  t.builds <- t.builds + 1;
   let d_roots = Bytes.make (max bound 1) '\000' in
   List.iter (fun r -> Bytes.set d_roots (Oid.index r) '\001') t.roots;
   let d_start = Array.make (bound + 1) 0 in
   for i = 0 to bound - 1 do
-    d_start.(i + 1) <- d_start.(i) + List.length fields.(i)
+    d_start.(i + 1) <- d_start.(i) + List.length slots.(i).fields
   done;
   let d_codes = Array.make (max d_start.(bound) 1) 0 in
   (* The pool collects every target that is not an in-bound local
@@ -189,7 +231,7 @@ let build t ~present =
         fill (k + 1) tl
   in
   for i = 0 to bound - 1 do
-    fill d_start.(i) fields.(i)
+    fill d_start.(i) slots.(i).fields
   done;
   {
     d_site = site;
@@ -199,7 +241,7 @@ let build t ~present =
     d_start;
     d_codes;
     d_pool = Array.of_list (List.rev !pool_rev);
-    d_count = Hashtbl.length t.objects;
+    d_count = t.count;
   }
 
 (* Until the shape changes, a capture is the cached CSR arrays plus a
@@ -208,7 +250,7 @@ let build t ~present =
 let capture t =
   let present = Bytes.sub t.live 0 (max t.next_index 1) in
   match t.shape with
-  | Some c -> { c with d_present = present; d_count = Hashtbl.length t.objects }
+  | Some c -> { c with d_present = present; d_count = t.count }
   | None ->
       let c = build t ~present in
       t.shape <- Some c;
@@ -219,13 +261,10 @@ let pp ppf t =
     t.site (object_count t)
     (Format.pp_print_list ~pp_sep:Format.pp_print_space Oid.pp)
     t.roots;
-  List.iter
-    (fun i ->
-      let o = Hashtbl.find t.objects i in
+  iter t (fun o ->
       Format.fprintf ppf "  %a -> [%a]@," Oid.pp o.oid
         (Format.pp_print_list
            ~pp_sep:(fun ppf () -> Format.fprintf ppf "; ")
            Oid.pp)
-        o.fields)
-    (indices t);
+        o.fields);
   Format.fprintf ppf "@]"

@@ -65,7 +65,11 @@ val add_persistent_root : t -> Oid.t -> unit
 val persistent_roots : t -> Oid.t list
 
 val iter : t -> (obj -> unit) -> unit
+(** Live objects in ascending index order. *)
+
 val fold : t -> init:'a -> f:('a -> obj -> 'a) -> 'a
+(** {!iter} order. *)
+
 val object_count : t -> int
 val indices : t -> int list
 (** Local indices of live objects, ascending: a scan of the live-object
@@ -74,7 +78,18 @@ val indices : t -> int list
 val free : t -> int list -> int
 (** Free the objects with the given local indices; absent indices are
     ignored; persistent roots are never freed. Returns the number
-    actually freed. *)
+    actually freed. A freed object's slot is cleared: {!find} answers
+    [None] for it and iteration skips it. *)
+
+val frees : t -> int
+(** Objects freed so far: moves exactly when a {!free} frees one. *)
+
+val generation : t -> int
+(** Which build the cached capture is (a count of builds so far), or
+    [-1] when the shape changed since the last {!capture}. Two equal
+    non-negative readings mean no shape change happened between them:
+    the next {!capture} reuses the same CSR arrays, and only
+    {!frees} can have changed its live bitset. *)
 
 (** {2 Dense capture}
 

@@ -19,7 +19,7 @@ let link eng ~src ~dst =
     ignore o;
     let dst_site = Engine.site eng (Oid.site dst) in
     let ir = Tables.ensure_inref dst_site.Site.tables dst in
-    Ioref.add_source ir (Oid.site src) ~dist:1
+    Tables.add_source dst_site.Site.tables ir (Oid.site src) ~dist:1
   end
 
 let unlink eng ~src ~dst =
@@ -47,4 +47,4 @@ let set_source_distance eng ~inref ~src dist =
   let site = Engine.site eng (Oid.site inref) in
   match Tables.find_inref site.Site.tables inref with
   | None -> ()
-  | Some ir -> Ioref.set_source_dist ir src ~dist
+  | Some ir -> Tables.set_source_dist site.Site.tables ir src ~dist

@@ -357,7 +357,7 @@ let rec base_handlers =
            the Hughes baseline's timestamps). *)
         if ir.Ioref.ir_sources = [] then
           ir.Ioref.ir_ts <- Sim_time.to_seconds t.now;
-        Ioref.add_source ir by ~dist:1;
+        Tables.add_source s.Site.tables ir by ~dist:1;
         (* §6.1.2 case 4: the transfer barrier applies to inref z. *)
         s.Site.hooks.h_ref_arrived r;
         send t ~src:dst ~dst:by (Protocol.Insert_done { r }));
@@ -400,13 +400,14 @@ let rec base_handlers =
         List.iter
           (fun r ->
             on_inref r (fun ir ->
-                Ioref.remove_source ir src;
+                Tables.remove_source s.Site.tables ir src;
                 if ir.Ioref.ir_sources = [] then
                   Tables.remove_inref s.Site.tables r))
           removals;
         List.iter
           (fun (r, d) ->
-            on_inref r (fun ir -> Ioref.set_source_dist ir src ~dist:d))
+            on_inref r (fun ir ->
+                Tables.set_source_dist s.Site.tables ir src ~dist:d))
           dists);
     h_ext =
       (fun (t, dst) ~src e -> (site t dst).Site.hooks.h_ext ~src e);

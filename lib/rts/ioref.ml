@@ -65,20 +65,6 @@ let inref_dist ir =
 let find_source ir site =
   List.find_opt (fun s -> Site_id.equal s.src_site site) ir.ir_sources
 
-let add_source ir site ~dist =
-  match find_source ir site with
-  | Some s -> s.src_dist <- min s.src_dist dist
-  | None -> ir.ir_sources <- { src_site = site; src_dist = dist } :: ir.ir_sources
-
-let set_source_dist ir site ~dist =
-  match find_source ir site with
-  | Some s -> s.src_dist <- dist
-  | None -> ()
-
-let remove_source ir site =
-  ir.ir_sources <-
-    List.filter (fun s -> not (Site_id.equal s.src_site site)) ir.ir_sources
-
 let source_sites ir = List.map (fun s -> s.src_site) ir.ir_sources
 
 let inref_clean ~delta ir =

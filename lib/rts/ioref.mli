@@ -69,15 +69,6 @@ val inref_dist : inref -> int
 (** Minimum source distance; {!infinity_dist} if no sources. *)
 
 val find_source : inref -> Site_id.t -> source option
-val add_source : inref -> Site_id.t -> dist:int -> unit
-(** Add or update; keeps the minimum of the old and new distance for an
-    existing source (a conservative merge: §3 only lowers a source's
-    distance on insert, update messages overwrite). *)
-
-val set_source_dist : inref -> Site_id.t -> dist:int -> unit
-(** Overwrite (update-message semantics); no-op for unknown sources. *)
-
-val remove_source : inref -> Site_id.t -> unit
 val source_sites : inref -> Site_id.t list
 
 val inref_clean : delta:int -> inref -> bool

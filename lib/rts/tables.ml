@@ -5,12 +5,15 @@ type t = {
   site : Site_id.t;
   in_tbl : Ioref.inref Oid.Tbl.t;
   out_tbl : Ioref.outref Oid.Tbl.t;
+  mutable version : int;
 }
 
 let create site =
-  { site; in_tbl = Oid.Tbl.create 32; out_tbl = Oid.Tbl.create 32 }
+  { site; in_tbl = Oid.Tbl.create 32; out_tbl = Oid.Tbl.create 32; version = 0 }
 
 let site t = t.site
+let version t = t.version
+let bump t = t.version <- t.version + 1
 let find_inref t r = Oid.Tbl.find_opt t.in_tbl r
 
 let ensure_inref t r =
@@ -21,9 +24,39 @@ let ensure_inref t r =
   | None ->
       let ir = Ioref.make_inref r in
       Oid.Tbl.add t.in_tbl r ir;
+      bump t;
       ir
 
-let remove_inref t r = Oid.Tbl.remove t.in_tbl r
+let remove_inref t r =
+  Oid.Tbl.remove t.in_tbl r;
+  bump t
+
+let add_source t ir site ~dist =
+  (match Ioref.find_source ir site with
+  | Some s -> s.Ioref.src_dist <- min s.Ioref.src_dist dist
+  | None ->
+      ir.Ioref.ir_sources <-
+        { Ioref.src_site = site; src_dist = dist } :: ir.Ioref.ir_sources);
+  bump t
+
+let set_source_dist t ir site ~dist =
+  match Ioref.find_source ir site with
+  | Some s ->
+      s.Ioref.src_dist <- dist;
+      bump t
+  | None -> ()
+
+let remove_source t ir site =
+  ir.Ioref.ir_sources <-
+    List.filter
+      (fun s -> not (Site_id.equal s.Ioref.src_site site))
+      ir.Ioref.ir_sources;
+  bump t
+
+let flag_inref t ir =
+  ir.Ioref.ir_flagged <- true;
+  bump t
+
 let iter_inrefs t f = Oid.Tbl.iter (fun _ ir -> f ir) t.in_tbl
 
 let inrefs t =
@@ -41,9 +74,13 @@ let ensure_outref t ?(dist = 1) r =
   | None ->
       let o = Ioref.make_outref ~dist r in
       Oid.Tbl.add t.out_tbl r o;
+      bump t;
       (o, true)
 
-let remove_outref t r = Oid.Tbl.remove t.out_tbl r
+let remove_outref t r =
+  Oid.Tbl.remove t.out_tbl r;
+  bump t
+
 let iter_outrefs t f = Oid.Tbl.iter (fun _ o -> f o) t.out_tbl
 
 let outrefs t =

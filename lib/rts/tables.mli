@@ -1,4 +1,9 @@
-(** Per-site inref and outref tables (§2). *)
+(** Per-site inref and outref tables (§2).
+
+    Every write that can change what a §5 local trace samples from the
+    tables — an inref's or outref's existence, an inref's source
+    distances, its [ir_flagged] — goes through this module and bumps
+    {!version}. *)
 
 open Dgc_prelude
 open Dgc_heap
@@ -8,6 +13,12 @@ type t
 val create : Site_id.t -> t
 val site : t -> Site_id.t
 
+val version : t -> int
+(** Bumped by every write below: equal readings mean the sorted inref
+    (target, distance, flagged) and outref target lists are unchanged.
+    Other mutable ioref fields (suspicion, pins, insets, ...) are
+    outside it. *)
+
 (** {1 Inrefs} *)
 
 val find_inref : t -> Oid.t -> Ioref.inref option
@@ -16,6 +27,19 @@ val ensure_inref : t -> Oid.t -> Ioref.inref
     the oid is not local to this site. *)
 
 val remove_inref : t -> Oid.t -> unit
+
+val add_source : t -> Ioref.inref -> Site_id.t -> dist:int -> unit
+(** Add or update; keeps the minimum of the old and new distance for an
+    existing source (a conservative merge: §3 only lowers a source's
+    distance on insert, update messages overwrite). *)
+
+val set_source_dist : t -> Ioref.inref -> Site_id.t -> dist:int -> unit
+(** Overwrite (update-message semantics); no-op for unknown sources. *)
+
+val remove_source : t -> Ioref.inref -> Site_id.t -> unit
+
+val flag_inref : t -> Ioref.inref -> unit
+(** Mark an inref confirmed garbage ([ir_flagged], §4.5). *)
 
 val iter_inrefs : t -> (Ioref.inref -> unit) -> unit
 (** Unspecified order, no allocation — prefer this on hot paths where

@@ -23,8 +23,8 @@ let verdict = Alcotest.testable Verdict.pp Verdict.equal
 let find_outref eng r ~at =
   Tables.find_outref (Engine.site eng at).Site.tables r
 
-let find_inref eng r =
-  Tables.find_inref (Engine.site eng (Oid.site r)).Site.tables r
+let tables_of eng r = (Engine.site eng (Oid.site r)).Site.tables
+let find_inref eng r = Tables.find_inref (tables_of eng r) r
 
 (* --- Figure 1: local tracing collects d,e; back tracing collects the
    f-g cycle ----------------------------------------------------------- *)
@@ -92,7 +92,8 @@ let suspect_all_inrefs eng =
       Tables.iter_inrefs s.Site.tables (fun ir ->
           List.iter
             (fun src ->
-              Ioref.set_source_dist ir src.Ioref.src_site ~dist:100)
+              Tables.set_source_dist s.Site.tables ir src.Ioref.src_site
+                ~dist:100)
             ir.Ioref.ir_sources))
     (Engine.sites eng)
 
@@ -154,7 +155,9 @@ let test_fig3_branching_live () =
   (match find_inref eng f.f3_a with
   | Some ir ->
       List.iter
-        (fun src -> Ioref.set_source_dist ir src.Ioref.src_site ~dist:1)
+        (fun src ->
+          Tables.set_source_dist (tables_of eng f.f3_a) ir src.Ioref.src_site
+            ~dist:1)
         ir.Ioref.ir_sources
   | None -> Alcotest.fail "inref a missing");
   Collector.force_local_trace_all sim.Sim.col;
@@ -303,7 +306,7 @@ let test_flagged_inref_reads_as_garbage () =
   Collector.force_local_trace_all sim.Sim.col;
   (* Pre-flag a (as an earlier trace's report would have). *)
   (match find_inref eng f.f2_a with
-  | Some ir -> ir.Ioref.ir_flagged <- true
+  | Some ir -> Tables.flag_inref (tables_of eng f.f2_a) ir
   | None -> Alcotest.fail "inref a missing");
   let outcome = ref None in
   Back_trace.on_outcome (Collector.back sim.Sim.col) (fun _ v _ ->

@@ -142,28 +142,59 @@ let prop_capture_is_frozen =
       true)
 
 (* Captures interleaved at random with every heap write — the writes
-   that change the shape and [free], which does not: each capture
-   matches the heap at its own time, and at the end every earlier
-   capture still does, so neither the arrays shared between captures
-   nor the copied live bitsets ever change. *)
-let interleave rng heap =
-  let site = Heap.site heap in
+   that change the shape and [free], which does not — and with every
+   write to the site's tables and roots: each capture matches the heap
+   at its own time, and at the end every earlier capture still does,
+   so neither the arrays shared between captures nor the copied live
+   bitsets ever change. Whenever the site's input stamp has not moved
+   since the last capture, the trace input sampled now equals the last
+   one by value: a writer that skipped its version bump fails here.
+   Two captures with no write between them always repeat the stamp. *)
+let interleave rng eng site =
+  let heap = site.Site.heap and tables = site.Site.tables in
+  let id = site.Site.id in
   let remote k = Oid.make ~site:(Site_id.of_int 1) ~index:k in
   let pick () =
     match Heap.indices heap with
     | [] -> None
     | l ->
-        Some (Oid.make ~site ~index:(List.nth l (Rng.int rng (List.length l))))
+        Some (Oid.make ~site:id ~index:(List.nth l (Rng.int rng (List.length l))))
   in
   (* A target: live or freed local, or one of a few remotes. *)
-  let target () =
-    match Rng.int rng 3 with
-    | 0 -> remote (Rng.int rng 4)
-    | _ -> Oid.make ~site ~index:(Rng.int rng (max 1 (Heap.alloc_clock heap)))
+  let local () =
+    Oid.make ~site:id ~index:(Rng.int rng (max 1 (Heap.alloc_clock heap)))
   in
-  let taken = ref [] in
-  for _ = 1 to 80 do
-    match (Rng.int rng 9, pick ()) with
+  let target () =
+    match Rng.int rng 3 with 0 -> remote (Rng.int rng 4) | _ -> local ()
+  in
+  let inref () =
+    match Tables.inrefs tables with
+    | [] -> None
+    | l -> Some (List.nth l (Rng.int rng (List.length l)))
+  in
+  let app = ref [] in
+  Engine.set_extra_roots eng (fun s -> if Site_id.equal s id then !app else []);
+  let tokens = ref [] in
+  let taken = ref [] and last = ref None in
+  let capture () =
+    let now = Local_trace.stamp eng site in
+    let st = state_of_heap heap in
+    let snap = Snapshot.take heap in
+    check_capture st snap;
+    let inp = Local_trace.input_of_snapshot eng site snap in
+    let hit =
+      match !last with
+      | Some (before, prev) when Local_trace.same_input now before ->
+          Alcotest.(check bool) "same stamp, same input" true (inp = prev);
+          true
+      | _ -> false
+    in
+    last := Some (Local_trace.stamp eng site, inp);
+    taken := (st, snap) :: !taken;
+    hit
+  in
+  for _ = 1 to 120 do
+    match (Rng.int rng 24, pick ()) with
     | 0, _ -> ignore (Heap.alloc heap)
     | 1, Some a -> Heap.add_field heap ~obj:a ~target:(target ())
     | 2, Some a -> (
@@ -181,12 +212,47 @@ let interleave rng heap =
         in
         ignore (Heap.free heap victims)
     | 6, _ -> Heap.retarget heap ~old_oid:(target ()) ~fresh:(target ())
-    | _ ->
-        let st = state_of_heap heap in
-        let snap = Snapshot.take heap in
-        check_capture st snap;
-        taken := (st, snap) :: !taken
+    | 7, _ -> ignore (Tables.ensure_inref tables (local ()))
+    | 8, _ -> Option.iter (fun ir -> Tables.remove_inref tables ir.Ioref.ir_target) (inref ())
+    | 9, _ ->
+        Option.iter
+          (fun ir ->
+            Tables.add_source tables ir (Site_id.of_int 1) ~dist:(Rng.int rng 6))
+          (inref ())
+    | 10, _ ->
+        Option.iter
+          (fun ir ->
+            Tables.set_source_dist tables ir (Site_id.of_int 1)
+              ~dist:(Rng.int rng 6))
+          (inref ())
+    | 11, _ ->
+        Option.iter
+          (fun ir -> Tables.remove_source tables ir (Site_id.of_int 1))
+          (inref ())
+    | 12, _ -> Option.iter (Tables.flag_inref tables) (inref ())
+    | 13, _ -> ignore (Tables.ensure_outref tables (remote (Rng.int rng 4)))
+    | 14, _ -> Tables.remove_outref tables (remote (Rng.int rng 4))
+    | 15, _ ->
+        app :=
+          (match Rng.int rng 3 with
+          | 0 -> local () :: !app
+          | 1 -> ( match !app with [] -> [] | _ :: tl -> tl)
+          | _ -> [ local () ])
+    | 16, _ ->
+        let token = Engine.fresh_token eng in
+        Site.pin site ~token [ local () ];
+        tokens := token :: !tokens
+    | 17, _ -> (
+        match !tokens with
+        | [] -> ()
+        | token :: tl ->
+            Site.unpin site ~token;
+            tokens := tl)
+    | _ -> ignore (capture ())
   done;
+  ignore (capture ());
+  Alcotest.(check bool) "no write between captures: stamp repeats" true
+    (capture ());
   List.iter (fun (st, snap) -> check_capture st snap) !taken
 
 let prop_interleaved_captures =
@@ -195,12 +261,45 @@ let prop_interleaved_captures =
     QCheck2.Gen.(1 -- 100_000)
     (fun seed ->
       let rng = Rng.create ~seed in
-      let heap = Heap.create (Site_id.of_int 0) in
+      let eng = Engine.create (cfg 2 seed) in
+      let site = Engine.site eng (Site_id.of_int 0) in
       for _ = 1 to 1 + Rng.int rng 8 do
-        ignore (Heap.alloc heap)
+        ignore (Heap.alloc site.Site.heap)
       done;
-      interleave rng heap;
+      interleave rng eng site;
       true)
+
+(* The word-wide bitmap scans agree with byte-at-a-time loops, on
+   lengths that are mostly not multiples of 8. [present] mostly covers
+   [marked], with one byte knocked out half the time. *)
+let prop_bitmap_scans =
+  QCheck2.Test.make ~name:"word-wide bitmap scans equal bytewise loops"
+    ~count:500 ~print:QCheck2.Print.int
+    QCheck2.Gen.(1 -- 1_000_000)
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      let n = Rng.int rng 70 in
+      let bit p = if Rng.float rng 1.0 < p then '\001' else '\000' in
+      let density = Rng.float rng 1.0 in
+      let marked = Bytes.init n (fun _ -> bit density) in
+      let present =
+        Bytes.init (n + Rng.int rng 9) (fun i ->
+            if i < n && Bytes.get marked i <> '\000' then '\001' else bit 0.5)
+      in
+      if n > 0 && Rng.int rng 2 = 0 then
+        Bytes.set present (Rng.int rng n) '\000';
+      let covers_bytewise = ref true in
+      let set_bytewise = ref [] in
+      for i = n - 1 downto 0 do
+        if Bytes.get marked i <> '\000' then begin
+          set_bytewise := i :: !set_bytewise;
+          if Bytes.get present i = '\000' then covers_bytewise := false
+        end
+      done;
+      let set = ref [] in
+      Dense.iter_set marked (fun i -> set := i :: !set);
+      Dense.covers ~present marked = !covers_bytewise
+      && List.rev !set = !set_bytewise)
 
 let test_empty_heap () =
   let heap = Heap.create (Site_id.of_int 0) in
@@ -362,5 +461,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_capture_is_frozen;
           QCheck_alcotest.to_alcotest prop_interleaved_captures;
+          QCheck_alcotest.to_alcotest prop_bitmap_scans;
         ] );
     ]

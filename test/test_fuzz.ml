@@ -209,6 +209,15 @@ let test_chaos_regression_9751 () =
   try chaos_run ~seed:9751
   with Dgc_oracle.Oracle.Safety_violation m -> Alcotest.failf "unsafe: %s" m
 
+(* Regression: a reference that reached a site during its trace window,
+   at an outref the window's snapshot did not reach, lost that outref
+   in the swap: the site was left with a heap field and no outref
+   ("S0: field S0/o6 -> S1/o5 lacks an outref"). The window replay now
+   keeps the outref of every remote arrival. *)
+let test_chaos_regression_9927 () =
+  try chaos_run ~seed:9927
+  with Dgc_oracle.Oracle.Safety_violation m -> Alcotest.failf "unsafe: %s" m
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -221,5 +230,7 @@ let () =
             `Quick test_chaos_regression_3328;
           Alcotest.test_case "regression: remote app-root distance (seed 9751)"
             `Quick test_chaos_regression_9751;
+          Alcotest.test_case "regression: window arrival keeps its outref (seed 9927)"
+            `Quick test_chaos_regression_9927;
         ] );
     ]

@@ -40,7 +40,9 @@ let suspect_everything eng =
     (fun s ->
       Tables.iter_inrefs s.Site.tables (fun ir ->
           List.iter
-            (fun src -> Ioref.set_source_dist ir src.Ioref.src_site ~dist:50)
+            (fun src ->
+              Tables.set_source_dist s.Site.tables ir src.Ioref.src_site
+                ~dist:50)
             ir.Ioref.ir_sources))
     (Engine.sites eng)
 

@@ -66,6 +66,17 @@ let test_heap_free_and_roots () =
   Alcotest.(check int) "only b freed (root kept, 999 ignored)" 1 freed;
   Alcotest.(check bool) "a alive" true (Heap.mem h a);
   Alcotest.(check bool) "b gone" false (Heap.mem h b);
+  Alcotest.(check bool) "find b: None" true (Heap.find h b = None);
+  Alcotest.(check int) "frees counted" 1 (Heap.frees h);
+  Alcotest.(check int) "nothing to free: 0" 0 (Heap.free h []);
+  let c = Heap.alloc h in
+  let order = List.rev (Heap.fold h ~init:[] ~f:(fun acc o -> o.Heap.oid :: acc)) in
+  Alcotest.(check (list string))
+    "iter skips the freed index, ascending"
+    [ Oid.to_string a; Oid.to_string c ]
+    (List.map Oid.to_string order);
+  Heap.iter h (fun o ->
+      Alcotest.(check bool) "iter never yields b" false (Oid.equal o.Heap.oid b));
   Alcotest.check_raises "root must be local+alive"
     (Invalid_argument "Heap.add_persistent_root: not a live local object")
     (fun () -> Heap.add_persistent_root h b)

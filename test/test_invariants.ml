@@ -139,8 +139,12 @@ let test_detects_missing_source () =
   Scenario.settle sim ~rounds:8;
   (match objs with
   | o :: _ -> (
-      match Tables.find_inref (Engine.site eng (Oid.site o)).Site.tables o with
-      | Some ir -> ir.Ioref.ir_sources <- []
+      let tables = (Engine.site eng (Oid.site o)).Site.tables in
+      match Tables.find_inref tables o with
+      | Some ir ->
+          List.iter
+            (fun site -> Tables.remove_source tables ir site)
+            (Ioref.source_sites ir)
       | None -> Alcotest.fail "inref missing")
   | [] -> Alcotest.fail "no objects");
   Alcotest.(check bool) "remote safety violation detected" true

@@ -211,7 +211,9 @@ let suspect_everything eng =
     (fun s ->
       Tables.iter_inrefs s.Site.tables (fun ir ->
           List.iter
-            (fun src -> Ioref.set_source_dist ir src.Ioref.src_site ~dist:50)
+            (fun src ->
+              Tables.set_source_dist s.Site.tables ir src.Ioref.src_site
+                ~dist:50)
             ir.Ioref.ir_sources))
     (Engine.sites eng)
 
@@ -275,7 +277,7 @@ let random_input rand =
       (Random.State.int rand 10);
     if Random.State.int rand 10 = 0 then begin
       match Tables.find_inref q.Site.tables o with
-      | Some ir -> ir.Ioref.ir_flagged <- true
+      | Some ir -> Tables.flag_inref q.Site.tables ir
       | None -> ()
     end
   done;
@@ -475,6 +477,47 @@ let test_windowed_matches_atomic () =
   suspect_everything eng;
   check_windowed_matches_atomic eng
 
+(* A reference that arrives during a §6.2 window, at an outref that is
+   already clean, is stored in the heap after the snapshot was taken.
+   The window's trace finds the outref untraced; the replay must keep
+   it. Dropping it sends a removal to the owner, which then frees a
+   live object. *)
+let test_window_keeps_arrived_outref () =
+  let cfg =
+    {
+      cfg_atomic with
+      Config.n_sites = 2;
+      trace_duration = Sim_time.of_seconds 5.;
+      oracle_checks = true;
+    }
+  in
+  let sim = Sim.make ~cfg () in
+  let eng = sim.Sim.eng in
+  let s0 = Engine.site eng (site_id 0) and s1 = Engine.site eng (site_id 1) in
+  let a = Builder.root_obj eng (site_id 0) in
+  let x = Builder.obj eng (site_id 1) in
+  Builder.link eng ~src:a ~dst:x;
+  (* S0 drops its reference but keeps the (clean) outref until its next
+     trace; that trace's window opens now, before x comes back. *)
+  Builder.unlink eng ~src:a ~dst:x;
+  s0.Site.hooks.Site.h_run_local_trace ();
+  Alcotest.(check bool) "window open" true
+    (Collector.in_window sim.Sim.col (site_id 0));
+  (* An agent carries x from S1 to S0, which stores it in a. *)
+  Engine.set_agent_arrival eng (fun ~agent:_ ~dst ->
+      if Site_id.equal dst (site_id 0) then
+        Heap.add_field s0.Site.heap ~obj:a ~target:x);
+  Engine.move_agent eng ~agent:0 ~src:(site_id 1) ~dst:(site_id 0)
+    ~refs:[ x ];
+  Sim.run_for sim (Sim_time.of_seconds 10.);
+  Alcotest.(check bool) "window closed" false
+    (Collector.in_window sim.Sim.col (site_id 0));
+  Alcotest.(check bool) "S0 keeps its outref for x" true
+    (Tables.find_outref s0.Site.tables x <> None);
+  Collector.force_local_trace sim.Sim.col (site_id 1);
+  Alcotest.(check bool) "x, reachable from S0's root, survives" true
+    (Heap.mem s1.Site.heap x)
+
 (* --- root-closure memo ---------------------------------------------------- *)
 
 let all_modes =
@@ -573,9 +616,21 @@ let prop_memo_equals_fresh =
         | _ -> ()
       in
       let memo = Local_trace.memo () in
+      (* The collector's reuse rule: on a stamp hit, the outcome kept
+         from the last input stands in for a compute of this one. *)
+      let kept = ref None in
       for _ = 1 to 12 do
         write ();
-        ignore (memo_agrees memo (Local_trace.input_of_site eng q))
+        let now = Local_trace.stamp eng q in
+        let inp = Local_trace.input_of_site eng q in
+        (match !kept with
+        | Some (before, outcome) when Local_trace.same_input now before ->
+            Alcotest.(check string)
+              "outcome reused on a stamp hit = fresh memo-less outcome"
+              (outcome_digest inp) outcome
+        | _ -> ());
+        ignore (memo_agrees memo inp);
+        kept := Some (Local_trace.stamp eng q, outcome_digest ~memo inp)
       done;
       true)
 
@@ -711,6 +766,8 @@ let () =
             test_apply_sends_distance_updates;
           Alcotest.test_case "snapshot window keeps fresh objects" `Quick
             test_sweep_keeps_fresh_objects;
+          Alcotest.test_case "window keeps the outref of an arrival" `Quick
+            test_window_keeps_arrived_outref;
         ] );
       ("properties", qsuite);
     ]

@@ -259,7 +259,7 @@ let test_table_violations_detect_missing_source () =
   let b = Builder.obj eng (s 1) in
   Builder.link eng ~src:a ~dst:b;
   (match Tables.find_inref (Engine.site eng (s 1)).Site.tables b with
-  | Some ir -> Ioref.remove_source ir (s 0)
+  | Some ir -> Tables.remove_source (Engine.site eng (s 1)).Site.tables ir (s 0)
   | None -> Alcotest.fail "inref missing");
   Alcotest.(check bool) "missing source detected" true
     (Dgc_oracle.Oracle.table_violations eng <> [])

@@ -267,7 +267,9 @@ let test_ledger_row_order () =
     (fun s ->
       Tables.iter_inrefs s.Site.tables (fun ir ->
           List.iter
-            (fun src -> Ioref.set_source_dist ir src.Ioref.src_site ~dist:100)
+            (fun src ->
+              Tables.set_source_dist s.Site.tables ir src.Ioref.src_site
+                ~dist:100)
             ir.Ioref.ir_sources))
     (Engine.sites eng);
   Collector.force_local_trace_all sim.Sim.col;
@@ -374,7 +376,7 @@ let ledger_total field doc =
   | _ -> Alcotest.fail "profile document has no ledger rows"
 
 let test_profile_pins () =
-  Alcotest.(check string) "fig2 profile digest" "6e36d1470a7438f6813ab2a49bb84e64"
+  Alcotest.(check string) "fig2 profile digest" "e22c631da5eaf06d5500a5cac553c9be"
     (digest_json (fig2_profile_doc ()));
   let doc = fault_profile_doc () in
   List.iter
@@ -382,7 +384,7 @@ let test_profile_pins () =
       Alcotest.(check bool) ("fault case ledger has " ^ f) true
         (ledger_total f doc > 0))
     [ "retries"; "timeouts"; "memo_hits" ];
-  Alcotest.(check string) "fault case profile digest" "61d81bb1af5080eeb8f4d8f90f04f66e"
+  Alcotest.(check string) "fault case profile digest" "3d58c590a9752901cd40fa3840af19d0"
     (digest_json doc)
 
 (* --- run artifact embed ------------------------------------------------ *)

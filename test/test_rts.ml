@@ -22,36 +22,38 @@ let run eng secs = Engine.run_for eng (Sim_time.of_seconds secs)
 (* --- ioref records ------------------------------------------------------- *)
 
 let test_inref_sources () =
+  let t = Tables.create (s 0) in
   let target = Oid.make ~site:(s 0) ~index:0 in
-  let ir = Ioref.make_inref target in
+  let ir = Tables.ensure_inref t target in
   Alcotest.(check int) "no sources: infinite" Ioref.infinity_dist
     (Ioref.inref_dist ir);
-  Ioref.add_source ir (s 1) ~dist:4;
-  Ioref.add_source ir (s 2) ~dist:2;
+  Tables.add_source t ir (s 1) ~dist:4;
+  Tables.add_source t ir (s 2) ~dist:2;
   Alcotest.(check int) "min over sources" 2 (Ioref.inref_dist ir);
   (* add_source keeps the minimum for an existing source *)
-  Ioref.add_source ir (s 1) ~dist:9;
+  Tables.add_source t ir (s 1) ~dist:9;
   Alcotest.(check bool) "merge keeps min" true
     (match Ioref.find_source ir (s 1) with
     | Some src -> src.Ioref.src_dist = 4
     | None -> false);
   (* set overwrites *)
-  Ioref.set_source_dist ir (s 1) ~dist:9;
+  Tables.set_source_dist t ir (s 1) ~dist:9;
   Alcotest.(check bool) "set overwrites" true
     (match Ioref.find_source ir (s 1) with
     | Some src -> src.Ioref.src_dist = 9
     | None -> false);
-  Ioref.set_source_dist ir (s 5) ~dist:1;
+  Tables.set_source_dist t ir (s 5) ~dist:1;
   Alcotest.(check bool) "set ignores unknown" true
     (Ioref.find_source ir (s 5) = None);
-  Ioref.remove_source ir (s 2);
+  Tables.remove_source t ir (s 2);
   Alcotest.(check (list int)) "remove" [ 1 ]
     (List.map Site_id.to_int (Ioref.source_sites ir))
 
 let test_clean_predicates () =
+  let t = Tables.create (s 0) in
   let target = Oid.make ~site:(s 0) ~index:0 in
-  let ir = Ioref.make_inref target in
-  Ioref.add_source ir (s 1) ~dist:10;
+  let ir = Tables.ensure_inref t target in
+  Tables.add_source t ir (s 1) ~dist:10;
   Alcotest.(check bool) "fresh is clean" true (Ioref.inref_clean ~delta:3 ir);
   ir.Ioref.ir_fresh <- false;
   Alcotest.(check bool) "not suspected yet: clean" true
@@ -62,7 +64,7 @@ let test_clean_predicates () =
   ir.Ioref.ir_forced_clean <- true;
   Alcotest.(check bool) "forced clean wins" true (Ioref.inref_clean ~delta:3 ir);
   ir.Ioref.ir_forced_clean <- false;
-  Ioref.set_source_dist ir (s 1) ~dist:2;
+  Tables.set_source_dist t ir (s 1) ~dist:2;
   Alcotest.(check bool) "distance back under delta: clean" true
     (Ioref.inref_clean ~delta:3 ir);
   let o = Ioref.make_outref (Oid.make ~site:(s 1) ~index:0) in
@@ -300,7 +302,7 @@ let test_local_gc_keeps_inref_rooted () =
     (Heap.mem (Engine.site eng (s 1)).Site.heap target);
   (* flagged inrefs are not roots *)
   (match Tables.find_inref (Engine.site eng (s 1)).Site.tables target with
-  | Some ir -> ir.Ioref.ir_flagged <- true
+  | Some ir -> Tables.flag_inref (Engine.site eng (s 1)).Site.tables ir
   | None -> Alcotest.fail "inref missing");
   Local_gc.run eng (Engine.site eng (s 1));
   Alcotest.(check bool) "flagged inref is not a root" false
