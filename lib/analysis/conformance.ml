@@ -104,7 +104,7 @@ let rules : (t * Site_id.t) Protocol.handlers =
             if not m.mv_acked then t.unacked_moves <- t.unacked_moves - 1;
             m.mv_acked <- true);
     h_insert =
-      (fun (t, dst) ~src ~r ~by ->
+      (fun (t, dst) ~src ~r ~by ~inc:_ ->
         if not (Site_id.equal dst (Oid.site r)) then
           note t ~rule:"insert-at-owner"
             "insert for %a delivered at %a, not its owner" Oid.pp r Site_id.pp
@@ -132,7 +132,7 @@ let rules : (t * Site_id.t) Protocol.handlers =
     h_update =
       (fun (t, dst) ~src ~removals ~dists ->
         List.iter
-          (fun r ->
+          (fun (r, _) ->
             if not (Site_id.equal dst (Oid.site r)) then
               note t ~rule:"update-at-owner"
                 "update removal for %a (from %a) delivered at non-owner %a"

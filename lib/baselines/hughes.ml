@@ -143,7 +143,7 @@ let hughes_trace t st =
           else begin
             Tables.remove_outref tables r;
             let b = bucket removals (Oid.site r) in
-            b := r :: !b
+            b := (r, o.Ioref.or_inc) :: !b
           end)
     (Tables.outrefs tables);
   Hashtbl.iter

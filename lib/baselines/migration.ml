@@ -53,10 +53,10 @@ let skipped_multi_holder t = t.skipped
 let register_ref t ~holder r =
   if not (Site_id.equal (Oid.site r) holder) then begin
     let holder_site = Engine.site t.eng holder in
-    ignore (Tables.ensure_outref holder_site.Site.tables r);
+    let o, _created = Tables.ensure_outref holder_site.Site.tables r in
     let owner = Engine.site t.eng (Oid.site r) in
     let ir = Tables.ensure_inref owner.Site.tables r in
-    Tables.add_source owner.Site.tables ir holder ~dist:1
+    Tables.add_source owner.Site.tables ir holder ~dist:1 ~inc:o.Ioref.or_inc
   end
 
 let arrive t site_id ~old_oid ~fields ~size ~from =

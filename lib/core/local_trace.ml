@@ -727,7 +727,7 @@ let apply eng site outcome ~window_cleans ~on_cleaned ~oracle_check =
             end
             else begin
               Tables.remove_outref tables res.o_ref;
-              removals := res.o_ref :: !removals
+              removals := (res.o_ref, o.Ioref.or_inc) :: !removals
             end
           end
           else begin
@@ -776,9 +776,9 @@ let apply eng site outcome ~window_cleans ~on_cleaned ~oracle_check =
         b
   in
   List.iter
-    (fun r ->
+    (fun ((r, _) as removal) ->
       let rem, _ = bucket (Oid.site r) in
-      rem := r :: !rem)
+      rem := removal :: !rem)
     !removals;
   List.iter
     (fun (r, d) ->

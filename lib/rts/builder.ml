@@ -16,10 +16,10 @@ let link eng ~src ~dst =
   Heap.add_field src_site.Site.heap ~obj:src ~target:dst;
   if not (Site_id.equal (Oid.site src) (Oid.site dst)) then begin
     let o, _created = Tables.ensure_outref src_site.Site.tables dst in
-    ignore o;
     let dst_site = Engine.site eng (Oid.site dst) in
     let ir = Tables.ensure_inref dst_site.Site.tables dst in
     Tables.add_source dst_site.Site.tables ir (Oid.site src) ~dist:1
+      ~inc:o.Ioref.or_inc
   end
 
 let unlink eng ~src ~dst =

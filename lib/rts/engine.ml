@@ -332,11 +332,11 @@ let rec base_handlers =
           (fun r ->
             (match Site.fresh_outref_of_arrival s r with
             | `Local | `Known -> ()
-            | `Created ->
+            | `Created inc ->
                 incr needed;
                 Hashtbl.replace t.awaiting_insert (dst, r) token;
                 send t ~src:dst ~dst:(Oid.site r)
-                  (Protocol.Insert { r; by = dst }));
+                  (Protocol.Insert { r; by = dst; inc }));
             (* §6.1 barrier point: the reference arrived at this site. *)
             s.Site.hooks.h_ref_arrived r)
           refs;
@@ -349,7 +349,7 @@ let rec base_handlers =
     h_move_ack =
       (fun (t, dst) ~src:_ ~token -> Site.unpin (site t dst) ~token);
     h_insert =
-      (fun (t, dst) ~src:_ ~r ~by ->
+      (fun (t, dst) ~src:_ ~r ~by ~inc ->
         let s = site t dst in
         let ir = Tables.ensure_inref s.Site.tables r in
         (* A brand-new source is conservatively at distance 1 (§3); a
@@ -357,7 +357,7 @@ let rec base_handlers =
            the Hughes baseline's timestamps). *)
         if ir.Ioref.ir_sources = [] then
           ir.Ioref.ir_ts <- Sim_time.to_seconds t.now;
-        Tables.add_source s.Site.tables ir by ~dist:1;
+        Tables.add_source s.Site.tables ir by ~dist:1 ~inc;
         (* §6.1.2 case 4: the transfer barrier applies to inref z. *)
         s.Site.hooks.h_ref_arrived r;
         send t ~src:dst ~dst:by (Protocol.Insert_done { r }));
@@ -397,12 +397,22 @@ let rec base_handlers =
           | Some ir -> f ir
           | None -> ()
         in
+        (* A removal older than the source's latest insert is stale: it
+           was overtaken by the [Insert] of a newer incarnation of the
+           same outref, which still holds the reference. *)
+        let stale ir inc =
+          match Ioref.find_source ir src with
+          | Some so -> so.Ioref.src_inc > inc
+          | None -> false
+        in
         List.iter
-          (fun r ->
+          (fun (r, inc) ->
             on_inref r (fun ir ->
-                Tables.remove_source s.Site.tables ir src;
-                if ir.Ioref.ir_sources = [] then
-                  Tables.remove_inref s.Site.tables r))
+                if not (stale ir inc) then begin
+                  Tables.remove_source s.Site.tables ir src;
+                  if ir.Ioref.ir_sources = [] then
+                    Tables.remove_inref s.Site.tables r
+                end))
           removals;
         List.iter
           (fun (r, d) ->

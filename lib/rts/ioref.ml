@@ -1,7 +1,11 @@
 open Dgc_prelude
 open Dgc_heap
 
-type source = { src_site : Site_id.t; mutable src_dist : int }
+type source = {
+  src_site : Site_id.t;
+  mutable src_dist : int;
+  mutable src_inc : int;
+}
 
 type inref = {
   ir_target : Oid.t;
@@ -18,6 +22,7 @@ type inref = {
 
 type outref = {
   or_target : Oid.t;
+  or_inc : int;
   mutable or_dist : int;
   mutable or_pins : int;
   mutable or_fresh : bool;
@@ -45,9 +50,10 @@ let make_inref ?(threshold2 = infinity_dist) target =
     ir_ts = 0.;
   }
 
-let make_outref ?(threshold2 = infinity_dist) ?(dist = 1) target =
+let make_outref ?(threshold2 = infinity_dist) ?(dist = 1) ?(inc = 0) target =
   {
     or_target = target;
+    or_inc = inc;
     or_dist = dist;
     or_pins = 0;
     or_fresh = true;

@@ -17,7 +17,13 @@
 open Dgc_prelude
 open Dgc_heap
 
-type source = { src_site : Site_id.t; mutable src_dist : int }
+type source = {
+  src_site : Site_id.t;
+  mutable src_dist : int;
+  mutable src_inc : int;
+      (** the newest incarnation of the source's outref that this inref
+          has heard of, by [Insert] (see {!outref.or_inc}) *)
+}
 
 type inref = {
   ir_target : Oid.t;  (** the local object; identifies the inref *)
@@ -39,6 +45,13 @@ type inref = {
 
 type outref = {
   or_target : Oid.t;  (** the remote object; identifies the outref *)
+  or_inc : int;
+      (** incarnation: drawn from a per-site counter when the outref is
+          created, so an outref re-created after a removal carries a
+          larger number than the removed one. [Insert] and each
+          [Update] removal carry it, and the owner ignores a removal
+          older than the source's latest insert: base messages on one
+          channel may be reordered. *)
   mutable or_dist : int;
   mutable or_pins : int;
       (** insert-barrier / in-flight retention count; a pinned outref is
@@ -63,7 +76,7 @@ val make_inref : ?threshold2:int -> Oid.t -> inref
     [ir_back_threshold] (default {!infinity_dist}, i.e. never trigger
     until configured). *)
 
-val make_outref : ?threshold2:int -> ?dist:int -> Oid.t -> outref
+val make_outref : ?threshold2:int -> ?dist:int -> ?inc:int -> Oid.t -> outref
 
 val inref_dist : inref -> int
 (** Minimum source distance; {!infinity_dist} if no sources. *)

@@ -40,13 +40,13 @@ let run eng site =
         o.Ioref.or_fresh <- false
       else begin
         Tables.remove_outref tables r;
-        removals := r :: !removals
+        removals := (r, o.Ioref.or_inc) :: !removals
       end)
     (Tables.outrefs tables);
   (* Group removal notices by target site. *)
   let by_site = Hashtbl.create 8 in
   List.iter
-    (fun r ->
+    (fun ((r, _) as removal) ->
       let dst = Oid.site r in
       let q =
         match Hashtbl.find_opt by_site dst with
@@ -56,7 +56,7 @@ let run eng site =
             Hashtbl.add by_site dst q;
             q
       in
-      q := r :: !q)
+      q := removal :: !q)
     !removals;
   Hashtbl.iter
     (fun dst q ->

@@ -6,9 +6,9 @@ type ext = ..
 type payload =
   | Move of { agent : int; refs : Oid.t list; token : int }
   | Move_ack of { token : int }
-  | Insert of { r : Oid.t; by : Site_id.t }
+  | Insert of { r : Oid.t; by : Site_id.t; inc : int }
   | Insert_done of { r : Oid.t }
-  | Update of { removals : Oid.t list; dists : (Oid.t * int) list }
+  | Update of { removals : (Oid.t * int) list; dists : (Oid.t * int) list }
   | Ext of ext
 
 let ext_kinds : (ext -> string option) list ref = ref []
@@ -48,12 +48,13 @@ type 'ctx handlers = {
   h_move :
     'ctx -> src:Site_id.t -> agent:int -> refs:Oid.t list -> token:int -> unit;
   h_move_ack : 'ctx -> src:Site_id.t -> token:int -> unit;
-  h_insert : 'ctx -> src:Site_id.t -> r:Oid.t -> by:Site_id.t -> unit;
+  h_insert :
+    'ctx -> src:Site_id.t -> r:Oid.t -> by:Site_id.t -> inc:int -> unit;
   h_insert_done : 'ctx -> src:Site_id.t -> r:Oid.t -> unit;
   h_update :
     'ctx ->
     src:Site_id.t ->
-    removals:Oid.t list ->
+    removals:(Oid.t * int) list ->
     dists:(Oid.t * int) list ->
     unit;
   h_ext : 'ctx -> src:Site_id.t -> ext -> unit;
@@ -66,7 +67,7 @@ type 'ctx handlers = {
 let dispatch h ctx ~src = function
   | Move { agent; refs; token } -> h.h_move ctx ~src ~agent ~refs ~token
   | Move_ack { token } -> h.h_move_ack ctx ~src ~token
-  | Insert { r; by } -> h.h_insert ctx ~src ~r ~by
+  | Insert { r; by; inc } -> h.h_insert ctx ~src ~r ~by ~inc
   | Insert_done { r } -> h.h_insert_done ctx ~src ~r
   | Update { removals; dists } -> h.h_update ctx ~src ~removals ~dists
   | Ext e -> h.h_ext ctx ~src e
@@ -151,11 +152,12 @@ let () =
         d_kind = "update";
         d_dup = Dup_exactly_once;
         d_crash = Crash_park_redeliver;
-        d_commutes = "per-source-ordered";
+        d_commutes = "incarnation-ordered";
       };
     ]
 
-(* 16-byte header; 12 bytes per reference (site + index + tag); 16 per
+(* 16-byte header; 12 bytes per reference (site + index + tag, the tag
+   holding an outref incarnation where one rides along); 16 per
    distance entry. Coarse, but uniform across collectors. *)
 let approx_bytes p =
   let header = 16 in

@@ -21,14 +21,18 @@ type payload =
       (** Destination has registered every carried reference (all
           insert messages acknowledged); the sender may release its
           retention pins. *)
-  | Insert of { r : Oid.t; by : Site_id.t }
-      (** To the owner of [r]: site [by] now holds an outref for [r]. *)
+  | Insert of { r : Oid.t; by : Site_id.t; inc : int }
+      (** To the owner of [r]: site [by] now holds an outref for [r],
+          incarnation [inc] ({!Ioref.outref.or_inc}). *)
   | Insert_done of { r : Oid.t }
       (** Owner of [r] has registered the insert. *)
-  | Update of { removals : Oid.t list; dists : (Oid.t * int) list }
+  | Update of { removals : (Oid.t * int) list; dists : (Oid.t * int) list }
       (** After a local trace at the sender: the sender no longer holds
-          outrefs for [removals]; its outref distances for [dists]
-          changed (§2, §3). *)
+          outrefs for [removals], each named with the incarnation it
+          removed; its outref distances for [dists] changed (§2, §3).
+          Base messages are not FIFO, so a removal can land after the
+          [Insert] of a newer incarnation of the same outref; the
+          owner ignores such a stale removal. *)
   | Ext of ext
 
 val kind : payload -> string
@@ -66,12 +70,13 @@ type 'ctx handlers = {
   h_move :
     'ctx -> src:Site_id.t -> agent:int -> refs:Oid.t list -> token:int -> unit;
   h_move_ack : 'ctx -> src:Site_id.t -> token:int -> unit;
-  h_insert : 'ctx -> src:Site_id.t -> r:Oid.t -> by:Site_id.t -> unit;
+  h_insert :
+    'ctx -> src:Site_id.t -> r:Oid.t -> by:Site_id.t -> inc:int -> unit;
   h_insert_done : 'ctx -> src:Site_id.t -> r:Oid.t -> unit;
   h_update :
     'ctx ->
     src:Site_id.t ->
-    removals:Oid.t list ->
+    removals:(Oid.t * int) list ->
     dists:(Oid.t * int) list ->
     unit;
   h_ext : 'ctx -> src:Site_id.t -> ext -> unit;

@@ -94,7 +94,7 @@ let fresh_outref_of_arrival t r =
          local trace could drop the outref before the insert lands and
          leave a stale source entry at the owner. *)
       o.Ioref.or_pins <- o.Ioref.or_pins + 1;
-      `Created
+      `Created o.Ioref.or_inc
     end
     else
       (* §6.1.2 case 3: a suspected outref for an arriving reference is

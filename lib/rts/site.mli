@@ -57,8 +57,10 @@ val pinned_local_roots : t -> Oid.t list
 
 val pinned_tokens : t -> int list
 
-val fresh_outref_of_arrival : t -> Oid.t -> [ `Local | `Known | `Created ]
+val fresh_outref_of_arrival :
+  t -> Oid.t -> [ `Local | `Known | `Created of int ]
 (** Table bookkeeping for a reference [r] arriving at this site
     (§6.1.2): [`Local] if [r] is one of this site's objects; [`Known]
-    if an outref already existed; [`Created] if a fresh clean outref
-    was created (caller must run the insert protocol). *)
+    if an outref already existed; [`Created inc] if a fresh clean
+    outref of incarnation [inc] was created (caller must run the
+    insert protocol). *)

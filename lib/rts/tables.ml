@@ -6,10 +6,17 @@ type t = {
   in_tbl : Ioref.inref Oid.Tbl.t;
   out_tbl : Ioref.outref Oid.Tbl.t;
   mutable version : int;
+  mutable last_inc : int;  (** the last outref incarnation handed out *)
 }
 
 let create site =
-  { site; in_tbl = Oid.Tbl.create 32; out_tbl = Oid.Tbl.create 32; version = 0 }
+  {
+    site;
+    in_tbl = Oid.Tbl.create 32;
+    out_tbl = Oid.Tbl.create 32;
+    version = 0;
+    last_inc = 0;
+  }
 
 let site t = t.site
 let version t = t.version
@@ -31,12 +38,15 @@ let remove_inref t r =
   Oid.Tbl.remove t.in_tbl r;
   bump t
 
-let add_source t ir site ~dist =
+let add_source t ir site ~dist ~inc =
   (match Ioref.find_source ir site with
-  | Some s -> s.Ioref.src_dist <- min s.Ioref.src_dist dist
+  | Some s ->
+      s.Ioref.src_dist <- min s.Ioref.src_dist dist;
+      s.Ioref.src_inc <- max s.Ioref.src_inc inc
   | None ->
       ir.Ioref.ir_sources <-
-        { Ioref.src_site = site; src_dist = dist } :: ir.Ioref.ir_sources);
+        { Ioref.src_site = site; src_dist = dist; src_inc = inc }
+        :: ir.Ioref.ir_sources);
   bump t
 
 let set_source_dist t ir site ~dist =
@@ -72,7 +82,8 @@ let ensure_outref t ?(dist = 1) r =
   match Oid.Tbl.find_opt t.out_tbl r with
   | Some o -> (o, false)
   | None ->
-      let o = Ioref.make_outref ~dist r in
+      t.last_inc <- t.last_inc + 1;
+      let o = Ioref.make_outref ~dist ~inc:t.last_inc r in
       Oid.Tbl.add t.out_tbl r o;
       bump t;
       (o, true)

@@ -28,10 +28,11 @@ val ensure_inref : t -> Oid.t -> Ioref.inref
 
 val remove_inref : t -> Oid.t -> unit
 
-val add_source : t -> Ioref.inref -> Site_id.t -> dist:int -> unit
+val add_source : t -> Ioref.inref -> Site_id.t -> dist:int -> inc:int -> unit
 (** Add or update; keeps the minimum of the old and new distance for an
     existing source (a conservative merge: §3 only lowers a source's
-    distance on insert, update messages overwrite). *)
+    distance on insert, update messages overwrite), and the maximum of
+    the old and new outref incarnation [inc]. *)
 
 val set_source_dist : t -> Ioref.inref -> Site_id.t -> dist:int -> unit
 (** Overwrite (update-message semantics); no-op for unknown sources. *)
@@ -57,7 +58,8 @@ val inref_count : t -> int
 val find_outref : t -> Oid.t -> Ioref.outref option
 val ensure_outref : t -> ?dist:int -> Oid.t -> Ioref.outref * bool
 (** Find or create; the boolean is true when the outref was created
-    (the caller must then run the insert protocol). Raises
+    (the caller must then run the insert protocol). A created outref
+    gets the site's next incarnation ([Ioref.or_inc]). Raises
     [Invalid_argument] if the oid is local to this site. *)
 
 val remove_outref : t -> Oid.t -> unit

@@ -53,7 +53,7 @@ let test_conformance_insert_at_non_owner () =
   let mon = Conformance.create () in
   let r = oid 2 0 in
   (* r lives at site 2; delivering its insert at site 1 is a protocol bug *)
-  deliver mon ~src:0 ~dst:1 (Protocol.Insert { r; by = s 0 });
+  deliver mon ~src:0 ~dst:1 (Protocol.Insert { r; by = s 0; inc = 1 });
   Alcotest.(check (list string))
     "insert at non-owner flagged"
     [ "insert-at-owner"; "insert-completes" ]
@@ -62,7 +62,7 @@ let test_conformance_insert_at_non_owner () =
 let test_conformance_insert_pairing () =
   let mon = Conformance.create () in
   let r = oid 2 0 in
-  deliver mon ~src:0 ~dst:2 (Protocol.Insert { r; by = s 0 });
+  deliver mon ~src:0 ~dst:2 (Protocol.Insert { r; by = s 0; inc = 1 });
   deliver mon ~src:2 ~dst:0 (Protocol.Insert_done { r });
   (* a second done for the same (ref, holder) has nothing to answer *)
   deliver mon ~src:2 ~dst:0 (Protocol.Insert_done { r });

@@ -452,6 +452,7 @@ let expect_needle path = function
 let plan_artifact_digests =
   [
     ("chaos_3328.json", "4c56edaeeb47bfb3aedcd56b78eb2a52");
+    ("churn_18000940.json", "4248a9d56cfea7a995a4a195d5a9cf19");
     ("churn_4088.json", "f59e3b7245a98a245475ae5d1f961287");
     ("crash_mid_trace.json", "c666efb763880363d558b13dc9323182");
     ("drop_retry.json", "1db0166d8223ade0b652d9336ddce362");

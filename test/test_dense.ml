@@ -217,7 +217,8 @@ let interleave rng eng site =
     | 9, _ ->
         Option.iter
           (fun ir ->
-            Tables.add_source tables ir (Site_id.of_int 1) ~dist:(Rng.int rng 6))
+            Tables.add_source tables ir (Site_id.of_int 1) ~dist:(Rng.int rng 6)
+              ~inc:0)
           (inref ())
     | 10, _ ->
         Option.iter

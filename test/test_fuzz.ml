@@ -165,9 +165,13 @@ let chaos_run ~seed =
     | 2 -> Engine.heal eng
     | _ -> ()
   done;
-  (* End of chaos: restore the world and demand completeness. *)
+  (* End of chaos: restore the world, stop the collector's message loss
+     and demand completeness. With the loss left on, nearly every back
+     trace ends Live by a §4.6 timeout and the garbage outlives any
+     round budget. *)
   (match !crashed with Some v -> Engine.recover eng v | None -> ());
   Engine.heal eng;
+  Engine.set_chaos_drop eng (Some 0.);
   Churn.stop churn;
   Sim.run_for sim (Sim_time.of_minutes 1.);
   let ok = Sim.collect_all sim ~max_rounds:80 () in
@@ -218,6 +222,16 @@ let test_chaos_regression_9927 () =
   try chaos_run ~seed:9927
   with Dgc_oracle.Oracle.Safety_violation m -> Alcotest.failf "unsafe: %s" m
 
+(* Regression: a removal parked by a partition landed after the heal,
+   behind the Insert of the outref its source had re-created meanwhile
+   (base messages are not FIFO), and deleted the new source: S3 freed
+   S3/o5 while an agent held it. Removals now carry the outref's
+   incarnation and the owner ignores one older than the latest
+   insert. *)
+let test_chaos_regression_5991 () =
+  try chaos_run ~seed:5991
+  with Dgc_oracle.Oracle.Safety_violation m -> Alcotest.failf "unsafe: %s" m
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -232,5 +246,7 @@ let () =
             `Quick test_chaos_regression_9751;
           Alcotest.test_case "regression: window arrival keeps its outref (seed 9927)"
             `Quick test_chaos_regression_9927;
+          Alcotest.test_case "regression: stale removal after re-insert (seed 5991)"
+            `Quick test_chaos_regression_5991;
         ] );
     ]

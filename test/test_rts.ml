@@ -27,11 +27,11 @@ let test_inref_sources () =
   let ir = Tables.ensure_inref t target in
   Alcotest.(check int) "no sources: infinite" Ioref.infinity_dist
     (Ioref.inref_dist ir);
-  Tables.add_source t ir (s 1) ~dist:4;
-  Tables.add_source t ir (s 2) ~dist:2;
+  Tables.add_source t ir (s 1) ~dist:4 ~inc:0;
+  Tables.add_source t ir (s 2) ~dist:2 ~inc:0;
   Alcotest.(check int) "min over sources" 2 (Ioref.inref_dist ir);
   (* add_source keeps the minimum for an existing source *)
-  Tables.add_source t ir (s 1) ~dist:9;
+  Tables.add_source t ir (s 1) ~dist:9 ~inc:0;
   Alcotest.(check bool) "merge keeps min" true
     (match Ioref.find_source ir (s 1) with
     | Some src -> src.Ioref.src_dist = 4
@@ -53,7 +53,7 @@ let test_clean_predicates () =
   let t = Tables.create (s 0) in
   let target = Oid.make ~site:(s 0) ~index:0 in
   let ir = Tables.ensure_inref t target in
-  Tables.add_source t ir (s 1) ~dist:10;
+  Tables.add_source t ir (s 1) ~dist:10 ~inc:0;
   Alcotest.(check bool) "fresh is clean" true (Ioref.inref_clean ~delta:3 ir);
   ir.Ioref.ir_fresh <- false;
   Alcotest.(check bool) "not suspected yet: clean" true
@@ -97,7 +97,8 @@ let test_tables () =
 
 let test_protocol_kinds () =
   Alcotest.(check string) "insert kind" "insert"
-    (Protocol.kind (Protocol.Insert { r = Oid.make ~site:(s 0) ~index:0; by = s 1 }));
+    (Protocol.kind
+       (Protocol.Insert { r = Oid.make ~site:(s 0) ~index:0; by = s 1; inc = 1 }));
   Alcotest.(check string) "update kind" "update"
     (Protocol.kind (Protocol.Update { removals = []; dists = [] }));
   let r = Oid.make ~site:(s 0) ~index:3 in
@@ -107,7 +108,8 @@ let test_protocol_kinds () =
           (Protocol.Move { agent = 0; refs = [ r; r ]; token = 0 })));
   Alcotest.(check int) "update carries none" 0
     (List.length
-       (Protocol.refs_carried (Protocol.Update { removals = [ r ]; dists = [] })))
+       (Protocol.refs_carried
+          (Protocol.Update { removals = [ (r, 1) ]; dists = [] })))
 
 (* --- builder + oracle integrity ------------------------------------------ *)
 
