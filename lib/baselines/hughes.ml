@@ -116,14 +116,14 @@ let hughes_trace t st =
   let freed = Heap.free heap dead in
   Metrics.add (Engine.metrics t.eng) "gc.objects_freed" freed;
   (* Trim outrefs and ship timestamp changes. *)
-  let removals = Hashtbl.create 8 in
+  let removals = ref [] in
   let ts_changes = Hashtbl.create 8 in
-  let bucket tbl dst =
-    match Hashtbl.find_opt tbl dst with
+  let bucket dst =
+    match Hashtbl.find_opt ts_changes dst with
     | Some b -> b
     | None ->
         let b = ref [] in
-        Hashtbl.add tbl dst b;
+        Hashtbl.add ts_changes dst b;
         b
   in
   List.iter
@@ -134,7 +134,7 @@ let hughes_trace t st =
           o.Ioref.or_fresh <- false;
           if ts > o.Ioref.or_ts then begin
             o.Ioref.or_ts <- ts;
-            let b = bucket ts_changes (Oid.site r) in
+            let b = bucket (Oid.site r) in
             b := (r, ts) :: !b
           end
       | None ->
@@ -142,15 +142,11 @@ let hughes_trace t st =
           else if o.Ioref.or_fresh then o.Ioref.or_fresh <- false
           else begin
             Tables.remove_outref tables r;
-            let b = bucket removals (Oid.site r) in
-            b := (r, o.Ioref.or_inc) :: !b
+            removals := (r, o.Ioref.or_inc) :: !removals
           end)
     (Tables.outrefs tables);
-  Hashtbl.iter
-    (fun dst b ->
-      Engine.send t.eng ~src:site.Site.id ~dst
-        (Protocol.Update { removals = !b; dists = [] }))
-    removals;
+  Engine.send_updates t.eng ~src:site.Site.id ~removals:(List.rev !removals)
+    ~dists:[];
   Hashtbl.iter
     (fun dst b ->
       Engine.send t.eng ~src:site.Site.id ~dst

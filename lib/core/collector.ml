@@ -8,7 +8,9 @@ open Dgc_rts
    retain its outcome for the next trace). *)
 type plan = Reuse of Local_trace.outcome | Compute of Local_trace.input * bool
 
-type window = { w_plan : plan; mutable w_cleans : Oid.t list }
+(* [w_arrived]: the references the transfer barrier recorded while
+   the window was open, newest first. *)
+type window = { w_plan : plan; mutable w_arrived : Oid.t list }
 
 (* [ctl_memo] is the site's root-closure memo: per collector, so it
    dies with its engine. [ctl_stamp] is the stamp of the last input
@@ -46,49 +48,22 @@ let cfg t = Engine.config t.eng
 
 (* ---- the transfer barrier (§6.1) ------------------------------------ *)
 
-(* Clean a suspected outref; notify the clean rule. *)
-let clean_outref t site_id tables r =
-  match Tables.find_outref tables r with
-  | None -> ()
-  | Some o ->
-      if not (Ioref.outref_clean o) then begin
-        o.Ioref.or_forced_clean <- true;
-        Metrics.incr (Engine.metrics t.eng) "barrier.outref_cleaned";
-        Back_trace.on_cleaned t.back site_id r
-      end
-
+(* Clean what the arrival of [r] makes suspect (§6.1.2 cases 3 and 4).
+   An open window records every arrival: its snapshot predates them,
+   so [Local_trace.apply] cleans them again on the new copy. *)
 let barrier_ref_arrived t site_id r =
   if (cfg t).Config.enable_transfer_barrier then begin
     let c = ctl t site_id in
-    let tables = c.ctl_site.Site.tables in
-    let record_window_clean () =
-      match c.ctl_window with
-      | Some w -> w.w_cleans <- r :: w.w_cleans
-      | None -> ()
-    in
-    if Site_id.equal (Oid.site r) site_id then begin
-      (* An inref of ours: clean it and its outset. *)
-      match Tables.find_inref tables r with
-      | None -> ()
-      | Some ir ->
-          if not (Ioref.inref_clean ~delta:(cfg t).Config.delta ir) then begin
-            ir.Ioref.ir_forced_clean <- true;
-            Metrics.incr (Engine.metrics t.eng) "barrier.inref_cleaned";
-            Engine.jlog t.eng ~cat:"barrier" "%a cleaned inref %a (+outset)"
-              Site_id.pp site_id Oid.pp r;
-            Back_trace.on_cleaned t.back site_id r;
-            List.iter (clean_outref t site_id tables) ir.Ioref.ir_outset;
-            record_window_clean ()
-          end
-    end
-    else begin
-      (* §6.1.2 case 3: a suspected outref for an arriving reference.
-         Every remote arrival during a window is recorded, clean or
-         not: the window's snapshot may not reach it, and the replay
-         keeps its outref. *)
-      clean_outref t site_id tables r;
-      record_window_clean ()
-    end
+    let cleaned = Engine.force_clean t.eng c.ctl_site r in
+    let metrics = Engine.metrics t.eng in
+    if cleaned.Engine.inref_cleaned then
+      Metrics.incr metrics "barrier.inref_cleaned";
+    if cleaned.Engine.outrefs_cleaned > 0 then
+      Metrics.add metrics "barrier.outref_cleaned"
+        cleaned.Engine.outrefs_cleaned;
+    match c.ctl_window with
+    | Some w -> w.w_arrived <- r :: w.w_arrived
+    | None -> ()
   end
 
 (* ---- back-trace triggering (§4.3) ----------------------------------- *)
@@ -202,15 +177,16 @@ let profiled_compute t c input =
           Prof.work p "workspace_bytes" st.Local_trace.workspace_bytes;
           outcome)
 
+(* Install an outcome (frees, table swap, update sends) and sample the
+   memory gauges. [arrived]: the window's recorded arrivals. *)
+let install_outcome t site_id ?arrived outcome =
+  Local_trace.apply ?arrived t.eng (ctl t site_id).ctl_site outcome;
+  sample_memory t site_id outcome
+
 (* Everything that happens after a trace's mark phase: install the
-   outcome (frees, table swap, update sends), sample the memory
-   gauges, trigger back traces, notify. *)
-let apply_outcome t site_id outcome ~window_cleans =
-  let c = ctl t site_id in
-  Local_trace.apply t.eng c.ctl_site outcome ~window_cleans
-    ~on_cleaned:(Back_trace.on_cleaned t.back site_id)
-    ~oracle_check:(cfg t).Config.oracle_checks;
-  sample_memory t site_id outcome;
+   outcome, trigger back traces, notify. *)
+let apply_outcome t site_id ?arrived outcome =
+  install_outcome t site_id ?arrived outcome;
   if t.auto_back_traces then ignore (trigger_back_traces t site_id);
   t.after_trace site_id
 
@@ -252,8 +228,8 @@ let finish_window t site_id =
       c.ctl_window <- None;
       if not c.ctl_site.Site.crashed then
         apply_outcome t site_id
+          ~arrived:(List.rev w.w_arrived)
           (outcome_of_plan t c w.w_plan)
-          ~window_cleans:(List.rev w.w_cleans)
 
 let run_scheduled_trace t site_id =
   let c = ctl t site_id in
@@ -262,11 +238,11 @@ let run_scheduled_trace t site_id =
     let plan = plan_trace t c in
     if Sim_time.compare conf.Config.trace_duration Sim_time.zero <= 0 then
       (* Atomic trace. *)
-      apply_outcome t site_id (outcome_of_plan t c plan) ~window_cleans:[]
+      apply_outcome t site_id (outcome_of_plan t c plan)
     else begin
       (* Open a snapshot-at-beginning window (§6.2); back traces keep
          reading the old tables until the swap. *)
-      c.ctl_window <- Some { w_plan = plan; w_cleans = [] };
+      c.ctl_window <- Some { w_plan = plan; w_arrived = [] };
       Engine.schedule t.eng ~delay:conf.Config.trace_duration (fun () ->
           finish_window t site_id)
     end
@@ -276,11 +252,7 @@ let force_local_trace t site_id =
   let c = ctl t site_id in
   (* Discard any open window: the atomic trace supersedes it. *)
   c.ctl_window <- None;
-  let outcome = outcome_of_plan t c (plan_trace t c) in
-  Local_trace.apply t.eng c.ctl_site outcome ~window_cleans:[]
-    ~on_cleaned:(Back_trace.on_cleaned t.back site_id)
-    ~oracle_check:(cfg t).Config.oracle_checks;
-  sample_memory t site_id outcome
+  install_outcome t site_id (outcome_of_plan t c (plan_trace t c))
 
 let force_local_trace_all t =
   Array.iter

@@ -666,11 +666,12 @@ let compute ?(mode = Bottom_up) ?probe ?memo inp =
 
 (* ---- the atomic swap (§6.2) ---- *)
 
-let apply eng site outcome ~window_cleans ~on_cleaned ~oracle_check =
+let apply ?(arrived = []) eng site outcome =
   let tables = site.Site.tables in
   let metrics = Engine.metrics eng in
   let delta = (Engine.config eng).Config.delta in
-  if oracle_check then
+  let on_cleaned r = site.Site.hooks.Site.h_ioref_cleaned r in
+  if (Engine.config eng).Config.oracle_checks then
     Dgc_oracle.Oracle.check_would_free eng site.Site.id outcome.dead;
   let freed = Heap.free site.Site.heap outcome.dead in
   Metrics.add metrics "gc.objects_freed" freed;
@@ -703,7 +704,9 @@ let apply eng site outcome ~window_cleans ~on_cleaned ~oracle_check =
           if Ioref.inref_clean ~delta ir && not was_clean then
             on_cleaned res.i_ref)
     outcome.in_results;
-  (* Outrefs: install distances, suspicion and insets; trim. *)
+  (* Outrefs: install distances, suspicion and insets. An untraced
+     outref is removed unless it is pinned or its reference arrived
+     during the window; a kept one installs as unsuspected. *)
   let removals = ref [] in
   let dist_updates = ref [] in
   List.iter
@@ -711,83 +714,30 @@ let apply eng site outcome ~window_cleans ~on_cleaned ~oracle_check =
       match Tables.find_outref tables res.o_ref with
       | None -> ()
       | Some o ->
-          if res.o_removed then begin
-            if
-              o.Ioref.or_pins > 0
-              || List.exists (Oid.equal res.o_ref) window_cleans
-            then begin
-              (* Pinned (insert barrier), or its reference arrived
-                 during the window, after the snapshot: keep it,
-                 conservatively clean; the replay below cleans it. *)
-              let was_clean = Ioref.outref_clean o in
-              o.Ioref.or_suspected <- false;
-              o.Ioref.or_inset <- [];
-              o.Ioref.or_forced_clean <- false;
-              if not was_clean then on_cleaned res.o_ref
-            end
-            else begin
-              Tables.remove_outref tables res.o_ref;
-              removals := (res.o_ref, o.Ioref.or_inc) :: !removals
-            end
+          if
+            res.o_removed && o.Ioref.or_pins = 0
+            && not (List.exists (Oid.equal res.o_ref) arrived)
+          then begin
+            Tables.remove_outref tables res.o_ref;
+            removals := (res.o_ref, o.Ioref.or_inc) :: !removals
           end
           else begin
             let was_clean = Ioref.outref_clean o in
-            if o.Ioref.or_dist <> res.o_dist then
-              dist_updates := (res.o_ref, res.o_dist) :: !dist_updates;
-            o.Ioref.or_dist <- res.o_dist;
+            if not res.o_removed then begin
+              if o.Ioref.or_dist <> res.o_dist then
+                dist_updates := (res.o_ref, res.o_dist) :: !dist_updates;
+              o.Ioref.or_dist <- res.o_dist;
+              o.Ioref.or_fresh <- false
+            end;
             o.Ioref.or_suspected <- res.o_suspected;
             o.Ioref.or_inset <- res.o_inset;
             o.Ioref.or_forced_clean <- false;
-            o.Ioref.or_fresh <- false;
             if Ioref.outref_clean o && not was_clean then on_cleaned res.o_ref
           end)
     outcome.out_results;
-  (* Replay barrier cleans that raced the trace window onto the new
-     copy (§6.2). *)
-  let clean_outref r =
-    match Tables.find_outref tables r with
-    | None -> ()
-    | Some o ->
-        let was_clean = Ioref.outref_clean o in
-        o.Ioref.or_forced_clean <- true;
-        if not was_clean then on_cleaned r
-  in
-  List.iter
-    (fun r ->
-      if Site_id.equal (Oid.site r) site.Site.id then begin
-        match Tables.find_inref tables r with
-        | None -> ()
-        | Some ir ->
-            let was_clean = Ioref.inref_clean ~delta ir in
-            ir.Ioref.ir_forced_clean <- true;
-            if not was_clean then on_cleaned r;
-            List.iter clean_outref ir.Ioref.ir_outset
-      end
-      else clean_outref r)
-    window_cleans;
-  (* Report removals and distance changes to the target sites. *)
-  let by_site = Hashtbl.create 8 in
-  let bucket dst =
-    match Hashtbl.find_opt by_site dst with
-    | Some b -> b
-    | None ->
-        let b = (ref [], ref []) in
-        Hashtbl.add by_site dst b;
-        b
-  in
-  List.iter
-    (fun ((r, _) as removal) ->
-      let rem, _ = bucket (Oid.site r) in
-      rem := removal :: !rem)
-    !removals;
-  List.iter
-    (fun (r, d) ->
-      let _, ds = bucket (Oid.site r) in
-      ds := (r, d) :: !ds)
-    !dist_updates;
-  Hashtbl.iter
-    (fun dst (rem, ds) ->
-      Engine.send eng ~src:site.Site.id ~dst
-        (Protocol.Update { removals = !rem; dists = !ds }))
-    by_site;
+  (* The window's arrivals postdate the snapshot: clean them again on
+     the new copy (§6.2). *)
+  List.iter (fun r -> ignore (Engine.force_clean eng site r)) arrived;
+  Engine.send_updates eng ~src:site.Site.id ~removals:!removals
+    ~dists:!dist_updates;
   site.Site.trace_epoch <- site.Site.trace_epoch + 1

@@ -128,20 +128,19 @@ val compute :
     outcome is the same, byte for byte, with or without a memo:
     [clean_visits] counts objects marked clean, traced or replayed. *)
 
-val apply :
-  Engine.t ->
-  Site.t ->
-  outcome ->
-  window_cleans:Oid.t list ->
-  on_cleaned:(Oid.t -> unit) ->
-  oracle_check:bool ->
-  unit
-(** Atomic swap (§6.2). [window_cleans] are the references recorded by
-    the transfer barrier during the trace window — every remote
-    arrival, and every local inref it cleaned — replayed onto the new
-    copy: each named ioref is forced clean, and an outref the trace
-    found untraced is kept rather than removed (its reference arrived
-    after the snapshot).
-    [on_cleaned] fires for every ioref that transitions suspected →
-    clean (the §6.4 clean-rule notification). With [oracle_check], the
-    sweep is verified against {!Dgc_oracle.Oracle} first. *)
+val apply : ?arrived:Oid.t list -> Engine.t -> Site.t -> outcome -> unit
+(** Atomic swap (§6.2): free the dead objects, install the outcome's
+    statuses, outsets, insets and distances, remove untraced outrefs
+    and send the [Update]s for them.
+
+    [arrived] (default none) are the references the transfer barrier
+    recorded while the trace's window was open. The snapshot predates
+    them, so the outcome may call one of them unreachable or suspected
+    although it is now held at the site. One rule covers them: each is
+    a root of the new copy. Its untraced outref is kept (as is a
+    pinned one), and after the swap {!Engine.force_clean} runs over
+    the list in arrival order, exactly as the barrier did on the old
+    copy. Every suspected → clean transition, in the swap or in that
+    step, raises the site's [h_ioref_cleaned] once (the §6.4
+    notification). With [Config.oracle_checks], the sweep is verified
+    against {!Dgc_oracle.Oracle} first. *)

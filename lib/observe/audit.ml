@@ -306,14 +306,8 @@ let decide eng back si objects cs =
     List.exists (fun (ir : Ioref.inref) -> ir.Ioref.ir_flagged) cs.cs_inrefs
   in
   let barrier_held =
-    List.exists
-      (fun (ir : Ioref.inref) ->
-        ir.Ioref.ir_forced_clean || ir.Ioref.ir_fresh)
-      cs.cs_inrefs
-    || List.exists
-         (fun (_, (o : Ioref.outref)) ->
-           o.Ioref.or_forced_clean || o.Ioref.or_pins > 0 || o.Ioref.or_fresh)
-         cs.cs_outrefs
+    List.exists Ioref.inref_held cs.cs_inrefs
+    || List.exists (fun (_, o) -> Ioref.outref_held o) cs.cs_outrefs
   in
   if cs.cs_inrefs = [] && cs.cs_outrefs = [] then
     (* No inter-site reference involved: plain local garbage, not back

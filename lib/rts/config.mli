@@ -104,7 +104,8 @@ type t = {
           rings ([Sim.make] attaches one when positive; [0] disables
           it). The recorder draws no randomness and schedules nothing,
           so runs are event-identical with it on or off — only wall
-          clock moves, which the scale bench gates at ≤ 1.05×. *)
+          clock moves, which [bench/e2e] reports (ungated) as
+          [telemetry.flight_overhead]. *)
   profile : bool;
       (** attach the deterministic sim-cost scope profiler ([Sim.make]
           creates one and the engine/collector scopes feed it). The
@@ -113,9 +114,9 @@ type t = {
           flight recorder the profiler draws no
           randomness and schedules nothing, so schedules are
           event-identical with it on or off; its work-unit sections
-          are byte-identical across same-seed runs, and the scale
-          bench gates its wall-clock overhead at ≤ 1.10×. Off by
-          default. *)
+          are byte-identical across same-seed runs. [bench/e2e]
+          reports its wall-clock overhead (ungated) as
+          [trace.overhead]. Off by default. *)
 }
 
 val default : t

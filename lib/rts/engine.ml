@@ -315,6 +315,43 @@ let in_flight_refs t =
         acc !msgs)
     t.parked (part @ flying)
 
+(* --- forced cleaning (§6.1, §6.4) ------------------------------------ *)
+
+type cleaned = { inref_cleaned : bool; outrefs_cleaned : int }
+
+(* Suspicion changes only at a swap, so only a suspected ioref needs
+   forcing; the pin or distance that makes one clean can lapse. *)
+let clean_outref s r =
+  match Tables.find_outref s.Site.tables r with
+  | Some o when o.Ioref.or_suspected ->
+      let was_clean = Ioref.outref_clean o in
+      o.Ioref.or_forced_clean <- true;
+      if was_clean then 0
+      else begin
+        s.Site.hooks.h_ioref_cleaned r;
+        1
+      end
+  | Some _ | None -> 0
+
+let force_clean t s r =
+  let no_inref n = { inref_cleaned = false; outrefs_cleaned = n } in
+  if not (Site_id.equal (Oid.site r) s.Site.id) then no_inref (clean_outref s r)
+  else
+    match Tables.find_inref s.Site.tables r with
+    | Some ir when ir.Ioref.ir_suspected ->
+        let was_clean = Ioref.inref_clean ~delta:t.cfg.Config.delta ir in
+        ir.Ioref.ir_forced_clean <- true;
+        if was_clean then no_inref 0
+        else begin
+          jlog t ~cat:"barrier" "%a cleaned inref %a (+outset)" Site_id.pp
+            s.Site.id Oid.pp r;
+          s.Site.hooks.h_ioref_cleaned r;
+          let n = ref 0 in
+          List.iter (fun o -> n := !n + clean_outref s o) ir.Ioref.ir_outset;
+          { inref_cleaned = true; outrefs_cleaned = !n }
+        end
+    | Some _ | None -> no_inref 0
+
 (* --- delivery ------------------------------------------------------- *)
 
 (* The base-protocol receiver, written as a {!Protocol.handlers}
@@ -607,6 +644,31 @@ and send t ~src ~dst payload =
                 flush_batch t ~src ~dst (List.rev !q))
   end
   else send_now t ~src ~dst ~id payload
+
+(* Group reference-listing changes by target site, one [Update] each.
+   Each site's lists come out in reverse input order, and the sites go
+   out in [Hashtbl] order; callers rely on both for message ids. *)
+let send_updates t ~src ~removals ~dists =
+  let by_site = Hashtbl.create 8 in
+  let add list_of ((r, _) as entry) =
+    let dst = Oid.site r in
+    let lists =
+      match Hashtbl.find_opt by_site dst with
+      | Some lists -> lists
+      | None ->
+          let lists = (ref [], ref []) in
+          Hashtbl.add by_site dst lists;
+          lists
+    in
+    let l = list_of lists in
+    l := entry :: !l
+  in
+  List.iter (add fst) removals;
+  List.iter (add snd) dists;
+  Hashtbl.iter
+    (fun dst (rem, ds) ->
+      send t ~src ~dst (Protocol.Update { removals = !rem; dists = !ds }))
+    by_site
 
 (* --- mutator moves --------------------------------------------------- *)
 

@@ -189,6 +189,32 @@ val send : t -> src:Site_id.t -> dst:Site_id.t -> Protocol.payload -> unit
 
 val fresh_token : t -> int
 
+val send_updates :
+  t ->
+  src:Site_id.t ->
+  removals:(Oid.t * int) list ->
+  dists:(Oid.t * int) list ->
+  unit
+(** Send a local trace's reference-listing changes (§2): one [Update]
+    per target site with its outref removals (target, incarnation) and
+    distance changes (target, distance), each list reversed. *)
+
+(** {1 Forced cleaning (§6.1, §6.4)} *)
+
+type cleaned = { inref_cleaned : bool; outrefs_cleaned : int }
+
+val force_clean : t -> Site.t -> Oid.t -> cleaned
+(** The one clean step, for a reference [r] that reached the site.
+    Local [r]: force its inref clean and, if that turned it from
+    suspected to clean, every outref in its outset. Remote [r]: force
+    its outref clean. Each suspected → clean transition raises the
+    site's [h_ioref_cleaned] once, inref first (the §6.4
+    notification). Only iorefs the last local trace suspected are
+    forced; one that was clean anyway (pinned, or at distance ≤ Δ)
+    is forced silently, so it stays clean when that lapses. Returns
+    what transitioned. Forcing lasts until the site's next local
+    trace installs its outcome. *)
+
 (** {1 Mutator support} *)
 
 val move_agent :

@@ -73,13 +73,13 @@ let find_source ir site =
 
 let source_sites ir = List.map (fun s -> s.src_site) ir.ir_sources
 
-let inref_clean ~delta ir =
-  ir.ir_forced_clean || ir.ir_fresh
-  || (not ir.ir_suspected)
-  || inref_dist ir <= delta
+let inref_held ir = ir.ir_forced_clean || ir.ir_fresh
 
-let outref_clean o =
-  o.or_forced_clean || o.or_fresh || o.or_pins > 0 || not o.or_suspected
+let inref_clean ~delta ir =
+  inref_held ir || (not ir.ir_suspected) || inref_dist ir <= delta
+
+let outref_held o = o.or_forced_clean || o.or_fresh || o.or_pins > 0
+let outref_clean o = outref_held o || not o.or_suspected
 
 let pp_source ppf s =
   Format.fprintf ppf "%a@%d" Site_id.pp s.src_site s.src_dist

@@ -84,12 +84,22 @@ val inref_dist : inref -> int
 val find_source : inref -> Site_id.t -> source option
 val source_sites : inref -> Site_id.t list
 
+val inref_held : inref -> bool
+(** The §6.1 machinery holds the inref clean: forced clean by a
+    barrier, or fresh. *)
+
+val outref_held : outref -> bool
+(** The §6.1 machinery holds the outref clean: forced clean by a
+    barrier, fresh, or pinned. *)
+
 val inref_clean : delta:int -> inref -> bool
-(** Clean status as seen between traces: forced-clean, fresh, or not
+(** Clean status as seen between traces: held ({!inref_held}), or not
     suspected by the last trace. [delta] guards the degenerate case of
     an inref whose cached distance dropped below the threshold since
     the last trace (e.g. a new source at distance 1). *)
 
 val outref_clean : outref -> bool
+(** Held ({!outref_held}), or not suspected by the last trace. *)
+
 val pp_inref : Format.formatter -> inref -> unit
 val pp_outref : Format.formatter -> outref -> unit

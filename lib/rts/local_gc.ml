@@ -43,26 +43,7 @@ let run eng site =
         removals := (r, o.Ioref.or_inc) :: !removals
       end)
     (Tables.outrefs tables);
-  (* Group removal notices by target site. *)
-  let by_site = Hashtbl.create 8 in
-  List.iter
-    (fun ((r, _) as removal) ->
-      let dst = Oid.site r in
-      let q =
-        match Hashtbl.find_opt by_site dst with
-        | Some q -> q
-        | None ->
-            let q = ref [] in
-            Hashtbl.add by_site dst q;
-            q
-      in
-      q := removal :: !q)
-    !removals;
-  Hashtbl.iter
-    (fun dst q ->
-      Engine.send eng ~src:site.Site.id ~dst
-        (Protocol.Update { removals = !q; dists = [] }))
-    by_site;
+  Engine.send_updates eng ~src:site.Site.id ~removals:!removals ~dists:[];
   Tables.iter_inrefs tables (fun ir -> ir.Ioref.ir_fresh <- false);
   site.Site.trace_epoch <- site.Site.trace_epoch + 1
 

@@ -16,9 +16,10 @@ type hooks = {
           local [r]). Called after the runtime's table bookkeeping. *)
   mutable h_ioref_cleaned : Oid.t -> unit;
       (** the ioref identified by [r] (inref when [r] is local, outref
-          otherwise) just became clean outside a local trace — the §6.4
-          clean-rule point. The runtime raises it when pinning turns a
-          suspected outref clean; collectors raise it from barriers. *)
+          otherwise) just turned from suspected to clean — the §6.4
+          clean-rule point. Raised by {!pin}, by [Engine.force_clean]
+          (the transfer barrier and a window's arrivals) and by a local
+          trace's swap. *)
   mutable h_ext : src:Site_id.t -> Protocol.ext -> unit;
       (** a collector-specific message arrived *)
   mutable h_run_local_trace : unit -> unit;

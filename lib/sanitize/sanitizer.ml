@@ -134,12 +134,11 @@ let protection_engaged t ~site ~oid =
   let s = Engine.site t.eng site in
   if Site_id.equal (Oid.site oid) site then
     match Tables.find_inref s.Site.tables oid with
-    | Some ir -> ir.Ioref.ir_fresh || ir.Ioref.ir_forced_clean
+    | Some ir -> Ioref.inref_held ir
     | None -> false
   else
     match Tables.find_outref s.Site.tables oid with
-    | Some o ->
-        o.Ioref.or_fresh || o.Ioref.or_forced_clean || o.Ioref.or_pins > 0
+    | Some o -> Ioref.outref_held o
     | None -> false
 
 let record_race t ~oid ~trace ~trace_site ~transfer ~harmful =

@@ -15,7 +15,7 @@
     Exporters: {!to_prom} (Prometheus-style text exposition of the
     final values), {!chrome_counters} (Perfetto counter-track ["C"]
     events, mergeable into [Tracer.to_chrome]), {!to_json} (the
-    ["series"] section of a run artifact, gated by bench compare). *)
+    ["series"] section of a run artifact). *)
 
 type t
 

@@ -477,21 +477,24 @@ let test_windowed_matches_atomic () =
   suspect_everything eng;
   check_windowed_matches_atomic eng
 
-(* A reference that arrives during a §6.2 window, at an outref that is
-   already clean, is stored in the heap after the snapshot was taken.
-   The window's trace finds the outref untraced; the replay must keep
-   it. Dropping it sends a removal to the owner, which then frees a
-   live object. *)
-let test_window_keeps_arrived_outref () =
-  let cfg =
-    {
-      cfg_atomic with
-      Config.n_sites = 2;
-      trace_duration = Sim_time.of_seconds 5.;
-      oracle_checks = true;
-    }
-  in
-  let sim = Sim.make ~cfg () in
+(* Two inputs for the §6.2 arrival rule: a reference that arrives
+   while a window is open is a root of the new copy.
+
+   Remote arrival: the reference arrives at an outref that is already
+   clean and is stored in the heap after the snapshot was taken. The
+   window's trace finds the outref untraced; the swap must keep it.
+   Dropping it sends a removal to the owner, which then frees a live
+   object. *)
+let window_cfg n_sites =
+  {
+    cfg_atomic with
+    Config.n_sites;
+    trace_duration = Sim_time.of_seconds 5.;
+    oracle_checks = true;
+  }
+
+let window_keeps_remote_arrival () =
+  let sim = Sim.make ~cfg:(window_cfg 2) () in
   let eng = sim.Sim.eng in
   let s0 = Engine.site eng (site_id 0) and s1 = Engine.site eng (site_id 1) in
   let a = Builder.root_obj eng (site_id 0) in
@@ -517,6 +520,61 @@ let test_window_keeps_arrived_outref () =
   Collector.force_local_trace sim.Sim.col (site_id 1);
   Alcotest.(check bool) "x, reachable from S0's root, survives" true
     (Heap.mem s1.Site.heap x)
+
+(* Local arrival: an agent brings S0's own object z home while S0's
+   window is open. The barrier cleans z's suspected inref and its
+   outset on the old copy; the window's trace, from a snapshot taken
+   before the arrival, suspects them again, so the swap must clean
+   them on the new copy. Each suspected -> clean transition raises one
+   clean-rule notification through the site hook. *)
+let window_cleans_local_arrival () =
+  let sim = Sim.make ~cfg:(window_cfg 3) () in
+  let eng = sim.Sim.eng in
+  let s0 = Engine.site eng (site_id 0) in
+  let z = Builder.obj eng (site_id 0) in
+  let y = Builder.obj eng (site_id 2) in
+  Builder.link eng ~src:(Builder.root_obj eng (site_id 1)) ~dst:z;
+  Builder.link eng ~src:z ~dst:y;
+  Builder.set_source_distance eng ~inref:z ~src:(site_id 1) 50;
+  Collector.force_local_trace sim.Sim.col (site_id 0);
+  let inref () = Option.get (Tables.find_inref s0.Site.tables z) in
+  let outref_clean r =
+    Ioref.outref_clean (Option.get (Tables.find_outref s0.Site.tables r))
+  in
+  let delta = cfg_atomic.Config.delta in
+  Alcotest.(check bool) "z's inref suspected" false
+    (Ioref.inref_clean ~delta (inref ()));
+  Alcotest.(check bool) "y's outref suspected" false (outref_clean y);
+  let notified = ref [] in
+  let hook = s0.Site.hooks.Site.h_ioref_cleaned in
+  s0.Site.hooks.Site.h_ioref_cleaned <-
+    (fun r ->
+      notified := r :: !notified;
+      hook r);
+  s0.Site.hooks.Site.h_run_local_trace ();
+  Engine.move_agent eng ~agent:0 ~src:(site_id 1) ~dst:(site_id 0)
+    ~refs:[ z ];
+  Sim.run_for sim (Sim_time.of_seconds 10.);
+  Alcotest.(check bool) "window closed" false
+    (Collector.in_window sim.Sim.col (site_id 0));
+  let ir = inref () in
+  Alcotest.(check bool) "z's inref clean on the new copy" true
+    (Ioref.inref_clean ~delta ir);
+  Alcotest.(check (list string)) "new outset" [ Oid.to_string y ]
+    (List.map Oid.to_string ir.Ioref.ir_outset);
+  List.iter
+    (fun r ->
+      Alcotest.(check bool) "outset outref clean on the new copy" true
+        (outref_clean r))
+    ir.Ioref.ir_outset;
+  (* Barrier on the old copy, then the swap on the new one. *)
+  Alcotest.(check (list string)) "one notification per transition"
+    (List.map Oid.to_string [ z; y; z; y ])
+    (List.rev_map Oid.to_string !notified)
+
+let test_window_keeps_arrived_outref () =
+  window_keeps_remote_arrival ();
+  window_cleans_local_arrival ()
 
 (* --- root-closure memo ---------------------------------------------------- *)
 
