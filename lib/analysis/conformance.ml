@@ -177,13 +177,16 @@ let finish t =
           "move token %d (%a->%a) was never acknowledged" token Site_id.pp
           m.mv_src Site_id.pp m.mv_dst)
     t.moves;
-  Hashtbl.iter
-    (fun (r, by) n ->
-      if n > 0 then
-        note t ~rule:"insert-completes"
-          "%d insert(s) of %a by %a never acknowledged" n Oid.pp r Site_id.pp
-          by)
-    t.pending_inserts;
+  (* In (ref, site) order, not bucket order: the table hashes its keys
+     polymorphically, so bucket order would follow [Oid.t]'s
+     representation. *)
+  Hashtbl.fold (fun k n acc -> if n > 0 then (k, n) :: acc else acc)
+    t.pending_inserts []
+  |> List.sort compare
+  |> List.iter (fun ((r, by), n) ->
+         note t ~rule:"insert-completes"
+           "%d insert(s) of %a by %a never acknowledged" n Oid.pp r Site_id.pp
+           by);
   List.rev t.violations
 
 let deliveries t =

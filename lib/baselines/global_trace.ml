@@ -189,12 +189,7 @@ let handle t site_id ~src:_ ext =
     end
   | G_sweep { epoch; coordinator } ->
       let heap = st.gs_site.Site.heap in
-      let dead =
-        Heap.fold heap ~init:[] ~f:(fun acc o ->
-            if Oid.Tbl.mem st.gs_marked o.Heap.oid then acc
-            else Oid.index o.Heap.oid :: acc)
-      in
-      let freed = Heap.free heap dead in
+      let freed = Heap.sweep heap ~keep:(Oid.Tbl.mem st.gs_marked) in
       Metrics.add (Engine.metrics t.eng) "global.objects_freed" freed;
       ignore epoch;
       Engine.send t.eng ~src:site_id ~dst:coordinator

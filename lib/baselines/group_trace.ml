@@ -372,12 +372,7 @@ let handle t site_id ~src:_ ext =
       (match st.gs_member_of with
       | Some g when gid_equal g gid ->
           let heap = st.gs_site.Site.heap in
-          let dead =
-            Heap.fold heap ~init:[] ~f:(fun acc o ->
-                if Oid.Tbl.mem st.gs_marked o.Heap.oid then acc
-                else Oid.index o.Heap.oid :: acc)
-          in
-          let freed = Heap.free heap dead in
+          let freed = Heap.sweep heap ~keep:(Oid.Tbl.mem st.gs_marked) in
           Metrics.add (Engine.metrics t.eng) "group.objects_freed" freed;
           st.gs_member_of <- None;
           Engine.send t.eng ~src:site_id ~dst:initiator

@@ -108,12 +108,7 @@ let hughes_trace t st =
       drain ())
     groups;
   (* Sweep local objects. *)
-  let dead =
-    Heap.fold heap ~init:[] ~f:(fun acc o ->
-        if Oid.Tbl.mem marked o.Heap.oid then acc
-        else Oid.index o.Heap.oid :: acc)
-  in
-  let freed = Heap.free heap dead in
+  let freed = Heap.sweep heap ~keep:(Oid.Tbl.mem marked) in
   Metrics.add (Engine.metrics t.eng) "gc.objects_freed" freed;
   (* Trim outrefs and ship timestamp changes. *)
   let removals = ref [] in

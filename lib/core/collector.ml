@@ -71,27 +71,20 @@ let barrier_ref_arrived t site_id r =
 let trigger_back_traces t site_id =
   let c = ctl t site_id in
   let conf = cfg t in
-  (* Deliberately the sorted [Tables.outrefs] view: the stable sort
-     below only orders by distance, so table order is the tie-break and
-     determines which outref starts a trace — determinism is
-     observable here. *)
-  let candidates =
-    List.filter_map
-      (fun o ->
-        if not o.Ioref.or_suspected then None
-        else begin
-          (* Initialize the back threshold lazily to Δ2. *)
-          if o.Ioref.or_back_threshold >= Ioref.infinity_dist then
-            o.Ioref.or_back_threshold <- t.eff_threshold2;
-          if
-            o.Ioref.or_dist > o.Ioref.or_back_threshold
-            && Ioref.outref_clean o = false
-            && Trace_id.Set.is_empty o.Ioref.or_visited
-          then Some o
-          else None
-        end)
-      (Tables.outrefs c.ctl_site.Site.tables)
-  in
+  (* A scan in table order; only the candidates are sorted, below. *)
+  let candidates = ref [] in
+  Tables.iter_outrefs c.ctl_site.Site.tables (fun o ->
+      if o.Ioref.or_suspected then begin
+        (* Initialize the back threshold lazily to Δ2. *)
+        if o.Ioref.or_back_threshold >= Ioref.infinity_dist then
+          o.Ioref.or_back_threshold <- t.eff_threshold2;
+        if
+          o.Ioref.or_dist > o.Ioref.or_back_threshold
+          && Ioref.outref_clean o = false
+          && Trace_id.Set.is_empty o.Ioref.or_visited
+        then candidates := o :: !candidates
+      end);
+  let candidates = !candidates in
   let metrics = Engine.metrics t.eng in
   let n_cand = float_of_int (List.length candidates) in
   Metrics.hist_observe metrics "back.trigger_candidates" n_cand;
@@ -99,10 +92,15 @@ let trigger_back_traces t site_id =
     (Site.metric_label c.ctl_site "back.trigger_candidates")
     n_cand;
   Engine.series_add t.eng "back.trigger_candidates" (List.length candidates);
-  (* Deepest first: they are the most likely to be fully suspected. *)
+  (* Deepest first: they are the most likely to be fully suspected.
+     Ties go to the lower target, so which outrefs start traces does
+     not depend on table order — determinism is observable here. *)
   let sorted =
-    List.stable_sort
-      (fun a b -> Int.compare b.Ioref.or_dist a.Ioref.or_dist)
+    List.sort
+      (fun a b ->
+        match Int.compare b.Ioref.or_dist a.Ioref.or_dist with
+        | 0 -> Oid.compare a.Ioref.or_target b.Ioref.or_target
+        | c -> c)
       candidates
   in
   let picked = Util.list_take conf.Config.max_trace_starts sorted in

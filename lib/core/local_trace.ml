@@ -342,7 +342,7 @@ let compute ?(mode = Bottom_up) ?probe ?memo inp =
         Some (Outset_store.singleton store r)
   in
 
-  let inref_outsets : (Oid.t, Oid.t list) Hashtbl.t = Hashtbl.create 64 in
+  let inref_outsets : Oid.t list Oid.Tbl.t = Oid.Tbl.create 64 in
 
   (* Iterative DFS frames: object index + next code position. *)
   let fp = ref 0 in
@@ -466,7 +466,7 @@ let compute ?(mode = Bottom_up) ?probe ?memo inp =
               Outset_store.elements store oset.(i)
             else [] (* object clean or absent *)
           in
-          Hashtbl.replace inref_outsets r outset)
+          Oid.Tbl.replace inref_outsets r outset)
         suspects
   | Naive_bottom_up ->
       (* §5.2's first cut: single scan, outsets unioned bottom-up, but
@@ -536,7 +536,7 @@ let compute ?(mode = Bottom_up) ?probe ?memo inp =
               Outset_store.elements store oset.(i)
             else []
           in
-          Hashtbl.replace inref_outsets r outset)
+          Oid.Tbl.replace inref_outsets r outset)
         suspects
   | Independent ->
       (* §5.1: a full, separate trace per suspected inref; objects
@@ -579,7 +579,7 @@ let compute ?(mode = Bottom_up) ?probe ?memo inp =
               end
             done
           done;
-          Hashtbl.replace inref_outsets r (Oid.Set.elements !acc))
+          Oid.Tbl.replace inref_outsets r (Oid.Set.elements !acc))
         suspects);
   note "suspect";
 
@@ -590,22 +590,22 @@ let compute ?(mode = Bottom_up) ?probe ?memo inp =
         let suspected = (not flagged) && d > inp.in_delta in
         let outset =
           if suspected then
-            Option.value ~default:[] (Hashtbl.find_opt inref_outsets r)
+            Option.value ~default:[] (Oid.Tbl.find_opt inref_outsets r)
           else []
         in
         { i_ref = r; i_suspected = suspected; i_outset = outset })
       inp.in_inrefs
   in
   (* Insets are the inverse view of the suspected inrefs' outsets. *)
-  let insets : (Oid.t, Oid.t list ref) Hashtbl.t = Hashtbl.create 64 in
+  let insets : Oid.t list ref Oid.Tbl.t = Oid.Tbl.create 64 in
   List.iter
     (fun res ->
       if res.i_suspected then
         List.iter
           (fun o ->
-            match Hashtbl.find_opt insets o with
+            match Oid.Tbl.find_opt insets o with
             | Some l -> l := res.i_ref :: !l
-            | None -> Hashtbl.add insets o (ref [ res.i_ref ]))
+            | None -> Oid.Tbl.add insets o (ref [ res.i_ref ]))
           res.i_outset)
     in_results;
   let out_results =
@@ -624,7 +624,7 @@ let compute ?(mode = Bottom_up) ?probe ?memo inp =
             let inset =
               if oi.oi_clean then []
               else
-                match Hashtbl.find_opt insets r with
+                match Oid.Tbl.find_opt insets r with
                 | Some l -> List.sort Oid.compare !l
                 | None -> []
             in

@@ -23,7 +23,8 @@
       dangling references to freed local objects keep their index).
     - A code [c < 0] names [d_pool.(-c - 1)]: a remote reference, or —
       defensively — a local oid outside [0, bound). Pool numbering is
-      not meaningful.
+      not meaningful. Oids are immediate ints ({!Oid.t}), so the pool
+      is a flat int array with no boxed element.
     - [d_present]/[d_roots] are byte-per-index bitsets holding 0 or 1
       per byte. An absent
       index's row may be stale (the object was freed after the arrays

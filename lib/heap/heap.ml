@@ -1,11 +1,6 @@
 open Dgc_prelude
 
-type obj = {
-  oid : Oid.t;
-  mutable fields : Oid.t list;
-  birth : int;
-  size : int;
-}
+type obj = { oid : Oid.t; fields : Oid.t list; size : int }
 
 type capture = {
   d_site : Site_id.t;
@@ -18,42 +13,38 @@ type capture = {
   d_count : int;
 }
 
-(* Objects live in one index-addressed slot array: slot [i] holds the
-   object allocated with index [i] while it is live, and [vacant] once
-   it is freed (so a freed object is not kept reachable). The live
-   bitset says which slots are occupied; every read checks it first. *)
+(* Struct of arrays, addressed by local index: [fields.(i)] and
+   [sizes.(i)] belong to the object allocated with index [i] while it
+   is live, and are [] and 0 otherwise (so a freed object's fields are
+   not kept reachable). The live bitset says which indices are
+   occupied; every read checks it first. No per-object record exists:
+   {!obj} is a view built on demand. *)
 type t = {
   site : Site_id.t;
-  mutable slots : obj array;  (** length >= [next_index] *)
+  mutable fields : Oid.t list array;  (** length >= [next_index] *)
+  mutable sizes : int array;  (** length = [Array.length fields] *)
+  mutable live : Bytes.t;
+      (** byte per index, 1 iff live, else 0; length = [Array.length fields] *)
   mutable next_index : int;
   mutable count : int;  (** live objects *)
   mutable roots : Oid.t list;
   mutable resident : int;  (** running sum of live object sizes *)
-  mutable live : Bytes.t;
-      (** byte per index, 1 iff live, else 0; length = [Array.length slots] *)
   mutable shape : capture option;
       (** last capture; dropped by every write that changes the shape *)
   mutable builds : int;  (** captures built so far *)
   mutable frees : int;  (** objects freed so far *)
 }
 
-let vacant =
-  {
-    oid = Oid.make ~site:(Site_id.of_int 0) ~index:(-1);
-    fields = [];
-    birth = -1;
-    size = 0;
-  }
-
 let create site =
   {
     site;
-    slots = Array.make 64 vacant;
+    fields = Array.make 16 [];
+    sizes = Array.make 16 0;
+    live = Bytes.make 16 '\000';
     next_index = 0;
     count = 0;
     roots = [];
     resident = 0;
-    live = Bytes.make 64 '\000';
     shape = None;
     builds = 0;
     frees = 0;
@@ -65,17 +56,20 @@ let live_at t i = Bytes.unsafe_get t.live i <> '\000'
 
 let alloc ?(size = 1) t =
   let index = t.next_index in
-  t.next_index <- index + 1;
   let oid = Oid.make ~site:t.site ~index in
-  if index >= Array.length t.slots then begin
-    let n = 2 * Array.length t.slots in
-    let slots = Array.make n vacant and live = Bytes.make n '\000' in
-    Array.blit t.slots 0 slots 0 index;
+  t.next_index <- index + 1;
+  if index >= Array.length t.fields then begin
+    let n = 2 * Array.length t.fields in
+    let fields = Array.make n [] and sizes = Array.make n 0 in
+    let live = Bytes.make n '\000' in
+    Array.blit t.fields 0 fields 0 index;
+    Array.blit t.sizes 0 sizes 0 index;
     Bytes.blit t.live 0 live 0 index;
-    t.slots <- slots;
+    t.fields <- fields;
+    t.sizes <- sizes;
     t.live <- live
   end;
-  t.slots.(index) <- { oid; fields = []; birth = index; size };
+  t.sizes.(index) <- size;
   Bytes.set t.live index '\001';
   t.count <- t.count + 1;
   t.resident <- t.resident + size;
@@ -90,55 +84,61 @@ let mem t oid =
   Site_id.equal (Oid.site oid) t.site
   &&
   let i = Oid.index oid in
-  i >= 0 && i < t.next_index && live_at t i
+  i < t.next_index && live_at t i
 
-let find t oid = if mem t oid then Some t.slots.(Oid.index oid) else None
+let view t i =
+  { oid = Oid.make ~site:t.site ~index:i; fields = t.fields.(i);
+    size = t.sizes.(i) }
 
-let get t oid =
-  match find t oid with Some o -> o | None -> raise Not_found
-
-let fields t oid = match find t oid with Some o -> o.fields | None -> []
+let find t oid = if mem t oid then Some (view t (Oid.index oid)) else None
+let get t oid = if mem t oid then view t (Oid.index oid) else raise Not_found
+let fields t oid = if mem t oid then t.fields.(Oid.index oid) else []
 
 let add_field t ~obj ~target =
-  let o = get t obj in
-  o.fields <- target :: o.fields;
+  if not (mem t obj) then raise Not_found;
+  let i = Oid.index obj in
+  t.fields.(i) <- target :: t.fields.(i);
   invalidate t
 
 let remove_field t ~obj ~target =
-  match find t obj with
-  | None -> false
-  | Some o ->
-      let removed = ref false in
-      let rec drop_one = function
-        | [] -> []
-        | x :: tl ->
-            if (not !removed) && Oid.equal x target then begin
-              removed := true;
-              tl
-            end
-            else x :: drop_one tl
-      in
-      o.fields <- drop_one o.fields;
-      if !removed then invalidate t;
-      !removed
+  mem t obj
+  &&
+  let i = Oid.index obj in
+  let removed = ref false in
+  let rec drop_one = function
+    | [] -> []
+    | x :: tl ->
+        if Oid.equal x target then begin
+          removed := true;
+          tl
+        end
+        else x :: drop_one tl
+  in
+  let rest = drop_one t.fields.(i) in
+  if !removed then begin
+    t.fields.(i) <- rest;
+    invalidate t
+  end;
+  !removed
 
 let clear_fields t oid =
-  match find t oid with
-  | None -> ()
-  | Some o ->
-      o.fields <- [];
-      invalidate t
+  if mem t oid then begin
+    t.fields.(Oid.index oid) <- [];
+    invalidate t
+  end
 
 let iter t f =
   for i = 0 to t.next_index - 1 do
-    if live_at t i then f t.slots.(i)
+    if live_at t i then f (view t i)
   done
 
 let retarget t ~old_oid ~fresh =
-  iter t (fun o ->
-      if List.exists (Oid.equal old_oid) o.fields then
-        o.fields <-
-          List.map (fun z -> if Oid.equal z old_oid then fresh else z) o.fields);
+  for i = 0 to t.next_index - 1 do
+    let fs = t.fields.(i) in
+    if List.exists (Oid.equal old_oid) fs then
+      t.fields.(i) <-
+        List.map (fun z -> if Oid.equal z old_oid then fresh else z) fs
+  done;
   invalidate t
 
 let add_persistent_root t oid =
@@ -182,8 +182,9 @@ let free t = function
               i >= 0 && i < t.next_index && live_at t i
               && not (Hashtbl.mem root_idx i)
             then begin
-              t.resident <- t.resident - t.slots.(i).size;
-              t.slots.(i) <- vacant;
+              t.resident <- t.resident - t.sizes.(i);
+              t.fields.(i) <- [];
+              t.sizes.(i) <- 0;
               Bytes.set t.live i '\000';
               n + 1
             end
@@ -194,23 +195,31 @@ let free t = function
       t.frees <- t.frees + n;
       n
 
+let sweep t ~keep =
+  let dead = ref [] in
+  for i = t.next_index - 1 downto 0 do
+    if live_at t i && not (keep (Oid.make ~site:t.site ~index:i)) then
+      dead := i :: !dead
+  done;
+  free t !dead
+
 let frees t = t.frees
 let generation t = match t.shape with Some _ -> t.builds | None -> -1
 
-(* The CSR arrays fill in index order straight from the slots (a
-   vacant slot has no fields). The field lists are read, never copied:
-   [Heap] replaces [o.fields] on every write and never mutates a list
+(* The CSR arrays fill in index order straight from [fields] (a
+   freed index has none). The field lists are read, never copied:
+   [Heap] replaces [fields.(i)] on every write and never mutates a list
    cell. Field order is preserved exactly (the trace's union-call
    sequence depends on it). *)
 let build t ~present =
   let site = t.site and bound = t.next_index in
-  let slots = t.slots in
+  let fields = t.fields in
   t.builds <- t.builds + 1;
   let d_roots = Bytes.make (max bound 1) '\000' in
   List.iter (fun r -> Bytes.set d_roots (Oid.index r) '\001') t.roots;
   let d_start = Array.make (bound + 1) 0 in
   for i = 0 to bound - 1 do
-    d_start.(i + 1) <- d_start.(i) + List.length slots.(i).fields
+    d_start.(i + 1) <- d_start.(i) + List.length fields.(i)
   done;
   let d_codes = Array.make (max d_start.(bound) 1) 0 in
   (* The pool collects every target that is not an in-bound local
@@ -231,7 +240,7 @@ let build t ~present =
         fill (k + 1) tl
   in
   for i = 0 to bound - 1 do
-    fill d_start.(i) slots.(i).fields
+    fill d_start.(i) fields.(i)
   done;
   {
     d_site = site;

@@ -11,12 +11,14 @@ open Dgc_prelude
 
 type obj = private {
   oid : Oid.t;
-  mutable fields : Oid.t list;  (** outgoing references, duplicates allowed *)
-  birth : int;  (** allocation sequence number, for allocate-live *)
+  fields : Oid.t list;  (** outgoing references, duplicates allowed *)
   size : int;  (** abstract payload size, for migration-cost accounting *)
 }
-(** Read-only outside this module: every write goes through a function
-    below, so none can bypass the capture cache ({!capture}). *)
+(** A read-only view of one live object, built by {!find}, {!get},
+    {!iter} and {!fold}. The heap keeps no per-object record: it
+    stores a field list and a size per local index beside its
+    live-object bitset, so a view is a copy and later writes do not
+    show in it. Readers that need only the fields use {!fields}. *)
 
 type t
 
@@ -32,9 +34,10 @@ val bytes_resident : t -> int
     Feeds the [bytes_resident{site=N}] gauge series. *)
 
 val alloc_clock : t -> int
-(** Current allocation sequence number; objects with
-    [birth >= alloc_clock] taken at trace start are treated as live by
-    snapshot-at-beginning sweeps. *)
+(** The index the next {!alloc} hands out (indices are never reused).
+    An object whose index is at least a clock read at trace start was
+    allocated after it, and snapshot-at-beginning sweeps treat it as
+    live. *)
 
 val mem : t -> Oid.t -> bool
 (** True iff the object is local to this site and not freed: one byte
@@ -78,8 +81,13 @@ val indices : t -> int list
 val free : t -> int list -> int
 (** Free the objects with the given local indices; absent indices are
     ignored; persistent roots are never freed. Returns the number
-    actually freed. A freed object's slot is cleared: {!find} answers
-    [None] for it and iteration skips it. *)
+    actually freed. A freed index's fields and size are cleared:
+    {!find} answers [None] for it and iteration skips it. *)
+
+val sweep : t -> keep:(Oid.t -> bool) -> int
+(** {!free} every live object that [keep] rejects, persistent roots
+    excepted; an index loop that builds no view. Returns the number
+    freed. *)
 
 val frees : t -> int
 (** Objects freed so far: moves exactly when a {!free} frees one. *)

@@ -1,19 +1,26 @@
 open Dgc_prelude
 
-type t = { site : Site_id.t; index : int }
+(* [site lsl index_bits lor index]: an immediate int, so integer order
+   is (site, index) order and an oid costs no allocation. *)
+type t = int
 
-let make ~site ~index = { site; index }
-let site t = t.site
-let index t = t.index
-let equal a b = Site_id.equal a.site b.site && Int.equal a.index b.index
+let index_bits = 40
+let max_index = (1 lsl index_bits) - 1
+let max_site = max_int lsr index_bits
 
-let compare a b =
-  match Site_id.compare a.site b.site with
-  | 0 -> Int.compare a.index b.index
-  | c -> c
+let make ~site ~index =
+  let s = Site_id.to_int site in
+  if s > max_site then invalid_arg "Oid.make: site out of range";
+  if index < 0 || index > max_index then
+    invalid_arg "Oid.make: index out of range";
+  (s lsl index_bits) lor index
 
-let hash t = (Site_id.hash t.site * 1_000_003) + t.index
-let pp ppf t = Format.fprintf ppf "%a/o%d" Site_id.pp t.site t.index
+let site t = Site_id.of_int (t lsr index_bits)
+let index t = t land max_index
+let equal = Int.equal
+let compare = Int.compare
+let hash t = ((t lsr index_bits) * 1_000_003) + index t
+let pp ppf t = Format.fprintf ppf "%a/o%d" Site_id.pp (site t) (index t)
 let to_string t = Format.asprintf "%a" pp t
 
 module Ord = struct

@@ -26,6 +26,6 @@ val fields : t -> Oid.t -> Oid.t list
 val persistent_roots : t -> Oid.t list
 val alloc_clock : t -> int
 (** Allocation clock at capture time: objects of the underlying heap
-    with [birth >= alloc_clock t] were created after the snapshot. *)
+    with an index [>= alloc_clock t] were created after the snapshot. *)
 
 val object_count : t -> int

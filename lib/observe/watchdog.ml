@@ -19,7 +19,7 @@ type t = {
   interval : Sim_time.t;
   mutable last_check : Sim_time.t;
   seen : (string, unit) Hashtbl.t;  (** one alert per subject *)
-  first_seen_garbage : (Oid.t, int) Hashtbl.t;  (** oid -> round first seen *)
+  first_seen_garbage : int Oid.Tbl.t;  (** oid -> round first seen *)
   mutable rev_alerts : alert list;
   mutable leak_probe : (Trace_id.t -> string option) option;
   mutable flight_dump : Dgc_telemetry.Json.t option;
@@ -170,8 +170,8 @@ let check_surviving_garbage t =
   let garbage = Dgc_oracle.Oracle.garbage_set e in
   Oid.Set.iter
     (fun oid ->
-      match Hashtbl.find_opt t.first_seen_garbage oid with
-      | None -> Hashtbl.replace t.first_seen_garbage oid rounds
+      match Oid.Tbl.find_opt t.first_seen_garbage oid with
+      | None -> Oid.Tbl.replace t.first_seen_garbage oid rounds
       | Some first ->
           if rounds - first >= t.survive_rounds then
             once t
@@ -185,11 +185,11 @@ let check_surviving_garbage t =
      by an in-flight ref): forget them so a later appearance restarts
      the clock. *)
   let stale =
-    Hashtbl.fold
+    Oid.Tbl.fold
       (fun oid _ acc -> if Oid.Set.mem oid garbage then acc else oid :: acc)
       t.first_seen_garbage []
   in
-  List.iter (Hashtbl.remove t.first_seen_garbage) stale
+  List.iter (Oid.Tbl.remove t.first_seen_garbage) stale
 
 let run_checks t =
   let before = t.rev_alerts in
@@ -225,7 +225,7 @@ let attach ?(stuck_factor = 3.0) ?(starvation_bumps = 4) ?(survive_rounds = 3)
       interval;
       last_check = Engine.now e;
       seen = Hashtbl.create 64;
-      first_seen_garbage = Hashtbl.create 64;
+      first_seen_garbage = Oid.Tbl.create 64;
       rev_alerts = [];
       leak_probe = None;
       flight_dump = None;

@@ -61,7 +61,8 @@ type t = {
   in_flight : (int, Oid.t list) Hashtbl.t;
   parked :
     (Site_id.t, (Site_id.t * Protocol.payload * int) list ref) Hashtbl.t;
-  (* per destination site: (ref being inserted -> waiting move token) *)
+  (* per destination site: (ref being inserted -> waiting move token);
+     looked up, never iterated, so its bucket order is not observable *)
   awaiting_insert : (Site_id.t * Oid.t, int) Hashtbl.t;
   move_waits : (int, move_wait) Hashtbl.t;
   mutable agent_arrival : agent:int -> dst:Site_id.t -> unit;
@@ -354,6 +355,25 @@ let force_clean t s r =
 
 (* --- delivery ------------------------------------------------------- *)
 
+(* Metric names per message kind ("msg.<kind>", "msg.size.<kind>") and
+   per drop reason, built once rather than on every send or drop. *)
+let kind_metric_names : (string, string * string) Hashtbl.t =
+  Hashtbl.create 16
+
+let kind_metrics kind =
+  match Hashtbl.find_opt kind_metric_names kind with
+  | Some names -> names
+  | None ->
+      let names = ("msg." ^ kind, "msg.size." ^ kind) in
+      Hashtbl.add kind_metric_names kind names;
+      names
+
+let dropped_metric = function
+  | "crashed" -> "msg.dropped.crashed"
+  | "partition" -> "msg.dropped.partition"
+  | "lossy" -> "msg.dropped.lossy"
+  | reason -> "msg.dropped." ^ reason
+
 (* The base-protocol receiver, written as a {!Protocol.handlers}
    dispatch table: one handler per constructor, with the single
    exhaustive match living in [Protocol.dispatch]. The context is
@@ -497,7 +517,7 @@ and note_move_stalled t ~why payload =
 (* One copy of a message destroyed without delivery, counted under its
    cause ("crashed" / "partition" / "lossy"). *)
 and drop t ~src ~dst ~id ~reason payload =
-  Metrics.incr t.metrics ("msg.dropped." ^ reason);
+  Metrics.incr t.metrics (dropped_metric reason);
   emit t (Drop { id; src; dst; payload; reason })
 
 (* A base message that cannot land waits for the heal (partition) or
@@ -545,14 +565,14 @@ and fly t ~src ~dst ~id payload =
       else deliver t ~src ~dst ~id payload)
 
 and send_now t ~src ~dst ~id payload =
-  let kind = Protocol.kind payload in
+  let count_name, size_name = kind_metrics (Protocol.kind payload) in
   let bytes = Protocol.approx_bytes payload in
-  Metrics.incr t.metrics ("msg." ^ kind);
+  Metrics.incr t.metrics count_name;
   Metrics.incr t.metrics "msg.total";
   Metrics.add t.metrics "msg.bytes" bytes;
   profile_work t "msgs_sent" 1;
   profile_work t "bytes_sent" bytes;
-  Metrics.hist_observe t.metrics ("msg.size." ^ kind) (float_of_int bytes);
+  Metrics.hist_observe t.metrics size_name (float_of_int bytes);
   let dst_site = site t dst in
   let is_ext = Protocol.is_ext payload in
   if is_ext && dst_site.Site.crashed then
@@ -590,9 +610,9 @@ and flush_batch t ~src ~dst payloads =
   profile_work t "bytes_sent" batch_bytes;
   List.iter
     (fun (p, _) ->
-      Metrics.incr t.metrics ("msg." ^ Protocol.kind p);
-      Metrics.hist_observe t.metrics
-        ("msg.size." ^ Protocol.kind p)
+      let count_name, size_name = kind_metrics (Protocol.kind p) in
+      Metrics.incr t.metrics count_name;
+      Metrics.hist_observe t.metrics size_name
         (float_of_int (Protocol.approx_bytes p)))
     payloads;
   (* Each drop is counted under its real cause, in the same precedence

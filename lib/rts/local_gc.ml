@@ -20,12 +20,7 @@ let run eng site =
   in
   let locals, remotes = Reach.closure (Dense.of_heap heap) ~from:roots in
   (* Sweep local objects. *)
-  let dead =
-    Heap.fold heap ~init:[] ~f:(fun acc o ->
-        if Oid.Set.mem o.Heap.oid locals then acc
-        else Oid.index o.Heap.oid :: acc)
-  in
-  let freed = Heap.free heap dead in
+  let freed = Heap.sweep heap ~keep:(fun r -> Oid.Set.mem r locals) in
   Metrics.add metrics "gc.objects_freed" freed;
   (* Trim outrefs: keep traced, pinned or fresh ones. *)
   let removals = ref [] in

@@ -139,14 +139,13 @@ let read_field a ~obj ~idx ~dst =
         if not (Site_id.equal (Oid.site o) a.at) then fail a "remote_obj"
         else begin
           let s = Engine.site a.mgr.eng a.at in
-          match Heap.find s.Site.heap o with
-          | None -> fail a "dead_obj"
-          | Some obj_rec -> (
-              match List.nth_opt obj_rec.Heap.fields idx with
-              | None -> fail a "no_field"
-              | Some r ->
-                  set_var a dst r;
-                  ok a)
+          if not (Heap.mem s.Site.heap o) then fail a "dead_obj"
+          else
+            match List.nth_opt (Heap.fields s.Site.heap o) idx with
+            | None -> fail a "no_field"
+            | Some r ->
+                set_var a dst r;
+                ok a
         end
 
 let write a ~obj ~value =

@@ -67,8 +67,8 @@ type t = {
   armed : (string, int ref) Hashtbl.t;
   (* (trace tag, caller site, call seq) -> callee, learned at send *)
   callees : (string * int * int, Site_id.t) Hashtbl.t;
-  transfers : (Oid.t, access list ref) Hashtbl.t;
-  trace_reads : (Oid.t, access list ref) Hashtbl.t;
+  transfers : access list ref Oid.Tbl.t;
+  trace_reads : access list ref Oid.Tbl.t;
   settled : (int * string, unit) Hashtbl.t;  (** (site, trace tag) *)
   mutable pending : candidate list;
   mutable races : race list;
@@ -116,17 +116,17 @@ let jlog t ?level fmt = Engine.jlog t.eng ?level ~cat:"san" fmt
 let history_cap = 64
 
 let push_access tbl oid a =
-  match Hashtbl.find_opt tbl oid with
+  match Oid.Tbl.find_opt tbl oid with
   | Some l ->
       l := a :: !l;
       (match !l with
       | _ :: _ when List.length !l > history_cap ->
           l := List.filteri (fun i _ -> i < history_cap) !l
       | _ -> ())
-  | None -> Hashtbl.add tbl oid (ref [ a ])
+  | None -> Oid.Tbl.add tbl oid (ref [ a ])
 
 let accesses tbl oid =
-  match Hashtbl.find_opt tbl oid with Some l -> !l | None -> []
+  match Oid.Tbl.find_opt tbl oid with Some l -> !l | None -> []
 
 (* Was the transferred ioref protected by the §6.1 machinery at the
    transfer site, as of right after the delivery dispatched? *)
@@ -438,8 +438,8 @@ let install eng =
       inflight = Hashtbl.create 32;
       armed = Hashtbl.create 32;
       callees = Hashtbl.create 64;
-      transfers = Hashtbl.create 64;
-      trace_reads = Hashtbl.create 64;
+      transfers = Oid.Tbl.create 64;
+      trace_reads = Oid.Tbl.create 64;
       settled = Hashtbl.create 32;
       pending = [];
       races = [];

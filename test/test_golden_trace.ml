@@ -5,8 +5,9 @@
    for speed, but the outcome — dead set, out/in results, and the
    cost-model stats — must stay byte-identical. This test pins the
    outcomes of figs 1-6 under all three modes by digesting the
-   marshalled value (without sharing, so only the abstract value
-   matters, not its in-memory shape).
+   marshalled value (without sharing, and with each oid mirrored as a
+   {site; index} record, so only the abstract value matters, not its
+   in-memory shape).
 
    If a deliberate semantic change shifts these, regenerate with
 
@@ -63,17 +64,78 @@ let modes =
     ("naive", Local_trace.Naive_bottom_up);
   ]
 
+(* What is marshalled: the outcome with every oid spelled as a
+   [{site; index}] record. Marshal bytes follow the in-memory
+   representation, and [Oid.t] is a packed int, so digesting the
+   outcome itself would tie the pins to the representation; the
+   mirror keeps them on the abstract value. Field for field it is the
+   outcome's own layout, with [m_oid] in place of [Oid.t]; its fields
+   are only ever marshalled, never read. *)
+type m_oid = { site : int; index : int } [@@warning "-69"]
+
+type m_out = {
+  m_o_ref : m_oid;
+  m_o_dist : int;
+  m_o_suspected : bool;
+  m_o_removed : bool;
+  m_o_inset : m_oid list;
+}
+[@@warning "-69"]
+
+type m_in = { m_i_ref : m_oid; m_i_suspected : bool; m_i_outset : m_oid list }
+[@@warning "-69"]
+
+type m_outcome = {
+  m_site : int;
+  m_dead : int list;
+  m_out_results : m_out list;
+  m_in_results : m_in list;
+  m_stats : Local_trace.stats;
+}
+[@@warning "-69"]
+
+let m_oid r =
+  { site = Dgc_prelude.Site_id.to_int (Dgc_heap.Oid.site r);
+    index = Dgc_heap.Oid.index r }
+
+let mirror (o : Local_trace.outcome) =
+  {
+    m_site = Dgc_prelude.Site_id.to_int o.Local_trace.out_site;
+    m_dead = o.Local_trace.dead;
+    m_out_results =
+      List.map
+        (fun (r : Local_trace.out_result) ->
+          {
+            m_o_ref = m_oid r.Local_trace.o_ref;
+            m_o_dist = r.Local_trace.o_dist;
+            m_o_suspected = r.Local_trace.o_suspected;
+            m_o_removed = r.Local_trace.o_removed;
+            m_o_inset = List.map m_oid r.Local_trace.o_inset;
+          })
+        o.Local_trace.out_results;
+    m_in_results =
+      List.map
+        (fun (r : Local_trace.in_result) ->
+          {
+            m_i_ref = m_oid r.Local_trace.i_ref;
+            m_i_suspected = r.Local_trace.i_suspected;
+            m_i_outset = List.map m_oid r.Local_trace.i_outset;
+          })
+        o.Local_trace.in_results;
+    m_stats = o.Local_trace.ot_stats;
+  }
+
 (* One digest per (fig, mode): the concatenation of the marshalled
-   outcome of every site, in site order. [No_sharing] is essential —
-   two structurally equal outcomes must digest equally even if their
-   heap representations share differently. *)
+   (mirrored) outcome of every site, in site order. [No_sharing] is
+   essential — two structurally equal outcomes must digest equally
+   even if their heap representations share differently. *)
 let digest_of sim mode =
   let eng = sim.Sim.eng in
   let buf = Buffer.create 4096 in
   Array.iter
     (fun s ->
       let inp = Local_trace.input_of_site eng s in
-      let outcome = Local_trace.compute ~mode inp in
+      let outcome = mirror (Local_trace.compute ~mode inp) in
       Buffer.add_string buf (Marshal.to_string outcome [ Marshal.No_sharing ]))
     (Engine.sites eng);
   Digest.to_hex (Digest.string (Buffer.contents buf))

@@ -31,6 +31,48 @@ let prop_oid_compare_equal_agree =
       let b = Oid.make ~site:(Site_id.of_int sb) ~index:ib in
       Oid.compare a b = 0 = Oid.equal a b)
 
+let max_site = (1 lsl 22) - 1
+let max_index = (1 lsl 40) - 1
+
+(* Small values collide often (equal sites, equal indices); large ones
+   reach the top bits of both halves. *)
+let oid_parts_gen =
+  QCheck2.Gen.(
+    pair
+      (oneof [ int_bound 3; int_bound max_site ])
+      (oneof [ int_bound 3; int_bound max_index ]))
+
+let prop_oid_packing =
+  QCheck2.Test.make
+    ~name:"oid round-trips, orders by (site, index), keeps its hash"
+    ~count:500
+    ~print:QCheck2.Print.(pair (pair int int) (pair int int))
+    QCheck2.Gen.(pair oid_parts_gen oid_parts_gen)
+    (fun ((sa, ia), (sb, ib)) ->
+      let a = Oid.make ~site:(Site_id.of_int sa) ~index:ia in
+      let b = Oid.make ~site:(Site_id.of_int sb) ~index:ib in
+      let sign x = compare x 0 in
+      Site_id.to_int (Oid.site a) = sa
+      && Oid.index a = ia
+      && sign (Oid.compare a b) = sign (compare (sa, ia) (sb, ib))
+      && Oid.hash a = (sa * 1_000_003) + ia)
+
+let test_oid_range () =
+  let rejects name site index =
+    match Oid.make ~site:(Site_id.of_int site) ~index with
+    | _ -> Alcotest.failf "%s: accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "site 2^22" (max_site + 1) 0;
+  rejects "index 2^40" 0 (max_index + 1);
+  rejects "index -1" 0 (-1);
+  let top = Oid.make ~site:(Site_id.of_int max_site) ~index:max_index in
+  Alcotest.(check int) "top site" max_site (Site_id.to_int (Oid.site top));
+  Alcotest.(check int) "top index" max_index (Oid.index top);
+  Alcotest.(check bool)
+    "top sorts last" true
+    (Oid.compare (Oid.make ~site:(Site_id.of_int max_site) ~index:0) top < 0)
+
 (* --- heap --------------------------------------------------------------- *)
 
 let test_heap_alloc_and_fields () =
@@ -303,35 +345,81 @@ let prop_closure_matches_bfs =
 
 (* --- model-based heap property -------------------------------------------- *)
 
-(* Random operation sequences against a pure reference model: an
-   association list of index -> field list, plus a root set. *)
+(* Random operation sequences against a naive reference model: per
+   local index, the exact field list (newest first) and size, plus a
+   root set and a free count. A target choice at or above
+   [remote_from] names a remote object at site 1. *)
 type model_op =
-  | M_alloc
+  | M_alloc of int  (* size *)
   | M_add of int * int  (* obj choice, target choice *)
   | M_remove of int * int
   | M_clear of int
+  | M_retarget of int * int  (* old target choice, fresh target choice *)
   | M_free of int
   | M_root of int
+
+let remote_from = 24
 
 let model_op_gen =
   QCheck2.Gen.(
     frequency
       [
-        (3, return M_alloc);
+        (3, map (fun n -> M_alloc n) (int_range 1 4));
         (4, map2 (fun a b -> M_add (a, b)) (int_bound 30) (int_bound 30));
         (2, map2 (fun a b -> M_remove (a, b)) (int_bound 30) (int_bound 30));
         (1, map (fun a -> M_clear a) (int_bound 30));
+        (1, map2 (fun a b -> M_retarget (a, b)) (int_bound 30) (int_bound 30));
         (2, map (fun a -> M_free a) (int_bound 30));
         (1, map (fun a -> M_root a) (int_bound 30));
       ])
 
 let print_op = function
-  | M_alloc -> "alloc"
+  | M_alloc n -> Printf.sprintf "alloc(%d)" n
   | M_add (a, b) -> Printf.sprintf "add(%d,%d)" a b
   | M_remove (a, b) -> Printf.sprintf "remove(%d,%d)" a b
   | M_clear a -> Printf.sprintf "clear(%d)" a
+  | M_retarget (a, b) -> Printf.sprintf "retarget(%d,%d)" a b
   | M_free a -> Printf.sprintf "free(%d)" a
   | M_root a -> Printf.sprintf "root(%d)" a
+
+type model = {
+  m_fields : (int, Oid.t list) Hashtbl.t;  (** live index -> fields *)
+  m_sizes : (int, int) Hashtbl.t;
+  mutable m_roots : int list;
+  mutable m_next : int;
+  mutable m_frees : int;
+}
+
+let model_live m =
+  Hashtbl.fold (fun k _ acc -> k :: acc) m.m_fields [] |> List.sort Int.compare
+
+(* The CSR arrays a fresh capture of the model's heap must have. *)
+let model_csr m =
+  let bound = m.m_next in
+  let fields i = Option.value ~default:[] (Hashtbl.find_opt m.m_fields i) in
+  let start = Array.make (bound + 1) 0 in
+  for i = 0 to bound - 1 do
+    start.(i + 1) <- start.(i) + List.length (fields i)
+  done;
+  let codes = ref [] and pool = ref [] and n_pool = ref 0 in
+  for i = 0 to bound - 1 do
+    List.iter
+      (fun r ->
+        if Site_id.equal (Oid.site r) s0 && Oid.index r < bound then
+          codes := Oid.index r :: !codes
+        else begin
+          pool := r :: !pool;
+          incr n_pool;
+          codes := - !n_pool :: !codes
+        end)
+      (fields i)
+  done;
+  let present = Bytes.make (max bound 1) '\000'
+  and roots = Bytes.make (max bound 1) '\000' in
+  List.iter (fun i -> Bytes.set present i '\001') (model_live m);
+  List.iter (fun i -> Bytes.set roots i '\001') m.m_roots;
+  (start, Array.of_list (List.rev !codes), Array.of_list (List.rev !pool),
+   present, roots)
 
 let prop_heap_matches_model =
   QCheck2.Test.make ~name:"heap matches a pure model" ~count:300
@@ -339,90 +427,143 @@ let prop_heap_matches_model =
     QCheck2.Gen.(list_size (int_bound 60) model_op_gen)
     (fun ops ->
       let h = Heap.create s0 in
-      let model : (int, int list ref) Hashtbl.t = Hashtbl.create 16 in
-      let roots = ref [] in
-      let next = ref 0 in
+      let m =
+        { m_fields = Hashtbl.create 16; m_sizes = Hashtbl.create 16;
+          m_roots = []; m_next = 0; m_frees = 0 }
+      in
+      let oid i = Oid.make ~site:s0 ~index:i in
       let existing choice =
-        let live = Hashtbl.fold (fun k _ acc -> k :: acc) model [] in
-        match List.sort Int.compare live with
+        match model_live m with
         | [] -> None
         | l -> Some (List.nth l (choice mod List.length l))
       in
-      let oid i = Oid.make ~site:s0 ~index:i in
+      let target choice =
+        if choice >= remote_from then Some (Oid.make ~site:s1 ~index:choice)
+        else Option.map oid (existing choice)
+      in
+      let check what b = if not b then failwith what in
       List.iter
         (fun op ->
           match op with
-          | M_alloc ->
-              let r = Heap.alloc h in
-              assert (Oid.index r = !next);
-              Hashtbl.add model !next (ref []);
-              incr next
-          | M_add (a, b) -> begin
-              match (existing a, existing b) with
+          | M_alloc size ->
+              let r = Heap.alloc ~size h in
+              check "alloc index" (Oid.index r = m.m_next);
+              Hashtbl.replace m.m_fields m.m_next [];
+              Hashtbl.replace m.m_sizes m.m_next size;
+              m.m_next <- m.m_next + 1
+          | M_add (a, b) -> (
+              match (existing a, target b) with
               | Some x, Some y ->
-                  Heap.add_field h ~obj:(oid x) ~target:(oid y);
-                  let fl = Hashtbl.find model x in
-                  fl := y :: !fl
-              | _ -> ()
-            end
-          | M_remove (a, b) -> begin
-              match (existing a, existing b) with
+                  Heap.add_field h ~obj:(oid x) ~target:y;
+                  Hashtbl.replace m.m_fields x (y :: Hashtbl.find m.m_fields x)
+              | _ -> ())
+          | M_remove (a, b) -> (
+              match (existing a, target b) with
               | Some x, Some y ->
-                  let got = Heap.remove_field h ~obj:(oid x) ~target:(oid y) in
-                  let fl = Hashtbl.find model x in
-                  let removed = ref false in
-                  fl :=
-                    List.filter
-                      (fun z ->
-                        if (not !removed) && z = y then begin
-                          removed := true;
-                          false
-                        end
-                        else true)
-                      !fl;
-                  if got <> !removed then failwith "remove disagreement"
-              | _ -> ()
-            end
-          | M_clear a -> begin
-              match existing a with
-              | Some x ->
+                  let got = Heap.remove_field h ~obj:(oid x) ~target:y in
+                  let rec drop_one = function
+                    | [] -> None
+                    | z :: tl when Oid.equal z y -> Some tl
+                    | z :: tl -> Option.map (List.cons z) (drop_one tl)
+                  in
+                  let want = drop_one (Hashtbl.find m.m_fields x) in
+                  Option.iter (Hashtbl.replace m.m_fields x) want;
+                  check "remove result" (got = (want <> None))
+              | _ -> ())
+          | M_clear a ->
+              Option.iter
+                (fun x ->
                   Heap.clear_fields h (oid x);
-                  Hashtbl.find model x := []
-              | None -> ()
-            end
-          | M_free a -> begin
-              match existing a with
-              | Some x ->
+                  Hashtbl.replace m.m_fields x [])
+                (existing a)
+          | M_retarget (a, b) -> (
+              match (target a, target b) with
+              | Some old_oid, Some fresh ->
+                  Heap.retarget h ~old_oid ~fresh;
+                  List.iter
+                    (fun x ->
+                      Hashtbl.replace m.m_fields x
+                        (List.map
+                           (fun z -> if Oid.equal z old_oid then fresh else z)
+                           (Hashtbl.find m.m_fields x)))
+                    (model_live m)
+              | _ -> ())
+          | M_free a ->
+              Option.iter
+                (fun x ->
                   let n = Heap.free h [ x ] in
-                  if List.mem x !roots then assert (n = 0)
+                  if List.mem x m.m_roots then check "root kept" (n = 0)
                   else begin
-                    assert (n = 1);
-                    Hashtbl.remove model x
-                  end
-              | None -> ()
-            end
-          | M_root a -> begin
-              match existing a with
-              | Some x ->
+                    check "freed" (n = 1);
+                    Hashtbl.remove m.m_fields x;
+                    Hashtbl.remove m.m_sizes x;
+                    m.m_frees <- m.m_frees + 1
+                  end)
+                (existing a)
+          | M_root a ->
+              Option.iter
+                (fun x ->
                   Heap.add_persistent_root h (oid x);
-                  if not (List.mem x !roots) then roots := x :: !roots
-              | None -> ()
-            end)
+                  if not (List.mem x m.m_roots) then m.m_roots <- x :: m.m_roots)
+                (existing a))
         ops;
       (* Final state comparison. *)
-      let model_indices =
-        Hashtbl.fold (fun k _ acc -> k :: acc) model [] |> List.sort Int.compare
-      in
-      if Heap.indices h <> model_indices then failwith "index sets differ";
-      Hashtbl.iter
-        (fun x fl ->
-          let got =
-            List.map Oid.index (Heap.fields h (oid x)) |> List.sort Int.compare
-          in
-          let want = List.sort Int.compare !fl in
-          if got <> want then failwith "fields differ")
-        model;
-      List.length (Heap.persistent_roots h) = List.length !roots)
+      let live = model_live m in
+      check "indices" (Heap.indices h = live);
+      check "object_count" (Heap.object_count h = List.length live);
+      check "frees" (Heap.frees h = m.m_frees);
+      check "bytes_resident"
+        (Heap.bytes_resident h
+        = List.fold_left (fun n i -> n + Hashtbl.find m.m_sizes i) 0 live);
+      check "alloc_clock" (Heap.alloc_clock h = m.m_next);
+      List.iter
+        (fun i ->
+          check "fields" (Heap.fields h (oid i) = Hashtbl.find m.m_fields i))
+        live;
+      (* [iter] visits live objects in ascending index order, each view
+         carrying its fields and size. *)
+      let visited = ref [] in
+      Heap.iter h (fun o ->
+          let i = Oid.index o.Heap.oid in
+          check "view fields" (o.Heap.fields = Hashtbl.find m.m_fields i);
+          check "view size" (o.Heap.size = Hashtbl.find m.m_sizes i);
+          visited := i :: !visited);
+      check "iter order" (List.rev !visited = live);
+      let start, codes, pool, present, roots = model_csr m in
+      let d = Dense.of_heap h in
+      check "d_bound" (d.Dense.d_bound = m.m_next);
+      check "d_count" (d.Dense.d_count = List.length live);
+      check "d_start" (d.Dense.d_start = start);
+      check "d_codes"
+        (Array.sub d.Dense.d_codes 0 (Array.length codes) = codes);
+      check "d_pool" (d.Dense.d_pool = pool);
+      check "d_present" (Bytes.equal d.Dense.d_present present);
+      check "d_roots" (Bytes.equal d.Dense.d_roots roots);
+      List.sort Int.compare (List.map Oid.index (Heap.persistent_roots h))
+      = List.sort Int.compare m.m_roots)
+
+(* The heap keeps no per-object record: with [n] objects and [f]
+   fields, everything it holds is a field-list slot and a size slot
+   per index, one live byte per index and a 3-word cons cell per field
+   (oids are immediate). [n] is a power of two, so the index arrays,
+   which double, are exactly full. A boxed oid (3 words) or a
+   per-object record (4+ words) would blow the bound. *)
+let test_heap_memory_bound () =
+  let n = 4096 and per = 2 in
+  let h = Heap.create s0 in
+  let objs = Array.init n (fun _ -> Heap.alloc h) in
+  Array.iteri
+    (fun i o ->
+      for k = 1 to per do
+        Heap.add_field h ~obj:o ~target:objs.((i + k) mod n)
+      done)
+    objs;
+  let f = n * per in
+  let words = Obj.reachable_words (Obj.repr h) in
+  let bound = (3 * n) + (3 * f) + 64 in
+  if words > bound then
+    Alcotest.failf "heap of %d objects, %d fields holds %d words (bound %d)" n
+      f words bound
 
 let () =
   Alcotest.run "heap"
@@ -431,6 +572,9 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_oid_basics;
           QCheck_alcotest.to_alcotest prop_oid_compare_equal_agree;
+          QCheck_alcotest.to_alcotest prop_oid_packing;
+          Alcotest.test_case "make rejects out-of-range parts" `Quick
+            test_oid_range;
         ] );
       ( "heap",
         [
@@ -439,6 +583,8 @@ let () =
           Alcotest.test_case "free and roots" `Quick test_heap_free_and_roots;
           Alcotest.test_case "indices and counts" `Quick
             test_heap_indices_and_counts;
+          Alcotest.test_case "no per-object record" `Quick
+            test_heap_memory_bound;
         ] );
       ( "snapshot",
         [ Alcotest.test_case "immutability" `Quick test_snapshot_immutable ] );
