@@ -384,7 +384,7 @@ let exp_c3 () =
   say "after a few attempts in every configuration"
 
 (* ---------------------------------------------------------------------- *)
-(* C4: inset computation cost (§5.1 vs §5.2), with bechamel                *)
+(* C4: inset computation cost (§5.1 vs §5.2)                                *)
 (* ---------------------------------------------------------------------- *)
 
 let build_suspect_graph ~n_objects ~n_inrefs ~shape =
@@ -466,37 +466,7 @@ let exp_c4 () =
     [ "shape"; "visits (bottom-up)"; "visits (independent)"; "ratio"; "memo hits" ]
     rows;
   say "independent tracing rescans shared structure once per suspected";
-  say "inref — the paper's O(n*m); bottom-up stays linear";
-  (* wall-clock via bechamel *)
-  say "";
-  say "wall-clock (bechamel, ns/run):";
-  let open Bechamel in
-  let inp = build_suspect_graph ~n_objects:400 ~n_inrefs:40 ~shape:`Chain in
-  let tests =
-    Test.make_grouped ~name:"inset"
-      [
-        Test.make ~name:"bottom-up"
-          (Staged.stage (fun () ->
-               ignore (Local_trace.compute ~mode:Local_trace.Bottom_up inp)));
-        Test.make ~name:"independent"
-          (Staged.stage (fun () ->
-               ignore (Local_trace.compute ~mode:Local_trace.Independent inp)));
-      ]
-  in
-  let cfg_b =
-    Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.5) ~kde:None ()
-  in
-  let raw = Benchmark.all cfg_b [ Toolkit.Instance.monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  Hashtbl.iter
-    (fun name o ->
-      match Analyze.OLS.estimates o with
-      | Some [ est ] -> say "  %-20s %12.0f ns/run" name est
-      | _ -> say "  %-20s (no estimate)" name)
-    results
+  say "inref — the paper's O(n*m); bottom-up stays linear"
 
 (* ---------------------------------------------------------------------- *)
 (* C5: outset sharing and memoized unions (§5.2)                            *)
@@ -531,16 +501,8 @@ let exp_c5 () =
   table
     [ "shape n/inrefs"; "suspects"; "distinct outsets"; "unions"; "memo hits"; "hit rate" ]
     rows;
-  (* memoization ablation: same braid, memo on vs off *)
-  say "";
-  say "memoized-union ablation (bechamel, ns per outset-store run):";
-  let open Bechamel in
-  let braid_sets =
-    (* the union sequence a suspect-phase run would issue on a braid *)
-    let st0 = Outset_store.create () in
-    ignore st0;
-    List.init 64 (fun i -> i mod 8)
-  in
+  (* memoization ablation: the union sequence a suspect-phase run
+     would issue on a braid, memo on vs off *)
   let run_store ~memoize =
     let st = Outset_store.create ~memoize () in
     let singletons =
@@ -550,30 +512,22 @@ let exp_c5 () =
     in
     ignore
       (List.fold_left
-         (fun acc i -> Outset_store.union st acc singletons.(i))
-         (Outset_store.empty st) braid_sets)
+         (fun acc i -> Outset_store.union st acc singletons.(i mod 8))
+         (Outset_store.empty st) (List.init 64 Fun.id));
+    let s = Outset_store.stats st in
+    [
+      (if memoize then "on" else "off");
+      string_of_int s.Outset_store.union_calls;
+      string_of_int s.Outset_store.memo_hits;
+      string_of_int (s.Outset_store.union_calls - s.Outset_store.memo_hits);
+      string_of_int s.Outset_store.distinct;
+    ]
   in
-  let tests =
-    Test.make_grouped ~name:"outset"
-      [
-        Test.make ~name:"memo-on"
-          (Staged.stage (fun () -> run_store ~memoize:true));
-        Test.make ~name:"memo-off"
-          (Staged.stage (fun () -> run_store ~memoize:false));
-      ]
-  in
-  let cfg_b = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.25) ~kde:None () in
-  let raw = Benchmark.all cfg_b [ Toolkit.Instance.monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  Hashtbl.iter
-    (fun name o ->
-      match Analyze.OLS.estimates o with
-      | Some [ est ] -> say "  %-20s %12.0f ns/run" name est
-      | _ -> say "  %-20s (no estimate)" name)
-    results
+  say "";
+  say "memoized-union ablation (64 unions over a braid's 8 portals):";
+  table
+    [ "memo"; "unions"; "memo hits"; "merges"; "distinct outsets" ]
+    [ run_store ~memoize:true; run_store ~memoize:false ]
 
 (* ---------------------------------------------------------------------- *)
 (* C6: space for back information (§5.2, §8)                                *)
@@ -944,10 +898,8 @@ let exp_c14 () =
           Graph_gen.hypertext eng ~rng:(Rng.create ~seed:18) ~docs_per_site:3
             ~pages_per_doc:4 ~cross_links:(n * 3) ~rooted_frac:0.4
         in
-        let wall0 = Unix.gettimeofday () in
         Sim.start sim;
         let r = rounds_to_collect ~max_rounds:80 sim in
-        let wall = Unix.gettimeofday () -. wall0 in
         let m = Engine.metrics eng in
         [
           string_of_int n;
@@ -956,64 +908,13 @@ let exp_c14 () =
           string_of_int (Metrics.get m "back.traces_started");
           string_of_int (Metrics.get m "back.msgs");
           string_of_int (Metrics.get m "msg.total");
-          Printf.sprintf "%.2fs" wall;
         ])
       [ 4; 8; 16; 32 ]
   in
   table
-    [
-      "sites"; "cyclic garbage"; "rounds"; "traces"; "back msgs"; "all msgs";
-      "host wall";
-    ]
+    [ "sites"; "cyclic garbage"; "rounds"; "traces"; "back msgs"; "all msgs" ]
     rows;
   say "back-trace traffic scales with the garbage, not the system size"
-
-(* ---------------------------------------------------------------------- *)
-(* C15: the local trace at scale                                           *)
-(* ---------------------------------------------------------------------- *)
-
-let exp_c15 () =
-  section "C15" "Local trace throughput at scale (bechamel)";
-  let open Bechamel in
-  let tests =
-    Test.make_grouped ~name:"trace"
-      [
-        Test.make ~name:"5k objects, 20 suspects"
-          (let inp =
-             build_suspect_graph ~n_objects:5_000 ~n_inrefs:20 ~shape:`Random
-           in
-           Staged.stage (fun () -> ignore (Local_trace.compute inp)));
-        Test.make ~name:"20k objects, 50 suspects"
-          (let inp =
-             build_suspect_graph ~n_objects:20_000 ~n_inrefs:50 ~shape:`Random
-           in
-           Staged.stage (fun () -> ignore (Local_trace.compute inp)));
-        Test.make ~name:"20k-object chain"
-          (let inp =
-             build_suspect_graph ~n_objects:20_000 ~n_inrefs:50 ~shape:`Chain
-           in
-           Staged.stage (fun () -> ignore (Local_trace.compute inp)));
-      ]
-  in
-  let cfg_b = Benchmark.cfg ~limit:300 ~quota:(Time.second 1.0) ~kde:None () in
-  let raw = Benchmark.all cfg_b [ Toolkit.Instance.monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name o ->
-      match Analyze.OLS.estimates o with
-      | Some [ est ] ->
-          rows := [ name; Printf.sprintf "%.2f ms" (est /. 1e6) ] :: !rows
-      | _ -> rows := [ name; "(no estimate)" ] :: !rows)
-    results;
-  table [ "workload"; "per full trace" ]
-    (List.sort compare !rows);
-  say "a full combined trace (mark + distances + suspicion + outsets)";
-  say "costs milliseconds at 5k objects and tens of milliseconds at";
-  say "20k — far beyond the experiments' heap sizes"
 
 (* ---------------------------------------------------------------------- *)
 (* BENCH: the machine-readable artifact                                   *)
@@ -1146,7 +1047,6 @@ let all_sections =
     ("C12", exp_c12);
     ("C13", exp_c13);
     ("C14", exp_c14);
-    ("C15", exp_c15);
     ("BENCH", exp_bench);
   ]
 

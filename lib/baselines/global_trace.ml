@@ -72,42 +72,23 @@ let state t id = t.states.(Site_id.to_int id)
 (* Mark locally from the given references; returns marks that escaped
    to other sites, grouped by destination. *)
 let mark_from st refs =
-  let heap = st.gs_site.Site.heap in
   let outgoing = Hashtbl.create 8 in
-  let stack = ref [] in
-  let progressed = ref false in
-  let visit r =
-    if Site_id.equal (Oid.site r) st.gs_site.Site.id then begin
-      if Heap.mem heap r && not (Oid.Tbl.mem st.gs_marked r) then begin
-        Oid.Tbl.add st.gs_marked r ();
-        progressed := true;
-        stack := r :: !stack
-      end
-    end
-    else begin
-      let dst = Oid.site r in
-      let q =
-        match Hashtbl.find_opt outgoing dst with
-        | Some q -> q
-        | None ->
-            let q = ref Oid.Set.empty in
-            Hashtbl.add outgoing dst q;
-            q
-      in
-      q := Oid.Set.add r !q
-    end
+  let remote r =
+    let dst = Oid.site r in
+    let q =
+      match Hashtbl.find_opt outgoing dst with
+      | Some q -> q
+      | None ->
+          let q = ref Oid.Set.empty in
+          Hashtbl.add outgoing dst q;
+          q
+    in
+    q := Oid.Set.add r !q
   in
-  List.iter visit refs;
-  let rec drain () =
-    match !stack with
-    | [] -> ()
-    | r :: tl ->
-        stack := tl;
-        List.iter visit (Heap.fields heap r);
-        drain ()
+  let marked =
+    Heap.mark st.gs_site.Site.heap ~marked:st.gs_marked ~remote refs
   in
-  drain ();
-  (outgoing, !progressed)
+  (outgoing, marked > 0)
 
 let send_marks t st outgoing =
   Hashtbl.iter

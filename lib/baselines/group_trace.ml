@@ -117,19 +117,10 @@ let suspect_targets st =
 (* ---- marking within the group ---------------------------------------- *)
 
 let mark_from t st refs =
-  let heap = st.gs_site.Site.heap in
   let outgoing = Hashtbl.create 4 in
-  let stack = ref [] in
-  let visit r =
-    if Site_id.equal (Oid.site r) st.gs_site.Site.id then begin
-      if Heap.mem heap r && not (Oid.Tbl.mem st.gs_marked r) then begin
-        Oid.Tbl.add st.gs_marked r ();
-        st.gs_dirty <- true;
-        stack := r :: !stack
-      end
-    end
-    else if Site_id.Set.mem (Oid.site r) st.gs_members then begin
-      (* Only marks into the group matter. *)
+  let remote r =
+    (* Only marks into the group matter. *)
+    if Site_id.Set.mem (Oid.site r) st.gs_members then begin
       let dst = Oid.site r in
       let q =
         match Hashtbl.find_opt outgoing dst with
@@ -142,16 +133,8 @@ let mark_from t st refs =
       q := Oid.Set.add r !q
     end
   in
-  List.iter visit refs;
-  let rec drain () =
-    match !stack with
-    | [] -> ()
-    | r :: tl ->
-        stack := tl;
-        List.iter visit (Heap.fields heap r);
-        drain ()
-  in
-  drain ();
+  if Heap.mark st.gs_site.Site.heap ~marked:st.gs_marked ~remote refs > 0
+  then st.gs_dirty <- true;
   Hashtbl.iter
     (fun dst refs ->
       match st.gs_member_of with

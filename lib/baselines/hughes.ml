@@ -86,26 +86,10 @@ let hughes_trace t st =
   let out_ts : float Oid.Tbl.t = Oid.Tbl.create 32 in
   List.iter
     (fun (ts, roots) ->
-      let stack = ref [] in
-      let visit r =
-        if Site_id.equal (Oid.site r) site.Site.id then begin
-          if Heap.mem heap r && not (Oid.Tbl.mem marked r) then begin
-            Oid.Tbl.add marked r ();
-            stack := r :: !stack
-          end
-        end
-        else if not (Oid.Tbl.mem out_ts r) then Oid.Tbl.add out_ts r ts
+      let remote r =
+        if not (Oid.Tbl.mem out_ts r) then Oid.Tbl.add out_ts r ts
       in
-      List.iter visit roots;
-      let rec drain () =
-        match !stack with
-        | [] -> ()
-        | r :: tl ->
-            stack := tl;
-            List.iter visit (Heap.fields heap r);
-            drain ()
-      in
-      drain ())
+      ignore (Heap.mark heap ~marked ~remote roots))
     groups;
   (* Sweep local objects. *)
   let freed = Heap.sweep heap ~keep:(Oid.Tbl.mem marked) in

@@ -246,25 +246,28 @@ let timer_key_ttl trace ~site =
 let root_span sh trace =
   Option.bind (Hashtbl.find_opt sh.tstats trace) (fun s -> s.ts_span)
 
+let frame_span fr = if fr.fr_span >= 0 then Some fr.fr_span else None
+
 (* The span of the activation that issued this parent link: the local
    caller frame, the leap that carried the remote call, or the trace
    root for the initiator's first step. *)
-let parent_span sh st trace = function
-  | P_initiator -> root_span sh trace
-  | P_local pid -> (
-      match Hashtbl.find_opt st.frames pid with
-      | Some p when p.fr_span >= 0 -> Some p.fr_span
-      | _ -> root_span sh trace)
-  | P_remote { site; frame; call_seq } -> (
-      match
-        Hashtbl.find_opt sh.m_spans
-          (call_key trace ~caller:site ~callee:(self_id st) call_seq)
-      with
-      | Some id -> Some id
-      | None -> (
-          match Hashtbl.find_opt (state sh site).frames frame with
-          | Some p when p.fr_span >= 0 -> Some p.fr_span
-          | _ -> root_span sh trace))
+let parent_span sh st trace parent =
+  let frame_span_of st id =
+    Option.bind (Hashtbl.find_opt st.frames id) frame_span
+  in
+  let span =
+    match parent with
+    | P_initiator -> None
+    | P_local pid -> frame_span_of st pid
+    | P_remote { site; frame; call_seq } -> (
+        match
+          Hashtbl.find_opt sh.m_spans
+            (call_key trace ~caller:site ~callee:(self_id st) call_seq)
+        with
+        | Some id -> Some id
+        | None -> frame_span_of (state sh site) frame)
+  in
+  match span with Some _ -> span | None -> root_span sh trace
 
 (* key is "<kind>/<trace>/..." *)
 let tkey_of_key key =
@@ -298,6 +301,24 @@ let finish_frame_span sh fr attrs =
   | Some tr ->
       if fr.fr_span >= 0 then
         Tel.Tracer.finish_span tr fr.fr_span ~at:(now_s sh) attrs
+
+(* A point event (a §4.6 timeout, the clean rule); like a message span,
+   its parent and attributes come from a thunk run only when traced. *)
+let trace_event sh ~name ~site trace event =
+  match tracer sh with
+  | None -> ()
+  | Some tr ->
+      let parent, attrs = event () in
+      ignore
+        (Tel.Tracer.event tr ?parent ~trace:(tkey trace) ~name
+           ~site:(Site_id.to_int site) ~at:(now_s sh) attrs)
+
+(* The §4.6 retry schedule: attempt [k] waits timeout·backoff^k. *)
+let backoff sh k =
+  let cfg = Engine.config sh.eng in
+  Sim_time.of_seconds
+    (Sim_time.to_seconds cfg.Config.back_call_timeout
+    *. (cfg.Config.retry_backoff ** float_of_int k))
 
 let new_frame sh st trace parent ioref ~kind =
   let fr =
@@ -339,46 +360,22 @@ let new_frame sh st trace parent ioref ~kind =
           ~at:(now_s sh) attrs);
   fr
 
+(* A frame ends once: finished with a verdict, or aborted by the
+   trace's report. *)
+let close_frame sh st fr attrs =
+  fr.fr_done <- true;
+  Hashtbl.remove st.frames fr.fr_id;
+  gauge_frames sh (-1);
+  finish_frame_span sh fr attrs
+
 (* The whole message-driven machine is one recursive knot: finishing a
    frame feeds its parent, which may finish in turn, up to the
    initiator's report phase. *)
 let rec finish sh st fr v =
   if not fr.fr_done then begin
-    fr.fr_done <- true;
-    Hashtbl.remove st.frames fr.fr_id;
-    gauge_frames sh (-1);
-    finish_frame_span sh fr [ ("verdict", jstr (Verdict.to_string v)) ];
-    let parts = Site_id.Set.add (self_id st) fr.fr_participants in
-    match fr.fr_parent with
-    | P_local pid -> begin
-        match Hashtbl.find_opt st.frames pid with
-        | Some p -> child_done sh st p v parts
-        | None -> ()
-      end
-    | P_remote { site; frame; call_seq } ->
-        start_msg_span sh ~name:"leap.reply"
-          ~site:(Site_id.to_int (self_id st))
-          (fun () ->
-            ( reply_key fr.fr_trace ~replier:(self_id st) ~target:site call_seq,
-              (if fr.fr_span >= 0 then Some fr.fr_span else None),
-              [
-                ("src", jsite (self_id st));
-                ("dst", jsite site);
-                ("verdict", jstr (Verdict.to_string v));
-              ] ));
-        let reply =
-          Back_reply
-            {
-              trace = fr.fr_trace;
-              reply_frame = frame;
-              call_seq;
-              verdict = v;
-              participants = parts;
-            }
-        in
-        memo_add st (fr.fr_trace, site, call_seq) (Some reply);
-        send_back sh ~src:(self_id st) ~dst:site fr.fr_trace reply
-    | P_initiator -> conclude sh st fr.fr_trace v parts
+    close_frame sh st fr [ ("verdict", jstr (Verdict.to_string v)) ];
+    answer sh st ~frame:fr fr.fr_trace fr.fr_parent v
+      (Site_id.Set.add (self_id st) fr.fr_participants)
   end
 
 and child_done sh st fr v parts =
@@ -394,21 +391,31 @@ and child_done sh st fr v parts =
         if fr.fr_pending <= 0 then finish sh st fr fr.fr_result
   end
 
+(* A step that opens no frame answers its parent at once. *)
 and return_to sh st trace parent v =
-  let parts = Site_id.Set.singleton (self_id st) in
+  answer sh st trace parent v (Site_id.Set.singleton (self_id st))
+
+(* Hand a verdict to its parent: the local caller frame, the remote
+   caller (§4.4's one reply per call, memoized for duplicates), or the
+   initiator. The reply span hangs under the finished [frame], else
+   under the call's leap. *)
+and answer sh st ?frame trace parent v parts =
   match parent with
   | P_local pid -> begin
       match Hashtbl.find_opt st.frames pid with
       | Some p -> child_done sh st p v parts
       | None -> ()
     end
-  | P_remote { site; frame; call_seq } ->
+  | P_remote { site; frame = reply_frame; call_seq } ->
       start_msg_span sh ~name:"leap.reply"
         ~site:(Site_id.to_int (self_id st))
         (fun () ->
           ( reply_key trace ~replier:(self_id st) ~target:site call_seq,
-            Hashtbl.find_opt sh.m_spans
-              (call_key trace ~caller:site ~callee:(self_id st) call_seq),
+            (match frame with
+            | Some fr -> frame_span fr
+            | None ->
+                Hashtbl.find_opt sh.m_spans
+                  (call_key trace ~caller:site ~callee:(self_id st) call_seq)),
             [
               ("src", jsite (self_id st));
               ("dst", jsite site);
@@ -416,7 +423,7 @@ and return_to sh st trace parent v =
             ] ));
       let reply =
         Back_reply
-          { trace; reply_frame = frame; call_seq; verdict = v; participants = parts }
+          { trace; reply_frame; call_seq; verdict = v; participants = parts }
       in
       memo_add st (trace, site, call_seq) (Some reply);
       send_back sh ~src:(self_id st) ~dst:site trace reply
@@ -489,16 +496,11 @@ and conclude_first sh st s trace outcome parts =
         report acks, but [apply_report] is idempotent, so re-sending
         each report on the retry schedule means a dropped copy no
         longer strands participants until the visited TTL. *)
-     let base = Sim_time.to_seconds cfg.Config.back_call_timeout in
      Site_id.Set.iter
        (fun p ->
          if not (Site_id.equal p (self_id st)) then
            for k = 1 to cfg.Config.retry_limit do
-             let delay =
-               Sim_time.of_seconds
-                 (base *. (cfg.Config.retry_backoff ** float_of_int (k - 1)))
-             in
-             Engine.schedule sh.eng ~delay (fun () ->
+             Engine.schedule sh.eng ~delay:(backoff sh (k - 1)) (fun () ->
                  Metrics.incr (Engine.metrics sh.eng) "retry.back_report";
                  Engine.series_incr sh.eng "retry.back_report";
                  s.ts_retries <- s.ts_retries + 1;
@@ -536,22 +538,13 @@ and apply_report sh st trace outcome =
                 o.Ioref.or_visited <-
                   Trace_id.Set.remove trace o.Ioref.or_visited)
         !l);
-  (* Drop any leftover frames of this trace at this site. *)
-  let leftovers =
-    Hashtbl.fold
-      (fun id fr acc -> if Trace_id.equal fr.fr_trace trace then id :: acc else acc)
-      st.frames []
-  in
-  List.iter
-    (fun id ->
-      match Hashtbl.find_opt st.frames id with
-      | Some fr ->
-          fr.fr_done <- true;
-          Hashtbl.remove st.frames id;
-          gauge_frames sh (-1);
-          finish_frame_span sh fr [ ("aborted", Tel.Json.Bool true) ]
-      | None -> ())
-    leftovers;
+  (* Abort any leftover frames of this trace at this site. *)
+  Hashtbl.fold
+    (fun _ fr acc ->
+      if Trace_id.equal fr.fr_trace trace then fr :: acc else acc)
+    st.frames []
+  |> List.iter (fun fr ->
+         close_frame sh st fr [ ("aborted", Tel.Json.Bool true) ]);
   (* The trace is settled at this site: forget its call memo (any
      further duplicates are stale and will be re-answered from the
      tables, which now reflect the outcome). *)
@@ -579,10 +572,11 @@ and record_visit sh st trace r =
       let ttl =
         if cfg.Config.retry_limit <= 0 then ttl
         else begin
-          let base = Sim_time.to_seconds cfg.Config.back_call_timeout in
-          let span = ref base in
+          let span =
+            ref (Sim_time.to_seconds cfg.Config.back_call_timeout)
+          in
           for k = 0 to cfg.Config.retry_limit do
-            span := !span +. (base *. (cfg.Config.retry_backoff ** float_of_int k))
+            span := !span +. Sim_time.to_seconds (backoff sh k)
           done;
           if Sim_time.(ttl < Sim_time.of_seconds !span) then
             Sim_time.of_seconds !span
@@ -598,15 +592,8 @@ and record_visit sh st trace r =
             (* Never heard the outcome: assume Live (§4.6). *)
             Metrics.incr (Engine.metrics sh.eng) "back.visited_ttl_expired";
             bump_stat sh trace (fun s -> s.ts_timeouts <- s.ts_timeouts + 1);
-            (match tracer sh with
-            | None -> ()
-            | Some tr ->
-                ignore
-                  (Tel.Tracer.event tr
-                     ?parent:(root_span sh trace)
-                     ~trace:(tkey trace) ~name:"timeout.visited_ttl"
-                     ~site:(Site_id.to_int (self_id st))
-                     ~at:(now_s sh) []));
+            trace_event sh ~name:"timeout.visited_ttl" ~site:(self_id st)
+              trace (fun () -> (root_span sh trace, []));
             apply_report sh st trace Verdict.Live
           end)
 
@@ -666,7 +653,7 @@ and step_remote sh st trace i parent =
                   ~site:(Site_id.to_int (self_id st))
                   (fun () ->
                     ( call_key trace ~caller:(self_id st) ~callee:q seq,
-                      (if fr.fr_span >= 0 then Some fr.fr_span else None),
+                      frame_span fr,
                       [
                         ("src", jsite (self_id st));
                         ("dst", jsite q);
@@ -684,24 +671,16 @@ and step_remote sh st trace i parent =
                        })
                 in
                 let cfg = Engine.config sh.eng in
-                let base = Sim_time.to_seconds cfg.Config.back_call_timeout in
                 (* Attempt [k] waits timeout·backoff^k, then either
                    re-sends the call (k < retry_limit — the receiver
                    memo makes duplicates harmless) or finally assumes
                    Live (§4.6). [retry_limit = 0] is the paper's
                    single-shot timeout, event-for-event. *)
                 let rec arm attempt =
-                  let delay =
-                    if attempt = 0 then cfg.Config.back_call_timeout
-                    else
-                      Sim_time.of_seconds
-                        (base
-                        *. (cfg.Config.retry_backoff ** float_of_int attempt))
-                  in
                   Engine.schedule sh.eng
                     ~label:(fun () ->
                       (self_id st, timer_key_call trace ~site:(self_id st) seq))
-                    ~delay (fun () ->
+                    ~delay:(backoff sh attempt) (fun () ->
                       match Hashtbl.find_opt st.frames fr.fr_id with
                       | Some fr'
                         when (not fr'.fr_done) && Int_set.mem seq fr'.fr_calls
@@ -735,19 +714,9 @@ and step_remote sh st trace i parent =
                                 call_key trace ~caller:(self_id st) ~callee:q
                                   seq)
                               [ ("timeout", Tel.Json.Bool true) ];
-                            (match tracer sh with
-                            | None -> ()
-                            | Some tr ->
-                                ignore
-                                  (Tel.Tracer.event tr
-                                     ?parent:
-                                       (if fr'.fr_span >= 0 then
-                                          Some fr'.fr_span
-                                        else None)
-                                     ~trace:(tkey trace) ~name:"timeout.call"
-                                     ~site:(Site_id.to_int (self_id st))
-                                     ~at:(now_s sh)
-                                     [ ("dst", jsite q) ]));
+                            trace_event sh ~name:"timeout.call"
+                              ~site:(self_id st) trace (fun () ->
+                                (frame_span fr', [ ("dst", jsite q) ]));
                             child_done sh st fr' Verdict.Live
                               Site_id.Set.empty
                           end
@@ -869,15 +838,8 @@ let on_cleaned sh site_id r =
     List.iter
       (fun fr ->
         Metrics.incr (Engine.metrics sh.eng) "back.clean_rule_fired";
-        (match tracer sh with
-        | None -> ()
-        | Some tr ->
-            ignore
-              (Tel.Tracer.event tr
-                 ?parent:(if fr.fr_span >= 0 then Some fr.fr_span else None)
-                 ~trace:(tkey fr.fr_trace) ~name:"clean_rule"
-                 ~site:(Site_id.to_int site_id) ~at:(now_s sh)
-                 [ ("ref", jstr (Oid.to_string r)) ]));
+        trace_event sh ~name:"clean_rule" ~site:site_id fr.fr_trace
+          (fun () -> (frame_span fr, [ ("ref", jstr (Oid.to_string r)) ]));
         finish sh st fr Verdict.Live)
       hits
   end
@@ -913,7 +875,7 @@ let open_frames sh site_id =
           fi_kind = fr.fr_kind;
           fi_pending = fr.fr_pending;
           fi_started = fr.fr_started;
-          fi_span = (if fr.fr_span >= 0 then Some fr.fr_span else None);
+          fi_span = frame_span fr;
           fi_parent =
             (match fr.fr_parent with
             | P_initiator -> Pi_initiator

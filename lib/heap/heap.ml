@@ -203,6 +203,31 @@ let sweep t ~keep =
   done;
   free t !dead
 
+let mark t ~marked ~remote roots =
+  let n = ref 0 in
+  let stack = ref [] in
+  let visit r =
+    if Site_id.equal (Oid.site r) t.site then begin
+      if mem t r && not (Oid.Tbl.mem marked r) then begin
+        Oid.Tbl.add marked r ();
+        incr n;
+        stack := r :: !stack
+      end
+    end
+    else remote r
+  in
+  List.iter visit roots;
+  let rec drain () =
+    match !stack with
+    | [] -> ()
+    | r :: tl ->
+        stack := tl;
+        List.iter visit (fields t r);
+        drain ()
+  in
+  drain ();
+  !n
+
 let frees t = t.frees
 let generation t = match t.shape with Some _ -> t.builds | None -> -1
 

@@ -89,6 +89,14 @@ val sweep : t -> keep:(Oid.t -> bool) -> int
     excepted; an index loop that builds no view. Returns the number
     freed. *)
 
+val mark :
+  t -> marked:unit Oid.Tbl.t -> remote:(Oid.t -> unit) -> Oid.t list -> int
+(** Depth-first mark from the roots, the baselines' local trace: each
+    present local object not yet in [marked] is added to it and its
+    fields are visited; every reference to another site goes to
+    [remote], in visit order. Returns the number of objects newly
+    marked. *)
+
 val frees : t -> int
 (** Objects freed so far: moves exactly when a {!free} frees one. *)
 

@@ -28,7 +28,6 @@ type t = {
   adaptive_threshold : bool;
   enable_transfer_barrier : bool;
   enable_clean_rule : bool;
-  enable_insert_barrier : bool;
   enable_timeouts : bool;
   oracle_checks : bool;
   check_level : check_level;
@@ -62,7 +61,6 @@ let default =
     adaptive_threshold = false;
     enable_transfer_barrier = true;
     enable_clean_rule = true;
-    enable_insert_barrier = true;
     enable_timeouts = true;
     oracle_checks = true;
     check_level = Check_final;
@@ -75,10 +73,10 @@ let default =
 let pp ppf t =
   Format.fprintf ppf
     "@[<v>sites=%d seed=%d Δ=%d Δ2=%d bump=%d interval=%a window=%a \
-     latency=%a drop=%.2f dup=%.2f retries=%d barriers(t=%b,c=%b,i=%b) \
+     latency=%a drop=%.2f dup=%.2f retries=%d barriers(t=%b,c=%b) \
      checks=%s@]"
     t.n_sites t.seed t.delta t.threshold2 t.threshold_bump Sim_time.pp
     t.trace_interval Sim_time.pp t.trace_duration Latency.pp t.latency
     t.ext_drop t.ext_dup t.retry_limit t.enable_transfer_barrier
-    t.enable_clean_rule t.enable_insert_barrier
+    t.enable_clean_rule
     (check_level_name t.check_level)

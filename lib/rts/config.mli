@@ -2,8 +2,10 @@
 
     One record covers the runtime, the core collector and the
     baselines; baseline-only fields are ignored by the core collector
-    and vice versa. The ablation toggles exist so the benches can show
-    that each §6 mechanism is load-bearing. *)
+    and vice versa. The ablation toggles (transfer barrier, clean rule,
+    §4.6 timeouts) exist so the benches can show that each mechanism is
+    load-bearing; the §6.1.2 insert barrier has no toggle and always
+    runs. *)
 
 open Dgc_simcore
 
@@ -73,7 +75,6 @@ type t = {
   (* ablation toggles *)
   enable_transfer_barrier : bool;
   enable_clean_rule : bool;
-  enable_insert_barrier : bool;
   enable_timeouts : bool;
       (** the §4.6 silence-means-Live machinery: per-call timeouts
           (with their retry schedule) and the visited-marks TTL.

@@ -309,12 +309,18 @@ let in_flight_refs t =
   let part =
     List.concat_map (fun (_, _, p, _) -> Protocol.refs_carried p) t.part_parked
   in
-  Hashtbl.fold
-    (fun _ msgs acc ->
-      List.fold_left
-        (fun acc (_, p, _) -> Protocol.refs_carried p @ acc)
-        acc !msgs)
-    t.parked (part @ flying)
+  (* per-destination queues: parked by a crash, or waiting for a §4.7
+     batch *)
+  let queued payload_of queues acc =
+    Hashtbl.fold
+      (fun _ msgs acc ->
+        List.fold_left
+          (fun acc m -> Protocol.refs_carried (payload_of m) @ acc)
+          acc !msgs)
+      queues acc
+  in
+  queued fst t.defer_queues
+    (queued (fun (_, p, _) -> p) t.parked (part @ flying))
 
 (* --- forced cleaning (§6.1, §6.4) ------------------------------------ *)
 
@@ -540,106 +546,72 @@ and park t cause ~src ~dst ~id payload =
       in
       q := (src, payload, id) :: !q
 
-(* One copy on the wire, for a first send and for a redelivery after
-   heal/recover alike: its references stay in [in_flight] until it
-   lands. If the destination became unreachable or crashed meanwhile,
-   a collector message is dropped and a base message parked again. *)
-and fly t ~src ~dst ~id payload =
+(* A wire message that cannot land: each collector payload is dropped,
+   counted under [cause], and each base payload parked. *)
+and lose t cause ~src ~dst msgs =
+  let reason =
+    match cause with `Partition -> "partition" | `Crash -> "crashed"
+  in
+  List.iter
+    (fun (p, id) ->
+      if Protocol.is_ext p then drop t ~src ~dst ~id ~reason p
+      else park t cause ~src ~dst ~id p)
+    msgs
+
+(* One wire message on the network — a single payload or a §4.7 batch
+   of (payload, id) — for a first send, a duplicate and a redelivery
+   after heal/recover alike: the references of every payload stay in
+   [in_flight] until it lands. Its fate is decided once at landing,
+   partition before crash. *)
+and fly t ~src ~dst msgs =
   let copy = t.next_copy in
   t.next_copy <- copy + 1;
-  (match Protocol.refs_carried payload with
+  (match List.concat_map (fun (p, _) -> Protocol.refs_carried p) msgs with
   | [] -> ()
   | refs -> Hashtbl.replace t.in_flight copy refs);
   let delay = sample_latency t in
   schedule t ~delay (fun () ->
       Hashtbl.remove t.in_flight copy;
-      let is_ext = Protocol.is_ext payload in
-      if not (reachable t src dst) then begin
-        if is_ext then drop t ~src ~dst ~id ~reason:"partition" payload
-        else park t `Partition ~src ~dst ~id payload
-      end
-      else if (site t dst).Site.crashed then begin
-        if is_ext then drop t ~src ~dst ~id ~reason:"crashed" payload
-        else park t `Crash ~src ~dst ~id payload
-      end
-      else deliver t ~src ~dst ~id payload)
+      if not (reachable t src dst) then lose t `Partition ~src ~dst msgs
+      else if (site t dst).Site.crashed then lose t `Crash ~src ~dst msgs
+      else List.iter (fun (p, id) -> deliver t ~src ~dst ~id p) msgs)
 
-and send_now t ~src ~dst ~id payload =
-  let count_name, size_name = kind_metrics (Protocol.kind payload) in
-  let bytes = Protocol.approx_bytes payload in
-  Metrics.incr t.metrics count_name;
+(* Count one wire message and put it on the network. Per-kind counters
+   see every payload; [msg.total] counts wire messages. At send time a
+   collector message meets a crash, then a partition, then loss; a base
+   message is parked by a partition before a crash. *)
+and transmit t ~src ~dst msgs =
+  let bytes =
+    List.fold_left
+      (fun acc (p, _) ->
+        let count_name, size_name = kind_metrics (Protocol.kind p) in
+        let b = Protocol.approx_bytes p in
+        Metrics.incr t.metrics count_name;
+        Metrics.hist_observe t.metrics size_name (float_of_int b);
+        acc + b)
+      0 msgs
+  in
   Metrics.incr t.metrics "msg.total";
   Metrics.add t.metrics "msg.bytes" bytes;
-  profile_work t "msgs_sent" 1;
+  profile_work t "msgs_sent" (List.length msgs);
   profile_work t "bytes_sent" bytes;
-  Metrics.hist_observe t.metrics size_name (float_of_int bytes);
-  let dst_site = site t dst in
-  let is_ext = Protocol.is_ext payload in
-  if is_ext && dst_site.Site.crashed then
-    drop t ~src ~dst ~id ~reason:"crashed" payload
-  else if is_ext && not (reachable t src dst) then
-    drop t ~src ~dst ~id ~reason:"partition" payload
+  let is_ext = List.exists (fun (p, _) -> Protocol.is_ext p) msgs in
+  let crashed = (site t dst).Site.crashed in
+  if is_ext && crashed then lose t `Crash ~src ~dst msgs
+  else if not (reachable t src dst) then lose t `Partition ~src ~dst msgs
+  else if crashed then lose t `Crash ~src ~dst msgs
   else if is_ext && Rng.chance t.rng (ext_drop_p t) then
-    drop t ~src ~dst ~id ~reason:"lossy" payload
-  else if not (reachable t src dst) then park t `Partition ~src ~dst ~id payload
-  else if dst_site.Site.crashed then park t `Crash ~src ~dst ~id payload
+    List.iter (fun (p, id) -> drop t ~src ~dst ~id ~reason:"lossy" p) msgs
   else begin
-    fly t ~src ~dst ~id payload;
+    fly t ~src ~dst msgs;
     (* Duplicate-delivery fault channel: a second, independent copy of
-       a collector message, with its own latency. Only Ext payloads —
-       the base protocol stays exactly-once. The [ext_dup_p t > 0.]
-       guard keeps the rng stream untouched when the channel is cold. *)
+       a collector wire message, with its own latency. The base
+       protocol stays exactly-once. The [ext_dup_p t > 0.] guard keeps
+       the rng stream untouched when the channel is cold. *)
     if is_ext && ext_dup_p t > 0. && Rng.chance t.rng (ext_dup_p t) then begin
-      Metrics.incr t.metrics "msg.duplicated";
-      emit t (Dup { id });
-      fly t ~src ~dst ~id payload
-    end
-  end
-
-(* One wire message carrying a whole batch of deferred collector
-   messages (§4.7: "deferred and piggybacked"). Per-kind counters still
-   see every payload; [msg.total] counts wire messages. *)
-and flush_batch t ~src ~dst payloads =
-  Metrics.incr t.metrics "msg.total";
-  Metrics.incr t.metrics "msg.batches";
-  let batch_bytes =
-    Dgc_prelude.Util.list_sum (fun (p, _) -> Protocol.approx_bytes p) payloads
-  in
-  Metrics.add t.metrics "msg.bytes" batch_bytes;
-  profile_work t "msgs_sent" (List.length payloads);
-  profile_work t "bytes_sent" batch_bytes;
-  List.iter
-    (fun (p, _) ->
-      let count_name, size_name = kind_metrics (Protocol.kind p) in
-      Metrics.incr t.metrics count_name;
-      Metrics.hist_observe t.metrics size_name
-        (float_of_int (Protocol.approx_bytes p)))
-    payloads;
-  (* Each drop is counted under its real cause, in the same precedence
-     as the unbatched path: crash before partition at send time,
-     partition before crash at landing. *)
-  let drop_all reason =
-    List.iter (fun (p, id) -> drop t ~src ~dst ~id ~reason p) payloads
-  in
-  if (site t dst).Site.crashed then drop_all "crashed"
-  else if not (reachable t src dst) then drop_all "partition"
-  else if Rng.chance t.rng (ext_drop_p t) then drop_all "lossy"
-  else begin
-    let fly () =
-      let delay = sample_latency t in
-      schedule t ~delay (fun () ->
-          if not (reachable t src dst) then drop_all "partition"
-          else if (site t dst).Site.crashed then drop_all "crashed"
-          else
-            List.iter (fun (p, id) -> deliver t ~src ~dst ~id p) payloads)
-    in
-    fly ();
-    (* Whole-batch duplication: deferred collector batches are one wire
-       message, so the fault channel duplicates the wire message. *)
-    if ext_dup_p t > 0. && Rng.chance t.rng (ext_dup_p t) then begin
-      Metrics.add t.metrics "msg.duplicated" (List.length payloads);
-      List.iter (fun (_, id) -> emit t (Dup { id })) payloads;
-      fly ()
+      Metrics.add t.metrics "msg.duplicated" (List.length msgs);
+      List.iter (fun (_, id) -> emit t (Dup { id })) msgs;
+      fly t ~src ~dst msgs
     end
   end
 
@@ -661,9 +633,12 @@ and send t ~src ~dst payload =
             | None -> ()
             | Some q ->
                 Hashtbl.remove t.defer_queues key;
-                flush_batch t ~src ~dst (List.rev !q))
+                (* §4.7 "deferred and piggybacked": the whole queue
+                   goes out as one wire message. *)
+                Metrics.incr t.metrics "msg.batches";
+                transmit t ~src ~dst (List.rev !q))
   end
-  else send_now t ~src ~dst ~id payload
+  else transmit t ~src ~dst [ (payload, id) ]
 
 (* Group reference-listing changes by target site, one [Update] each.
    Each site's lists come out in reverse input order, and the sites go
@@ -723,7 +698,9 @@ let heal t =
   Metrics.incr t.metrics "fault.heal";
   let parked = List.rev t.part_parked in
   t.part_parked <- [];
-  List.iter (fun (src, dst, payload, id) -> fly t ~src ~dst ~id payload) parked
+  List.iter
+    (fun (src, dst, payload, id) -> fly t ~src ~dst [ (payload, id) ])
+    parked
 
 let crash t id =
   emit t (Fault { tag = "crash"; detail = string_of_int (Site_id.to_int id) });
@@ -745,7 +722,7 @@ let recover t id =
         let msgs = List.rev !q in
         Hashtbl.remove t.parked id;
         List.iter
-          (fun (src, payload, msg) -> fly t ~src ~dst:id ~id:msg payload)
+          (fun (src, payload, msg) -> fly t ~src ~dst:id [ (payload, msg) ])
           msgs
   end
 

@@ -185,7 +185,11 @@ val send : t -> src:Site_id.t -> dst:Site_id.t -> Protocol.payload -> unit
 (** Sample a latency and schedule delivery. Base-protocol messages to a
     crashed destination are parked and delivered on recovery; [Ext]
     messages to a crashed destination, and [Ext] messages unlucky under
-    [cfg.ext_drop], are dropped (and counted). *)
+    [cfg.ext_drop], are dropped (and counted). With
+    [cfg.defer_interval > 0] an [Ext] message waits in its (src, dst)
+    queue instead, and the whole queue goes out as one wire message
+    (§4.7): it takes the same path, with one latency, one loss draw and
+    one duplication draw for the batch. *)
 
 val fresh_token : t -> int
 
@@ -271,9 +275,10 @@ val reachable : t -> Site_id.t -> Site_id.t -> bool
 (** {1 Oracle support} *)
 
 val in_flight_refs : t -> Oid.t list
-(** References carried by undelivered messages: on the wire — first
-    sends and redeliveries after {!heal}/{!recover} alike — or parked
-    by a partition or a crash. The oracle counts them as roots. *)
+(** References carried by undelivered messages: queued for a §4.7
+    batch, on the wire — first sends, duplicates, batches and
+    redeliveries after {!heal}/{!recover} alike — or parked by a
+    partition or a crash. The oracle counts them as roots. *)
 
 (** {1 Running} *)
 

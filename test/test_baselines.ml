@@ -4,6 +4,7 @@
 
 open Dgc_prelude
 open Dgc_simcore
+open Dgc_heap
 open Dgc_rts
 open Dgc_core
 open Dgc_workload
@@ -202,6 +203,45 @@ let test_migration_skips_multi_holder () =
   Alcotest.(check bool) "clique uncollected by this baseline" true
     (Dgc_oracle.Oracle.garbage_count eng > 0)
 
+(* §4.7 deferral batches the migrations. Every reference a migration
+   carries — queued for its batch or on the wire inside it — must be an
+   oracle root until the message lands or is dropped. *)
+let test_migration_batched_refs_in_flight () =
+  let c = { (cfg 3) with Config.defer_interval = Sim_time.of_millis 100. } in
+  let eng = Engine.create c in
+  let m = Migration.install eng in
+  ignore (ring_garbage eng ~span:3 ~per_site:2);
+  let undelivered = Hashtbl.create 8 in
+  let checks = ref 0 in
+  Engine.subscribe eng (function
+    | Engine.Send { id; payload = Protocol.Ext _ as p; _ } -> (
+        match Protocol.refs_carried p with
+        | [] -> ()
+        | refs -> Hashtbl.replace undelivered id refs)
+    | Engine.Deliver { id; _ } | Engine.Drop { id; _ } ->
+        Hashtbl.remove undelivered id
+    | Engine.Step when Hashtbl.length undelivered > 0 ->
+        let roots = Engine.in_flight_refs eng in
+        Hashtbl.iter
+          (fun id refs ->
+            List.iter
+              (fun r ->
+                if not (List.exists (Oid.equal r) roots) then
+                  Alcotest.failf "message %d: %a is carried but not in flight"
+                    id Oid.pp r)
+              refs)
+          undelivered;
+        incr checks
+    | _ -> ());
+  Engine.start_gc_schedule eng;
+  run eng 1200.;
+  Alcotest.(check bool) "migrations went out batched" true
+    (Migration.migrations m > 0
+    && Metrics.get (Engine.metrics eng) "msg.batches" > 0);
+  Alcotest.(check bool) "checked while carried" true (!checks > 0);
+  Alcotest.(check int) "ring collected" 0
+    (Dgc_oracle.Oracle.garbage_count eng)
+
 (* The same clique IS collected by back tracing — the core scheme
    handles what the restricted migration baseline cannot. *)
 let test_back_tracing_handles_clique () =
@@ -241,6 +281,8 @@ let () =
             test_migration_collects_ring;
           Alcotest.test_case "skips multi-holder suspects" `Quick
             test_migration_skips_multi_holder;
+          Alcotest.test_case "batched references are in flight" `Quick
+            test_migration_batched_refs_in_flight;
           Alcotest.test_case "back tracing handles the clique" `Quick
             test_back_tracing_handles_clique;
         ] );

@@ -382,6 +382,51 @@ let test_deferral_partition_drops () =
       Alcotest.(check int) (label ^ ": not counted as crashed") 0 crashed)
     [ ("partitioned at flush", 0.); ("partitioned in flight", 102.) ]
 
+(* One deferred ring run, pinned: its wire counters and the digest of
+   its flight dump (sends, deliveries, drops with their reasons, span
+   edges). Lossy and duplicated batches and retried calls all ride the
+   one wire path; a change to how a batch is sent, flown, dropped or
+   duplicated moves this pin. *)
+let deferred_ring_counters = [ 39; 21; 3; 6; 22 ]
+let deferred_ring_flight = "c6f9c92292a75982089cd4272b4d9e6c"
+
+let test_deferral_pinned_run () =
+  let c =
+    {
+      (cfg 3) with
+      Config.defer_interval = Sim_time.of_millis 100.;
+      ext_drop = 0.25;
+      ext_dup = 0.25;
+      retry_limit = 2;
+      seed = 7;
+    }
+  in
+  let sim = Sim.make ~cfg:c () in
+  let eng = sim.Sim.eng in
+  Engine.attach_tracer eng (Dgc_telemetry.Tracer.create ());
+  let sites = [ s 0; s 1; s 2 ] in
+  ignore (Graph_gen.ring eng ~sites ~per_site:2 ~rooted:false);
+  ignore (Graph_gen.ring eng ~sites ~per_site:1 ~rooted:true);
+  Sim.start sim;
+  let ok = Sim.collect_all sim ~max_rounds:40 () in
+  let m = Engine.metrics eng in
+  let counters =
+    List.map (Metrics.get m)
+      [
+        "msg.total"; "msg.batches"; "msg.duplicated"; "msg.dropped.lossy";
+        "back.msgs";
+      ]
+  in
+  let flight =
+    match Engine.dump_flight eng ~reason:"deferred ring" with
+    | Some j ->
+        Digest.to_hex (Digest.string (Dgc_telemetry.Json.to_string j))
+    | None -> Alcotest.fail "no flight recorder attached"
+  in
+  Alcotest.(check bool) "collected" true ok;
+  Alcotest.(check (list int)) "wire counters" deferred_ring_counters counters;
+  Alcotest.(check string) "flight dump digest" deferred_ring_flight flight
+
 let () =
   Alcotest.run "faults"
     [
@@ -415,5 +460,7 @@ let () =
           Alcotest.test_case "wire savings" `Quick test_deferral_wire_savings;
           Alcotest.test_case "partition drops counted as partition" `Quick
             test_deferral_partition_drops;
+          Alcotest.test_case "a ring run is pinned" `Quick
+            test_deferral_pinned_run;
         ] );
     ]

@@ -202,7 +202,8 @@ let expected =
 (* The [dgc-sim] scenario config: [cfg_atomic] plus the threshold bump. *)
 let cfg_run = { cfg_atomic with Config.threshold_bump = 4 }
 
-(* Per figure: the artifact digest and the root-memo (hits, misses). *)
+(* Per figure: the artifact digest, the root-memo (hits, misses) and
+   the outcome-reuse (reused, computed) pairs. *)
 let run_figs () =
   List.map
     (fun (fig, build) ->
@@ -217,11 +218,11 @@ let run_figs () =
       in
       ( fig,
         ( Digest.to_hex (Digest.string (Tel.Json.to_string art)),
-          Collector.root_memo_stats sim.Sim.col ) ))
+          Collector.root_memo_stats sim.Sim.col,
+          Collector.reuse_stats sim.Sim.col ) ))
     figs
 
-let digests_of figs = List.map (fun (fig, (d, _)) -> (fig, d)) figs
-let run_digests () = digests_of (run_figs ())
+let digests_of figs = List.map (fun (fig, (d, _, _)) -> (fig, d)) figs
 
 let expected_runs =
   [
@@ -233,15 +234,34 @@ let expected_runs =
     ("fig6", "6e99add892fc51bbe8faae7d7b7d648c");
   ]
 
+(* Outcome reuse (reused, computed) per figure run: a collector that
+   stopped reusing local-trace outcomes, or reused one it should have
+   recomputed, moves these. fig2 reuses none within six rounds. *)
+let expected_reuse =
+  [
+    ("fig1", (2, 16));
+    ("fig2", (0, 18));
+    ("fig3", (16, 8));
+    ("fig4", (5, 13));
+    ("fig5", (7, 17));
+    ("fig6", (7, 17));
+  ]
+
 let dump () =
   List.iter
     (fun ((fig, mode), d) ->
       Printf.printf "    ((%S, %S), %S);\n" fig mode d)
     (compute_all ());
   print_newline ();
+  let figs = run_figs () in
   List.iter
     (fun (fig, d) -> Printf.printf "    (%S, %S);\n" fig d)
-    (run_digests ())
+    (digests_of figs);
+  print_newline ();
+  List.iter
+    (fun (fig, (_, _, (reused, computed))) ->
+      Printf.printf "    (%S, (%d, %d));\n" fig reused computed)
+    figs
 
 let test_golden () =
   let got = compute_all () in
@@ -268,8 +288,12 @@ let test_runs () =
         (Option.value ~default:"missing" (List.assoc_opt fig got)))
     expected_runs;
   List.iter
-    (fun (fig, (_, (hits, _))) ->
-      Alcotest.(check bool) (fig ^ " run hits the root memo") true (hits > 0))
+    (fun (fig, (_, (hits, _), reuse)) ->
+      Alcotest.(check bool) (fig ^ " run hits the root memo") true (hits > 0);
+      Alcotest.(check (pair int int))
+        (fig ^ " run reuse (reused, computed)")
+        (Option.value ~default:(-1, -1) (List.assoc_opt fig expected_reuse))
+        reuse)
     figs;
   Alcotest.(check int)
     "run digest count" (List.length expected_runs) (List.length got)
