@@ -60,9 +60,9 @@ type outcome = {
   oc_injected : int;
   oc_sanitizer : string;
       (** ["off"] or ["on"] *)
-  oc_journal : string list;
+  oc_journal : string list Lazy.t;
   oc_counters : (string * int) list;
-  oc_run : Json.t;
+  oc_run : Json.t Lazy.t;
   oc_flight : Json.t option;
       (** [dgc.flight/1] dump, captured iff the case failed *)
 }
@@ -192,10 +192,20 @@ let run_case ?(tweak = fun c -> c) ?probe case =
           p)
       (Engine.profile eng)
   in
+  (* Rendered on demand: the closures hold the metrics registry, the
+     series, the JSON built above and the journal's entry list, never
+     the engine or the journal ring. The registry's bucket-mismatch
+     handler is the engine's journal hook and holds the engine; the
+     case is over and observes nothing more, so swap it out, or a kept
+     outcome would keep the whole simulation alive. *)
+  let metrics = Engine.metrics eng and series = Engine.series eng in
+  Metrics.set_on_bucket_mismatch metrics ignore;
   let run =
-    Tel.Run_artifact.make ~name:case.cs_name ~sim_seconds ~extra ~audit
-      ~series:(Engine.series eng) ?profile (Engine.metrics eng)
+    lazy
+      (Tel.Run_artifact.make ~name:case.cs_name ~sim_seconds ~extra ~audit
+         ~series ?profile metrics)
   in
+  let entries = Journal.entries journal in
   {
     oc_case = case;
     oc_failure = !failure;
@@ -203,13 +213,12 @@ let run_case ?(tweak = fun c -> c) ?probe case =
     oc_injected = Inject.injected inj;
     oc_sanitizer = sanitizer_status;
     oc_journal =
-      List.map
-        (fun e -> Format.asprintf "%a" Journal.pp_entry e)
-        (Journal.entries journal);
+      lazy
+        (List.map (fun e -> Format.asprintf "%a" Journal.pp_entry e) entries);
     oc_counters =
       List.sort
         (fun (a, _) (b, _) -> String.compare a b)
-        (Metrics.counters (Engine.metrics eng));
+        (Metrics.counters metrics);
     oc_run = run;
     oc_flight = flight;
   }
@@ -261,8 +270,9 @@ let artifact ?shrunk oc =
                  ("sanitizer", Json.Str oc.oc_sanitizer);
                ] );
        ("injected", Json.Int oc.oc_injected);
-       ("journal", Json.Arr (List.map (fun s -> Json.Str s) oc.oc_journal));
-       ("run", oc.oc_run);
+       ( "journal",
+         Json.Arr (List.map (fun s -> Json.Str s) (Lazy.force oc.oc_journal)) );
+       ("run", Lazy.force oc.oc_run);
      ]
     @ (match oc.oc_flight with
       | Some f -> [ ("flight", f) ]

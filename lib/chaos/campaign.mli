@@ -11,7 +11,9 @@
 
     Everything is a pure function of the case (plus the optional
     config tweak), so outcomes — including the ["dgc.chaos/1"]
-    artifact with the full journal — are bit-reproducible. *)
+    artifact with the full journal — are bit-reproducible. A case
+    pays for rendering its run artifact and journal only when they
+    are read ({!outcome}'s lazy fields, {!artifact}). *)
 
 module Json := Dgc_telemetry.Json
 
@@ -55,9 +57,19 @@ type outcome = {
           ["on"] (armed, its verdicts were live failure detectors).
           Also carried in the ["dgc.chaos/1"] artifact's outcome
           section. *)
-  oc_journal : string list;  (** rendered journal, oldest first *)
+  oc_journal : string list Lazy.t;
+      (** rendered journal, oldest first; rendered when first forced *)
   oc_counters : (string * int) list;  (** sorted *)
-  oc_run : Json.t;  (** embedded ["dgc.run/1"] artifact with audit *)
+  oc_run : Json.t Lazy.t;
+      (** embedded ["dgc.run/1"] artifact with audit; rendered when
+          first forced. The audit, profile and sanitizer sections are
+          built when the case ends; forcing renders the counters,
+          histograms and series from the case engine's metrics and
+          series registries, which the campaign no longer writes once
+          {!run_case} has returned. Neither lazy value holds the
+          engine or the journal ring ({!run_case} unhooks the
+          registry's bucket-mismatch handler, which would), so a kept
+          outcome costs no more than a rendered one. *)
   oc_flight : Json.t option;
       (** ["dgc.flight/1"] ring dump, captured automatically iff the
           case failed — the causal tail (sends, drops with reasons,
@@ -105,7 +117,8 @@ val shrink_case :
     of replays spent. The input case must reproduce. *)
 
 val artifact : ?shrunk:Plan.t * int -> outcome -> Json.t
-(** The ["dgc.chaos/1"] document: case, plan, outcome, journal, the
+(** The ["dgc.chaos/1"] document (forces [oc_run] and [oc_journal]):
+    case, plan, outcome, journal, the
     embedded run artifact (now carrying a ["series"] section), the
     ["flight"] dump when the case failed, and the shrunk plan when
     given. *)

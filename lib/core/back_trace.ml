@@ -122,13 +122,20 @@ type trace_stat = {
   mutable ts_outcome : (Verdict.t * Sim_time.t) option;
 }
 
+(* A message span's key: the trace, the endpoints (site ints, sender
+   first) and the caller's call seq, or the participant a report goes
+   to. *)
+type msg_key =
+  | K_call of Trace_id.t * int * int * int
+  | K_reply of Trace_id.t * int * int * int
+  | K_report of Trace_id.t * int
+
 type shared = {
   eng : Engine.t;
   states : site_state array;
   tstats : (Trace_id.t, trace_stat) Hashtbl.t;
-  (* telemetry: in-flight message spans keyed by a (trace, endpoints,
-     seq) string *)
-  m_spans : (string, int) Hashtbl.t;
+  (* telemetry: in-flight message spans *)
+  m_spans : (msg_key, int) Hashtbl.t;
   mutable observers : (Trace_id.t -> Verdict.t -> Site_id.Set.t -> unit) list;
   (* live totals behind the [back.in_flight] / [back.frames_held]
      gauge series; counting here keeps the samples O(1) *)
@@ -218,22 +225,20 @@ let bump sh = (Engine.config sh.eng).Config.threshold_bump
    are §4.6's silence-means-Live decisions. *)
 
 let tracer sh = Engine.tracer sh.eng
-let tkey trace = Format.asprintf "%a" Trace_id.pp trace
+let tkey = Trace_id.to_string
 let now_s sh = Sim_time.to_seconds (Engine.now sh.eng)
 let jint i = Tel.Json.Int i
 let jstr s = Tel.Json.Str s
 let jsite id = jint (Site_id.to_int id)
 
 let call_key trace ~caller ~callee seq =
-  Printf.sprintf "call/%s/%d->%d/%d" (tkey trace) (Site_id.to_int caller)
-    (Site_id.to_int callee) seq
+  K_call (trace, Site_id.to_int caller, Site_id.to_int callee, seq)
 
 let reply_key trace ~replier ~target seq =
-  Printf.sprintf "reply/%s/%d->%d/%d" (tkey trace) (Site_id.to_int replier)
-    (Site_id.to_int target) seq
+  K_reply (trace, Site_id.to_int replier, Site_id.to_int target, seq)
 
 let report_key trace participant =
-  Printf.sprintf "report/%s/%d" (tkey trace) (Site_id.to_int participant)
+  K_report (trace, Site_id.to_int participant)
 
 (* Stable labels for the §4.6 timers, shared with the sanitizer's
    armed-timer registry (a lost-trace verdict cites them). *)
@@ -269,9 +274,8 @@ let parent_span sh st trace parent =
   in
   match span with Some _ -> span | None -> root_span sh trace
 
-(* key is "<kind>/<trace>/..." *)
-let tkey_of_key key =
-  match String.split_on_char '/' key with _ :: t :: _ -> t | _ -> key
+let tkey_of_key = function
+  | K_call (t, _, _, _) | K_reply (t, _, _, _) | K_report (t, _) -> tkey t
 
 (* A message span's key, parent and attributes come from a thunk that
    runs only when a tracer is attached: untraced runs build none of
@@ -291,7 +295,7 @@ let finish_msg_span sh key attrs =
   match tracer sh with
   | None -> ()
   | Some tr -> (
-      match Hashtbl.find_opt sh.m_spans (key ()) with
+      match Hashtbl.find_opt sh.m_spans key with
       | Some id -> Tel.Tracer.finish_span tr id ~at:(now_s sh) attrs
       | None -> ())
 
@@ -710,9 +714,8 @@ and step_remote sh st trace i parent =
                             bump_stat sh trace (fun s ->
                                 s.ts_timeouts <- s.ts_timeouts + 1);
                             finish_msg_span sh
-                              (fun () ->
-                                call_key trace ~caller:(self_id st) ~callee:q
-                                  seq)
+                              (call_key trace ~caller:(self_id st) ~callee:q
+                                 seq)
                               [ ("timeout", Tel.Json.Bool true) ];
                             trace_event sh ~name:"timeout.call"
                               ~site:(self_id st) trace (fun () ->
@@ -782,7 +785,7 @@ let handle_ext sh site_id ~src ext =
   match ext with
   | Back_call { trace; r; reply_site; reply_frame; call_seq } ->
       finish_msg_span sh
-        (fun () -> call_key trace ~caller:reply_site ~callee:site_id call_seq)
+        (call_key trace ~caller:reply_site ~callee:site_id call_seq)
         [];
       let key = (trace, reply_site, call_seq) in
       (match Hashtbl.find_opt st.call_memo key with
@@ -811,7 +814,7 @@ let handle_ext sh site_id ~src ext =
       true
   | Back_reply { trace; reply_frame; call_seq; verdict; participants } ->
       finish_msg_span sh
-        (fun () -> reply_key trace ~replier:src ~target:site_id call_seq)
+        (reply_key trace ~replier:src ~target:site_id call_seq)
         [];
       (match Hashtbl.find_opt st.frames reply_frame with
       | Some fr when Int_set.mem call_seq fr.fr_calls ->
@@ -820,7 +823,7 @@ let handle_ext sh site_id ~src ext =
       | Some _ | None -> ());
       true
   | Back_report { trace; outcome } ->
-      finish_msg_span sh (fun () -> report_key trace site_id) [];
+      finish_msg_span sh (report_key trace site_id) [];
       apply_report sh st trace outcome;
       true
   | _ -> false

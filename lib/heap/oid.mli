@@ -32,6 +32,7 @@ val hash : t -> int
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
+(** The text {!pp} prints (["S2/o7"]), built without a formatter. *)
 
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t

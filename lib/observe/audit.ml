@@ -59,7 +59,7 @@ type report = {
   rp_paths : critical_path list;
 }
 
-let tkey trace = Format.asprintf "%a" Trace_id.pp trace
+let tkey = Trace_id.to_string
 
 let contains_sub hay needle =
   let nh = String.length hay and nn = String.length needle in

@@ -117,7 +117,7 @@ let jstr s = Tel.Json.Str s
 let jint i = Tel.Json.Int i
 let jbool b = Tel.Json.Bool b
 let joid r = jstr (Oid.to_string r)
-let jtrace tr = jstr (Format.asprintf "%a" Trace_id.pp tr)
+let jtrace tr = jstr (Trace_id.to_string tr)
 
 let json_of_view ~kind v =
   Tel.Json.Obj

@@ -8,7 +8,8 @@ let to_int i = i
 let equal = Int.equal
 let compare = Int.compare
 let hash i = i
-let pp ppf i = Format.fprintf ppf "S%d" i
+let to_string i = "S" ^ string_of_int i
+let pp ppf i = Format.pp_print_string ppf (to_string i)
 
 module Ord = struct
   type nonrec t = t

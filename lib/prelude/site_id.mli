@@ -15,6 +15,9 @@ val to_int : t -> int
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
+val to_string : t -> string
+(** ["S3"] for site 3; {!pp} prints the same text. *)
+
 val pp : Format.formatter -> t -> unit
 
 module Set : Set.S with type elt = t

@@ -11,6 +11,11 @@ let compare a b =
 
 let pp ppf t = Format.fprintf ppf "T%a.%d" Site_id.pp t.initiator t.seq
 
+(* Plain concatenation, byte-equal to [pp]: span trace keys are built
+   per back-trace message. *)
+let to_string t =
+  "T" ^ Site_id.to_string t.initiator ^ "." ^ string_of_int t.seq
+
 module Ord = struct
   type nonrec t = t
 

@@ -11,5 +11,8 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 
+val to_string : t -> string
+(** The text {!pp} prints (["TS0.3"]), built without a formatter. *)
+
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t

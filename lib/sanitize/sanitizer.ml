@@ -77,7 +77,7 @@ type t = {
   mutable sh : Back_trace.shared option;
 }
 
-let tstr trace = Format.asprintf "%a" Trace_id.pp trace
+let tstr = Trace_id.to_string
 let sid = Site_id.to_int
 
 let bump tbl tag d =

@@ -70,7 +70,9 @@ let counter_ref t name =
       r
 
 let incr t name = incr (counter_ref t name)
-let add t name n = counter_ref t name := !(counter_ref t name) + n
+let add t name n =
+  let r = counter_ref t name in
+  r := !r + n
 
 let get t name =
   match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0

@@ -94,22 +94,51 @@ let churn_case seed =
         ~events:4;
   }
 
+(* Same case, same outcome. The run artifact and the journal are
+   rendered on demand: not by [run_case], and to the same bytes
+   whenever they are forced — right away, after later cases have run,
+   or twice. *)
 let test_injection_determinism () =
   let case = churn_case 42 in
+  let run oc = Json.to_string (Lazy.force oc.Campaign.oc_run) in
   let a = Campaign.run_case case in
+  Alcotest.(check bool) "run_case renders no run artifact" false
+    (Lazy.is_val a.Campaign.oc_run);
+  Alcotest.(check bool) "run_case renders no journal" false
+    (Lazy.is_val a.Campaign.oc_journal);
+  let a_run = run a and a_journal = Lazy.force a.Campaign.oc_journal in
   let b = Campaign.run_case case in
-  Alcotest.(check (list string)) "journals identical" a.Campaign.oc_journal
-    b.Campaign.oc_journal;
+  ignore (Campaign.run_case case);
+  Alcotest.(check (list string)) "journals identical" a_journal
+    (Lazy.force b.Campaign.oc_journal);
+  Alcotest.(check string) "run artifacts identical" a_run (run b);
   Alcotest.(check (list (pair string int)))
     "counters identical" a.Campaign.oc_counters b.Campaign.oc_counters;
-  Alcotest.(check string) "artifacts bit-identical"
-    (Json.to_string (Campaign.artifact a))
+  let artifact = Json.to_string (Campaign.artifact a) in
+  Alcotest.(check string) "artifacts bit-identical" artifact
     (Json.to_string (Campaign.artifact b));
+  Alcotest.(check string) "artifact twice" artifact
+    (Json.to_string (Campaign.artifact a));
   Alcotest.(check bool) "faults actually injected" true
     (a.Campaign.oc_injected > 0);
   (match a.Campaign.oc_failure with
   | None -> ()
   | Some f -> Alcotest.fail (Campaign.failure_to_string f))
+
+(* A kept, unforced outcome must not keep its case's engine (sites,
+   heaps, tracer, journal ring, subscribers) alive: a campaign keeps
+   every outcome. *)
+let test_unforced_outcome_frees_engine () =
+  let w = Weak.create 1 in
+  let oc =
+    Campaign.run_case
+      ~probe:(fun pb -> Weak.set w 0 (Some pb.Campaign.pb_eng))
+      (churn_case 42)
+  in
+  Gc.full_major ();
+  Alcotest.(check bool) "engine collected" false (Weak.check w 0);
+  Alcotest.(check bool) "outcome still renders" true
+    (Json.to_string (Campaign.artifact oc) <> "")
 
 (* --- idempotent Ext delivery ---------------------------------------------- *)
 
@@ -530,6 +559,77 @@ let test_corpus_replays_clean () =
       | Ok (Finput.Schedule_input s, meta) -> replay_sched_case f s meta)
     files
 
+(* --- observation: the back-trace span stream is pinned -------------------- *)
+
+(* The span stream of four corpus plans and one ring case with Ext loss
+   and duplication raised: each case's span count and the digest of its
+   [Tracer.to_jsonl] export. The span bookkeeping (keys, parents, trace
+   text, attributes) may be reshaped only if these stay put. *)
+let span_stream_pins =
+  [
+    ("crash_mid_trace.json", (25, "114ecbfd744795fb287fcc5fb0c9c231"));
+    ("drop_retry.json", (0, "d41d8cd98f00b204e9800998ecf8427e"));
+    ("dup_burst.json", (19, "57d1886b3234b65061ed3bd48eaf4076"));
+    ("partition_during_report.json", (10, "5c27500cf5c1e92eb7be0cc6818393fb"));
+    ("ring-ext-loss", (97, "aca5a2d14420cccdfbebd4217033aaf9"));
+  ]
+
+let ring_loss_case =
+  {
+    Campaign.cs_name = "ring-ext-loss";
+    cs_workload = "ring";
+    cs_seed = 3;
+    cs_horizon_ms = 60_000.;
+    cs_plan =
+      {
+        Plan.events =
+          [
+            { Plan.at_ms = 2_000.; dur_ms = 10_000.; ev = Plan.Dup { p = 0.4 } };
+            {
+              Plan.at_ms = 5_000.;
+              dur_ms = 8_000.;
+              ev = Plan.Partition { groups = [ [ 0; 1 ]; [ 2; 3 ] ] };
+            };
+          ];
+      };
+  }
+
+let span_stream ?tweak case =
+  let eng = ref None in
+  ignore
+    (Campaign.run_case ?tweak
+       ~probe:(fun pb -> eng := Some pb.Campaign.pb_eng)
+       case);
+  match Engine.tracer (Option.get !eng) with
+  | None -> Alcotest.fail "campaign case runs untraced"
+  | Some tr ->
+      ( Dgc_telemetry.Tracer.span_count tr,
+        Digest.to_hex (Digest.string (Dgc_telemetry.Tracer.to_jsonl tr)) )
+
+let test_span_stream_pinned () =
+  let dir = corpus_dir () in
+  let plan f =
+    match Finput.load ~path:(Filename.concat dir f) with
+    | Ok (Finput.Plan_input p, meta) ->
+        ( Finput.case_of_plan ~name:(Filename.remove_extension f) p,
+          Finput.tweak_all meta.Finput.m_tweaks )
+    | Ok _ -> Alcotest.failf "%s: not a plan" f
+    | Error e -> Alcotest.failf "%s: %s" f e
+  in
+  List.iter
+    (fun (name, (want_n, want_md5)) ->
+      let case, tweak =
+        if Filename.check_suffix name ".json" then plan name
+        else
+          ( ring_loss_case,
+            fun c -> { c with Config.ext_drop = 0.2; ext_dup = 0.3 } )
+      in
+      let n, md5 = span_stream ~tweak case in
+      if n <> want_n || not (String.equal md5 want_md5) then
+        Alcotest.failf "%s: span stream (%d, %S), pinned (%d, %S)" name n md5
+          want_n want_md5)
+    span_stream_pins
+
 (* --- observation: one event stream, schedule-neutral ---------------------- *)
 
 (* Every fault kind, so the stream carries drops, dup copies, faults and
@@ -663,6 +763,8 @@ let () =
         [
           Alcotest.test_case "same seed+plan, identical journals" `Quick
             test_injection_determinism;
+          Alcotest.test_case "an unforced outcome frees its engine" `Quick
+            test_unforced_outcome_frees_engine;
         ] );
       ( "idempotency",
         [
@@ -703,5 +805,7 @@ let () =
         [
           Alcotest.test_case "every subscriber is schedule-neutral" `Quick
             test_subscribers_schedule_neutral;
+          Alcotest.test_case "span stream is pinned" `Quick
+            test_span_stream_pinned;
         ] );
     ]

@@ -35,12 +35,12 @@ let max_site = (1 lsl 22) - 1
 let max_index = (1 lsl 40) - 1
 
 (* Small values collide often (equal sites, equal indices); large ones
-   reach the top bits of both halves. *)
+   reach the top bits of both halves, and the bounds themselves. *)
 let oid_parts_gen =
   QCheck2.Gen.(
     pair
-      (oneof [ int_bound 3; int_bound max_site ])
-      (oneof [ int_bound 3; int_bound max_index ]))
+      (oneof [ int_bound 3; int_bound max_site; pure max_site ])
+      (oneof [ int_bound 3; int_bound max_index; pure max_index ]))
 
 let prop_oid_packing =
   QCheck2.Test.make
@@ -56,6 +56,16 @@ let prop_oid_packing =
       && Oid.index a = ia
       && sign (Oid.compare a b) = sign (compare (sa, ia) (sb, ib))
       && Oid.hash a = (sa * 1_000_003) + ia)
+
+(* [to_string] is built by concatenation; it must print what [pp]
+   prints. *)
+let prop_oid_to_string =
+  QCheck2.Test.make ~name:"Oid.to_string equals pp" ~count:500
+    ~print:QCheck2.Print.(pair int int)
+    oid_parts_gen
+    (fun (site, index) ->
+      let o = Oid.make ~site:(Site_id.of_int site) ~index in
+      String.equal (Oid.to_string o) (Format.asprintf "%a" Oid.pp o))
 
 let test_oid_range () =
   let rejects name site index =
@@ -573,6 +583,7 @@ let () =
           Alcotest.test_case "basics" `Quick test_oid_basics;
           QCheck_alcotest.to_alcotest prop_oid_compare_equal_agree;
           QCheck_alcotest.to_alcotest prop_oid_packing;
+          QCheck_alcotest.to_alcotest prop_oid_to_string;
           Alcotest.test_case "make rejects out-of-range parts" `Quick
             test_oid_range;
         ] );

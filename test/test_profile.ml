@@ -336,7 +336,9 @@ let fault_profile_doc () =
       ~tweak:(fun c -> { c with Config.profile = true })
       fault_case
   in
-  match Run_artifact.profile_section oc.Dgc_chaos.Campaign.oc_run with
+  match
+    Run_artifact.profile_section (Lazy.force oc.Dgc_chaos.Campaign.oc_run)
+  with
   | Some doc -> doc
   | None -> Alcotest.fail "campaign artifact has no profile section"
 

@@ -120,8 +120,8 @@ let test_sanitize_identity () =
   let non_san_lines = List.filter (fun l -> not (contains_sub ~sub:"[san]" l)) in
   Alcotest.(check (list string))
     "non-san journal identical"
-    (non_san_lines off.Campaign.oc_journal)
-    (non_san_lines on.Campaign.oc_journal);
+    (non_san_lines (Lazy.force off.Campaign.oc_journal))
+    (non_san_lines (Lazy.force on.Campaign.oc_journal));
   Alcotest.(check bool) "off run has no san counters" true
     (List.for_all
        (fun (k, _) -> not (contains_sub ~sub:"san." k))

@@ -27,6 +27,19 @@ let test_trace_id () =
   let s = Trace_id.Set.of_list [ t1; t2; t3; t1 ] in
   Alcotest.(check int) "set dedups" 3 (Trace_id.Set.cardinal s)
 
+(* [to_string] is built by concatenation; it must print what [pp]
+   prints, at the extremes of both parts too. *)
+let prop_trace_id_to_string =
+  QCheck2.Test.make ~name:"Trace_id.to_string equals pp" ~count:500
+    ~print:QCheck2.Print.(pair int int)
+    QCheck2.Gen.(
+      pair
+        (oneof [ int_bound 3; int_bound max_int; pure max_int ])
+        (oneof [ int_bound 3; int; pure max_int; pure min_int ]))
+    (fun (site, seq) ->
+      let t = Trace_id.make ~initiator:(Site_id.of_int site) ~seq in
+      String.equal (Trace_id.to_string t) (Format.asprintf "%a" Trace_id.pp t))
+
 (* --- rng ---------------------------------------------------------------- *)
 
 let test_rng_deterministic () =
@@ -275,6 +288,7 @@ let () =
         [
           Alcotest.test_case "site ids" `Quick test_site_id;
           Alcotest.test_case "trace ids" `Quick test_trace_id;
+          QCheck_alcotest.to_alcotest prop_trace_id_to_string;
         ] );
       ( "rng",
         [
