@@ -194,12 +194,8 @@ let run_case ?(tweak = fun c -> c) ?probe case =
   in
   (* Rendered on demand: the closures hold the metrics registry, the
      series, the JSON built above and the journal's entry list, never
-     the engine or the journal ring. The registry's bucket-mismatch
-     handler is the engine's journal hook and holds the engine; the
-     case is over and observes nothing more, so swap it out, or a kept
-     outcome would keep the whole simulation alive. *)
+     the engine or the journal ring. *)
   let metrics = Engine.metrics eng and series = Engine.series eng in
-  Metrics.set_on_bucket_mismatch metrics ignore;
   let run =
     lazy
       (Tel.Run_artifact.make ~name:case.cs_name ~sim_seconds ~extra ~audit

@@ -197,8 +197,3 @@ let active_mask t =
   lor (if t.dups <> [] then 8 else 0)
   lor if t.slows <> [] then 16 else 0
 
-let mask_kinds = [ (1, "crash"); (2, "partition"); (4, "drop"); (8, "dup"); (16, "slow") ]
-
-let active_kinds t =
-  let m = active_mask t in
-  List.filter_map (fun (bit, k) -> if m land bit <> 0 then Some k else None) mask_kinds

@@ -36,5 +36,3 @@ val active_mask : t -> int
     into its coverage keys so "state X reached {e while partitioned}"
     and "state X reached fault-free" count as different edges. *)
 
-val active_kinds : t -> string list
-(** {!active_mask} as kind names, in mask-bit order. *)

@@ -22,7 +22,6 @@ type t = {
   first_seen_garbage : int Oid.Tbl.t;  (** oid -> round first seen *)
   mutable rev_alerts : alert list;
   mutable leak_probe : (Trace_id.t -> string option) option;
-  mutable flight_dump : Dgc_telemetry.Json.t option;
 }
 
 let eng t = Collector.engine t.col
@@ -34,12 +33,6 @@ let raise_alert t ~kind ?site fmt =
       let a = { al_at = Engine.now e; al_kind = kind; al_site = site; al_text = text } in
       t.rev_alerts <- a :: t.rev_alerts;
       Metrics.incr (Engine.metrics e) ("watchdog." ^ kind);
-      (* The first alert snapshots the flight recorder: the ring still
-         holds the window that led up to the verdict, and later alerts
-         on the same run would only dilute it. *)
-      if t.flight_dump = None then
-        t.flight_dump <-
-          Engine.dump_flight e ~reason:(Printf.sprintf "watchdog: %s: %s" kind text);
       Engine.jlog e ~level:Journal.Warn ~cat:"watchdog" "%s: %s" kind text)
     fmt
 
@@ -228,7 +221,6 @@ let attach ?(stuck_factor = 3.0) ?(starvation_bumps = 4) ?(survive_rounds = 3)
       first_seen_garbage = Oid.Tbl.create 64;
       rev_alerts = [];
       leak_probe = None;
-      flight_dump = None;
     }
   in
   Engine.add_step_watcher e (fun () ->
@@ -243,7 +235,6 @@ let attach ?(stuck_factor = 3.0) ?(starvation_bumps = 4) ?(survive_rounds = 3)
 let set_leak_probe t probe = t.leak_probe <- Some probe
 
 let alerts t = List.rev t.rev_alerts
-let flight_dump t = t.flight_dump
 
 let alert_counts t =
   let tbl = Hashtbl.create 8 in

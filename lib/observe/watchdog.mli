@@ -61,12 +61,6 @@ val check_now : t -> alert list
 val alerts : t -> alert list
 (** Every alert raised so far, oldest first. *)
 
-val flight_dump : t -> Dgc_telemetry.Json.t option
-(** The ["dgc.flight/1"] document snapped at the {e first} alert (when
-    the engine had a flight recorder attached): the ring contents
-    leading up to the verdict, before later activity overwrote them.
-    [None] while the watchdog is quiet. *)
-
 val alert_counts : t -> (string * int) list
 (** Alerts per kind, sorted by kind. *)
 

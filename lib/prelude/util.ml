@@ -1,12 +1,5 @@
 let list_sum f l = List.fold_left (fun acc x -> acc + f x) 0 l
 
-let list_max ~default f l =
-  List.fold_left (fun acc x -> max acc (f x)) default l
-
-let list_mean = function
-  | [] -> 0.
-  | xs -> List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
-
 let list_take n l =
   let rec loop n acc = function
     | [] -> List.rev acc
@@ -28,12 +21,3 @@ let list_dedup ~compare l =
 let hashtbl_keys tbl = Hashtbl.fold (fun k _ acc -> k :: acc) tbl []
 let hashtbl_values tbl = Hashtbl.fold (fun _ v acc -> v :: acc) tbl []
 
-let percentile p = function
-  | [] -> 0.
-  | xs ->
-      let sorted = List.sort Float.compare xs in
-      let n = List.length sorted in
-      let rank =
-        int_of_float (ceil (p *. float_of_int n)) |> max 1 |> min n
-      in
-      List.nth sorted (rank - 1)

@@ -1,9 +1,6 @@
 (** Small general-purpose helpers shared across the libraries. *)
 
 val list_sum : ('a -> int) -> 'a list -> int
-val list_max : default:int -> ('a -> int) -> 'a list -> int
-val list_mean : float list -> float
-(** Arithmetic mean; 0. on the empty list. *)
 
 val list_take : int -> 'a list -> 'a list
 val list_dedup : compare:('a -> 'a -> int) -> 'a list -> 'a list
@@ -12,6 +9,3 @@ val list_dedup : compare:('a -> 'a -> int) -> 'a list -> 'a list
 val hashtbl_keys : ('a, 'b) Hashtbl.t -> 'a list
 val hashtbl_values : ('a, 'b) Hashtbl.t -> 'b list
 
-val percentile : float -> float list -> float
-(** [percentile p xs] for [p] in [0,1]; nearest-rank on the sorted
-    sample; 0. on the empty list. *)

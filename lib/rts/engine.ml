@@ -89,8 +89,6 @@ type t = {
   mutable subs : (event -> unit) list;  (** in subscription order *)
 }
 
-exception Metrics_bucket_mismatch of string
-
 let subscribe t f = t.subs <- t.subs @ [ f ]
 
 (* A top-level loop, not [List.iter] with a closure over [ev]: emitting
@@ -118,52 +116,39 @@ let jlog t ?(level = Journal.Info) ~cat fmt =
         fmt
   | None -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
 
-(* A ?buckets spec that disagrees with a histogram's existing bounds
-   is a measurement bug: fail fast under the per-step sanitizer,
-   otherwise leave a Warn in the journal. *)
-let wire_bucket_mismatch t =
-  Metrics.set_on_bucket_mismatch t.metrics (fun msg ->
-      if t.cfg.Config.check_level = Config.Check_step then
-        raise (Metrics_bucket_mismatch msg)
-      else jlog t ~level:Journal.Warn ~cat:"metrics" "%s" msg)
-
 let create cfg =
-  let t =
-    {
-      cfg;
-      rng = Rng.create ~seed:cfg.Config.seed;
-      metrics = Metrics.create ~sample_cap:4096 ();
-      queue = Event_queue.create ();
-      now = Sim_time.zero;
-      sites =
-        Array.init cfg.Config.n_sites (fun i -> Site.create (Site_id.of_int i));
-      next_token = 0;
-      next_msg = 0;
-      next_copy = 0;
-      next_timer = 0;
-      in_flight = Hashtbl.create 64;
-      parked = Hashtbl.create 8;
-      awaiting_insert = Hashtbl.create 16;
-      move_waits = Hashtbl.create 16;
-      agent_arrival = (fun ~agent:_ ~dst:_ -> ());
-      extra_roots = (fun _ -> []);
-      gc_running = false;
-      partition_of = Array.make cfg.Config.n_sites 0;
-      part_parked = [];
-      defer_queues = Hashtbl.create 16;
-      chaos_drop = None;
-      chaos_dup = None;
-      latency_factor = 1.0;
-      journal = None;
-      tracer = None;
-      flight = None;
-      profile = None;
-      series = Tel.Series.create ();
-      subs = [];
-    }
-  in
-  wire_bucket_mismatch t;
-  t
+  {
+    cfg;
+    rng = Rng.create ~seed:cfg.Config.seed;
+    metrics = Metrics.create ();
+    queue = Event_queue.create ();
+    now = Sim_time.zero;
+    sites =
+      Array.init cfg.Config.n_sites (fun i -> Site.create (Site_id.of_int i));
+    next_token = 0;
+    next_msg = 0;
+    next_copy = 0;
+    next_timer = 0;
+    in_flight = Hashtbl.create 64;
+    parked = Hashtbl.create 8;
+    awaiting_insert = Hashtbl.create 16;
+    move_waits = Hashtbl.create 16;
+    agent_arrival = (fun ~agent:_ ~dst:_ -> ());
+    extra_roots = (fun _ -> []);
+    gc_running = false;
+    partition_of = Array.make cfg.Config.n_sites 0;
+    part_parked = [];
+    defer_queues = Hashtbl.create 16;
+    chaos_drop = None;
+    chaos_dup = None;
+    latency_factor = 1.0;
+    journal = None;
+    tracer = None;
+    flight = None;
+    profile = None;
+    series = Tel.Series.create ();
+    subs = [];
+  }
 
 let attach_journal t j = t.journal <- Some j
 let journal t = t.journal
@@ -736,12 +721,12 @@ let rec schedule_site_trace t id =
     else Rng.float t.rng (Sim_time.to_seconds cfg.Config.trace_jitter)
   in
   let delay = Sim_time.add cfg.Config.trace_interval jitter in
-  schedule t ~delay (fun () ->
-      if t.gc_running then begin
-        let s = site t id in
-        if not s.Site.crashed then s.Site.hooks.h_run_local_trace ();
-        schedule_site_trace t id
-      end)
+  schedule t ~delay (site_trace_tick t id)
+
+and site_trace_tick t id () =
+  let s = site t id in
+  if not s.Site.crashed then s.Site.hooks.h_run_local_trace ();
+  schedule_site_trace t id
 
 let start_gc_schedule t =
   if not t.gc_running then begin
@@ -754,16 +739,9 @@ let start_gc_schedule t =
           Sim_time.to_seconds t.cfg.Config.trace_interval
           *. (float_of_int (i + 1) /. float_of_int (Array.length t.sites + 1))
         in
-        schedule t ~delay:(Sim_time.of_seconds frac) (fun () ->
-            if t.gc_running then begin
-              let s = site t id in
-              if not s.Site.crashed then s.Site.hooks.h_run_local_trace ();
-              schedule_site_trace t id
-            end))
+        schedule t ~delay:(Sim_time.of_seconds frac) (site_trace_tick t id))
       t.sites
   end
-
-let stop_gc_schedule t = t.gc_running <- false
 
 (* --- run loop --------------------------------------------------------- *)
 
@@ -781,8 +759,6 @@ let step_nth t n =
 
 let step t = step_nth t 0
 let pending t = Event_queue.length t.queue
-let peek_time t = Event_queue.peek_time t.queue
-let nth_time t n = Event_queue.nth_time t.queue n
 
 let run_until t limit =
   let rec loop () =

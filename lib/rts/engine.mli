@@ -17,19 +17,16 @@ open Dgc_heap
 
 type t
 
-exception Metrics_bucket_mismatch of string
-(** Raised under [Config.Check_step] when a [Metrics.hist_observe]
-    call passes a [?buckets] spec disagreeing with the histogram's
-    existing bounds. Under other check levels the mismatch becomes a
-    Warn entry (cat ["metrics"]) in the attached journal. *)
-
 val create : Config.t -> t
 
 (** {1 Observation}
 
     Every observer — the flight recorder, dgc-san, the conformance
     automata, the watchdog, [Config.Check_step], fuzz coverage — sees
-    the run through one typed event stream. *)
+    the run through one typed event stream. Recording is one-way: the
+    metrics registry ({!metrics}) and the journal are plain stores that
+    hold no hook back into the engine, so a kept registry or entry list
+    never keeps the engine alive. *)
 
 type event =
   | Send of {
@@ -122,8 +119,9 @@ val dump_flight : t -> reason:string -> Dgc_telemetry.Json.t option
     [None] when no recorder is attached. Still-open tracer spans are
     first closed with synthetic [aborted] ends ({!Tracer.abort_open});
     the number closed is added to the [tracer.aborted_spans] metric.
-    Campaign failures, watchdog verdicts and [dgc-sim --dump-flight]
-    all come through here. *)
+    The aborted ends replace the spans' real ones, so a dump belongs
+    at the end of a run: campaign failures and [dgc-sim --dump-flight]
+    come through here. *)
 
 val attach_profile : t -> Dgc_profile.Profile.t -> unit
 (** Attach the deterministic sim-cost profiler. The engine opens a
@@ -287,10 +285,6 @@ val start_gc_schedule : t -> unit
     [h_run_local_trace] fires every [trace_interval] (±jitter),
     staggered across sites. Call once. *)
 
-val stop_gc_schedule : t -> unit
-(** No further periodic traces are scheduled (pending other events
-    still run). *)
-
 val step : t -> bool
 (** Execute the next event; false if the queue is empty. *)
 
@@ -303,10 +297,6 @@ val step_nth : t -> int -> bool
 
 val pending : t -> int
 (** Number of pending events. *)
-
-val peek_time : t -> Sim_time.t option
-val nth_time : t -> int -> Sim_time.t option
-(** Timestamp of the earliest / [n]-th earliest pending event. *)
 
 val run_until : t -> Sim_time.t -> unit
 (** Process events with timestamps up to the given absolute time;

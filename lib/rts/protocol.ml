@@ -111,8 +111,6 @@ let declare d =
     descriptor_order := d.d_kind :: !descriptor_order;
   Hashtbl.replace descriptor_table d.d_kind d
 
-let descriptor_of k = Hashtbl.find_opt descriptor_table k
-
 let descriptors () =
   List.rev !descriptor_order
   |> List.filter_map (fun k -> Hashtbl.find_opt descriptor_table k)

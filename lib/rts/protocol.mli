@@ -132,7 +132,6 @@ val declare : descriptor -> unit
 val descriptors : unit -> descriptor list
 (** All declared descriptors, in first-declaration order. *)
 
-val descriptor_of : string -> descriptor option
 val dup_story_name : dup_story -> string
 val crash_edge_name : crash_edge -> string
 

@@ -82,8 +82,6 @@ let pinned_local_roots t =
     (fun _ refs acc -> List.filter (is_local t) refs @ acc)
     t.pin_tbl []
 
-let pinned_tokens t = Util.hashtbl_keys t.pin_tbl
-
 let fresh_outref_of_arrival t r =
   if is_local t r then `Local
   else begin

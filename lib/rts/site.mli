@@ -56,8 +56,6 @@ val unpin : t -> token:int -> unit
 val pinned_local_roots : t -> Oid.t list
 (** Local references currently pinned (extra trace roots). *)
 
-val pinned_tokens : t -> int list
-
 val fresh_outref_of_arrival :
   t -> Oid.t -> [ `Local | `Known | `Created of int ]
 (** Table bookkeeping for a reference [r] arriving at this site

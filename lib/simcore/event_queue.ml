@@ -107,21 +107,6 @@ let pop_nth t n =
     Option.map (fun e -> (e.at, e.payload)) picked
   end
 
-let nth_time t n =
-  if n < 0 || n >= t.size then None
-  else begin
-    let popped = ref [] in
-    for _ = 0 to n do
-      match pop_entry t with
-      | Some e -> popped := e :: !popped
-      | None -> ()
-    done;
-    let at = match !popped with e :: _ -> Some e.at | [] -> None in
-    List.iter (push_entry t) !popped;
-    at
-  end
-
 let peek_time t = if t.size = 0 then None else Some t.heap.(0).at
 let is_empty t = t.size = 0
 let length t = t.size
-let clear t = t.size <- 0

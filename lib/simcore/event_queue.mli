@@ -20,10 +20,6 @@ val pop_nth : 'a t -> int -> (Sim_time.t * 'a) option
     keep their positions and tie-break order — this is the schedule
     explorer's deviation primitive. *)
 
-val nth_time : 'a t -> int -> Sim_time.t option
-(** Timestamp of the [n]-th earliest event without removing it. *)
-
 val peek_time : 'a t -> Sim_time.t option
 val is_empty : 'a t -> bool
 val length : 'a t -> int
-val clear : 'a t -> unit

@@ -15,17 +15,10 @@ let create ?(capacity = 2048) () =
   if capacity <= 0 then invalid_arg "Journal.create: capacity";
   { buf = Array.make capacity None; next = 0; total = 0 }
 
-let capacity t = Array.length t.buf
-
 let add t e =
   t.buf.(t.next) <- Some e;
   t.next <- (t.next + 1) mod Array.length t.buf;
   t.total <- t.total + 1
-
-let record t ?(level = Info) ~at ~cat text = add t { at; level; cat; text }
-
-let recordf t ?level ~at ~cat fmt =
-  Format.kasprintf (fun s -> record t ?level ~at ~cat s) fmt
 
 let fold_oldest_first t f acc =
   let cap = Array.length t.buf in
@@ -60,22 +53,6 @@ let entries ?cat ?min_level ?last t =
     []
   |> List.rev |> keep_last last
 
-let events ?cat ?last t =
-  entries ?cat ?last t |> List.map (fun e -> (e.at, e.cat, e.text))
-
-let length t = min t.total (Array.length t.buf)
-let total t = t.total
-
-let clear t =
-  Array.fill t.buf 0 (Array.length t.buf) None;
-  t.next <- 0;
-  t.total <- 0
-
 let pp_entry ppf e =
   Format.fprintf ppf "%a %-5s [%s] %s" Sim_time.pp e.at (level_name e.level)
     e.cat e.text
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  List.iter (fun e -> Format.fprintf ppf "%a@," pp_entry e) (entries t);
-  Format.fprintf ppf "@]"

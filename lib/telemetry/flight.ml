@@ -386,14 +386,3 @@ let of_json j =
     |> Result.map List.rev
   in
   Ok { d_reason; d_at; d_capacity; d_strings = strings; d_rings }
-
-let write ~path d =
-  let oc = open_out path in
-  output_string oc (Json.to_string (to_json d));
-  output_char oc '\n';
-  close_out oc
-
-let read ~path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | text -> Result.bind (Json.parse text) of_json
-  | exception Sys_error e -> Error e

@@ -105,6 +105,3 @@ val of_json : Json.t -> (dump, string) result
     bad kind, dangling intern index, odd or non-canonical hex, wrong
     schema) is an [Error]. [to_json (of_json d)] re-serializes to the
     exact original bytes. *)
-
-val write : path:string -> dump -> unit
-val read : path:string -> (dump, string) result

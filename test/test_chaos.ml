@@ -677,8 +677,7 @@ let profiled_events eng =
    dgc-san, the conformance automata, the watchdog and a counting
    subscriber all attached runs the same events to the same clock and
    the same counters. Only the observers' own counters (the san. and
-   watchdog. families) and the dump-time tracer.aborted_spans may
-   differ. *)
+   watchdog. families) may differ. *)
 let test_subscribers_schedule_neutral () =
   List.iter
     (fun workload ->
@@ -735,7 +734,6 @@ let test_subscribers_schedule_neutral () =
       let own (k, _) =
         String.starts_with ~prefix:"san." k
         || String.starts_with ~prefix:"watchdog." k
-        || k = "tracer.aborted_spans"
       in
       let strip = List.filter (fun c -> not (own c)) in
       Alcotest.(check (list (pair string int)))

@@ -1,6 +1,6 @@
 (* The observe library: snapshots and diffs, the watchdog, the
-   why-not-collected auditor, plus the telemetry fixes that feed them
-   (dropped span finishes, histogram bucket-mismatch reporting). *)
+   why-not-collected auditor, plus the telemetry fix that feeds them
+   (dropped span finishes). *)
 
 open Dgc_prelude
 open Dgc_simcore
@@ -45,46 +45,6 @@ let test_tracer_dropped_finishes () =
   match Option.bind (Tel.Json.member "otherData" j) (Tel.Json.member "dropped_finishes") with
   | Some (Tel.Json.Int 2) -> ()
   | _ -> Alcotest.fail "dropped_finishes missing from chrome otherData"
-
-(* --- metrics: ?buckets disagreement is reported ------------------------- *)
-
-let test_metrics_bucket_mismatch_callback () =
-  let m = Metrics.create () in
-  let complaints = ref [] in
-  Metrics.set_on_bucket_mismatch m (fun msg -> complaints := msg :: !complaints);
-  Metrics.hist_observe m ~buckets:[| 1.; 2.; 4. |] "h" 1.5;
-  Metrics.hist_observe m ~buckets:[| 1.; 2.; 4. |] "h" 2.5;
-  Alcotest.(check int) "same buckets fine" 0 (List.length !complaints);
-  Metrics.hist_observe m ~buckets:[| 10.; 20. |] "h" 3.0;
-  Alcotest.(check int) "mismatch reported" 1 (List.length !complaints);
-  (* the observation itself still lands in the original histogram *)
-  match Metrics.hist_stats m "h" with
-  | Some st -> Alcotest.(check int) "all observed" 3 st.Metrics.n
-  | None -> Alcotest.fail "histogram lost"
-
-let test_metrics_bucket_mismatch_raises_under_check_step () =
-  let eng =
-    Engine.create { cfg_fast with Config.check_level = Config.Check_step }
-  in
-  let m = Engine.metrics eng in
-  Metrics.hist_observe m ~buckets:[| 1.; 2. |] "h" 1.0;
-  (* The message must name BOTH bucket specs: a report that does not
-     say which registration conflicted cannot be acted on. *)
-  Alcotest.check_raises "strict mode raises"
-    (Engine.Metrics_bucket_mismatch
-       "histogram \"h\": ?buckets disagrees with existing bounds (given \
-        [1; 2; 3] vs [1; 2] in use); keeping the original")
-    (fun () -> Metrics.hist_observe m ~buckets:[| 1.; 2.; 3. |] "h" 1.0)
-
-let test_metrics_bucket_mismatch_warns_in_journal () =
-  let eng = Engine.create cfg_fast in
-  let j = Journal.create ~capacity:32 () in
-  Engine.attach_journal eng j;
-  let m = Engine.metrics eng in
-  Metrics.hist_observe m ~buckets:[| 1.; 2. |] "h" 1.0;
-  Metrics.hist_observe m ~buckets:[| 1.; 2.; 3. |] "h" 1.0;
-  let warns = Journal.entries ~cat:"metrics" ~min_level:Journal.Warn j in
-  Alcotest.(check bool) "warned" true (warns <> [])
 
 (* --- snapshots ---------------------------------------------------------- *)
 
@@ -152,6 +112,48 @@ let test_watchdog_flags_stuck_trace () =
   ignore (Obs.Watchdog.check_now wd);
   Alcotest.(check int) "no duplicate alerts" n
     (List.length (Obs.Watchdog.alerts wd))
+
+(* A watchdog only reads: a run it watches keeps every span's real end.
+   The deadline (0.0005 x the §4.7 timeout) is far below a back trace's
+   duration, so alerts fire while the ring's traces are still open; an
+   alert that closed the tracer's open spans would abort them and drop
+   their later finishes. *)
+let test_watchdog_span_neutral () =
+  let run ~watched =
+    let sim = Sim.make ~cfg:cfg_fast () in
+    let eng = sim.Sim.eng in
+    let tracer = Tel.Tracer.create () in
+    Engine.attach_tracer eng tracer;
+    ignore
+      (Graph_gen.ring eng ~sites:[ s 0; s 1; s 2 ] ~per_site:2 ~rooted:false);
+    let wd =
+      if watched then
+        Some
+          (Obs.Watchdog.attach ~stuck_factor:0.0005
+             ~check_interval:(Sim_time.of_millis 2.) sim.Sim.col)
+      else None
+    in
+    Sim.start sim;
+    Sim.run_for sim (Sim_time.of_seconds 300.);
+    let counters =
+      List.filter
+        (fun (k, _) -> not (String.starts_with ~prefix:"watchdog." k))
+        (Metrics.counters (Engine.metrics eng))
+    in
+    (tracer, counters, wd)
+  in
+  let bare, bare_counters, _ = run ~watched:false in
+  let watched, watched_counters, wd = run ~watched:true in
+  Alcotest.(check bool) "the watchdog alerted" true
+    (Obs.Watchdog.alerts (Option.get wd) <> []);
+  Alcotest.(check bool) "the run traced" true (Tel.Tracer.span_count bare > 0);
+  Alcotest.(check int) "same dropped finishes"
+    (Tel.Tracer.dropped_finishes bare)
+    (Tel.Tracer.dropped_finishes watched);
+  Alcotest.(check string) "same spans" (Tel.Tracer.to_jsonl bare)
+    (Tel.Tracer.to_jsonl watched);
+  Alcotest.(check (list (pair string int)))
+    "same counters" bare_counters watched_counters
 
 (* --- audit -------------------------------------------------------------- *)
 
@@ -223,12 +225,6 @@ let () =
         [
           Alcotest.test_case "dropped finishes counted" `Quick
             test_tracer_dropped_finishes;
-          Alcotest.test_case "bucket mismatch callback" `Quick
-            test_metrics_bucket_mismatch_callback;
-          Alcotest.test_case "bucket mismatch raises under Check_step" `Quick
-            test_metrics_bucket_mismatch_raises_under_check_step;
-          Alcotest.test_case "bucket mismatch warns in journal" `Quick
-            test_metrics_bucket_mismatch_warns_in_journal;
         ] );
       ( "snapshot",
         [ Alcotest.test_case "take and diff" `Quick test_snapshot_and_diff ] );
@@ -236,6 +232,8 @@ let () =
         [
           Alcotest.test_case "flags a stuck trace" `Quick
             test_watchdog_flags_stuck_trace;
+          Alcotest.test_case "a watched run keeps its spans" `Quick
+            test_watchdog_span_neutral;
         ] );
       ( "audit",
         [

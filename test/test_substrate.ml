@@ -91,20 +91,11 @@ let test_rng_chance_extremes () =
 
 let test_util_lists () =
   Alcotest.(check int) "sum" 6 (Util.list_sum (fun x -> x) [ 1; 2; 3 ]);
-  Alcotest.(check int) "max" 9
-    (Util.list_max ~default:0 (fun x -> x) [ 4; 9; 2 ]);
-  Alcotest.(check int) "max default" 7 (Util.list_max ~default:7 Fun.id []);
   Alcotest.(check (list int)) "take" [ 1; 2 ] (Util.list_take 2 [ 1; 2; 3 ]);
   Alcotest.(check (list int)) "take beyond" [ 1 ] (Util.list_take 5 [ 1 ]);
   Alcotest.(check (list int))
     "dedup" [ 1; 2; 3 ]
-    (Util.list_dedup ~compare:Int.compare [ 3; 1; 2; 1; 3 ]);
-  Alcotest.(check (float 1e-9)) "mean" 2. (Util.list_mean [ 1.; 2.; 3. ]);
-  Alcotest.(check (float 1e-9)) "mean empty" 0. (Util.list_mean []);
-  Alcotest.(check (float 1e-9))
-    "median" 2.
-    (Util.percentile 0.5 [ 3.; 1.; 2. ]);
-  Alcotest.(check (float 1e-9)) "p100" 3. (Util.percentile 1.0 [ 3.; 1.; 2. ])
+    (Util.list_dedup ~compare:Int.compare [ 3; 1; 2; 1; 3 ])
 
 (* --- time --------------------------------------------------------------- *)
 
@@ -231,33 +222,34 @@ let test_latency () =
 
 (* --- journal --------------------------------------------------------------- *)
 
+let entry ?(level = Journal.Info) at cat text =
+  { Journal.at; level; cat; text }
+
+let texts = List.map (fun e -> e.Journal.text)
+
 let test_journal_basics () =
   let j = Journal.create ~capacity:4 () in
-  Journal.record j ~at:1. ~cat:"a" "one";
-  Journal.recordf j ~at:2. ~cat:"b" "two %d" 2;
-  Alcotest.(check int) "length" 2 (Journal.length j);
-  Alcotest.(check int) "total" 2 (Journal.total j);
-  (match Journal.events j with
-  | [ (1., "a", "one"); (2., "b", "two 2") ] -> ()
-  | _ -> Alcotest.fail "unexpected events");
-  Alcotest.(check int) "category filter" 1
-    (List.length (Journal.events ~cat:"a" j));
-  Journal.clear j;
-  Alcotest.(check int) "cleared" 0 (Journal.length j)
+  Journal.add j (entry 1. "a" "one");
+  Journal.add j (entry ~level:Journal.Warn 2. "b" "two");
+  Journal.add j (entry 3. "a" "three");
+  Alcotest.(check (list string)) "oldest first" [ "one"; "two"; "three" ]
+    (texts (Journal.entries j));
+  Alcotest.(check (list string)) "category filter" [ "one"; "three" ]
+    (texts (Journal.entries ~cat:"a" j));
+  Alcotest.(check (list string)) "severity filter" [ "two" ]
+    (texts (Journal.entries ~min_level:Journal.Warn j));
+  Alcotest.(check (list string)) "last after filtering" [ "three" ]
+    (texts (Journal.entries ~cat:"a" ~last:1 j))
 
 let test_journal_ring_wraps () =
   let j = Journal.create ~capacity:3 () in
   for i = 1 to 10 do
-    Journal.record j ~at:(float_of_int i) ~cat:"t" (string_of_int i)
+    Journal.add j (entry (float_of_int i) "t" (string_of_int i))
   done;
-  Alcotest.(check int) "capped" 3 (Journal.length j);
-  Alcotest.(check int) "total counts all" 10 (Journal.total j);
-  (match Journal.events j with
-  | [ (_, _, "8"); (_, _, "9"); (_, _, "10") ] -> ()
-  | _ -> Alcotest.fail "expected the newest three, oldest first");
-  match Journal.events ~last:2 j with
-  | [ (_, _, "9"); (_, _, "10") ] -> ()
-  | _ -> Alcotest.fail "last filter"
+  Alcotest.(check (list string)) "the newest three, oldest first"
+    [ "8"; "9"; "10" ] (texts (Journal.entries j));
+  Alcotest.(check (list string)) "last filter" [ "9"; "10" ]
+    (texts (Journal.entries ~last:2 j))
 
 (* --- metrics --------------------------------------------------------------- *)
 
@@ -269,17 +261,10 @@ let test_metrics () =
   Alcotest.(check int) "incr" 2 (Metrics.get m "a");
   Alcotest.(check int) "add" 5 (Metrics.get m "b");
   Alcotest.(check int) "absent" 0 (Metrics.get m "zzz");
-  Metrics.observe m "s" 1.;
-  Metrics.observe m "s" 3.;
-  Alcotest.(check (float 1e-9)) "mean" 2. (Metrics.mean m "s");
-  Alcotest.(check (list (float 1e-9))) "samples in order" [ 1.; 3. ]
-    (Metrics.samples m "s");
   Alcotest.(check (list (pair string int)))
     "counters sorted"
     [ ("a", 2); ("b", 5) ]
-    (Metrics.counters m);
-  Metrics.reset m;
-  Alcotest.(check int) "reset" 0 (Metrics.get m "a")
+    (Metrics.counters m)
 
 let () =
   Alcotest.run "substrate"
