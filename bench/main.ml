@@ -1006,7 +1006,7 @@ let exp_bench () =
       ~sim_seconds:!sim_secs agg
   in
   let path = "BENCH_backtrace.json" in
-  Dgc_telemetry.Run_artifact.write ~path art;
+  Dgc_telemetry.Json.write_file ~path art;
   (match
      Dgc_telemetry.Run_artifact.validate
        ~require_hists:[ "back.latency_ms"; "back.frames_per_trace" ]

@@ -268,5 +268,5 @@ let () =
    with
   | Ok () -> ()
   | Error e -> Fmt.failwith "scale artifact failed validation: %s" e);
-  Dgc_telemetry.Run_artifact.write ~path:out art;
+  Dgc_telemetry.Json.write_file ~path:out art;
   say "wrote %s" out

@@ -1,112 +1,46 @@
 (* @schemas: every committed JSON artifact (test/corpus/*.json, the
-   BENCH_* baselines) must validate against the parser for its declared
-   "schema" field, so a corpus file or baseline can never drift from
-   the code that reads it.
+   BENCH_* baselines, FUZZ_smoke.json) must decode with the reader for
+   its declared "schema" tag, so a corpus file or baseline can never
+   drift from the code that reads it.
 
      schema_check.exe FILE.json ...
 
-   Dispatch: dgc.run/1 -> Run_artifact.validate (plus the deep profile
-   check below), dgc.plan/1 -> Plan.of_json, dgc.flight/1 ->
-   Flight.of_json (strict, byte-identical round trip), dgc.profile/1 ->
-   Profile.validate, dgc.chaos/1 -> required sections plus its embedded
-   plan/run/flight documents, dgc.schedule/1 -> deviation-list shape,
-   dgc.fuzz/1 -> Dgc_fuzz.Report.validate (monotone coverage curve,
-   corpus arithmetic).
+   The table below maps each tag to the library decoder that owns it;
+   corpus files (dgc.plan/1 and dgc.schedule/1) go through
+   Dgc_fuzz.Input.of_json, the reader the corpus replay and the fuzzer
+   load them with. Exit status 1 when any file fails. *)
 
-   A run artifact's embedded "profile" section gets the full
-   Profile.validate treatment here: Run_artifact lives below dgc.profile
-   in the library stack, so its own validate can only check the schema
-   tag. *)
+module Json = Dgc_telemetry.Json
+module Flight = Dgc_telemetry.Flight
+module Input = Dgc_fuzz.Input
 
-module Tel = Dgc_telemetry
-module Json = Tel.Json
-module Plan = Dgc_chaos.Plan
-module Prof = Dgc_profile.Profile
-
-let failed = ref false
-
-let complain path fmt =
-  Printf.ksprintf
-    (fun s ->
-      failed := true;
-      Printf.eprintf "%s: %s\n" path s)
-    fmt
-
-let check_schedule path doc =
-  match Option.bind (Json.member "schedule" doc) Json.to_list_opt with
-  | None -> complain path "dgc.schedule/1: missing \"schedule\" array"
-  | Some devs ->
-      List.iter
-        (fun d ->
-          match Json.to_list_opt d with
-          | Some [ a; b ]
-            when Json.to_int_opt a <> None && Json.to_int_opt b <> None ->
-              ()
-          | _ -> complain path "dgc.schedule/1: bad deviation entry")
-        devs
-
-let check_run path doc =
-  (match Tel.Run_artifact.validate doc with
-  | Ok () -> ()
-  | Error e -> complain path "dgc.run/1: %s" e);
-  match Tel.Run_artifact.profile_section doc with
-  | None -> ()
-  | Some p -> (
-      match Prof.validate p with
-      | Ok () -> ()
-      | Error e -> complain path "dgc.run/1 embedded profile: %s" e)
-
-let check_chaos path doc =
-  List.iter
-    (fun k ->
-      if Json.member k doc = None then
-        complain path "dgc.chaos/1: missing section %S" k)
-    [ "case"; "plan"; "outcome"; "journal"; "run" ];
-  (match Json.member "plan" doc with
-  | Some p -> (
-      match Plan.of_json p with
-      | Ok _ -> ()
-      | Error e -> complain path "dgc.chaos/1 embedded plan: %s" e)
-  | None -> ());
-  (match Json.member "run" doc with
-  | Some r -> check_run path r
-  | None -> ());
-  match Json.member "flight" doc with
-  | None -> ()
-  | Some f -> (
-      match Tel.Flight.of_json f with
-      | Ok _ -> ()
-      | Error e -> complain path "dgc.chaos/1 embedded flight: %s" e)
+let decoders =
+  [
+    ("dgc.run/1", Dgc_profile.Profile.validate_run);
+    ("dgc.profile/1", Dgc_profile.Profile.validate);
+    ("dgc.plan/1", fun j -> Result.map ignore (Input.of_json j));
+    ("dgc.schedule/1", fun j -> Result.map ignore (Input.of_json j));
+    ("dgc.flight/1", fun j -> Result.map ignore (Flight.of_json j));
+    ("dgc.chaos/1", Dgc_chaos.Campaign.validate);
+    ("dgc.fuzz/1", Dgc_fuzz.Report.validate);
+  ]
 
 let check path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | exception Sys_error e -> complain path "unreadable: %s" e
-  | text -> (
-      match Json.parse text with
-      | Error e -> complain path "unparseable: %s" e
-      | Ok doc -> (
-          match Option.bind (Json.member "schema" doc) Json.to_str_opt with
-          | None -> complain path "no \"schema\" field"
-          | Some "dgc.run/1" -> check_run path doc
-          | Some "dgc.profile/1" -> (
-              match Prof.validate doc with
-              | Ok () -> ()
-              | Error e -> complain path "dgc.profile/1: %s" e)
-          | Some "dgc.plan/1" -> (
-              match Plan.of_json doc with
-              | Ok _ -> ()
-              | Error e -> complain path "dgc.plan/1: %s" e)
-          | Some "dgc.flight/1" -> (
-              match Tel.Flight.of_json doc with
-              | Ok _ -> ()
-              | Error e -> complain path "dgc.flight/1: %s" e)
-          | Some "dgc.chaos/1" -> check_chaos path doc
-          | Some "dgc.schedule/1" -> check_schedule path doc
-          | Some "dgc.fuzz/1" -> (
-              match Dgc_fuzz.Report.validate doc with
-              | Ok () -> ()
-              | Error e -> complain path "dgc.fuzz/1: %s" e)
-          | Some s -> complain path "unknown schema %S" s))
+  let result =
+    Result.bind (Json.read_file ~path) (fun doc ->
+        match Json.schema doc with
+        | None -> Error "no \"schema\" field"
+        | Some tag -> (
+            match List.assoc_opt tag decoders with
+            | None -> Error (Printf.sprintf "unknown schema %S" tag)
+            | Some decode ->
+                Result.map_error (Printf.sprintf "%s: %s" tag) (decode doc)))
+  in
+  match result with
+  | Ok () -> true
+  | Error e ->
+      Printf.eprintf "%s: %s\n" path e;
+      false
 
 let () =
   let paths = List.tl (Array.to_list Sys.argv) in
@@ -114,6 +48,6 @@ let () =
     prerr_endline "usage: schema_check.exe FILE.json ...";
     exit 2
   end;
-  List.iter check paths;
-  if !failed then exit 1;
+  let ok = List.for_all Fun.id (List.map check paths) in
+  if not ok then exit 1;
   Printf.printf "schemas: %d artifacts ok\n" (List.length paths)

@@ -275,6 +275,7 @@ let san_cmd =
 
 module Fuzzer = Dgc_fuzz.Fuzzer
 module Freport = Dgc_fuzz.Report
+module Json = Dgc_telemetry.Json
 
 (* The smoke recipe: a cold corpus pointed at the two seeded defects —
    the §6.4 transfer-barrier race (schedule mutation against
@@ -329,7 +330,7 @@ let print_fuzz_report (r : Freport.t) =
 let split_commas s =
   String.split_on_char ',' s |> List.filter (fun x -> not (String.equal x ""))
 
-let run_fuzz smoke with_baseline out promote seed execs workloads suts tweaks
+let fuzz smoke with_baseline out promote seed execs workloads suts tweaks
     horizon_ms events max_steps width corpus =
   let opts =
     if smoke then smoke_opts ~seed
@@ -359,7 +360,7 @@ let run_fuzz smoke with_baseline out promote seed execs workloads suts tweaks
   print_fuzz_report report;
   (match out with
   | Some path ->
-      Freport.save ~path report;
+      Json.write_file ~path (Freport.to_json report);
       say "  report written to %s" path
   | None -> ());
   let found k =
@@ -400,6 +401,24 @@ let run_fuzz smoke with_baseline out promote seed execs workloads suts tweaks
     say "dgc-check fuzz: FAILED";
     1
   end
+
+(* A seed-corpus file that does not decode stops the run: a corpus
+   the fuzzer silently shrank would make a campaign depend on which
+   files happen to load. *)
+let run_fuzz smoke with_baseline out promote seed execs workloads suts tweaks
+    horizon_ms events max_steps width paths =
+  let load path =
+    Result.bind (Json.read_file ~path) Dgc_fuzz.Input.of_json
+    |> Result.map fst
+    |> Result.map_error (Printf.sprintf "%s: %s" path)
+  in
+  match Json.list_map load paths with
+  | Error e ->
+      say "dgc-check fuzz: cannot load seed corpus file %s" e;
+      2
+  | Ok corpus ->
+      fuzz smoke with_baseline out promote seed execs workloads suts tweaks
+        horizon_ms events max_steps width corpus
 
 let fuzz_cmd =
   let doc =

@@ -85,12 +85,9 @@ let config_of opts =
     profile = opts.o_profile;
   }
 
-(* The journal is always attached (capacity from the configuration);
-   its tail is the first thing an operator wants when a run ends in a
-   violated invariant. *)
-let attach_journal cfg eng =
-  let j = Journal.create ~capacity:(max 64 cfg.Config.journal_capacity) () in
-  Engine.attach_journal eng j
+(* The journal is always attached; its tail is the first thing an
+   operator wants when a run ends in a violated invariant. *)
+let attach_journal eng = Engine.attach_journal eng (Journal.create ())
 
 (* Baseline collectors build their engine directly (no [Sim.make]), so
    [--profile] attaches the profiler here. *)
@@ -144,13 +141,16 @@ let report eng ~verbose =
       if verbose then List.iter (fun v -> say "  %s" v) vs;
       print_journal_tail eng
 
+(* The one writer for text outputs (dot, Prometheus, folded stacks,
+   JSONL); JSON documents go through [Json.write_file]. *)
+let write_text ~path text =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text)
+
 let dump_dot opts eng =
   match opts.o_dot with
   | None -> ()
   | Some path ->
-      let oc = open_out path in
-      output_string oc (Report.to_dot eng);
-      close_out oc;
+      write_text ~path (Report.to_dot eng);
       say "wrote object graph to %s" path
 
 let print_journal opts eng =
@@ -186,7 +186,7 @@ let write_artifact ?col ~out ~name eng =
       ?profile
       (Engine.metrics eng)
   in
-  Run_artifact.write ~path:out art;
+  Json.write_file ~path:out art;
   say "wrote run artifact to %s" out
 
 let dump_flight_to eng path =
@@ -194,10 +194,7 @@ let dump_flight_to eng path =
   | None ->
       say "no flight recorder attached (flight_capacity = 0); nothing to dump"
   | Some j ->
-      let oc = open_out path in
-      output_string oc (Json.to_string j);
-      output_char oc '\n';
-      close_out oc;
+      Json.write_file ~path j;
       say "wrote flight dump to %s" path
 
 (* artifact: when set, emit a machine-readable Run_artifact JSON at the
@@ -216,7 +213,7 @@ let run ?artifact ?dump_flight ?(prom = false) ?prom_out opts =
     | Back_tracing ->
         let sim = Sim.make ~cfg () in
         let eng = sim.Sim.eng in
-        attach_journal cfg eng;
+        attach_journal eng;
         if artifact <> None then Engine.attach_tracer eng (Tracer.create ());
         audited := Some sim.Sim.col;
         build_workload eng opts;
@@ -240,7 +237,7 @@ let run ?artifact ?dump_flight ?(prom = false) ?prom_out opts =
         eng
     | Global ->
         let eng = Engine.create cfg in
-        attach_journal cfg eng;
+        attach_journal eng;
         attach_profiler cfg eng;
         let gt = Global_trace.install eng in
         build_workload eng opts;
@@ -259,7 +256,7 @@ let run ?artifact ?dump_flight ?(prom = false) ?prom_out opts =
         eng
     | Hughes_ts ->
         let eng = Engine.create cfg in
-        attach_journal cfg eng;
+        attach_journal eng;
         attach_profiler cfg eng;
         let h = Hughes.install eng ~slack:(Sim_time.of_seconds 60.) in
         build_workload eng opts;
@@ -279,7 +276,7 @@ let run ?artifact ?dump_flight ?(prom = false) ?prom_out opts =
         eng
     | Group ->
         let eng = Engine.create cfg in
-        attach_journal cfg eng;
+        attach_journal eng;
         attach_profiler cfg eng;
         let g = Group_trace.install eng ~max_group:opts.o_sites in
         build_workload eng opts;
@@ -295,7 +292,7 @@ let run ?artifact ?dump_flight ?(prom = false) ?prom_out opts =
         eng
     | Migrate ->
         let eng = Engine.create cfg in
-        attach_journal cfg eng;
+        attach_journal eng;
         attach_profiler cfg eng;
         let m = Migration.install eng in
         build_workload eng opts;
@@ -313,9 +310,7 @@ let run ?artifact ?dump_flight ?(prom = false) ?prom_out opts =
   if prom then print_string (Series.to_prom (Engine.series eng));
   Option.iter
     (fun path ->
-      let oc = open_out path in
-      output_string oc (Series.to_prom (Engine.series eng));
-      close_out oc;
+      write_text ~path (Series.to_prom (Engine.series eng));
       say "wrote Prometheus exposition to %s" path)
     prom_out;
   Option.iter
@@ -377,16 +372,11 @@ let run_trace scenario out format =
   | `Chrome ->
       (* Merge the engine's time series as counter tracks so Perfetto
          shows load and memory gauges under the span lanes. *)
-      let j =
-        Tracer.to_chrome
-          ~counters:(Series.chrome_counters (Engine.series eng))
-          tracer
-      in
-      let oc = open_out out in
-      output_string oc (Json.to_string j);
-      output_char oc '\n';
-      close_out oc
-  | `Jsonl -> Tracer.write_jsonl tracer ~path:out);
+      Json.write_file ~path:out
+        (Tracer.to_chrome
+           ~counters:(Series.chrome_counters (Engine.series eng))
+           tracer)
+  | `Jsonl -> write_text ~path:out (Tracer.to_jsonl tracer));
   let spans = Tracer.spans tracer in
   let roots = List.filter (fun s -> s.Tracer.name = "back_trace") spans in
   let sites =
@@ -460,7 +450,7 @@ let audit_one ~fault ~rounds ~sanitize name =
     scenario_sim ~cfg:{ scenario_cfg with Config.profile = true } name
   in
   let eng = sim.Sim.eng in
-  attach_journal (Engine.config eng) eng;
+  attach_journal eng;
   Engine.attach_tracer eng (Tracer.create ());
   let wd = Obs.Watchdog.attach sim.Sim.col in
   if sanitize then begin
@@ -490,14 +480,9 @@ let run_audit scenarios fault rounds strict sanitize out =
   in
   Option.iter
     (fun path ->
-      let j =
-        Json.Obj
-          (List.map (fun (n, r) -> (n, Obs.Audit.to_json r)) reports)
-      in
-      let oc = open_out path in
-      output_string oc (Json.to_string j);
-      output_char oc '\n';
-      close_out oc;
+      Json.write_file ~path
+        (Json.Obj
+           (List.map (fun (n, r) -> (n, Obs.Audit.to_json r)) reports));
       say "wrote audit report to %s" path)
     out;
   let failures =
@@ -520,7 +505,7 @@ let run_audit scenarios fault rounds strict sanitize out =
 let run_inspect scenario rounds out =
   let sim = scenario_sim scenario in
   let eng = sim.Sim.eng in
-  attach_journal (Engine.config eng) eng;
+  attach_journal eng;
   Engine.attach_tracer eng (Tracer.create ());
   Scenario.settle sim ~rounds:2;
   let before = Obs.Snapshot.take sim.Sim.col in
@@ -538,29 +523,19 @@ let run_inspect scenario rounds out =
   List.iter (fun c -> say "  %a" Obs.Snapshot.pp_change c) changes;
   Option.iter
     (fun path ->
-      let j =
-        Json.Obj
-          [
-            ("schema", Json.Str "dgc.inspect/1");
-            ("scenario", Json.Str scenario);
-            ("before", Obs.Snapshot.to_json before);
-            ("after", Obs.Snapshot.to_json after);
-          ]
-      in
-      let oc = open_out path in
-      output_string oc (Json.to_string j);
-      output_char oc '\n';
-      close_out oc;
+      Json.write_file ~path
+        (Json.Obj
+           [
+             ("schema", Json.Str "dgc.inspect/1");
+             ("scenario", Json.Str scenario);
+             ("before", Obs.Snapshot.to_json before);
+             ("after", Obs.Snapshot.to_json after);
+           ]);
       say "wrote snapshots to %s" path)
     out;
   0
 
 (* --- profile subcommand: the lib/profile cost profiler ------------------ *)
-
-let write_text ~path text =
-  let oc = open_out path in
-  output_string oc text;
-  close_out oc
 
 let run_profile scenario rounds out folded speedscope unit_ =
   let cfg = { scenario_cfg with Config.profile = true } in
@@ -580,7 +555,7 @@ let run_profile scenario rounds out folded speedscope unit_ =
       (match valid with
       | Ok () -> say "profile: schema-valid %s document" Prof.schema
       | Error e -> say "profile: VALIDATION FAILED: %s" e);
-      Run_artifact.write ~path:out doc;
+      Json.write_file ~path:out doc;
       say "wrote %s artifact to %s" Prof.schema out;
       Option.iter
         (fun path ->
@@ -590,8 +565,7 @@ let run_profile scenario rounds out folded speedscope unit_ =
         folded;
       Option.iter
         (fun path ->
-          write_text ~path
-            (Json.to_string (Prof.to_speedscope ?unit_ ~name p) ^ "\n");
+          Json.write_file ~path (Prof.to_speedscope ?unit_ ~name p);
           say "wrote speedscope profile to %s (open at speedscope.app)" path)
         speedscope;
       let r = Ledg.rollup ledger in
@@ -606,7 +580,7 @@ let run_profile scenario rounds out folded speedscope unit_ =
       (match valid with Ok () -> 0 | Error _ -> 1)
 
 let run_profile_diff base fresh tol =
-  match (Run_artifact.read ~path:base, Run_artifact.read ~path:fresh) with
+  match (Json.read_file ~path:base, Json.read_file ~path:fresh) with
   | Error e, _ ->
       say "cannot read %s: %s" base e;
       2
@@ -717,13 +691,13 @@ let print_chaos_outcome oc =
   | Some f -> say "FAIL %s: %s" oc.oc_case.cs_name (failure_to_string f)
 
 let write_chaos_artifact ~out json =
-  Run_artifact.write ~path:out json;
+  Json.write_file ~path:out json;
   say "wrote chaos artifact to %s" out
 
 (* Replay one plan file against a workload; the bit-determinism surface
    (same --workload/--seed/--plan ⇒ byte-identical --out artifact). *)
 let chaos_replay ~tweak ~workload ~seed ~horizon_ms ~shrink ~out path =
-  match Chaos.Plan.load ~path with
+  match Result.bind (Json.read_file ~path) Chaos.Plan.of_json with
   | Error m ->
       say "cannot load plan %s: %s" path m;
       2
@@ -782,7 +756,7 @@ let chaos_campaign ~tweak ~workload ~seed ~cases ~horizon_ms ~events ~out () =
             let path =
               Printf.sprintf "%s.%s.json" prefix case.Chaos.Campaign.cs_name
             in
-            Chaos.Plan.save ~path p;
+            Json.write_file ~path (Chaos.Plan.to_json p);
             say "wrote reproducer plan to %s" path;
             write_chaos_artifact ~out:(prefix ^ "." ^ case.Chaos.Campaign.cs_name ^ ".artifact.json")
               (Chaos.Campaign.artifact ~shrunk:(p, replays) oc))

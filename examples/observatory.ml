@@ -44,8 +44,7 @@ let () =
   let eng = sim.Sim.eng in
   let tracer = Tracer.create () in
   Engine.attach_tracer eng tracer;
-  Engine.attach_journal eng
-    (Journal.create ~capacity:cfg.Config.journal_capacity ());
+  Engine.attach_journal eng (Journal.create ());
   Array.iter (fun st -> ignore (Builder.root_obj eng st.Site.id)) (Engine.sites eng);
   ignore
     (Graph_gen.random_graph eng ~rng:(Rng.create ~seed:55) ~objects_per_site:10
@@ -110,14 +109,15 @@ let () =
   | [] -> say "table integrity: ok"
   | vs -> say "table integrity: %d violations" (List.length vs));
 
+  let write_text path text =
+    Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text)
+  in
   let dot_path = Filename.temp_file "dgc_observatory" ".dot" in
-  let oc = open_out dot_path in
-  output_string oc (Report.to_dot eng);
-  close_out oc;
+  write_text dot_path (Report.to_dot eng);
   let spans_path = Filename.temp_file "dgc_observatory" ".jsonl" in
-  Tracer.write_jsonl tracer ~path:spans_path;
+  write_text spans_path (Tracer.to_jsonl tracer);
   let chrome_path = Filename.temp_file "dgc_observatory" ".json" in
-  Tracer.write_chrome tracer ~path:chrome_path;
+  Json.write_file ~path:chrome_path (Tracer.to_chrome tracer);
   say "";
   say "Final object graph written to %s (render with `dot -Tsvg`)." dot_path;
   say "Span log written to %s (JSONL) and %s (Chrome trace-event; load \

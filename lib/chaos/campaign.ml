@@ -282,6 +282,22 @@ let artifact ?shrunk oc =
           ("shrink_replays", Json.Int replays);
         ])
 
+let validate doc =
+  let ( let* ) = Result.bind in
+  let section k decode =
+    Result.map_error (Printf.sprintf "%s section: %s" k)
+      (Result.bind (Json.field k doc) decode)
+  in
+  let* () = Json.expect_schema schema doc in
+  let* _ =
+    Json.list_map (fun k -> Json.field k doc) [ "case"; "outcome"; "journal" ]
+  in
+  let* _ = section "plan" Plan.of_json in
+  let* () = section "run" Dgc_profile.Profile.validate_run in
+  match Json.member "flight" doc with
+  | None -> Ok ()
+  | Some f -> Result.map ignore (Tel.Flight.of_json f)
+
 type summary = {
   sm_outcomes : outcome list;
   sm_failures : (outcome * Plan.t * int) list;

@@ -123,6 +123,12 @@ val artifact : ?shrunk:Plan.t * int -> outcome -> Json.t
     ["flight"] dump when the case failed, and the shrunk plan when
     given. *)
 
+val validate : Json.t -> (unit, string) result
+(** The ["dgc.chaos/1"] decoder: case, outcome and journal present,
+    the plan section a valid plan, the run section a valid run
+    artifact ({!Dgc_profile.Profile.validate_run}), the flight section,
+    when present, a valid dump. *)
+
 type summary = {
   sm_outcomes : outcome list;
   sm_failures : (outcome * Plan.t * int) list;

@@ -60,73 +60,37 @@ let to_json t =
 
 let ( let* ) = Result.bind
 
-let field name j =
-  match Json.member name j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
-let num name j =
-  let* v = field name j in
-  match Json.to_float_opt v with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "field %S: expected a number" name)
-
-let str name j =
-  let* v = field name j in
-  match Json.to_str_opt v with
-  | Some s -> Ok s
-  | None -> Error (Printf.sprintf "field %S: expected a string" name)
-
-let int_field name j =
-  let* v = field name j in
-  match Json.to_int_opt v with
-  | Some i -> Ok i
-  | None -> Error (Printf.sprintf "field %S: expected an integer" name)
-
-let groups_of_json j =
-  let* v = field "groups" j in
-  match Json.to_list_opt v with
-  | None -> Error "field \"groups\": expected an array"
-  | Some gs ->
-      List.fold_left
-        (fun acc g ->
-          let* acc = acc in
-          match Json.to_list_opt g with
-          | None -> Error "partition group: expected an array of sites"
-          | Some sites ->
-              let* sites =
-                List.fold_left
-                  (fun acc s ->
-                    let* acc = acc in
-                    match Json.to_int_opt s with
-                    | Some i -> Ok (i :: acc)
-                    | None -> Error "partition group: expected integer sites")
-                  (Ok []) sites
-              in
-              Ok (List.rev sites :: acc))
-        (Ok []) gs
-      |> Result.map List.rev
+let group_of_json g =
+  match Json.to_list_opt g with
+  | None -> Error "partition group: expected an array of sites"
+  | Some sites ->
+      Json.list_map
+        (fun s ->
+          Option.to_result ~none:"partition group: expected integer sites"
+            (Json.to_int_opt s))
+        sites
 
 let event_of_json j =
-  let* kind = str "kind" j in
-  let* at_ms = num "at_ms" j in
-  let* dur_ms = num "dur_ms" j in
+  let* kind = Json.str_field "kind" j in
+  let* at_ms = Json.float_field "at_ms" j in
+  let* dur_ms = Json.float_field "dur_ms" j in
   let* ev =
     match kind with
     | "crash" ->
-        let* site = int_field "site" j in
+        let* site = Json.int_field "site" j in
         Ok (Crash { site })
     | "partition" ->
-        let* groups = groups_of_json j in
+        let* groups = Json.list_field "groups" j in
+        let* groups = Json.list_map group_of_json groups in
         Ok (Partition { groups })
     | "drop" ->
-        let* p = num "p" j in
+        let* p = Json.float_field "p" j in
         Ok (Drop { p })
     | "dup" ->
-        let* p = num "p" j in
+        let* p = Json.float_field "p" j in
         Ok (Dup { p })
     | "slow" ->
-        let* factor = num "factor" j in
+        let* factor = Json.float_field "factor" j in
         Ok (Slow { factor })
     | other -> Error (Printf.sprintf "unknown fault kind %S" other)
   in
@@ -134,26 +98,15 @@ let event_of_json j =
   else Ok { at_ms; dur_ms; ev }
 
 let of_json j =
-  let* s = str "schema" j in
-  if not (String.equal s schema) then
-    Error (Printf.sprintf "expected schema %S, got %S" schema s)
-  else
-    let* evs = field "events" j in
-    match Json.to_list_opt evs with
-    | None -> Error "field \"events\": expected an array"
-    | Some l ->
-        let rec go i acc = function
-          | [] -> Ok { events = List.rev acc }
-          | e :: tl -> (
-              match event_of_json e with
-              | Ok e -> go (i + 1) (e :: acc) tl
-              | Error m -> Error (Printf.sprintf "event %d: %s" i m))
-        in
-        go 0 [] l
-
-let of_string s =
-  let* j = Json.parse s in
-  of_json j
+  let* () = Json.expect_schema schema j in
+  let* evs = Json.list_field "events" j in
+  let* events =
+    Json.list_map
+      (fun (i, e) ->
+        Result.map_error (Printf.sprintf "event %d: %s" i) (event_of_json e))
+      (List.mapi (fun i e -> (i, e)) evs)
+  in
+  Ok { events }
 
 (* ---- validation ------------------------------------------------------ *)
 
@@ -197,17 +150,6 @@ let validate ~sites t =
           go (i + 1) tl
   in
   go 0 t.events
-
-let save ~path t =
-  let oc = open_out path in
-  output_string oc (Json.to_string (to_json t));
-  output_char oc '\n';
-  close_out oc
-
-let load ~path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error m -> Error m
-  | s -> of_string s
 
 (* ---- generation ------------------------------------------------------ *)
 

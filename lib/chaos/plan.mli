@@ -41,10 +41,6 @@ val to_json : t -> Dgc_telemetry.Json.t
 (** Deterministic (events in order, fields in fixed order). *)
 
 val of_json : Dgc_telemetry.Json.t -> (t, string) result
-val of_string : string -> (t, string) result
-
-val save : path:string -> t -> unit
-val load : path:string -> (t, string) result
 
 val validate : sites:int -> t -> (unit, string) result
 (** Deployment-aware well-formedness: non-negative finite windows,

@@ -26,7 +26,7 @@ let make ?(cfg = Config.default) () =
          after every event, skipping sites mid-trace-window (§6.2). *)
       Engine.add_step_watcher eng (fun () ->
           Invariants.check_exn ~skip:(Collector.in_window col) eng)
-  | Config.Check_off | Config.Check_final -> ());
+  | Config.Check_off -> ());
   { eng; col; muts }
 
 let check ?(settled = false) t =

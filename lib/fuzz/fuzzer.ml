@@ -23,7 +23,7 @@ type opts = {
   o_width : int;
   o_stop_on : string list;
   o_promote_dir : string option;
-  o_corpus : string list;
+  o_corpus : Input.t list;
 }
 
 let default_opts =
@@ -196,7 +196,7 @@ let promote opts ~dir ~kind ~signature input =
              (signature land 0xffffffff));
     }
   in
-  Input.save ~path ~meta input;
+  Dgc_telemetry.Json.write_file ~path (Input.to_json ~meta input);
   file
 
 (* ---- the campaign loop ----------------------------------------------- *)
@@ -237,15 +237,8 @@ let campaign ~guided opts =
   let found_kinds = ref [] in
   let promoted = ref 0 in
   let seen_sigs = ref [] in
-  (* warm the pool from the seed corpus: each file costs one exec *)
-  let seeds =
-    if guided then
-      List.filter_map
-        (fun path ->
-          match Input.load ~path with Ok (i, _) -> Some i | Error _ -> None)
-        opts.o_corpus
-    else []
-  in
+  (* warm the pool from the seed corpus: each input costs one exec *)
+  let seeds = if guided then opts.o_corpus else [] in
   let execs_done = ref 0 in
   let stop () =
     opts.o_stop_on <> []

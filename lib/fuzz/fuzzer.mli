@@ -34,7 +34,7 @@ type opts = {
       (** failure kinds; stop early once every listed kind was found *)
   o_promote_dir : string option;
       (** write shrunk reproducers into this corpus directory *)
-  o_corpus : string list;  (** seed corpus files to warm the pool with *)
+  o_corpus : Input.t list;  (** seed inputs to warm the pool with *)
 }
 
 val default_opts : opts

@@ -97,7 +97,6 @@ let to_json ?(meta = no_meta) = function
 let ( let* ) = Result.bind
 
 let meta_of_json doc =
-  let str name = Option.bind (Json.member name doc) Json.to_str_opt in
   let* tweaks =
     match Json.member "tweak" doc with
     | None -> Ok []
@@ -105,51 +104,43 @@ let meta_of_json doc =
         match Json.to_list_opt j with
         | None -> Error "field \"tweak\": expected an array of names"
         | Some l ->
-            List.fold_left
-              (fun acc j ->
-                let* acc = acc in
+            Json.list_map
+              (fun j ->
                 match Json.to_str_opt j with
-                | Some n -> Ok (n :: acc)
+                | Some n when Option.is_some (tweak_of_name n) -> Ok n
+                | Some n -> Error (Printf.sprintf "unknown config tweak %S" n)
                 | None -> Error "field \"tweak\": expected string entries")
-              (Ok []) l
-            |> Result.map List.rev)
+              l)
   in
-  Ok { m_expect = str "expect"; m_tweaks = tweaks; m_comment = str "comment" }
+  Ok
+    {
+      m_expect = Json.opt_field "expect" Json.to_str_opt doc;
+      m_tweaks = tweaks;
+      m_comment = Json.opt_field "comment" Json.to_str_opt doc;
+    }
 
-let schedule_of_json doc =
-  match Option.bind (Json.member "schedule" doc) Json.to_list_opt with
-  | None -> Error "missing field \"schedule\""
-  | Some devs ->
-      List.fold_left
-        (fun acc d ->
-          let* acc = acc in
-          match Json.to_list_opt d with
-          | Some [ a; b ] -> (
-              match (Json.to_int_opt a, Json.to_int_opt b) with
-              | Some step, Some rank -> Ok ((step, rank) :: acc)
-              | _ -> Error "schedule deviation: expected [step, rank] ints")
-          | _ -> Error "schedule deviation: expected a [step, rank] pair")
-        (Ok []) devs
-      |> Result.map List.rev
+let deviation_of_json d =
+  match Json.to_list_opt d with
+  | Some [ a; b ] -> (
+      match (Json.to_int_opt a, Json.to_int_opt b) with
+      | Some step, Some rank -> Ok (step, rank)
+      | _ -> Error "schedule deviation: expected [step, rank] ints")
+  | _ -> Error "schedule deviation: expected a [step, rank] pair"
 
 let of_json doc =
-  let str name = Option.bind (Json.member name doc) Json.to_str_opt in
-  let int name = Option.bind (Json.member name doc) Json.to_int_opt in
-  let flt name = Option.bind (Json.member name doc) Json.to_float_opt in
   let* meta = meta_of_json doc in
-  match str "schema" with
+  match Json.schema doc with
   | Some "dgc.schedule/1" ->
-      let* schedule = schedule_of_json doc in
-      let* sut =
-        match str "sut" with
-        | Some s -> Ok s
-        | None -> Error "missing field \"sut\""
-      in
+      let* schedule = Json.list_field "schedule" doc in
+      let* schedule = Json.list_map deviation_of_json schedule in
+      let* sut = Json.str_field "sut" doc in
       Ok
         ( Schedule_input
             {
               si_sut = sut;
-              si_max_steps = Option.value ~default:400 (int "max_steps");
+              si_max_steps =
+                Option.value ~default:400
+                  (Json.opt_field "max_steps" Json.to_int_opt doc);
               si_schedule = schedule;
             },
           meta )
@@ -158,27 +149,20 @@ let of_json doc =
       Ok
         ( Plan_input
             {
-              pi_workload = Option.value ~default:"churn" (str "workload");
-              pi_seed = Option.value ~default:1 (int "seed");
-              pi_horizon_ms = Option.value ~default:60_000. (flt "horizon_ms");
+              pi_workload =
+                Option.value ~default:"churn"
+                  (Json.opt_field "workload" Json.to_str_opt doc);
+              pi_seed =
+                Option.value ~default:1
+                  (Json.opt_field "seed" Json.to_int_opt doc);
+              pi_horizon_ms =
+                Option.value ~default:60_000.
+                  (Json.opt_field "horizon_ms" Json.to_float_opt doc);
               pi_plan = plan;
             },
           meta )
   | Some s -> Error (Printf.sprintf "unknown corpus schema %S" s)
   | None -> Error "missing field \"schema\""
-
-let load ~path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error m -> Error m
-  | text ->
-      let* j = Json.parse text in
-      of_json j
-
-let save ~path ?meta t =
-  let oc = open_out path in
-  output_string oc (Json.to_string (to_json ?meta t));
-  output_char oc '\n';
-  close_out oc
 
 let case_of_plan ~name p =
   {

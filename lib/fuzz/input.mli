@@ -43,7 +43,7 @@ val tweak_of_name : string -> (Config.t -> Config.t) option
 
 val tweak_all : string list -> Config.t -> Config.t
 (** Compose known tweaks left to right; raises [Invalid_argument] on an
-    unknown name (a corpus file naming one is corrupt). *)
+    unknown name. *)
 
 val to_json : ?meta:meta -> t -> Dgc_telemetry.Json.t
 (** The corpus-file document (schema, envelope, expect/tweaks/comment
@@ -52,10 +52,9 @@ val to_json : ?meta:meta -> t -> Dgc_telemetry.Json.t
 val of_json : Dgc_telemetry.Json.t -> (t * meta, string) result
 (** Accepts both schemas. Plan envelopes default like the historical
     corpus reader: workload ["churn"], seed 1, horizon 60000ms;
-    schedules default to 400 max steps. *)
-
-val load : path:string -> (t * meta, string) result
-val save : path:string -> ?meta:meta -> t -> unit
+    schedules default to 400 max steps. A ["tweak"] name outside
+    {!tweak_of_name}'s vocabulary is an [Error], so a misspelt tweak
+    fails at load, not when a replay applies it. *)
 
 val case_of_plan : name:string -> plan_case -> Dgc_chaos.Campaign.case
 (** The campaign case a plan input replays as. *)

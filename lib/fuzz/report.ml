@@ -99,127 +99,88 @@ let to_json t =
         ]
     | None -> [])
 
-let save ~path t =
-  let oc = open_out path in
-  output_string oc (Json.to_string (to_json t));
-  output_char oc '\n';
-  close_out oc
-
 (* ---- validation ------------------------------------------------------ *)
 
 let ( let* ) = Result.bind
 
-let need_int doc name =
-  match Option.bind (Json.member name doc) Json.to_int_opt with
-  | Some i -> Ok i
-  | None -> Error (Printf.sprintf "missing or non-int field %S" name)
-
-let need_str doc name =
-  match Option.bind (Json.member name doc) Json.to_str_opt with
-  | Some s -> Ok s
-  | None -> Error (Printf.sprintf "missing or non-string field %S" name)
-
-let need_obj doc name =
-  match Json.member name doc with
-  | Some j -> Ok j
-  | None -> Error (Printf.sprintf "missing section %S" name)
-
 let validate doc =
-  let* s = need_str doc "schema" in
-  if not (String.equal s schema) then
-    Error (Printf.sprintf "expected schema %S, got %S" schema s)
-  else
-    let* _ = need_str doc "name" in
-    let* _ = need_int doc "seed" in
-    let* mode = need_str doc "mode" in
-    let* () =
-      if List.mem mode [ "guided"; "random" ] then Ok ()
-      else Error (Printf.sprintf "unknown mode %S" mode)
+  let* () = Json.expect_schema schema doc in
+  let* _ = Json.str_field "name" doc in
+  let* _ = Json.int_field "seed" doc in
+  let* mode = Json.str_field "mode" doc in
+  let* () =
+    if List.mem mode [ "guided"; "random" ] then Ok ()
+    else Error (Printf.sprintf "unknown mode %S" mode)
+  in
+  let* execs = Json.int_field "execs" doc in
+  let* cov = Json.field "coverage" doc in
+  let* _ = Json.int_field "size" cov in
+  let* hits = Json.int_field "hits" cov in
+  let* _ = Json.int_field "total" cov in
+  let* curve = Json.list_field "curve" cov in
+  let* curve =
+    Json.list_map
+      (fun j ->
+        Option.to_result ~none:"coverage curve: non-int entry"
+          (Json.to_int_opt j))
+      curve
+  in
+  let* () =
+    if List.length curve <> execs then
+      Error
+        (Printf.sprintf "coverage curve has %d points for %d execs"
+           (List.length curve) execs)
+    else Ok ()
+  in
+  let* () =
+    let rec mono prev = function
+      | [] -> Ok ()
+      | h :: tl ->
+          if h < prev then Error "coverage curve not monotone" else mono h tl
     in
-    let* execs = need_int doc "execs" in
-    let* cov = need_obj doc "coverage" in
-    let* _ = need_int cov "size" in
-    let* hits = need_int cov "hits" in
-    let* _ = need_int cov "total" in
-    let* curve =
-      match Option.bind (Json.member "curve" cov) Json.to_list_opt with
-      | None -> Error "coverage: missing \"curve\" array"
-      | Some l ->
-          List.fold_left
-            (fun acc j ->
-              let* acc = acc in
-              match Json.to_int_opt j with
-              | Some i -> Ok (i :: acc)
-              | None -> Error "coverage curve: non-int entry")
-            (Ok []) l
-          |> Result.map List.rev
-    in
-    let* () =
-      if List.length curve <> execs then
+    mono 0 curve
+  in
+  let* () =
+    match List.rev curve with
+    | last :: _ when last <> hits ->
         Error
-          (Printf.sprintf "coverage curve has %d points for %d execs"
-             (List.length curve) execs)
-      else Ok ()
-    in
-    let* () =
-      let rec mono prev = function
-        | [] -> Ok ()
-        | h :: tl ->
-            if h < prev then Error "coverage curve not monotone"
-            else mono h tl
-      in
-      mono 0 curve
-    in
-    let* () =
-      match List.rev curve with
-      | last :: _ when last <> hits ->
-          Error
-            (Printf.sprintf "curve ends at %d but bitmap reports %d hits" last
-               hits)
-      | _ -> Ok ()
-    in
-    let* corpus = need_obj doc "corpus" in
-    let* size = need_int corpus "size" in
-    let* plans = need_int corpus "plans" in
-    let* schedules = need_int corpus "schedules" in
-    let* _ = need_int corpus "promoted" in
-    let* () =
-      if size <> plans + schedules then
-        Error "corpus size != plans + schedules"
-      else Ok ()
-    in
-    let* () =
-      match Option.bind (Json.member "ops" doc) Json.to_list_opt with
-      | None -> Error "missing \"ops\" array"
-      | Some ops ->
-          List.fold_left
-            (fun acc o ->
-              let* () = acc in
-              let* _ = need_str o "name" in
-              let* _ = need_int o "tried" in
-              let* _ = need_int o "novel" in
-              let* _ = need_int o "failures" in
-              Ok ())
-            (Ok ()) ops
-    in
-    let* () =
-      match Option.bind (Json.member "failures" doc) Json.to_list_opt with
-      | None -> Error "missing \"failures\" array"
-      | Some fs ->
-          List.fold_left
-            (fun acc f ->
-              let* () = acc in
-              let* _ = need_str f "kind" in
-              let* _ = need_str f "input" in
-              let* _ = need_int f "exec" in
-              let* _ = need_str f "detail" in
-              let* _ = need_int f "signature" in
-              Ok ())
-            (Ok ()) fs
-    in
-    match Json.member "baseline" doc with
-    | None -> Ok ()
-    | Some b ->
-        let* _ = need_int b "execs" in
-        let* _ = need_int b "hits" in
-        Ok ()
+          (Printf.sprintf "curve ends at %d but bitmap reports %d hits" last
+             hits)
+    | _ -> Ok ()
+  in
+  let* corpus = Json.field "corpus" doc in
+  let* size = Json.int_field "size" corpus in
+  let* plans = Json.int_field "plans" corpus in
+  let* schedules = Json.int_field "schedules" corpus in
+  let* _ = Json.int_field "promoted" corpus in
+  let* () =
+    if size <> plans + schedules then Error "corpus size != plans + schedules"
+    else Ok ()
+  in
+  let* ops = Json.list_field "ops" doc in
+  let* _ =
+    Json.list_map
+      (fun o ->
+        let* _ = Json.str_field "name" o in
+        let* _ = Json.int_field "tried" o in
+        let* _ = Json.int_field "novel" o in
+        Json.int_field "failures" o)
+      ops
+  in
+  let* fs = Json.list_field "failures" doc in
+  let* _ =
+    Json.list_map
+      (fun f ->
+        let* _ = Json.str_field "kind" f in
+        let* _ = Json.str_field "input" f in
+        let* _ = Json.int_field "exec" f in
+        let* _ = Json.str_field "detail" f in
+        Json.int_field "signature" f)
+      fs
+  in
+  match Json.member "baseline" doc with
+  | None -> Ok ()
+  | Some b ->
+      let* _ = Json.int_field "execs" b in
+      let* _ = Json.int_field "hits" b in
+      Ok ()

@@ -44,9 +44,8 @@ val schema : string
 (** ["dgc.fuzz/1"]. *)
 
 val to_json : t -> Dgc_telemetry.Json.t
-val save : path:string -> t -> unit
 
 val validate : Dgc_telemetry.Json.t -> (unit, string) result
-(** Structural validation for [bench/schema_check.ml]: required
+(** Structural validation: required
     fields, int-typed curve of length [execs], monotone and ending at
     the bitmap's hit count, corpus arithmetic consistent. *)

@@ -120,63 +120,40 @@ let to_json rows =
 
 let ( let* ) = Result.bind
 
-let need_int name = function
-  | Some j -> (
-      match Json.to_int_opt j with
-      | Some n when n >= 0 -> Ok n
-      | Some _ -> Error (name ^ " is negative")
-      | None -> Error (name ^ " is not an int"))
-  | None -> Error (name ^ " missing")
+let non_negative what n =
+  if n >= 0 then Ok () else Error (what ^ " is negative")
 
-let int_obj name = function
-  | Some (Json.Obj fields) ->
-      let rec go = function
-        | [] -> Ok ()
-        | (_, Json.Int n) :: tl when n >= 0 -> go tl
-        | (k, _) :: _ -> Error (name ^ "." ^ k ^ " is not a non-negative int")
-      in
-      go fields
-  | _ -> Error (name ^ " is not an object")
+(* A per-kind count object: every value a non-negative int. *)
+let counts what fields =
+  Json.list_map
+    (fun (k, v) ->
+      match Json.to_int_opt v with
+      | Some n -> non_negative (what ^ "." ^ k) n
+      | None -> Error (what ^ "." ^ k ^ " is not an int"))
+    fields
 
 let validate_entry j =
-  match j with
-  | Json.Obj _ ->
-      let* _ =
-        match Json.member "trace" j with
-        | Some (Json.Str s) when s <> "" -> Ok s
-        | _ -> Error "ledger trace id missing"
-      in
-      let* _ = need_int "frames" (Json.member "frames" j) in
-      let* _ = need_int "retries" (Json.member "retries" j) in
-      let* () = int_obj "msgs" (Json.member "msgs" j) in
-      let* () = int_obj "bytes" (Json.member "bytes" j) in
-      Ok ()
-  | _ -> Error "ledger entry is not an object"
+  let* trace = Json.str_field "trace" j in
+  let* () = if trace = "" then Error "ledger trace id is empty" else Ok () in
+  let* frames = Json.int_field "frames" j in
+  let* () = non_negative "frames" frames in
+  let* retries = Json.int_field "retries" j in
+  let* () = non_negative "retries" retries in
+  let* msgs = Json.obj_field "msgs" j in
+  let* _ = counts "msgs" msgs in
+  let* bytes = Json.obj_field "bytes" j in
+  let* _ = counts "bytes" bytes in
+  Ok ()
 
 let validate j =
-  match Json.member "traces" j with
-  | Some (Json.Arr es) ->
-      let* () =
-        List.fold_left
-          (fun acc e ->
-            let* () = acc in
-            validate_entry e)
-          (Ok ()) es
-      in
-      let* r =
-        match Json.member "rollup" j with
-        | Some (Json.Obj _ as r) -> Ok r
-        | _ -> Error "ledger rollup missing"
-      in
-      let* _ = need_int "rollup.msgs" (Json.member "msgs" r) in
-      let* _ = need_int "rollup.collected" (Json.member "collected" r) in
-      let* _ =
-        need_int "rollup.msgs_per_cycle_milli"
-          (Json.member "msgs_per_cycle_milli" r)
-      in
-      let* _ =
-        need_int "rollup.bytes_per_cycle_milli"
-          (Json.member "bytes_per_cycle_milli" r)
-      in
-      Ok ()
-  | _ -> Error "ledger traces missing"
+  let* entries = Json.list_field "traces" j in
+  let* _ = Json.list_map validate_entry entries in
+  let* r = Json.field "rollup" j in
+  let* _ =
+    Json.list_map
+      (fun k ->
+        let* n = Json.int_field k r in
+        non_negative ("rollup." ^ k) n)
+      [ "msgs"; "collected"; "msgs_per_cycle_milli"; "bytes_per_cycle_milli" ]
+  in
+  Ok ()

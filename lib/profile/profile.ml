@@ -225,38 +225,30 @@ let to_json ?(wall = true) ?(name = "profile") ?(ledger = []) t =
 let ( let* ) = Result.bind
 
 let node_path j =
-  match Json.member "path" j with
-  | Some (Json.Str p) when p <> "" -> Ok p
-  | _ -> Error "node path missing or empty"
+  let* p = Json.str_field "path" j in
+  if p = "" then Error "node path is empty" else Ok p
 
 let validate_node units j =
   let* path = node_path j in
-  let* () =
-    match Json.member "work" j with
-    | Some (Json.Obj fields) ->
-        let rec go last = function
-          | [] -> Ok ()
-          | (k, Json.Int v) :: tl ->
-              if v < 0 then Error (path ^ ": negative work " ^ k)
-              else if not (List.mem k units) then
-                Error (path ^ ": work unit " ^ k ^ " not declared in units")
-              else if last >= k then
-                Error (path ^ ": work keys not sorted at " ^ k)
-              else go k tl
-          | (k, _) :: _ -> Error (path ^ ": work " ^ k ^ " is not an int")
-        in
-        go "" fields
-    | _ -> Error (path ^ ": work object missing")
-  in
-  let* () =
-    match Json.member "wall_ns" j with
-    | None -> Ok ()  (* wall-free export *)
-    | Some j -> (
-        match Json.to_int_opt j with
-        | Some n when n >= 0 -> Ok ()
-        | _ -> Error (path ^ ": wall_ns is not a non-negative int"))
-  in
-  Ok path
+  Result.map_error (fun e -> path ^ ": " ^ e)
+    (let* work = Json.obj_field "work" j in
+     let rec go last = function
+       | [] -> Ok ()
+       | (k, Json.Int v) :: tl ->
+           if v < 0 then Error ("negative work " ^ k)
+           else if not (List.mem k units) then
+             Error ("work unit " ^ k ^ " not declared in units")
+           else if last >= k then Error ("work keys not sorted at " ^ k)
+           else go k tl
+       | (k, _) :: _ -> Error ("work " ^ k ^ " is not an int")
+     in
+     let* () = go "" work in
+     match Json.member "wall_ns" j with
+     | None -> Ok path (* wall-free export *)
+     | Some w -> (
+         match Json.to_int_opt w with
+         | Some n when n >= 0 -> Ok path
+         | _ -> Error "wall_ns is not a non-negative int"))
 
 let parent_path p =
   match String.rindex_opt p ';' with
@@ -264,45 +256,25 @@ let parent_path p =
   | None -> None
 
 let validate j =
-  let* () =
-    match Json.member "schema" j with
-    | Some (Json.Str s) when s = schema -> Ok ()
-    | Some (Json.Str s) -> Error ("wrong schema " ^ s)
-    | _ -> Error "schema missing"
-  in
-  let* () =
-    match Json.member "name" j with
-    | Some (Json.Str _) -> Ok ()
-    | _ -> Error "name missing"
-  in
+  let* () = Json.expect_schema schema j in
+  let* _ = Json.str_field "name" j in
+  let* units = Json.list_field "units" j in
   let* units =
-    match Json.member "units" j with
-    | Some (Json.Arr us) ->
-        let rec go acc = function
-          | [] -> Ok (List.rev acc)
-          | Json.Str u :: tl -> (
-              match acc with
-              | last :: _ when last >= u -> Error "units not sorted"
-              | _ -> go (u :: acc) tl)
-          | _ -> Error "units must be strings"
-        in
-        go [] us
-    | _ -> Error "units missing"
+    Json.list_map
+      (fun u ->
+        Option.to_result ~none:"units must be strings" (Json.to_str_opt u))
+      units
   in
-  let* nodes =
-    match Json.member "nodes" j with
-    | Some (Json.Arr ns) -> Ok ns
-    | _ -> Error "nodes missing"
+  let* () =
+    let rec sorted = function
+      | a :: (b :: _ as tl) ->
+          if a >= b then Error "units not sorted" else sorted tl
+      | _ -> Ok ()
+    in
+    sorted units
   in
-  let* paths =
-    List.fold_left
-      (fun acc n ->
-        let* acc = acc in
-        let* p = validate_node units n in
-        Ok (p :: acc))
-      (Ok []) nodes
-  in
-  let paths = List.rev paths in
+  let* nodes = Json.list_field "nodes" j in
+  let* paths = Json.list_map (validate_node units) nodes in
   let* () =
     match paths with
     | [] -> Error "no nodes"
@@ -314,11 +286,10 @@ let validate j =
      before its children, and sibling subtrees appear in name order.
      Checking "parent already seen" catches both truncation and
      non-deterministic emission orders. *)
-  let* () =
-    let seen = Hashtbl.create 64 in
-    List.fold_left
-      (fun acc p ->
-        let* () = acc in
+  let seen = Hashtbl.create 64 in
+  let* _ =
+    Json.list_map
+      (fun p ->
         let* () =
           match parent_path p with
           | None -> Ok ()
@@ -327,15 +298,18 @@ let validate j =
               else Error ("node " ^ p ^ " appears before its parent")
         in
         if Hashtbl.mem seen p then Error ("duplicate node path " ^ p)
-        else begin
-          Hashtbl.replace seen p ();
-          Ok ()
-        end)
-      (Ok ()) paths
+        else Ok (Hashtbl.replace seen p ()))
+      paths
   in
   match Json.member "ledger" j with
   | Some l -> Ledger.validate l
   | None -> Ok ()
+
+let validate_run j =
+  let* () = Dgc_telemetry.Run_artifact.validate j in
+  match Dgc_telemetry.Run_artifact.profile_section j with
+  | None -> Ok ()
+  | Some p -> Result.map_error (( ^ ) "profile section: ") (validate p)
 
 (* ---- diff ------------------------------------------------------------- *)
 
@@ -356,27 +330,17 @@ type diff_report = {
 }
 
 let nodes_of_json j =
-  match Json.member "nodes" j with
-  | Some (Json.Arr ns) ->
-      List.fold_left
-        (fun acc n ->
-          let* acc = acc in
-          let* p = node_path n in
-          let work =
-            match Json.member "work" n with
-            | Some (Json.Obj fields) ->
-                List.filter_map
-                  (fun (k, v) ->
-                    match Json.to_int_opt v with
-                    | Some i -> Some (k, i)
-                    | None -> None)
-                  fields
-            | _ -> []
-          in
-          Ok ((p, work) :: acc))
-        (Ok []) ns
-      |> Result.map List.rev
-  | _ -> Error "nodes missing"
+  let* nodes = Json.list_field "nodes" j in
+  Json.list_map
+    (fun n ->
+      let* p = node_path n in
+      let work =
+        Option.value ~default:[] (Json.opt_field "work" Json.to_obj_opt n)
+        |> List.filter_map (fun (k, v) ->
+               Option.map (fun i -> (k, i)) (Json.to_int_opt v))
+      in
+      Ok (p, work))
+    nodes
 
 (* Top-level phase of a path: the segment right under the root —
    "all;deliver;move" -> "deliver"; root self-work stays under "all". *)

@@ -69,9 +69,15 @@ val to_json :
     is bit-reproducible across machines: equal for same-seed runs. *)
 
 val validate : Json.t -> (unit, string) result
-(** Schema/shape check used by [bench/schema_check.ml]: declared
-    units, sorted work maps, parents-before-children pre-order, no
-    duplicate paths, ledger shape. *)
+(** The [dgc.profile/1] decoder: declared units, sorted work maps,
+    parents-before-children pre-order, no duplicate paths, ledger
+    shape. *)
+
+val validate_run : Json.t -> (unit, string) result
+(** The [dgc.run/1] decoder with the profile section checked in full:
+    {!Dgc_telemetry.Run_artifact.validate} (which lies below this
+    library and checks only that section's tag), then {!validate} on
+    the ["profile"] section when there is one. *)
 
 (** {1 Diff} *)
 

@@ -1,11 +1,8 @@
 open Dgc_simcore
 
-type check_level = Check_off | Check_final | Check_step
+type check_level = Check_off | Check_step
 
-let check_level_name = function
-  | Check_off -> "off"
-  | Check_final -> "final"
-  | Check_step -> "step"
+let check_level_name = function Check_off -> "off" | Check_step -> "step"
 
 type t = {
   n_sites : int;
@@ -32,7 +29,6 @@ type t = {
   oracle_checks : bool;
   check_level : check_level;
   sanitize : bool;
-  journal_capacity : int;
   flight_capacity : int;
   profile : bool;
       (** attach the deterministic sim-cost profiler; draws no
@@ -63,9 +59,8 @@ let default =
     enable_clean_rule = true;
     enable_timeouts = true;
     oracle_checks = true;
-    check_level = Check_final;
+    check_level = Check_off;
     sanitize = false;
-    journal_capacity = 2048;
     flight_capacity = 32768;
     profile = false;
   }

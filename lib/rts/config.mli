@@ -10,11 +10,10 @@
 open Dgc_simcore
 
 type check_level =
-  | Check_off  (** no invariant checking anywhere *)
-  | Check_final
-      (** invariants checked at explicit checkpoints only (e.g.
-          [Sim.check], scenario ends, [dgc_check] runs) — the
-          pre-existing behaviour *)
+  | Check_off
+      (** no checking during the run; the invariants are checked only
+          where a caller asks ([Sim.check], scenario ends, [dgc_check]
+          runs) *)
   | Check_step
       (** sanitizer mode: the full §6.1 per-step invariant battery runs
           after {e every} engine event; a violation raises
@@ -97,9 +96,6 @@ type t = {
           event-identical. The layers that can see
           [lib/sanitize] (campaigns, the explorer SUTs, the CLI) read
           this flag to decide whether to install the detectors *)
-  journal_capacity : int;
-      (** ring-buffer size of the journal the CLI attaches by default
-          ({!Journal.create}'s [capacity]) *)
   flight_capacity : int;
       (** bytes per site for the always-on flight recorder's binary
           rings ([Sim.make] attaches one when positive; [0] disables

@@ -325,64 +325,36 @@ let to_json d =
     ]
 
 let of_json j =
-  let ( let* ) r f = Result.bind r f in
-  let str_field obj k =
-    match Option.bind (Json.member k obj) Json.to_str_opt with
-    | Some s -> Ok s
-    | None -> Error (Printf.sprintf "flight: missing string %S" k)
-  in
-  let int_field obj k =
-    match Json.member k obj with
-    | Some (Json.Int i) -> Ok i
-    | _ -> Error (Printf.sprintf "flight: missing integer %S" k)
-  in
-  let* s = str_field j "schema" in
-  let* () =
-    if s = schema then Ok ()
-    else Error (Printf.sprintf "flight: schema %S, expected %S" s schema)
-  in
-  let* d_reason = str_field j "reason" in
-  let* d_at =
-    match Option.bind (Json.member "at" j) Json.to_float_opt with
-    | Some f -> Ok f
-    | None -> Error "flight: missing numeric \"at\""
-  in
-  let* d_capacity = int_field j "capacity" in
-  let* strings =
-    match Json.member "strings" j with
-    | Some (Json.Arr l) ->
-        List.fold_left
-          (fun acc s ->
-            let* acc = acc in
-            match Json.to_str_opt s with
-            | Some s -> Ok (s :: acc)
-            | None -> Error "flight: non-string intern entry")
-          (Ok []) l
-        |> Result.map (fun l -> Array.of_list (List.rev l))
-    | _ -> Error "flight: missing \"strings\" array"
-  in
-  let* rings =
-    match Json.member "rings" j with
-    | Some (Json.Arr l) -> Ok l
-    | _ -> Error "flight: missing \"rings\" array"
-  in
-  let* d_rings =
-    List.fold_left
-      (fun acc rj ->
-        let* acc = acc in
-        let* rd_site = int_field rj "site" in
-        let* rd_written = int_field rj "written" in
-        let* rd_evicted = int_field rj "evicted" in
-        let* hex = str_field rj "data" in
-        let* rd_data = string_of_hex hex in
-        (* Canonical hex only: re-serialization must be byte-identical. *)
-        let* () =
-          if hex_of_string rd_data = hex then Ok ()
-          else Error "flight: non-canonical hex"
-        in
-        let* _ = decode_frames ~strings rd_data in
-        Ok ({ rd_site; rd_written; rd_evicted; rd_data } :: acc))
-      (Ok []) rings
-    |> Result.map List.rev
-  in
-  Ok { d_reason; d_at; d_capacity; d_strings = strings; d_rings }
+  let ( let* ) = Result.bind in
+  Result.map_error (( ^ ) "flight: ")
+    (let* () = Json.expect_schema schema j in
+     let* d_reason = Json.str_field "reason" j in
+     let* d_at = Json.float_field "at" j in
+     let* d_capacity = Json.int_field "capacity" j in
+     let* strings = Json.list_field "strings" j in
+     let* strings =
+       Json.list_map
+         (fun s ->
+           Option.to_result ~none:"non-string intern entry" (Json.to_str_opt s))
+         strings
+     in
+     let strings = Array.of_list strings in
+     let* rings = Json.list_field "rings" j in
+     let* d_rings =
+       Json.list_map
+         (fun rj ->
+           let* rd_site = Json.int_field "site" rj in
+           let* rd_written = Json.int_field "written" rj in
+           let* rd_evicted = Json.int_field "evicted" rj in
+           let* hex = Json.str_field "data" rj in
+           let* rd_data = string_of_hex hex in
+           (* Canonical hex only: re-serialization must be byte-identical. *)
+           let* () =
+             if hex_of_string rd_data = hex then Ok ()
+             else Error "non-canonical hex"
+           in
+           let* _ = decode_frames ~strings rd_data in
+           Ok { rd_site; rd_written; rd_evicted; rd_data })
+         rings
+     in
+     Ok { d_reason; d_at; d_capacity; d_strings = strings; d_rings })

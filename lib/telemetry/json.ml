@@ -249,3 +249,53 @@ let to_float_opt = function
 
 let to_str_opt = function Str s -> Some s | _ -> None
 let to_list_opt = function Arr l -> Some l | _ -> None
+let to_obj_opt = function Obj fields -> Some fields | _ -> None
+
+(* --- decoding ---------------------------------------------------------- *)
+
+let ( let* ) = Result.bind
+
+let field k j =
+  match member k j with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "missing field %S" k)
+
+let typed what conv k j =
+  let* v = field k j in
+  match conv v with
+  | Some x -> Ok x
+  | None -> Error (Printf.sprintf "field %S: expected %s" k what)
+
+let int_field = typed "an integer" to_int_opt
+let float_field = typed "a number" to_float_opt
+let str_field = typed "a string" to_str_opt
+let list_field = typed "an array" to_list_opt
+let obj_field = typed "an object" to_obj_opt
+let opt_field k conv j = Option.bind (member k j) conv
+
+let list_map f l =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | x :: tl -> (
+        match f x with Ok y -> go (y :: acc) tl | Error _ as e -> e)
+  in
+  go [] l
+
+let schema j = opt_field "schema" to_str_opt j
+
+let expect_schema want j =
+  let* s = str_field "schema" j in
+  if String.equal s want then Ok ()
+  else Error (Printf.sprintf "schema %S, expected %S" s want)
+
+(* --- files ------------------------------------------------------------- *)
+
+let write_file ~path j =
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc (to_string j);
+      Out_channel.output_char oc '\n')
+
+let read_file ~path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | text -> parse text
+  | exception Sys_error e -> Error e

@@ -38,118 +38,63 @@ let audit_section j = Json.member "audit" j
 let series_section j = Json.member "series" j
 let profile_section j = Json.member "profile" j
 
+let ( let* ) = Result.bind
+
+let in_section name r = Result.map_error (fun e -> name ^ " section: " ^ e) r
+
+(* Sections written by libraries above this one carry their own tag;
+   their full decoders live there ([Dgc_profile.Profile.validate] for
+   "profile"), so only the tag is checked here. *)
+let tagged_section name tag j =
+  match Json.member name j with
+  | None -> Ok ()
+  | Some sec -> in_section name (Json.expect_schema tag sec)
+
 let validate ?(require_hists = []) ?(require_counter_prefixes = []) j =
-  let ( let* ) r f = Result.bind r f in
-  let str_field k =
-    match Option.bind (Json.member k j) Json.to_str_opt with
-    | Some s -> Ok s
-    | None -> Error (Printf.sprintf "missing string field %S" k)
+  let* () = Json.expect_schema schema j in
+  let* _ = Json.str_field "name" j in
+  let* _ = Json.float_field "sim_seconds" j in
+  let* counters = Json.obj_field "counters" j in
+  let* _ =
+    Json.list_map
+      (fun (k, v) ->
+        Option.to_result
+          ~none:(Printf.sprintf "counter %S is not an integer" k)
+          (Json.to_int_opt v))
+      counters
   in
-  let* s = str_field "schema" in
-  let* _ = str_field "name" in
-  let* () =
-    if s = schema then Ok ()
-    else Error (Printf.sprintf "schema %S, expected %S" s schema)
-  in
-  let* () =
-    match Option.bind (Json.member "sim_seconds" j) Json.to_float_opt with
-    | Some _ -> Ok ()
-    | None -> Error "missing numeric field \"sim_seconds\""
-  in
-  let* counters =
-    match Json.member "counters" j with
-    | Some (Json.Obj fields) -> Ok fields
-    | _ -> Error "missing object field \"counters\""
-  in
-  let* () =
-    List.fold_left
-      (fun acc (k, v) ->
-        let* () = acc in
-        match v with
-        | Json.Int _ -> Ok ()
-        | _ -> Error (Printf.sprintf "counter %S is not an integer" k))
-      (Ok ()) counters
-  in
-  let* hists =
-    match Json.member "histograms" j with
-    | Some (Json.Obj fields) -> Ok fields
-    | _ -> Error "missing object field \"histograms\""
-  in
-  let* () =
-    List.fold_left
-      (fun acc (k, v) ->
-        let* () = acc in
-        List.fold_left
-          (fun acc field ->
-            let* () = acc in
-            match Option.bind (Json.member field v) Json.to_float_opt with
-            | Some _ -> Ok ()
-            | None ->
-                Error (Printf.sprintf "histogram %S missing %S" k field))
-          (Ok ())
+  let* hists = Json.obj_field "histograms" j in
+  let* _ =
+    Json.list_map
+      (fun (k, h) ->
+        Json.list_map
+          (fun f ->
+            Result.map_error
+              (Printf.sprintf "histogram %S: %s" k)
+              (Json.float_field f h))
           [ "n"; "sum"; "min"; "max"; "p50"; "p95"; "p99" ])
-      (Ok ()) hists
+      hists
   in
-  let* () =
-    List.fold_left
-      (fun acc name ->
-        let* () = acc in
+  let* _ =
+    Json.list_map
+      (fun name ->
         if List.mem_assoc name hists then Ok ()
         else Error (Printf.sprintf "required histogram %S missing" name))
-      (Ok ()) require_hists
+      require_hists
   in
-  let* () =
-    match Json.member "audit" j with
-    | None -> Ok ()
-    | Some a -> (
-        match Option.bind (Json.member "schema" a) Json.to_str_opt with
-        | Some "dgc.audit/1" -> Ok ()
-        | Some s -> Error (Printf.sprintf "audit schema %S, expected \"dgc.audit/1\"" s)
-        | None -> Error "audit section missing its schema field")
-  in
+  let* () = tagged_section "audit" "dgc.audit/1" j in
   let* () =
     match Json.member "series" j with
     | None -> Ok ()
-    | Some s -> (
-        match Series.validate s with
-        | Ok () -> Ok ()
-        | Error e -> Error ("series section: " ^ e))
+    | Some s -> in_section "series" (Series.validate s)
   in
-  (* Lightweight check only: full [dgc.profile/1] validation lives in
-     [Dgc_profile.Profile.validate] (telemetry sits below lib/profile
-     in the dependency order, so it can't call it). *)
-  let* () =
-    match Json.member "profile" j with
-    | None -> Ok ()
-    | Some p -> (
-        match Option.bind (Json.member "schema" p) Json.to_str_opt with
-        | Some "dgc.profile/1" -> Ok ()
-        | Some s ->
-            Error
-              (Printf.sprintf "profile schema %S, expected \"dgc.profile/1\"" s)
-        | None -> Error "profile section missing its schema field")
+  let* () = tagged_section "profile" "dgc.profile/1" j in
+  let* _ =
+    Json.list_map
+      (fun prefix ->
+        if List.exists (fun (k, _) -> String.starts_with ~prefix k) counters
+        then Ok ()
+        else Error (Printf.sprintf "no counter under prefix %S" prefix))
+      require_counter_prefixes
   in
-  List.fold_left
-    (fun acc prefix ->
-      let* () = acc in
-      let has =
-        List.exists
-          (fun (k, _) ->
-            String.length k >= String.length prefix
-            && String.sub k 0 (String.length prefix) = prefix)
-          counters
-      in
-      if has then Ok ()
-      else Error (Printf.sprintf "no counter under prefix %S" prefix))
-    (Ok ()) require_counter_prefixes
-
-let write ~path j =
-  let oc = open_out path in
-  output_string oc (Json.to_string j);
-  output_char oc '\n';
-  close_out oc
-
-let read ~path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | text -> Json.parse text
-  | exception Sys_error e -> Error e
+  Ok ()

@@ -50,8 +50,3 @@ val validate :
     must pass {!Series.validate}; a ["profile"] section must carry the
     ["dgc.profile/1"] schema tag (full validation is the profile
     library's job). *)
-
-val write : path:string -> Json.t -> unit
-
-val read : path:string -> (Json.t, string) result
-(** Parse errors and I/O errors both land in [Error]. *)

@@ -168,64 +168,45 @@ let to_json t =
   Json.Obj [ ("window", Json.Float t.win); ("series", Json.Obj series) ]
 
 let validate j =
-  let ( let* ) r f = Result.bind r f in
+  let ( let* ) = Result.bind in
+  let* window = Json.float_field "window" j in
   let* () =
-    match Option.bind (Json.member "window" j) Json.to_float_opt with
-    | Some w when w > 0. -> Ok ()
-    | Some _ -> Error "series window must be positive"
-    | None -> Error "series missing numeric \"window\""
+    if window > 0. then Ok () else Error "series window must be positive"
   in
-  let* fields =
-    match Json.member "series" j with
-    | Some (Json.Obj fields) -> Ok fields
-    | _ -> Error "series missing object \"series\""
+  let* fields = Json.obj_field "series" j in
+  let* _ =
+    Json.list_map
+      (fun (name, s) ->
+        Result.map_error (Printf.sprintf "series %S: %s" name)
+          (let* kind = Json.str_field "kind" s in
+           let* () =
+             if kind = "counter" || kind = "gauge" then Ok ()
+             else Error "bad kind"
+           in
+           let* _ =
+             Json.list_map
+               (fun f -> Json.float_field f s)
+               [ "max"; "last"; "total" ]
+           in
+           let* n = Json.int_field "n" s in
+           let* pts = Json.list_field "points" s in
+           let* () =
+             if List.length pts = n then Ok ()
+             else
+               Error
+                 (Printf.sprintf "n=%d but %d points" n (List.length pts))
+           in
+           Json.list_map
+             (function
+               | Json.Arr [ a; b ]
+                 when Json.to_float_opt a <> None
+                      && Json.to_float_opt b <> None ->
+                   Ok ()
+               | _ -> Error "malformed point")
+             pts))
+      fields
   in
-  List.fold_left
-    (fun acc (name, s) ->
-      let* () = acc in
-      let* () =
-        match Option.bind (Json.member "kind" s) Json.to_str_opt with
-        | Some ("counter" | "gauge") -> Ok ()
-        | _ -> Error (Printf.sprintf "series %S: bad kind" name)
-      in
-      let* () =
-        List.fold_left
-          (fun acc f ->
-            let* () = acc in
-            match Option.bind (Json.member f s) Json.to_float_opt with
-            | Some _ -> Ok ()
-            | None ->
-                Error (Printf.sprintf "series %S: missing numeric %S" name f))
-          (Ok ())
-          [ "max"; "last"; "total" ]
-      in
-      let* n =
-        match Option.bind (Json.member "n" s) Json.to_int_opt with
-        | Some n -> Ok n
-        | None -> Error (Printf.sprintf "series %S: missing integer n" name)
-      in
-      let* pts =
-        match Json.member "points" s with
-        | Some (Json.Arr pts) -> Ok pts
-        | _ -> Error (Printf.sprintf "series %S: missing points array" name)
-      in
-      let* () =
-        if List.length pts = n then Ok ()
-        else
-          Error
-            (Printf.sprintf "series %S: n=%d but %d points" name n
-               (List.length pts))
-      in
-      List.fold_left
-        (fun acc p ->
-          let* () = acc in
-          match p with
-          | Json.Arr [ a; b ]
-            when Json.to_float_opt a <> None && Json.to_float_opt b <> None ->
-              Ok ()
-          | _ -> Error (Printf.sprintf "series %S: malformed point" name))
-        (Ok ()) pts)
-    (Ok ()) fields
+  Ok ()
 
 (* Strict text-exposition label escaping: exactly backslash, double
    quote, and newline are escaped; everything else passes through

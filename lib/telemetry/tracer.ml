@@ -117,35 +117,24 @@ let span_to_json sp =
     ]
 
 let span_of_json j =
-  let req what = function
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "span missing %s" what)
-  in
-  let ( let* ) r f = Result.bind r f in
-  let* id = req "id" (Option.bind (Json.member "id" j) Json.to_int_opt) in
-  let parent =
-    match Json.member "parent" j with
-    | Some (Json.Int p) -> Some p
-    | _ -> None
-  in
-  let* trace =
-    req "trace" (Option.bind (Json.member "trace" j) Json.to_str_opt)
-  in
-  let* name = req "name" (Option.bind (Json.member "name" j) Json.to_str_opt) in
-  let* site = req "site" (Option.bind (Json.member "site" j) Json.to_int_opt) in
-  let* start =
-    req "start" (Option.bind (Json.member "start" j) Json.to_float_opt)
-  in
-  let finish =
-    match Json.member "end" j with
-    | Some (Json.Float e) -> Some e
-    | Some (Json.Int e) -> Some (float_of_int e)
-    | _ -> None
-  in
-  let attrs =
-    match Json.member "attrs" j with Some (Json.Obj a) -> a | _ -> []
-  in
-  Ok { id; parent; trace; name; site; start; finish; attrs }
+  let ( let* ) = Result.bind in
+  let* id = Json.int_field "id" j in
+  let* trace = Json.str_field "trace" j in
+  let* name = Json.str_field "name" j in
+  let* site = Json.int_field "site" j in
+  let* start = Json.float_field "start" j in
+  Ok
+    {
+      id;
+      parent = Json.opt_field "parent" Json.to_int_opt j;
+      trace;
+      name;
+      site;
+      start;
+      finish = Json.opt_field "end" Json.to_float_opt j;
+      attrs =
+        Option.value ~default:[] (Json.opt_field "attrs" Json.to_obj_opt j);
+    }
 
 let to_jsonl t =
   let b = Buffer.create 4096 in
@@ -157,21 +146,9 @@ let to_jsonl t =
   Buffer.contents b
 
 let spans_of_jsonl text =
-  let lines =
-    String.split_on_char '\n' text
-    |> List.filter (fun l -> String.trim l <> "")
-  in
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest -> (
-        match Json.parse line with
-        | Error e -> Error e
-        | Ok j -> (
-            match span_of_json j with
-            | Error e -> Error e
-            | Ok sp -> go (sp :: acc) rest))
-  in
-  go [] lines
+  String.split_on_char '\n' text
+  |> List.filter (fun l -> String.trim l <> "")
+  |> Json.list_map (fun line -> Result.bind (Json.parse line) span_of_json)
 
 (* --- Chrome trace-event format ---------------------------------------- *)
 
@@ -314,11 +291,3 @@ let to_chrome ?(counters = []) t =
             ("aborted_spans", Json.Int t.aborted);
           ] );
     ]
-
-let write_file path text =
-  let oc = open_out path in
-  output_string oc text;
-  close_out oc
-
-let write_jsonl t ~path = write_file path (to_jsonl t)
-let write_chrome t ~path = write_file path (Json.to_string (to_chrome t))

@@ -110,6 +110,3 @@ val to_chrome : ?counters:Json.t list -> t -> Json.t
     run on a different site. [counters] appends extra trace events —
     [Series.chrome_counters] produces Perfetto counter tracks in the
     right shape. *)
-
-val write_jsonl : t -> path:string -> unit
-val write_chrome : t -> path:string -> unit

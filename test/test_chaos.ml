@@ -51,7 +51,7 @@ let all_kinds_plan =
 let plan_str p = Json.to_string (Plan.to_json p)
 
 let test_plan_roundtrip () =
-  match Plan.of_string (plan_str all_kinds_plan) with
+  match Result.bind (Json.parse (plan_str all_kinds_plan)) Plan.of_json with
   | Error e -> Alcotest.fail e
   | Ok p ->
       Alcotest.(check string) "round-trip is the identity"
@@ -63,14 +63,14 @@ let test_random_plan_roundtrip () =
     let rng = Rng.create ~seed in
     let p = Plan.random ~rng ~sites:4 ~horizon_ms:60_000. ~events:6 in
     Alcotest.(check int) "requested size" 6 (Plan.length p);
-    match Plan.of_string (plan_str p) with
+    match Result.bind (Json.parse (plan_str p)) Plan.of_json with
     | Error e -> Alcotest.fail e
     | Ok p' -> Alcotest.(check string) "round-trip" (plan_str p) (plan_str p')
   done
 
 let test_plan_rejects_garbage () =
   let bad label text =
-    match Plan.of_string text with
+    match Result.bind (Json.parse text) Plan.of_json with
     | Error _ -> ()
     | Ok _ -> Alcotest.failf "%s: accepted" label
   in
@@ -457,6 +457,9 @@ let corpus_dir () =
   | Some d -> d
   | None -> Alcotest.fail "corpus directory not found"
 
+let load_corpus_file dir f =
+  Result.bind (Json.read_file ~path:(Filename.concat dir f)) Finput.of_json
+
 let corpus_files dir =
   Sys.readdir dir |> Array.to_list
   |> List.filter (fun f -> Filename.check_suffix f ".json")
@@ -553,7 +556,7 @@ let test_corpus_replays_clean () =
     plan_artifact_digests;
   List.iter
     (fun f ->
-      match Finput.load ~path:(Filename.concat dir f) with
+      match load_corpus_file dir f with
       | Error e -> Alcotest.failf "%s: %s" f e
       | Ok (Finput.Plan_input p, meta) -> replay_plan_case f p meta
       | Ok (Finput.Schedule_input s, meta) -> replay_sched_case f s meta)
@@ -609,7 +612,7 @@ let span_stream ?tweak case =
 let test_span_stream_pinned () =
   let dir = corpus_dir () in
   let plan f =
-    match Finput.load ~path:(Filename.concat dir f) with
+    match load_corpus_file dir f with
     | Ok (Finput.Plan_input p, meta) ->
         ( Finput.case_of_plan ~name:(Filename.remove_extension f) p,
           Finput.tweak_all meta.Finput.m_tweaks )

@@ -198,6 +198,8 @@ let prop_sched_mutations_valid =
       done;
       !ok)
 
+let load path = Result.bind (Json.read_file ~path) Input.of_json
+
 let test_save_load_meta () =
   let rng = Rng.create ~seed:9 in
   let input = Mutate.random_plan ~rng ~workload:"fig2" ~sites ~horizon_ms ~events:2 in
@@ -212,8 +214,8 @@ let test_save_load_meta () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Input.save ~path ~meta input;
-      match Input.load ~path with
+      Json.write_file ~path (Input.to_json ~meta input);
+      match load path with
       | Error e -> Alcotest.failf "reload: %s" e
       | Ok (input', meta') ->
           Alcotest.(check string)
@@ -224,6 +226,25 @@ let test_save_load_meta () =
             "expect survives" meta.Input.m_expect meta'.Input.m_expect;
           Alcotest.(check (list string))
             "tweaks survive" meta.Input.m_tweaks meta'.Input.m_tweaks)
+
+(* A tweak outside the vocabulary is a decode error, not an
+   [Invalid_argument] when a replay first applies it. *)
+let test_unknown_tweak_rejected () =
+  let doc tweak =
+    Printf.sprintf
+      {|{"schema":"dgc.plan/1","workload":"fig2","tweak":["%s"],"events":[]}|}
+      tweak
+  in
+  let decode t = Input.of_json (Result.get_ok (Json.parse (doc t))) in
+  Alcotest.(check bool)
+    "known tweak decodes" true
+    (Result.is_ok (decode "sanitize"));
+  match decode "sanitise" with
+  | Ok _ -> Alcotest.fail "misspelt tweak \"sanitise\" decoded"
+  | Error e ->
+      Alcotest.(check bool)
+        ("error names the tweak: " ^ e) true
+        (String.ends_with ~suffix:"\"sanitise\"" e)
 
 (* --- the determinism pin (satellite: coverage-curve stability) ----------- *)
 
@@ -237,7 +258,10 @@ let det_opts () =
     |> List.filter (fun f ->
            String.length f >= 5 && String.sub f 0 5 = "fuzz_")
     |> List.sort compare
-    |> List.map (Filename.concat "corpus")
+    |> List.map (fun f ->
+           match load (Filename.concat "corpus" f) with
+           | Ok (input, _) -> input
+           | Error e -> Alcotest.failf "%s: %s" f e)
   in
   {
     Fuzzer.default_opts with
@@ -290,6 +314,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_plan_mutations_valid;
           QCheck_alcotest.to_alcotest prop_sched_mutations_valid;
           Alcotest.test_case "save/load with meta" `Quick test_save_load_meta;
+          Alcotest.test_case "unknown tweak rejected at decode" `Quick
+            test_unknown_tweak_rejected;
         ] );
       ( "determinism",
         [
