@@ -452,25 +452,23 @@ let audit_one ~fault ~rounds ~sanitize name =
   let eng = sim.Sim.eng in
   attach_journal eng;
   Engine.attach_tracer eng (Tracer.create ());
-  let wd = Obs.Watchdog.attach sim.Sim.col in
-  if sanitize then begin
-    let san = Dgc_sanitize.Sanitizer.install eng in
-    Dgc_sanitize.Sanitizer.set_shared san (Collector.back sim.Sim.col);
-    Obs.Watchdog.set_leak_probe wd (Dgc_sanitize.Sanitizer.leak_verdict san)
-  end;
+  let san =
+    if sanitize then begin
+      let san = Dgc_sanitize.Sanitizer.install eng in
+      Dgc_sanitize.Sanitizer.set_shared san (Collector.back sim.Sim.col);
+      Some san
+    end
+    else None
+  in
   inject_fault sim fault;
   Sim.start sim;
   Sim.run_rounds sim rounds;
-  ignore (Obs.Watchdog.check_now wd);
+  (* dgc-san journals a lost-trace proof when it proves one; the audit
+     reads the journal, so its Trace_incomplete verdicts cite it. *)
+  Option.iter (fun san -> ignore (Dgc_sanitize.Sanitizer.check_leaks san)) san;
   let report = Obs.Audit.run sim.Sim.col in
   say "---- %s -------------------------------------------------------" name;
   say "%a" Obs.Audit.pp report;
-  (match Obs.Watchdog.alert_counts wd with
-  | [] -> ()
-  | counts ->
-      say "watchdog: %s"
-        (String.concat ", "
-           (List.map (fun (k, n) -> Printf.sprintf "%s=%d" k n) counts)));
   (name, report)
 
 let run_audit scenarios fault rounds strict sanitize out =
@@ -537,7 +535,7 @@ let run_inspect scenario rounds out =
 
 (* --- profile subcommand: the lib/profile cost profiler ------------------ *)
 
-let run_profile scenario rounds out folded speedscope unit_ =
+let run_profile scenario rounds out folded unit_ =
   let cfg = { scenario_cfg with Config.profile = true } in
   let sim = scenario_sim ~cfg scenario in
   let eng = sim.Sim.eng in
@@ -563,11 +561,6 @@ let run_profile scenario rounds out folded speedscope unit_ =
           say "wrote folded stacks to %s (render: flamegraph.pl %s > prof.svg)"
             path path)
         folded;
-      Option.iter
-        (fun path ->
-          Json.write_file ~path (Prof.to_speedscope ?unit_ ~name p);
-          say "wrote speedscope profile to %s (open at speedscope.app)" path)
-        speedscope;
       let r = Ledg.rollup ledger in
       say
         "ledger: %d traces (%d garbage, %d live), %d msgs, %d bytes, %d frames"
@@ -579,29 +572,12 @@ let run_profile scenario rounds out folded speedscope unit_ =
           (float_of_int r.Ledg.r_bytes_per_cycle_milli /. 1000.);
       (match valid with Ok () -> 0 | Error _ -> 1)
 
-let run_profile_diff base fresh tol =
-  match (Json.read_file ~path:base, Json.read_file ~path:fresh) with
-  | Error e, _ ->
-      say "cannot read %s: %s" base e;
-      2
-  | _, Error e ->
-      say "cannot read %s: %s" fresh e;
-      2
-  | Ok b, Ok f -> (
-      match Prof.diff ~share_tolerance:tol b f with
-      | Error e ->
-          say "diff: %s" e;
-          2
-      | Ok report ->
-          say "%a" Prof.pp_diff report;
-          if report.Prof.df_regressed then 1 else 0)
-
 let profile_cmd =
   let doc =
     "run a figure scenario with the deterministic sim-cost profiler \
      attached and export the $(b,dgc.profile/1) artifact (work units per \
-     phase scope, per-back-trace cost ledger), flamegraph.pl folded \
-     stacks, and speedscope JSON; $(b,profile diff) compares two artifacts"
+     phase scope, per-back-trace cost ledger) and flamegraph.pl folded \
+     stacks"
   in
   let scenario =
     Arg.(
@@ -626,16 +602,8 @@ let profile_cmd =
       & info [ "folded" ]
           ~doc:
             "Write flamegraph.pl-compatible folded stacks here (render with \
-             $(b,flamegraph.pl FILE > prof.svg)).")
-  in
-  let speedscope =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "speedscope" ]
-          ~doc:
-            "Write a speedscope sampled-JSON profile here (open at \
-             speedscope.app).")
+             $(b,flamegraph.pl FILE > prof.svg), or import the file into \
+             any viewer that reads collapsed stacks).")
   in
   let unit_ =
     Arg.(
@@ -643,40 +611,12 @@ let profile_cmd =
       & opt (some string) None
       & info [ "unit" ]
           ~doc:
-            "Weight folded/speedscope output by this work unit (e.g. \
+            "Weight the folded stacks by this work unit (e.g. \
              $(b,events), $(b,visits), $(b,bytes_sent)); default is the sum \
              over all units.")
   in
-  let run_t =
-    Term.(
-      const run_profile $ scenario $ rounds $ out $ folded $ speedscope
-      $ unit_)
-  in
-  let diff_cmd =
-    let base =
-      Arg.(required & pos 0 (some string) None & info [] ~docv:"BASE")
-    in
-    let fresh =
-      Arg.(required & pos 1 (some string) None & info [] ~docv:"FRESH")
-    in
-    let tol =
-      Arg.(
-        value
-        & opt float 0.10
-        & info [ "share-tolerance" ]
-            ~doc:
-              "Largest tolerated drift in any top-level phase's share of a \
-               work unit's total before the exit status reports a \
-               regression.")
-    in
-    Cmd.v
-      (Cmd.info "diff"
-         ~doc:
-           "compare two dgc.profile/1 artifacts: per-node work deltas plus \
-            a top-level phase-share regression verdict")
-      Term.(const run_profile_diff $ base $ fresh $ tol)
-  in
-  Cmd.group ~default:run_t (Cmd.info "profile" ~doc) [ diff_cmd ]
+  Cmd.v (Cmd.info "profile" ~doc)
+    Term.(const run_profile $ scenario $ rounds $ out $ folded $ unit_)
 
 (* --- chaos subcommand: fault-plan campaigns ----------------------------- *)
 
@@ -1172,10 +1112,9 @@ let audit_cmd =
       value & flag
       & info [ "sanitize" ]
           ~doc:
-            "Run dgc-san alongside the audit: the watchdog cites the leak \
-             detector's causal proof for stuck frames/traces instead of its \
-             age heuristic, and Trace_incomplete verdicts cite the \
-             sanitizer's journal evidence.")
+            "Run dgc-san alongside the audit: its lost-trace proofs go to \
+             the journal, and Trace_incomplete verdicts cite them as \
+             evidence.")
   in
   let out =
     Arg.(

@@ -59,10 +59,6 @@ let () =
     Churn.start sim ~rng:(Rng.create ~seed:56) ~agents:3
       ~mean_op_gap:(Sim_time.of_millis 300.)
   in
-  (* The watchdog rides the engine's step hook: stuck frames/traces,
-     starved thresholds and long-surviving garbage turn into journal
-     warnings, watchdog.* counters and the live alert feed below. *)
-  let wd = Obs.Watchdog.attach sim.Sim.col in
   Sim.start sim;
 
   let m = Engine.metrics eng in
@@ -76,8 +72,7 @@ let () =
       (Tracer.open_count tracer);
     pp_hist m "back.latency_ms";
     pp_hist m "back.frames_per_trace";
-    pp_hist m "trace.outset_memo_hit_rate";
-    say "%a" Obs.Watchdog.pp wd
+    pp_hist m "trace.outset_memo_hit_rate"
   done;
 
   say "";

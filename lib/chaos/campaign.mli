@@ -94,7 +94,7 @@ type probe = {
 }
 (** What a {!run_case} probe sees: the live engine (with the campaign's
     journal and tracer attached), its collector and the armed injector
-    — enough to subscribe coverage taps or a watchdog and poll
+    — enough to subscribe coverage taps or other observers and poll
     {!Inject.active_mask}. *)
 
 val run_case :

@@ -113,8 +113,8 @@ type frame_info = {
 
 val open_frames : shared -> Site_id.t -> frame_info list
 (** Still-open activation frames at a site, oldest first. The state
-    inspector dumps these; the watchdog flags ones open beyond a
-    multiple of the §4.7 timeout. *)
+    inspector dumps these, and dgc-san's lost-trace proof names the
+    unanswered calls they still wait on. *)
 
 type residue = { rs_frames : int; rs_memo : int; rs_visited : int }
 (** Per-site footprint a trace still occupies: open activation frames,

@@ -112,12 +112,9 @@ let meta_of_json doc =
                 | None -> Error "field \"tweak\": expected string entries")
               l)
   in
-  Ok
-    {
-      m_expect = Json.opt_field "expect" Json.to_str_opt doc;
-      m_tweaks = tweaks;
-      m_comment = Json.opt_field "comment" Json.to_str_opt doc;
-    }
+  let* expect = Json.opt_field Json.str_field "expect" doc in
+  let* comment = Json.opt_field Json.str_field "comment" doc in
+  Ok { m_expect = expect; m_tweaks = tweaks; m_comment = comment }
 
 let deviation_of_json d =
   match Json.to_list_opt d with
@@ -134,30 +131,26 @@ let of_json doc =
       let* schedule = Json.list_field "schedule" doc in
       let* schedule = Json.list_map deviation_of_json schedule in
       let* sut = Json.str_field "sut" doc in
+      let* max_steps = Json.opt_field Json.int_field "max_steps" doc in
       Ok
         ( Schedule_input
             {
               si_sut = sut;
-              si_max_steps =
-                Option.value ~default:400
-                  (Json.opt_field "max_steps" Json.to_int_opt doc);
+              si_max_steps = Option.value ~default:400 max_steps;
               si_schedule = schedule;
             },
           meta )
   | Some s when String.equal s Plan.schema ->
       let* plan = Plan.of_json doc in
+      let* workload = Json.opt_field Json.str_field "workload" doc in
+      let* seed = Json.opt_field Json.int_field "seed" doc in
+      let* horizon_ms = Json.opt_field Json.float_field "horizon_ms" doc in
       Ok
         ( Plan_input
             {
-              pi_workload =
-                Option.value ~default:"churn"
-                  (Json.opt_field "workload" Json.to_str_opt doc);
-              pi_seed =
-                Option.value ~default:1
-                  (Json.opt_field "seed" Json.to_int_opt doc);
-              pi_horizon_ms =
-                Option.value ~default:60_000.
-                  (Json.opt_field "horizon_ms" Json.to_float_opt doc);
+              pi_workload = Option.value ~default:"churn" workload;
+              pi_seed = Option.value ~default:1 seed;
+              pi_horizon_ms = Option.value ~default:60_000. horizon_ms;
               pi_plan = plan;
             },
           meta )

@@ -119,69 +119,6 @@ let to_folded ?unit_ t =
   in
   String.concat "\n" (List.rev lines) ^ "\n"
 
-(* speedscope "sampled" profile: one sample per node with self weight,
-   the sample's stack being the node's path. *)
-let to_speedscope ?unit_ ?(name = "dgc-profile") t =
-  let frame_ix = Hashtbl.create 32 in
-  let frames = ref [] in
-  let n_frames = ref 0 in
-  let frame fname =
-    match Hashtbl.find_opt frame_ix fname with
-    | Some i -> i
-    | None ->
-        let i = !n_frames in
-        Hashtbl.replace frame_ix fname i;
-        frames := fname :: !frames;
-        incr n_frames;
-        i
-  in
-  let samples, weights, total =
-    let rec go (samples, weights, total) stack n =
-      let stack = stack @ [ frame n.n_name ] in
-      let w = self_weight ?unit_ n in
-      let acc =
-        if w > 0 then
-          ( Json.Arr (List.map (fun i -> Json.Int i) stack) :: samples,
-            Json.Int w :: weights,
-            total + w )
-        else (samples, weights, total)
-      in
-      List.fold_left (fun acc c -> go acc stack c) acc (children_sorted n)
-    in
-    go ([], [], 0) [] t.p_root
-  in
-  Json.Obj
-    [
-      ( "$schema",
-        Json.Str "https://www.speedscope.app/file-format-schema.json" );
-      ( "shared",
-        Json.Obj
-          [
-            ( "frames",
-              Json.Arr
-                (List.rev_map
-                   (fun fname -> Json.Obj [ ("name", Json.Str fname) ])
-                   !frames) );
-          ] );
-      ( "profiles",
-        Json.Arr
-          [
-            Json.Obj
-              [
-                ("type", Json.Str "sampled");
-                ("name", Json.Str name);
-                ("unit", Json.Str "none");
-                ("startValue", Json.Int 0);
-                ("endValue", Json.Int total);
-                ("samples", Json.Arr (List.rev samples));
-                ("weights", Json.Arr (List.rev weights));
-              ];
-          ] );
-      ("name", Json.Str name);
-      ("activeProfileIndex", Json.Int 0);
-      ("exporter", Json.Str "dgc-sim profile");
-    ]
-
 (* The dgc.profile/1 artifact. Work-unit fields are deterministic
    (same seed => byte-identical); wall_ns is host time and excluded
    when [wall:false] — which is also how bit-reproducible artifacts
@@ -310,148 +247,3 @@ let validate_run j =
   match Dgc_telemetry.Run_artifact.profile_section j with
   | None -> Ok ()
   | Some p -> Result.map_error (( ^ ) "profile section: ") (validate p)
-
-(* ---- diff ------------------------------------------------------------- *)
-
-type delta = {
-  d_path : string;
-  d_unit : string;
-  d_base : int;
-  d_fresh : int;
-}
-
-type diff_report = {
-  df_deltas : delta list;  (** every path×unit whose count changed *)
-  df_shares : (string * string * float * float) list;
-      (** (top-level phase, unit, base share, fresh share) *)
-  df_max_share_drift : float;
-  df_share_tolerance : float;
-  df_regressed : bool;
-}
-
-let nodes_of_json j =
-  let* nodes = Json.list_field "nodes" j in
-  Json.list_map
-    (fun n ->
-      let* p = node_path n in
-      let work =
-        Option.value ~default:[] (Json.opt_field "work" Json.to_obj_opt n)
-        |> List.filter_map (fun (k, v) ->
-               Option.map (fun i -> (k, i)) (Json.to_int_opt v))
-      in
-      Ok (p, work))
-    nodes
-
-(* Top-level phase of a path: the segment right under the root —
-   "all;deliver;move" -> "deliver"; root self-work stays under "all". *)
-let top_phase p =
-  match String.index_opt p ';' with
-  | None -> p
-  | Some i -> (
-      let rest = String.sub p (i + 1) (String.length p - i - 1) in
-      match String.index_opt rest ';' with
-      | None -> rest
-      | Some k -> String.sub rest 0 k)
-
-let diff ?(share_tolerance = 0.10) base fresh =
-  let* bn = nodes_of_json base in
-  let* fn = nodes_of_json fresh in
-  let lookup nodes p u =
-    match List.assoc_opt p nodes with
-    | Some work -> ( match List.assoc_opt u work with Some v -> v | None -> 0)
-    | None -> 0
-  in
-  let keys =
-    List.concat_map (fun (p, work) -> List.map (fun (u, _) -> (p, u)) work)
-      (bn @ fn)
-    |> List.sort_uniq compare
-  in
-  let deltas =
-    List.filter_map
-      (fun (p, u) ->
-        let b = lookup bn p u and f = lookup fn p u in
-        if b <> f then Some { d_path = p; d_unit = u; d_base = b; d_fresh = f }
-        else None)
-      keys
-  in
-  (* Per-unit totals and per-phase totals over *all* nodes. *)
-  let totals nodes =
-    let phase_tbl = Hashtbl.create 16 and unit_tbl = Hashtbl.create 16 in
-    List.iter
-      (fun (p, work) ->
-        let phase = top_phase p in
-        List.iter
-          (fun (u, v) ->
-            let bump tbl k =
-              match Hashtbl.find_opt tbl k with
-              | Some r -> r := !r + v
-              | None -> Hashtbl.add tbl k (ref v)
-            in
-            bump phase_tbl (phase, u);
-            bump unit_tbl u)
-          work)
-      nodes;
-    (phase_tbl, unit_tbl)
-  in
-  let b_phase, b_unit = totals bn in
-  let f_phase, f_unit = totals fn in
-  let share tbl_phase tbl_unit phase u =
-    let num =
-      match Hashtbl.find_opt tbl_phase (phase, u) with
-      | Some r -> float_of_int !r
-      | None -> 0.
-    in
-    let den =
-      match Hashtbl.find_opt tbl_unit u with
-      | Some r -> float_of_int !r
-      | None -> 0.
-    in
-    if den <= 0. then 0. else num /. den
-  in
-  let phase_units =
-    let acc = Hashtbl.create 16 in
-    Hashtbl.iter (fun k _ -> Hashtbl.replace acc k ()) b_phase;
-    Hashtbl.iter (fun k _ -> Hashtbl.replace acc k ()) f_phase;
-    Hashtbl.fold (fun k () l -> k :: l) acc [] |> List.sort compare
-  in
-  let shares =
-    List.map
-      (fun (phase, u) ->
-        ( phase,
-          u,
-          share b_phase b_unit phase u,
-          share f_phase f_unit phase u ))
-      phase_units
-  in
-  let drift =
-    List.fold_left
-      (fun m (_, _, b, f) -> Float.max m (Float.abs (f -. b)))
-      0. shares
-  in
-  Ok
-    {
-      df_deltas = deltas;
-      df_shares = shares;
-      df_max_share_drift = drift;
-      df_share_tolerance = share_tolerance;
-      df_regressed = drift > share_tolerance;
-    }
-
-let pp_diff ppf r =
-  Format.fprintf ppf "@[<v>%d work-unit deltas" (List.length r.df_deltas);
-  List.iter
-    (fun d ->
-      Format.fprintf ppf "@,  %-48s %-16s %10d -> %-10d (%+d)" d.d_path d.d_unit
-        d.d_base d.d_fresh (d.d_fresh - d.d_base))
-    r.df_deltas;
-  Format.fprintf ppf "@,top-level phase shares (base -> fresh):";
-  List.iter
-    (fun (phase, u, b, f) ->
-      Format.fprintf ppf "@,  %-20s %-16s %6.2f%% -> %6.2f%% (drift %.2f%%)"
-        phase u (100. *. b) (100. *. f)
-        (100. *. Float.abs (f -. b)))
-    r.df_shares;
-  Format.fprintf ppf "@,max share drift %.2f%% vs tolerance %.2f%%: %s@]"
-    (100. *. r.df_max_share_drift)
-    (100. *. r.df_share_tolerance)
-    (if r.df_regressed then "REGRESSION" else "ok")

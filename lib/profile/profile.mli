@@ -12,12 +12,12 @@
     The profiler draws no randomness and schedules no events, so runs
     with it attached stay event-identical to runs without it.
 
-    Exports: flamegraph.pl folded stacks ({!to_folded}), speedscope
-    sampled JSON ({!to_speedscope}), and the [dgc.profile/1] artifact
-    ({!to_json}) with {!validate} and a per-node {!diff} carrying a
-    top-level phase-share regression verdict. The artifact also
-    renders the per-back-trace cost {!Ledger}, whose rows the collector
-    records. *)
+    Exports: folded stacks ({!to_folded}: the collapsed-stack format
+    that flamegraph.pl and other flame-graph viewers import) and the
+    [dgc.profile/1] artifact ({!to_json}) with {!validate}. The
+    artifact also renders the per-back-trace cost {!Ledger}, whose
+    rows the collector records. A change in the profile shows as a
+    byte difference in the pinned artifacts that embed it. *)
 
 module Json = Dgc_telemetry.Json
 
@@ -57,9 +57,6 @@ val to_folded : ?unit_:string -> t -> string
     weighted by [unit_]'s self-work per node, or the sum over all work
     units when omitted. Zero-weight nodes are skipped. *)
 
-val to_speedscope : ?unit_:string -> ?name:string -> t -> Json.t
-(** speedscope "sampled" profile over the same weights. *)
-
 val to_json :
   ?wall:bool -> ?name:string -> ?ledger:Ledger.row list -> t -> Json.t
 (** The [dgc.profile/1] artifact: pre-order nodes (children in name
@@ -78,30 +75,3 @@ val validate_run : Json.t -> (unit, string) result
     {!Dgc_telemetry.Run_artifact.validate} (which lies below this
     library and checks only that section's tag), then {!validate} on
     the ["profile"] section when there is one. *)
-
-(** {1 Diff} *)
-
-type delta = {
-  d_path : string;
-  d_unit : string;
-  d_base : int;
-  d_fresh : int;
-}
-
-type diff_report = {
-  df_deltas : delta list;  (** every path×unit whose count changed *)
-  df_shares : (string * string * float * float) list;
-      (** (top-level phase, unit, base share, fresh share) *)
-  df_max_share_drift : float;
-  df_share_tolerance : float;
-  df_regressed : bool;
-}
-
-val diff :
-  ?share_tolerance:float -> Json.t -> Json.t -> (diff_report, string) result
-(** Per-node work deltas between two [dgc.profile/1] documents plus a
-    regression verdict: the largest absolute drift in any top-level
-    phase's share of a work unit's total, against [share_tolerance]
-    (default 0.10). *)
-
-val pp_diff : Format.formatter -> diff_report -> unit

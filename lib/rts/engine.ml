@@ -491,8 +491,8 @@ and deliver t ~src ~dst ~id payload =
 
 (* A parked Move or Move_ack stalls the §6.1.2 insert barrier: the
    sender keeps its pins until the ack lands, which can starve mutators
-   for the whole partition/outage. Journal the cause so the watchdog's
-   starvation verdicts can name it, and count it for the campaigns. *)
+   for the whole partition/outage. Journal the cause so the audit's
+   BarrierStalled verdicts can name it, and count it for the campaigns. *)
 and note_move_stalled t ~why payload =
   match payload with
   | Protocol.Move { token; _ } ->

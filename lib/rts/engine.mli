@@ -22,8 +22,8 @@ val create : Config.t -> t
 (** {1 Observation}
 
     Every observer — the flight recorder, dgc-san, the conformance
-    automata, the watchdog, [Config.Check_step], fuzz coverage — sees
-    the run through one typed event stream. Recording is one-way: the
+    automata, [Config.Check_step], fuzz coverage — sees the run
+    through one typed event stream. Recording is one-way: the
     metrics registry ({!metrics}) and the journal are plain stores that
     hold no hook back into the engine, so a kept registry or entry list
     never keeps the engine alive. *)

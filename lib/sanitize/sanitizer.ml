@@ -481,11 +481,6 @@ let check t =
   ignore (check_leaks t);
   List.map race_message (harmful_races t) @ List.map leak_message (leaks t)
 
-let leak_verdict t trace =
-  ignore (check_leaks t);
-  List.find_opt (fun l -> Trace_id.equal l.lk_trace trace) (leaks t)
-  |> Option.map (fun l -> String.concat "; " l.lk_evidence)
-
 let residue_json (site, r) =
   Json.Obj
     [

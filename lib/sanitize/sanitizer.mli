@@ -75,10 +75,6 @@ val check_leaks : t -> leak list
 val race_message : race -> string
 val leak_message : leak -> string
 
-val leak_verdict : t -> Trace_id.t -> string option
-(** [Some evidence] iff the trace is a proved lost trace (runs
-    {!check_leaks} first). Shaped for [Watchdog.set_leak_probe]. *)
-
 val check : t -> string list
 (** The explorer/campaign hook: run {!check_leaks}, then report one
     message per harmful race and per proved leak ([] = clean). *)

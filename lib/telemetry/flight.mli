@@ -8,14 +8,14 @@
     recorder always holds the causally-relevant last-N events per site
     at O(capacity) memory.
 
-    On an invariant violation, campaign failure, watchdog verdict or
-    an explicit [--dump-flight], the rings are snapshotted into a
-    ["dgc.flight/1"] JSON artifact: the intern table, then per ring
-    the site, the written/evicted counters and the live region as hex,
-    oldest record first. {!of_json} decodes strictly — truncated
-    frames, unknown kinds, dangling string ids or non-canonical hex
-    are rejected — and {!to_json} of a parsed dump is byte-identical
-    to the original document.
+    On an invariant violation, campaign failure or an explicit
+    [--dump-flight], the rings are snapshotted into a ["dgc.flight/1"]
+    JSON artifact: the intern table, then per ring the site, the
+    written/evicted counters and the live region as hex, oldest record
+    first. {!of_json} decodes strictly — truncated frames, unknown
+    kinds, dangling string ids or non-canonical hex are rejected — and
+    {!to_json} of a parsed dump is byte-identical to the original
+    document.
 
     Record layout (little-endian), framed as [u16 length ++ body]:
     {v

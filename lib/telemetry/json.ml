@@ -271,7 +271,11 @@ let float_field = typed "a number" to_float_opt
 let str_field = typed "a string" to_str_opt
 let list_field = typed "an array" to_list_opt
 let obj_field = typed "an object" to_obj_opt
-let opt_field k conv j = Option.bind (member k j) conv
+
+let opt_field typed_field k j =
+  match member k j with
+  | None | Some Null -> Ok None
+  | Some _ -> Result.map Option.some (typed_field k j)
 
 let list_map f l =
   let rec go acc = function
@@ -281,7 +285,7 @@ let list_map f l =
   in
   go [] l
 
-let schema j = opt_field "schema" to_str_opt j
+let schema j = Option.bind (member "schema" j) to_str_opt
 
 let expect_schema want j =
   let* s = str_field "schema" j in

@@ -71,9 +71,15 @@ val str_field : string -> t -> (string, string) result
 val list_field : string -> t -> (t list, string) result
 val obj_field : string -> t -> ((string * t) list, string) result
 
-val opt_field : string -> (t -> 'a option) -> t -> 'a option
-(** An optional, lenient field: [None] when absent or of another type.
-    For fields a decoder defaults. *)
+val opt_field :
+  (string -> t -> ('a, string) result) ->
+  string ->
+  t ->
+  ('a option, string) result
+(** [opt_field int_field k j]: an optional field, for fields a decoder
+    defaults. [Ok None] when absent or [null]; the typed accessor's
+    error when present with another type, so a mistyped field is
+    refused rather than read as its default. *)
 
 val list_map :
   ('a -> ('b, string) result) -> 'a list -> ('b list, string) result

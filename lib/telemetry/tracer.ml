@@ -123,17 +123,19 @@ let span_of_json j =
   let* name = Json.str_field "name" j in
   let* site = Json.int_field "site" j in
   let* start = Json.float_field "start" j in
+  let* parent = Json.opt_field Json.int_field "parent" j in
+  let* finish = Json.opt_field Json.float_field "end" j in
+  let* attrs = Json.opt_field Json.obj_field "attrs" j in
   Ok
     {
       id;
-      parent = Json.opt_field "parent" Json.to_int_opt j;
+      parent;
       trace;
       name;
       site;
       start;
-      finish = Json.opt_field "end" Json.to_float_opt j;
-      attrs =
-        Option.value ~default:[] (Json.opt_field "attrs" Json.to_obj_opt j);
+      finish;
+      attrs = Option.value ~default:[] attrs;
     }
 
 let to_jsonl t =

@@ -63,8 +63,7 @@ val span_count : t -> int
 val open_count : t -> int
 
 val open_spans : t -> span list
-(** Spans not yet finished, in start order. The watchdog reads these
-    to flag frames stuck past their timeout. *)
+(** Spans not yet finished, in start order. *)
 
 val dropped_finishes : t -> int
 (** Number of [finish_span] calls that hit an unknown or

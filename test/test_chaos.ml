@@ -677,10 +677,10 @@ let profiled_events eng =
 
 (* The one neutrality contract for the event stream: the same seeded
    campaign with no optional subscriber and with the flight recorder,
-   dgc-san, the conformance automata, the watchdog and a counting
-   subscriber all attached runs the same events to the same clock and
-   the same counters. Only the observers' own counters (the san. and
-   watchdog. families) may differ. *)
+   dgc-san, the conformance automata and a counting subscriber all
+   attached runs the same events to the same clock and the same
+   counters. Only the observers' own counters (the san. family) may
+   differ. *)
 let test_subscribers_schedule_neutral () =
   List.iter
     (fun workload ->
@@ -710,7 +710,6 @@ let test_subscribers_schedule_neutral () =
           at_probe := profiled_events e;
           if observed then begin
             Conformance.attach (Conformance.create ()) e;
-            ignore (Dgc_observe.Watchdog.attach pb.Campaign.pb_col);
             Engine.subscribe e (function Engine.Step -> incr steps | _ -> ())
           end
         in
@@ -734,10 +733,7 @@ let test_subscribers_schedule_neutral () =
       Alcotest.(check int)
         (workload ^ ": the counting subscriber saw every later step")
         after_probe steps;
-      let own (k, _) =
-        String.starts_with ~prefix:"san." k
-        || String.starts_with ~prefix:"watchdog." k
-      in
+      let own (k, _) = String.starts_with ~prefix:"san." k in
       let strip = List.filter (fun c -> not (own c)) in
       Alcotest.(check (list (pair string int)))
         (workload ^ ": same counters")

@@ -188,16 +188,17 @@ let test_partitioned_back_trace_assumes_live () =
 module Obs = Dgc_observe
 module Tel = Dgc_telemetry
 
-(* A 2-site garbage ring with a tracer attached and distances settled:
-   one cross-site garbage component, ready to trace. *)
-let garbage_ring_sim ?(timeout = 10.) () =
+(* A 2-site garbage ring with distances settled (and, unless [tracer]
+   is false, a tracer attached): one cross-site garbage component, ready
+   to trace. *)
+let garbage_ring_sim ?(timeout = 10.) ?(tracer = true) () =
   let c =
     { (cfg 2) with Config.back_call_timeout = Sim_time.of_seconds timeout }
   in
   let sim = Sim.make ~cfg:c () in
   ignore
     (Graph_gen.ring sim.Sim.eng ~sites:[ s 0; s 1 ] ~per_site:1 ~rooted:false);
-  Engine.attach_tracer sim.Sim.eng (Tel.Tracer.create ());
+  if tracer then Engine.attach_tracer sim.Sim.eng (Tel.Tracer.create ());
   Scenario.settle sim ~rounds:8;
   sim
 
@@ -243,19 +244,24 @@ let test_audit_crash_mid_trace_times_out () =
 
 let test_audit_crash_mid_trace_incomplete () =
   (* With a slack timeout the crashed call never resolves at all: the
-     trace has no outcome and the open spans are the evidence. *)
-  let sim = garbage_ring_sim ~timeout:600. () in
-  start_any_trace sim;
-  Engine.crash sim.Sim.eng (s 1);
-  Sim.run_for sim (Sim_time.of_seconds 60.);
-  let rp = Obs.Audit.run sim.Sim.col in
-  let c = the_component rp in
-  (match c.Obs.Audit.co_verdict with
-  | Obs.Audit.Trace_incomplete -> ()
-  | v ->
-      Alcotest.failf "verdict %s, wanted TraceIncomplete"
-        (Obs.Audit.verdict_name v));
-  check_explained rp c
+     trace has no outcome and the open spans are the evidence. Without
+     a tracer the audit still explains the stuck trace, from the
+     collector's trace record and ledger. *)
+  List.iter
+    (fun tracer ->
+      let sim = garbage_ring_sim ~timeout:600. ~tracer () in
+      start_any_trace sim;
+      Engine.crash sim.Sim.eng (s 1);
+      Sim.run_for sim (Sim_time.of_seconds 60.);
+      let rp = Obs.Audit.run sim.Sim.col in
+      let c = the_component rp in
+      (match c.Obs.Audit.co_verdict with
+      | Obs.Audit.Trace_incomplete -> ()
+      | v ->
+          Alcotest.failf "tracer %b: verdict %s, wanted TraceIncomplete" tracer
+            (Obs.Audit.verdict_name v));
+      check_explained rp c)
+    [ true; false ]
 
 let test_audit_partition_during_report () =
   let sim = garbage_ring_sim () in

@@ -246,6 +246,52 @@ let test_unknown_tweak_rejected () =
         ("error names the tweak: " ^ e) true
         (String.ends_with ~suffix:"\"sanitise\"" e)
 
+(* A defaulted field takes its default only when absent or null: one
+   present with another type is refused, not replayed as the default
+   case (seed "3" once decoded as seed 1, horizon 60 s, expect clean). *)
+let test_mistyped_field_rejected () =
+  let decode fields =
+    Input.of_json
+      (Result.get_ok
+         (Json.parse
+            (Printf.sprintf {|{"schema":"dgc.plan/1"%s,"events":[]}|} fields)))
+  in
+  let plan fields =
+    match decode fields with
+    | Ok (Input.Plan_input p, meta) -> (p, meta)
+    | Ok _ -> Alcotest.fail "plan decoded as another input"
+    | Error e -> Alcotest.failf "%s: %s" fields e
+  in
+  let p, meta = plan {|,"seed":3,"horizon_ms":20000,"expect":"clean"|} in
+  Alcotest.(check (pair int (float 0.)))
+    "typed fields decode" (3, 20000.) (p.Input.pi_seed, p.Input.pi_horizon_ms);
+  Alcotest.(check (option string))
+    "expect decodes" (Some "clean") meta.Input.m_expect;
+  List.iter
+    (fun fields ->
+      let p, meta = plan fields in
+      Alcotest.(check (pair int (float 0.)))
+        (fields ^ ": defaults") (1, 60_000.)
+        (p.Input.pi_seed, p.Input.pi_horizon_ms);
+      Alcotest.(check (option string)) (fields ^ ": no expect") None
+        meta.Input.m_expect)
+    [ ""; {|,"seed":null,"horizon_ms":null,"expect":null|} ];
+  List.iter
+    (fun (fields, field) ->
+      match decode fields with
+      | Ok _ -> Alcotest.failf "mistyped %s decoded" fields
+      | Error e ->
+          Alcotest.(check bool)
+            ("error names the field: " ^ e) true
+            (String.starts_with ~prefix:(Printf.sprintf "field %S" field) e))
+    [
+      ({|,"seed":"3"|}, "seed");
+      ({|,"horizon_ms":"20000"|}, "horizon_ms");
+      ({|,"expect":1|}, "expect");
+      ({|,"workload":7|}, "workload");
+      ({|,"comment":[]|}, "comment");
+    ]
+
 (* --- the determinism pin (satellite: coverage-curve stability) ----------- *)
 
 (* Same seed + same seed corpus ⇒ byte-identical dgc.fuzz/1 document
@@ -316,6 +362,8 @@ let () =
           Alcotest.test_case "save/load with meta" `Quick test_save_load_meta;
           Alcotest.test_case "unknown tweak rejected at decode" `Quick
             test_unknown_tweak_rejected;
+          Alcotest.test_case "mistyped defaulted field rejected" `Quick
+            test_mistyped_field_rejected;
         ] );
       ( "determinism",
         [

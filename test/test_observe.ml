@@ -1,6 +1,6 @@
-(* The observe library: snapshots and diffs, the watchdog, the
-   why-not-collected auditor, plus the telemetry fix that feeds them
-   (dropped span finishes). *)
+(* The observe library: snapshots and diffs, the why-not-collected
+   auditor, plus the telemetry fix that feeds them (dropped span
+   finishes). *)
 
 open Dgc_prelude
 open Dgc_simcore
@@ -10,8 +10,6 @@ open Dgc_core
 open Dgc_workload
 module Tel = Dgc_telemetry
 module Obs = Dgc_observe
-
-let s k = Site_id.of_int k
 
 let cfg_fast =
   {
@@ -75,85 +73,6 @@ let test_snapshot_and_diff () =
   (* the f-g cycle died: object counts changed at Q and R *)
   Alcotest.(check bool) "object counts among the changes" true
     (List.exists (fun c -> c.Obs.Snapshot.ch_what = "objects") changes)
-
-(* --- watchdog ----------------------------------------------------------- *)
-
-(* A slack §4.7 timeout (100s) plus a crash mid-trace: the reply can
-   never arrive and the timeout is too far out to save the trace, so
-   it sits outcome-less. A watchdog with a deadline below the timeout
-   (stuck_factor 0.3 -> 30s) must flag it long before the timeout
-   would. *)
-let test_watchdog_flags_stuck_trace () =
-  let cfg = { cfg_fast with Config.back_call_timeout = Sim_time.of_seconds 100. } in
-  let sim = Sim.make ~cfg () in
-  let eng = sim.Sim.eng in
-  ignore (Graph_gen.ring eng ~sites:[ s 0; s 1 ] ~per_site:1 ~rooted:false);
-  Scenario.settle sim ~rounds:8;
-  let wd = Obs.Watchdog.attach ~stuck_factor:0.3 sim.Sim.col in
-  let started = ref None in
-  Array.iter
-    (fun st ->
-      Tables.iter_outrefs st.Site.tables (fun o ->
-          if !started = None && not (Ioref.outref_clean o) then
-            started := Collector.start_back_trace sim.Sim.col st.Site.id o.Ioref.or_target))
-    (Engine.sites eng);
-  Alcotest.(check bool) "trace started" true (!started <> None);
-  (* crash every site: frames freeze open, no outcome can ever land *)
-  Array.iter (fun st -> Engine.crash eng st.Site.id) (Engine.sites eng);
-  Engine.run_for eng (Sim_time.of_seconds 60.);
-  let alerts = Obs.Watchdog.check_now wd in
-  ignore alerts;
-  let kinds = List.map fst (Obs.Watchdog.alert_counts wd) in
-  Alcotest.(check bool) "stuck_trace alert" true (List.mem "stuck_trace" kinds);
-  Alcotest.(check bool) "watchdog counter bumped" true
-    (Metrics.get (Engine.metrics eng) "watchdog.stuck_trace" > 0);
-  (* alerts are deduplicated per subject *)
-  let n = List.length (Obs.Watchdog.alerts wd) in
-  ignore (Obs.Watchdog.check_now wd);
-  Alcotest.(check int) "no duplicate alerts" n
-    (List.length (Obs.Watchdog.alerts wd))
-
-(* A watchdog only reads: a run it watches keeps every span's real end.
-   The deadline (0.0005 x the §4.7 timeout) is far below a back trace's
-   duration, so alerts fire while the ring's traces are still open; an
-   alert that closed the tracer's open spans would abort them and drop
-   their later finishes. *)
-let test_watchdog_span_neutral () =
-  let run ~watched =
-    let sim = Sim.make ~cfg:cfg_fast () in
-    let eng = sim.Sim.eng in
-    let tracer = Tel.Tracer.create () in
-    Engine.attach_tracer eng tracer;
-    ignore
-      (Graph_gen.ring eng ~sites:[ s 0; s 1; s 2 ] ~per_site:2 ~rooted:false);
-    let wd =
-      if watched then
-        Some
-          (Obs.Watchdog.attach ~stuck_factor:0.0005
-             ~check_interval:(Sim_time.of_millis 2.) sim.Sim.col)
-      else None
-    in
-    Sim.start sim;
-    Sim.run_for sim (Sim_time.of_seconds 300.);
-    let counters =
-      List.filter
-        (fun (k, _) -> not (String.starts_with ~prefix:"watchdog." k))
-        (Metrics.counters (Engine.metrics eng))
-    in
-    (tracer, counters, wd)
-  in
-  let bare, bare_counters, _ = run ~watched:false in
-  let watched, watched_counters, wd = run ~watched:true in
-  Alcotest.(check bool) "the watchdog alerted" true
-    (Obs.Watchdog.alerts (Option.get wd) <> []);
-  Alcotest.(check bool) "the run traced" true (Tel.Tracer.span_count bare > 0);
-  Alcotest.(check int) "same dropped finishes"
-    (Tel.Tracer.dropped_finishes bare)
-    (Tel.Tracer.dropped_finishes watched);
-  Alcotest.(check string) "same spans" (Tel.Tracer.to_jsonl bare)
-    (Tel.Tracer.to_jsonl watched);
-  Alcotest.(check (list (pair string int)))
-    "same counters" bare_counters watched_counters
 
 (* --- audit -------------------------------------------------------------- *)
 
@@ -228,13 +147,6 @@ let () =
         ] );
       ( "snapshot",
         [ Alcotest.test_case "take and diff" `Quick test_snapshot_and_diff ] );
-      ( "watchdog",
-        [
-          Alcotest.test_case "flags a stuck trace" `Quick
-            test_watchdog_flags_stuck_trace;
-          Alcotest.test_case "a watched run keeps its spans" `Quick
-            test_watchdog_span_neutral;
-        ] );
       ( "audit",
         [
           Alcotest.test_case "clean run: no components, paths analyzed" `Quick

@@ -1,12 +1,12 @@
 (* The deterministic sim-cost profiler and the cost ledger it renders:
-   scope-tree semantics and folded/speedscope exports, the fig2
-   end-to-end artifact (schema-valid dgc.profile/1 with the
-   collector's ledger rows), the two determinism contracts — same seed
-   => byte-identical documents, profiler off => event-identical
-   schedule — the diff verdict, ledger arithmetic over the collector's
-   per-trace record (which is always kept; the profile only renders
-   it), byte-identity pins of two profile documents, and the run
-   artifact's embedded profile section. *)
+   scope-tree semantics and the folded export, the fig2 end-to-end
+   artifact (schema-valid dgc.profile/1 with the collector's ledger
+   rows), the two determinism contracts — same seed => byte-identical
+   documents, profiler off => event-identical schedule — ledger
+   arithmetic over the collector's per-trace record (which is always
+   kept; the profile only renders it), byte-identity pins of two
+   profile documents, and the run artifact's embedded profile
+   section. *)
 
 open Dgc_prelude
 open Dgc_simcore
@@ -73,21 +73,6 @@ let test_scopes_and_folded () =
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "leave on an empty scope stack accepted"
 
-let test_speedscope_shape () =
-  let p = Prof.create ~clock:(fun () -> 0.) () in
-  Prof.with_scope p "deliver" (fun () -> Prof.work p "events" 4);
-  let doc = Prof.to_speedscope ~name:"unit" p in
-  let member k = Json.member k doc in
-  Alcotest.(check bool) "declares the speedscope schema" true
-    (match Option.bind (member "$schema") Json.to_str_opt with
-    | Some s -> contains ~sub:"speedscope" s
-    | None -> false);
-  Alcotest.(check bool) "has shared.frames" true
-    (Option.bind (member "shared") (Json.member "frames") <> None);
-  match Option.bind (member "profiles") Json.to_list_opt with
-  | Some (_ :: _) -> ()
-  | _ -> Alcotest.fail "profiles array missing or empty"
-
 (* --- fig2 end to end --------------------------------------------------- *)
 
 let test_fig2_artifact () =
@@ -133,42 +118,6 @@ let test_profiler_schedule_neutral () =
   Alcotest.(check (float 0.)) "same simulated clock" clock_on clock_off;
   Alcotest.(check (list (pair string int)))
     "event-identical counters" counters_on counters_off
-
-(* --- diff -------------------------------------------------------------- *)
-
-let mkprof phases =
-  let p = Prof.create ~clock:(fun () -> 0.) () in
-  List.iter
-    (fun (phase, n) ->
-      Prof.with_scope p phase (fun () -> Prof.work p "events" n))
-    phases;
-  Prof.to_json ~wall:false p
-
-let test_diff_verdict () =
-  let base = mkprof [ ("deliver", 90); ("local_trace", 10) ] in
-  let same = mkprof [ ("deliver", 90); ("local_trace", 10) ] in
-  let skew = mkprof [ ("deliver", 50); ("local_trace", 50) ] in
-  (match Prof.diff base same with
-  | Ok r ->
-      Alcotest.(check bool) "identical: not regressed" false r.Prof.df_regressed;
-      Alcotest.(check (float 0.)) "zero drift" 0. r.Prof.df_max_share_drift;
-      Alcotest.(check int) "no deltas" 0 (List.length r.Prof.df_deltas)
-  | Error e -> Alcotest.failf "self diff: %s" e);
-  (match Prof.diff ~share_tolerance:0.10 base skew with
-  | Ok r ->
-      Alcotest.(check bool) "40-point share shift regresses" true
-        r.Prof.df_regressed;
-      Alcotest.(check bool) "deltas reported" true (r.Prof.df_deltas <> []);
-      Alcotest.(check bool) "drift beyond tolerance" true
-        (r.Prof.df_max_share_drift > 0.10);
-      (* pp_diff must render without raising and carry the verdict *)
-      let s = Format.asprintf "%a" Prof.pp_diff r in
-      Alcotest.(check bool) "pp_diff carries the verdict" true
-        (contains ~sub:"REGRESSION" s)
-  | Error e -> Alcotest.failf "skew diff: %s" e);
-  match Prof.diff base (Json.Int 3) with
-  | Ok _ -> Alcotest.fail "diff accepted a non-profile document"
-  | Error _ -> ()
 
 (* --- ledger arithmetic ------------------------------------------------- *)
 
@@ -427,7 +376,6 @@ let () =
         [
           Alcotest.test_case "scope tree and folded export" `Quick
             test_scopes_and_folded;
-          Alcotest.test_case "speedscope shape" `Quick test_speedscope_shape;
         ] );
       ( "fig2",
         [
@@ -441,8 +389,6 @@ let () =
           Alcotest.test_case "profiler is schedule-neutral" `Quick
             test_profiler_schedule_neutral;
         ] );
-      ( "diff",
-        [ Alcotest.test_case "share-drift verdict" `Quick test_diff_verdict ] );
       ( "ledger",
         [
           Alcotest.test_case "arithmetic and rollup" `Quick
