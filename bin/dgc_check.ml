@@ -1,5 +1,5 @@
-(* dgc-check: static-configuration and dynamic-schedule analysis of the
-   back-tracing collector.
+(* dgc-check: protocol conformance, schedule exploration and
+   coverage-guided fuzzing of the back-tracing collector.
 
    Examples:
      dgc-check                          # conformance + explore every SUT
@@ -7,16 +7,12 @@
      dgc-check --explore --scenario fig1 --depth-bound 8
      dgc-check --explore --scenario fig5-race-broken --expect-violation
      dgc-check --list                   # available exploration scenarios
-     dgc-check san                      # static protocol lint (dgc-san)
-     dgc-check san --smoke              # lint + dynamic sanitizer smoke
 
    Exit status 0 means every requested analysis matched its
    expectation; 1 means a conformance violation, an unexpected
    invariant violation, or a missing expected one. *)
 
 open Dgc_analysis
-module Lint = Dgc_sanitize.Lint
-module Protocol = Dgc_rts.Protocol
 open Cmdliner
 
 type opts = {
@@ -185,91 +181,6 @@ let opts_term =
   in
   const make $ conformance $ explore $ scenario $ depth $ width $ max_steps
   $ max_schedules $ seed $ expect_violation $ list
-
-(* --- san subcommand: the dgc-san static lint (+ dynamic smoke) --------- *)
-
-(* Every [ext] kind label registered by the libraries linked into this
-   binary (the executable links with -linkall so all the baseline
-   collectors' descriptor declarations run too). A kind added without
-   updating this list shows up as an unknown-kind finding, and a kind
-   added here without a descriptor as missing-descriptor: the lint
-   fails closed either way. *)
-let known_ext_kinds =
-  [
-    "back_call";
-    "back_reply";
-    "back_report";
-    "g_round";
-    "g_mark";
-    "g_sweep";
-    "gr_probe";
-    "gr_mark";
-    "gr_sweep";
-    "h_ts";
-    "h_round";
-    "migrate";
-  ]
-
-let run_san_lint () =
-  say "== dgc-san: static protocol lint ==";
-  let findings = Lint.run ~ext_kinds:known_ext_kinds () in
-  List.iter (fun f -> say "  %a" Lint.pp_finding f) findings;
-  if Lint.ok findings then begin
-    say "lint: %d descriptors over %d message kinds, all stories sound"
-      (List.length (Protocol.descriptors ()))
-      (List.length (List.filter (fun k -> k <> "ext") Protocol.base_kinds)
-      + List.length known_ext_kinds);
-    true
-  end
-  else begin
-    say "lint: %d findings" (List.length findings);
-    false
-  end
-
-(* The dynamic smoke: the sanitizer must rediscover both seeded defects
-   (the §6.4 transfer-barrier race and the lost-trace leak) from the
-   explorer, deterministically. *)
-let run_san_smoke opts =
-  say "== dgc-san: dynamic smoke (seeded-defect rediscovery) ==";
-  List.for_all
-    (fun name ->
-      match Sut.find name with
-      | Some sut -> run_explore_one opts sut
-      | None ->
-          say "missing sanitizer scenario %S" name;
-          false)
-    [
-      Sut.san_race_broken.Explorer.sut_name;
-      Sut.san_lost_trace.Explorer.sut_name;
-    ]
-
-let run_san smoke opts =
-  let ok_lint = run_san_lint () in
-  let ok_smoke = if smoke then run_san_smoke opts else true in
-  if ok_lint && ok_smoke then begin
-    say "dgc-check san: ok";
-    0
-  end
-  else begin
-    say "dgc-check san: FAILED";
-    1
-  end
-
-let san_cmd =
-  let doc =
-    "lint the protocol's message descriptors (duplicate-delivery story, \
-     crash edge, commutativity class) and optionally smoke the dynamic \
-     sanitizer against the seeded defects"
-  in
-  let smoke =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:
-            "Also run the happens-before sanitizer over the seeded-defect \
-             scenarios and require it to rediscover both.")
-  in
-  Cmd.v (Cmd.info "san" ~doc) Term.(const run_san $ smoke $ opts_term)
 
 (* --- fuzz subcommand: coverage-guided plan/schedule fuzzing ------------ *)
 
@@ -516,6 +427,6 @@ let cmd =
   Cmd.group
     ~default:Term.(const run $ opts_term)
     (Cmd.info "dgc-check" ~doc)
-    [ san_cmd; fuzz_cmd ]
+    [ fuzz_cmd ]
 
 let () = exit (Cmd.eval' cmd)

@@ -197,26 +197,27 @@ let dump_flight_to eng path =
       Json.write_file ~path j;
       say "wrote flight dump to %s" path
 
-(* artifact: when set, emit a machine-readable Run_artifact JSON at the
-   end of the run (the [metrics] subcommand); back-tracing runs get a
-   tracer attached and an "audit" section explaining any garbage the
-   run left behind. prom: print the final time-series values in
-   Prometheus text exposition. dump_flight: write the ring dump even
-   though the run ended without a failure. *)
-let run ?artifact ?dump_flight ?(prom = false) ?prom_out opts =
-  let cfg = config_of opts in
-  say "dgc-sim: %a" Config.pp cfg;
-  let minutes = Sim_time.of_minutes opts.o_minutes in
-  let audited = ref None in
-  let eng =
-    match opts.o_collector with
-    | Back_tracing ->
-        let sim = Sim.make ~cfg () in
-        let eng = sim.Sim.eng in
-        attach_journal eng;
-        if artifact <> None then Engine.attach_tracer eng (Tracer.create ());
-        audited := Some sim.Sim.col;
-        build_workload eng opts;
+(* What a collector brings to [run]: the engine it is installed on, the
+   back-tracing collector the artifact audits (none for a baseline), and
+   [arm]. [run] calls [arm] once the workload is built; it returns the
+   step that, after the crash and the start of the local-trace schedule,
+   runs the simulated minutes and prints the collector's summary. *)
+type installed = {
+  i_eng : Engine.t;
+  i_audited : Collector.t option;
+  i_arm : unit -> Sim_time.t -> unit;
+}
+
+(* traced: attach a tracer so the audit can cite spans. *)
+let install_collector ~traced cfg opts =
+  let baseline eng drive =
+    { i_eng = eng; i_audited = None; i_arm = (fun () -> drive) }
+  in
+  match opts.o_collector with
+  | Back_tracing ->
+      let sim = Sim.make ~cfg () in
+      if traced then Engine.attach_tracer sim.Sim.eng (Tracer.create ());
+      let arm () =
         let churn =
           if opts.o_churn > 0 then
             Some
@@ -226,86 +227,76 @@ let run ?artifact ?dump_flight ?(prom = false) ?prom_out opts =
                  ~mean_op_gap:(Sim_time.of_millis 400.))
           else None
         in
-        Option.iter (fun s -> Engine.crash eng (Site_id.of_int s)) opts.o_crash;
-        Sim.start sim;
-        Sim.run_for sim minutes;
-        Option.iter Churn.stop churn;
-        Sim.run_for sim (Sim_time.of_minutes 1.);
-        report eng ~verbose:opts.o_verbose;
-        print_journal opts eng;
-        dump_dot opts eng;
-        eng
-    | Global ->
-        let eng = Engine.create cfg in
-        attach_journal eng;
-        attach_profiler cfg eng;
-        let gt = Global_trace.install eng in
-        build_workload eng opts;
-        Option.iter (fun s -> Engine.crash eng (Site_id.of_int s)) opts.o_crash;
-        Engine.start_gc_schedule eng;
-        let finished = ref false in
-        Global_trace.collect gt
-          ~on_done:(fun ~freed ~rounds ->
-            finished := true;
-            say "global collection: freed %d in %d rounds" freed rounds)
-          ();
-        Engine.run_for eng minutes;
-        if not !finished then say "global collection DID NOT FINISH";
-        report eng ~verbose:opts.o_verbose;
-        dump_dot opts eng;
-        eng
-    | Hughes_ts ->
-        let eng = Engine.create cfg in
-        attach_journal eng;
-        attach_profiler cfg eng;
-        let h = Hughes.install eng ~slack:(Sim_time.of_seconds 60.) in
-        build_workload eng opts;
-        Option.iter (fun s -> Engine.crash eng (Site_id.of_int s)) opts.o_crash;
-        Engine.start_gc_schedule eng;
-        let steps =
-          int_of_float (Sim_time.to_seconds minutes /. opts.o_interval)
-        in
-        for _ = 1 to max 1 steps do
-          Engine.run_for eng (Sim_time.of_seconds opts.o_interval);
-          Hughes.run_threshold_round h ()
-        done;
-        say "hughes threshold: %.1f after %d rounds" (Hughes.threshold h)
-          (Hughes.rounds_completed h);
-        report eng ~verbose:opts.o_verbose;
-        dump_dot opts eng;
-        eng
-    | Group ->
-        let eng = Engine.create cfg in
-        attach_journal eng;
-        attach_profiler cfg eng;
-        let g = Group_trace.install eng ~max_group:opts.o_sites in
-        build_workload eng opts;
-        Option.iter (fun s -> Engine.crash eng (Site_id.of_int s)) opts.o_crash;
-        Engine.start_gc_schedule eng;
-        Engine.run_for eng minutes;
-        say "groups: %d formed, %d aborted, last size %d"
-          (Group_trace.groups_formed g)
-          (Group_trace.groups_aborted g)
-          (Group_trace.last_group_size g);
-        report eng ~verbose:opts.o_verbose;
-        dump_dot opts eng;
-        eng
-    | Migrate ->
-        let eng = Engine.create cfg in
-        attach_journal eng;
-        attach_profiler cfg eng;
-        let m = Migration.install eng in
-        build_workload eng opts;
-        Option.iter (fun s -> Engine.crash eng (Site_id.of_int s)) opts.o_crash;
-        Engine.start_gc_schedule eng;
-        Engine.run_for eng minutes;
-        say "migration: %d moves, %d bytes, %d multi-holder skips"
-          (Migration.migrations m) (Migration.bytes_moved m)
-          (Migration.skipped_multi_holder m);
-        report eng ~verbose:opts.o_verbose;
-        dump_dot opts eng;
-        eng
-  in
+        fun minutes ->
+          Sim.run_for sim minutes;
+          Option.iter Churn.stop churn;
+          Sim.run_for sim (Sim_time.of_minutes 1.)
+      in
+      { i_eng = sim.Sim.eng; i_audited = Some sim.Sim.col; i_arm = arm }
+  | Global ->
+      let eng = Engine.create cfg in
+      let gt = Global_trace.install eng in
+      baseline eng (fun minutes ->
+          let finished = ref false in
+          Global_trace.collect gt
+            ~on_done:(fun ~freed ~rounds ->
+              finished := true;
+              say "global collection: freed %d in %d rounds" freed rounds)
+            ();
+          Engine.run_for eng minutes;
+          if not !finished then say "global collection DID NOT FINISH")
+  | Hughes_ts ->
+      let eng = Engine.create cfg in
+      let h = Hughes.install eng ~slack:(Sim_time.of_seconds 60.) in
+      baseline eng (fun minutes ->
+          let steps =
+            int_of_float (Sim_time.to_seconds minutes /. opts.o_interval)
+          in
+          for _ = 1 to max 1 steps do
+            Engine.run_for eng (Sim_time.of_seconds opts.o_interval);
+            Hughes.run_threshold_round h ()
+          done;
+          say "hughes threshold: %.1f after %d rounds" (Hughes.threshold h)
+            (Hughes.rounds_completed h))
+  | Group ->
+      let eng = Engine.create cfg in
+      let g = Group_trace.install eng ~max_group:opts.o_sites in
+      baseline eng (fun minutes ->
+          Engine.run_for eng minutes;
+          say "groups: %d formed, %d aborted, last size %d"
+            (Group_trace.groups_formed g)
+            (Group_trace.groups_aborted g)
+            (Group_trace.last_group_size g))
+  | Migrate ->
+      let eng = Engine.create cfg in
+      let m = Migration.install eng in
+      baseline eng (fun minutes ->
+          Engine.run_for eng minutes;
+          say "migration: %d moves, %d bytes, %d multi-holder skips"
+            (Migration.migrations m) (Migration.bytes_moved m)
+            (Migration.skipped_multi_holder m))
+
+(* artifact: when set, emit a machine-readable Run_artifact JSON at the
+   end of the run (the [metrics] subcommand); back-tracing runs get a
+   tracer attached and an "audit" section explaining any garbage the
+   run left behind. prom: print the final time-series values in
+   Prometheus text exposition. dump_flight: write the ring dump even
+   though the run ended without a failure. *)
+let run ?artifact ?dump_flight ?(prom = false) ?prom_out opts =
+  let cfg = config_of opts in
+  say "dgc-sim: %a" Config.pp cfg;
+  let c = install_collector ~traced:(artifact <> None) cfg opts in
+  let eng = c.i_eng in
+  attach_journal eng;
+  attach_profiler cfg eng;
+  build_workload eng opts;
+  let drive = c.i_arm () in
+  Option.iter (fun s -> Engine.crash eng (Site_id.of_int s)) opts.o_crash;
+  Engine.start_gc_schedule eng;
+  drive (Sim_time.of_minutes opts.o_minutes);
+  report eng ~verbose:opts.o_verbose;
+  print_journal opts eng;
+  dump_dot opts eng;
   Option.iter (dump_flight_to eng) dump_flight;
   if prom then print_string (Series.to_prom (Engine.series eng));
   Option.iter
@@ -314,7 +305,7 @@ let run ?artifact ?dump_flight ?(prom = false) ?prom_out opts =
       say "wrote Prometheus exposition to %s" path)
     prom_out;
   Option.iter
-    (fun out -> write_artifact ?col:!audited ~out ~name:"dgc-sim" eng)
+    (fun out -> write_artifact ?col:c.i_audited ~out ~name:"dgc-sim" eng)
     artifact;
   0
 

@@ -72,7 +72,6 @@ type result = {
 }
 
 val clean : result -> bool
-val pp_schedule : Format.formatter -> Shrink.deviation list -> unit
 val pp_result : Format.formatter -> result -> unit
 
 val explore : ?bounds:bounds -> sut -> result

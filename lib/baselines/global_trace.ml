@@ -15,32 +15,7 @@ let () =
     | G_round _ | G_round_done _ -> Some "g_round"
     | G_mark _ -> Some "g_mark"
     | G_sweep _ | G_sweep_done _ -> Some "g_sweep"
-    | _ -> None);
-  Protocol.(
-    List.iter declare
-      [
-        (* Each epoch restarts on loss/crash (the coordinator re-runs
-           rounds until a clean streak), so dup rounds/marks/sweeps
-           merge into the epoch's mark sets idempotently. *)
-        {
-          d_kind = "g_round";
-          d_dup = Dup_idempotent;
-          d_crash = Crash_timeout;
-          d_commutes = "epoch-scoped";
-        };
-        {
-          d_kind = "g_mark";
-          d_dup = Dup_idempotent;
-          d_crash = Crash_timeout;
-          d_commutes = "mark-merge";
-        };
-        {
-          d_kind = "g_sweep";
-          d_dup = Dup_idempotent;
-          d_crash = Crash_timeout;
-          d_commutes = "epoch-scoped";
-        };
-      ])
+    | _ -> None)
 
 type site_state = {
   gs_site : Site.t;

@@ -33,31 +33,7 @@ let () =
     | Gr_mark_start _ | Gr_mark _ | Gr_round _ | Gr_round_done _ ->
         Some "gr_mark"
     | Gr_sweep _ | Gr_sweep_done _ | Gr_release _ -> Some "gr_sweep"
-    | _ -> None);
-  Protocol.(
-    List.iter declare
-      [
-        (* Group ids scope every message; a stale or duplicated one
-           lands in a dissolved group and is ignored. *)
-        {
-          d_kind = "gr_probe";
-          d_dup = Dup_idempotent;
-          d_crash = Crash_timeout;
-          d_commutes = "group-scoped";
-        };
-        {
-          d_kind = "gr_mark";
-          d_dup = Dup_idempotent;
-          d_crash = Crash_timeout;
-          d_commutes = "mark-merge";
-        };
-        {
-          d_kind = "gr_sweep";
-          d_dup = Dup_idempotent;
-          d_crash = Crash_timeout;
-          d_commutes = "group-scoped";
-        };
-      ])
+    | _ -> None)
 
 type site_state = {
   gs_site : Site.t;

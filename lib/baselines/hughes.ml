@@ -14,25 +14,7 @@ let () =
   Protocol.register_ext_kind (function
     | H_ts_update _ -> Some "h_ts"
     | H_query _ | H_reply _ | H_threshold _ -> Some "h_round"
-    | _ -> None);
-  Protocol.(
-    List.iter declare
-      [
-        (* Timestamps are monotone maxima: re-applying an update or a
-           threshold is absorbed, rounds are keyed by round number. *)
-        {
-          d_kind = "h_ts";
-          d_dup = Dup_idempotent;
-          d_crash = Crash_timeout;
-          d_commutes = "monotone-max";
-        };
-        {
-          d_kind = "h_round";
-          d_dup = Dup_idempotent;
-          d_crash = Crash_timeout;
-          d_commutes = "round-scoped";
-        };
-      ])
+    | _ -> None)
 
 type site_state = { hs_site : Site.t; mutable hs_last_trace : float }
 

@@ -21,17 +21,7 @@ let () =
   Protocol.register_ext_refs (function
     | M_migrate { fields; _ } -> Some fields
     | M_ack _ -> Some []
-    | _ -> None);
-  (* A migration is keyed by the old oid: a duplicate finds the object
-     already forwarded and only re-acks; an unacked migration is
-     retried by the next collector pass. *)
-  Protocol.declare
-    {
-      d_kind = "migrate";
-      d_dup = Dup_dedup;
-      d_crash = Crash_timeout;
-      d_commutes = "per-object";
-    }
+    | _ -> None)
 
 type t = {
   eng : Engine.t;

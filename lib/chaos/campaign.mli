@@ -67,9 +67,8 @@ type outcome = {
           histograms and series from the case engine's metrics and
           series registries, which the campaign no longer writes once
           {!run_case} has returned. Neither lazy value holds the
-          engine or the journal ring ({!run_case} unhooks the
-          registry's bucket-mismatch handler, which would), so a kept
-          outcome costs no more than a rendered one. *)
+          engine or the journal ring, so a kept outcome costs no
+          more than a rendered one. *)
   oc_flight : Json.t option;
       (** ["dgc.flight/1"] ring dump, captured automatically iff the
           case failed — the causal tail (sends, drops with reasons,

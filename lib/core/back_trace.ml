@@ -28,35 +28,6 @@ let () =
     | Back_report _ -> Some "back_report"
     | _ -> None)
 
-(* How each back-trace message survives the fault model (§4.6): calls
-   are memoized at the receiver (duplicates re-answered), replies are
-   deduplicated by call nonce, reports are idempotent broadcasts; the
-   crash edge is the sender timeout for the call channel and the
-   visited-marks TTL for reports. The dgc-san lint audits these. *)
-let () =
-  Protocol.(
-    List.iter declare
-      [
-        {
-          d_kind = "back_call";
-          d_dup = Dup_memo;
-          d_crash = Crash_timeout;
-          d_commutes = "memoized-rpc";
-        };
-        {
-          d_kind = "back_reply";
-          d_dup = Dup_dedup;
-          d_crash = Crash_timeout;
-          d_commutes = "dedup-by-nonce";
-        };
-        {
-          d_kind = "back_report";
-          d_dup = Dup_idempotent;
-          d_crash = Crash_ttl;
-          d_commutes = "idempotent-broadcast";
-        };
-      ])
-
 module Int_set = Set.Make (Int)
 
 type parent =
@@ -317,12 +288,11 @@ let trace_event sh ~name ~site trace event =
         (Tel.Tracer.event tr ?parent ~trace:(tkey trace) ~name
            ~site:(Site_id.to_int site) ~at:(now_s sh) attrs)
 
-(* The §4.6 retry schedule: attempt [k] waits timeout·backoff^k. *)
+(* The §4.6 retry schedule: attempt [k] waits timeout·2^k. *)
 let backoff sh k =
   let cfg = Engine.config sh.eng in
   Sim_time.of_seconds
-    (Sim_time.to_seconds cfg.Config.back_call_timeout
-    *. (cfg.Config.retry_backoff ** float_of_int k))
+    (Sim_time.to_seconds cfg.Config.back_call_timeout *. (2. ** float_of_int k))
 
 let new_frame sh st trace parent ioref ~kind =
   let fr =

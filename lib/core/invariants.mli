@@ -69,7 +69,6 @@ val to_string : violation -> string
 (** ["<kind>: <message>"], the historical string rendering. *)
 
 val strings : violation list -> string list
-val pp_violation : Format.formatter -> violation -> unit
 
 val local_safety : ?skip:(Site_id.t -> bool) -> Engine.t -> violation list
 val auxiliary : ?skip:(Site_id.t -> bool) -> Engine.t -> violation list

@@ -48,14 +48,6 @@ let pick_nth l n =
   in
   go 0 [] l
 
-let plan_ops =
-  [
-    "shift"; "stretch"; "split"; "merge"; "perturb"; "add"; "drop"; "reseed";
-    "xover";
-  ]
-
-let sched_ops = [ "dev-add"; "dev-drop"; "dev-step"; "dev-rank"; "dev-xover" ]
-
 (* ---- plan operators -------------------------------------------------- *)
 
 let perturb_event rng ~sites = function

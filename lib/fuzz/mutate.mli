@@ -13,12 +13,6 @@
 
 open Dgc_prelude
 
-val plan_ops : string list
-(** Operator names a plan input can receive (reporting vocabulary). *)
-
-val sched_ops : string list
-(** Operator names a schedule input can receive. *)
-
 val mutate :
   rng:Rng.t ->
   sites:int ->

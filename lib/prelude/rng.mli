@@ -32,8 +32,5 @@ val choose : t -> 'a list -> 'a
     an empty list. *)
 
 val choose_arr : t -> 'a array -> 'a
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)
-
 val permutation : t -> int -> int array
 (** [permutation t n] is a uniformly random permutation of [0..n-1]. *)

@@ -18,6 +18,5 @@ let list_dedup ~compare l =
   in
   loop [] sorted
 
-let hashtbl_keys tbl = Hashtbl.fold (fun k _ acc -> k :: acc) tbl []
 let hashtbl_values tbl = Hashtbl.fold (fun _ v acc -> v :: acc) tbl []
 

@@ -6,6 +6,5 @@ val list_take : int -> 'a list -> 'a list
 val list_dedup : compare:('a -> 'a -> int) -> 'a list -> 'a list
 (** Sort and remove duplicates. *)
 
-val hashtbl_keys : ('a, 'b) Hashtbl.t -> 'a list
 val hashtbl_values : ('a, 'b) Hashtbl.t -> 'b list
 

@@ -14,7 +14,6 @@ type t = {
   ext_drop : float;
   ext_dup : float;
   retry_limit : int;
-  retry_backoff : float;
   defer_interval : Sim_time.t;
   delta : int;
   threshold2 : int;
@@ -46,7 +45,6 @@ let default =
     ext_drop = 0.;
     ext_dup = 0.;
     retry_limit = 0;
-    retry_backoff = 2.;
     defer_interval = Sim_time.zero;
     delta = 3;
     threshold2 = 8;

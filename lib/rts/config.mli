@@ -20,8 +20,6 @@ type check_level =
           [Invariants.Violation]. Orders of magnitude slower — meant
           for tests, fuzzing and the schedule explorer. *)
 
-val check_level_name : check_level -> string
-
 type t = {
   n_sites : int;
   seed : int;
@@ -50,9 +48,6 @@ type t = {
           are re-sent the same number of times (blind redundancy —
           receivers are idempotent), so a dropped report no longer
           strands a suspect until the next threshold bump *)
-  retry_backoff : float;
-      (** multiplier on [back_call_timeout] between successive retry
-          attempts (attempt k waits timeout·backoff^k) *)
   defer_interval : Dgc_simcore.Sim_time.t;
       (** batch collector messages per destination and flush them on
           this period, modeling §4.7's "deferred and piggybacked"

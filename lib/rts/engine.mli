@@ -298,10 +298,9 @@ val step_nth : t -> int -> bool
 val pending : t -> int
 (** Number of pending events. *)
 
-val run_until : t -> Sim_time.t -> unit
-(** Process events with timestamps up to the given absolute time;
+val run_for : t -> Sim_time.t -> unit
+(** [run_for t d] processes events with timestamps up to [now + d];
     [now] afterwards equals that time. *)
 
-val run_for : t -> Sim_time.t -> unit
 val trace_rounds_completed : t -> int
 (** Minimum over sites of completed local traces. *)

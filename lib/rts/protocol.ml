@@ -74,86 +74,6 @@ let dispatch h ctx ~src = function
 
 let base_kinds = [ "move"; "move_ack"; "insert"; "insert_done"; "update"; "ext" ]
 
-(* --- message descriptors (the dgc-san lint surface) ------------------- *)
-
-type dup_story = Dup_memo | Dup_dedup | Dup_idempotent | Dup_exactly_once
-
-let dup_story_name = function
-  | Dup_memo -> "memo"
-  | Dup_dedup -> "dedup"
-  | Dup_idempotent -> "idempotent"
-  | Dup_exactly_once -> "exactly-once"
-
-type crash_edge =
-  | Crash_timeout
-  | Crash_ttl
-  | Crash_park_redeliver
-  | Crash_none
-
-let crash_edge_name = function
-  | Crash_timeout -> "timeout"
-  | Crash_ttl -> "ttl"
-  | Crash_park_redeliver -> "park+redeliver"
-  | Crash_none -> "none"
-
-type descriptor = {
-  d_kind : string;
-  d_dup : dup_story;
-  d_crash : crash_edge;
-  d_commutes : string;
-}
-
-let descriptor_table : (string, descriptor) Hashtbl.t = Hashtbl.create 16
-let descriptor_order : string list ref = ref []
-
-let declare d =
-  if not (Hashtbl.mem descriptor_table d.d_kind) then
-    descriptor_order := d.d_kind :: !descriptor_order;
-  Hashtbl.replace descriptor_table d.d_kind d
-
-let descriptors () =
-  List.rev !descriptor_order
-  |> List.filter_map (fun k -> Hashtbl.find_opt descriptor_table k)
-
-(* The base protocol rides the reliable channel: exactly-once delivery
-   (the engine parks and redelivers across crashes and partitions), so
-   no receiver-side dup machinery is needed — and the lint checks that
-   only non-Ext kinds may claim that. *)
-let () =
-  List.iter declare
-    [
-      {
-        d_kind = "move";
-        d_dup = Dup_exactly_once;
-        d_crash = Crash_park_redeliver;
-        d_commutes = "token-paired";
-      };
-      {
-        d_kind = "move_ack";
-        d_dup = Dup_exactly_once;
-        d_crash = Crash_park_redeliver;
-        d_commutes = "token-paired";
-      };
-      {
-        d_kind = "insert";
-        d_dup = Dup_exactly_once;
-        d_crash = Crash_park_redeliver;
-        d_commutes = "ref-merge";
-      };
-      {
-        d_kind = "insert_done";
-        d_dup = Dup_exactly_once;
-        d_crash = Crash_park_redeliver;
-        d_commutes = "ref-merge";
-      };
-      {
-        d_kind = "update";
-        d_dup = Dup_exactly_once;
-        d_crash = Crash_park_redeliver;
-        d_commutes = "incarnation-ordered";
-      };
-    ]
-
 (* 16-byte header; 12 bytes per reference (site + index + tag, the tag
    holding an outref incarnation where one rides along); 16 per
    distance entry. Coarse, but uniform across collectors. *)

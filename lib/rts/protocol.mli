@@ -89,52 +89,6 @@ val base_kinds : string list
     ([Ext] reported as ["ext"]). Conformance coverage accounting keys
     on these. *)
 
-(** {1 Message descriptors}
-
-    Every message kind — base constructor or registered [ext] label —
-    declares how it survives the fault model: its duplicate-delivery
-    story, its crash/timeout edge, and a commutativity class naming
-    which reorderings it tolerates. The declarations are data, not
-    enforcement; the dgc-san lint ([dgc-check san]) audits them for
-    coverage and consistency and fails closed on [@check]. *)
-
-type dup_story =
-  | Dup_memo
-      (** duplicates are answered from a receiver-side memo (the §4.6
-          at-least-once call channel) *)
-  | Dup_dedup  (** duplicates are detected by a nonce and discarded *)
-  | Dup_idempotent  (** re-processing a duplicate is a no-op *)
-  | Dup_exactly_once
-      (** the channel itself never duplicates — only the reliable base
-          protocol may claim this; the lint rejects it on [ext] kinds *)
-
-type crash_edge =
-  | Crash_timeout
-      (** a sender-side timeout covers a crashed/partitioned peer *)
-  | Crash_ttl  (** a TTL eventually undoes the message's effect *)
-  | Crash_park_redeliver
-      (** the engine parks the message and redelivers on recovery *)
-  | Crash_none  (** no story — the lint rejects this on [ext] kinds *)
-
-type descriptor = {
-  d_kind : string;  (** the {!kind} label this describes *)
-  d_dup : dup_story;
-  d_crash : crash_edge;
-  d_commutes : string;
-      (** commutativity class: kinds in the same class may be
-          reordered against each other without changing the outcome *)
-}
-
-val declare : descriptor -> unit
-(** Register (or replace) the descriptor for a kind. Collectors
-    declare alongside {!register_ext_kind}. *)
-
-val descriptors : unit -> descriptor list
-(** All declared descriptors, in first-declaration order. *)
-
-val dup_story_name : dup_story -> string
-val crash_edge_name : crash_edge -> string
-
 val approx_bytes : payload -> int
 (** Rough wire size: a fixed per-message header plus per-reference and
     per-entry costs; [Ext] payloads report header + the registered

@@ -252,11 +252,7 @@ let test_retry_backoff_schedule () =
   (* Permanent partition: the back call and all three retries are
      dropped. Attempt 0 times out at +10s; retries re-arm at
      10·2^k, so the Live give-up lands at +150s exactly. *)
-  let sim =
-    ring_sim
-      ~tweak:(fun c -> { c with Config.retry_limit = 3; retry_backoff = 2. })
-      ()
-  in
+  let sim = ring_sim ~tweak:(fun c -> { c with Config.retry_limit = 3 }) () in
   let eng = sim.Sim.eng in
   Engine.partition eng [ [ s 0 ]; [ s 1 ] ];
   let outcome = ref None in
@@ -282,9 +278,7 @@ let test_retry_recovers_dropped_call () =
      crosses the healed network and the trace still concludes Garbage —
      a single-shot caller would have timed out to Live. *)
   let sim =
-    ring_sim ~timeout:5.
-      ~tweak:(fun c -> { c with Config.retry_limit = 2; retry_backoff = 2. })
-      ()
+    ring_sim ~timeout:5. ~tweak:(fun c -> { c with Config.retry_limit = 2 }) ()
   in
   let eng = sim.Sim.eng in
   Engine.partition eng [ [ s 0 ]; [ s 1 ] ];

@@ -1,6 +1,6 @@
-(* dgc-san: the vector-clock laws, the sanitize=off identity pin, the
-   protocol lint (positive and negative), and the dynamic detectors
-   rediscovering both seeded defects through the explorer. *)
+(* dgc-san: the vector-clock laws, the sanitize=off identity pin, and
+   the dynamic detectors rediscovering both seeded defects through the
+   explorer. *)
 
 open Dgc_simcore
 open Dgc_rts
@@ -8,7 +8,6 @@ open Dgc_workload
 open Dgc_chaos
 module Json = Dgc_telemetry.Json
 module Vclock = Dgc_sanitize.Vclock
-module Lint = Dgc_sanitize.Lint
 module San = Dgc_sanitize.Sanitizer
 module Explorer = Dgc_analysis.Explorer
 module Sut = Dgc_analysis.Sut
@@ -131,69 +130,6 @@ let test_sanitize_identity () =
     | Some n -> n > 0
     | None -> false)
 
-(* --- the protocol lint ------------------------------------------------------ *)
-
-let base_kinds = [ "move"; "move_ack"; "insert"; "insert_done"; "update" ]
-
-(* The ext labels whose declaring modules are linked into this test
-   binary (dgc_core's collector channel). *)
-let ext_kinds = [ "back_call"; "back_reply"; "back_report" ]
-
-let live_descriptors () =
-  List.filter
-    (fun d -> List.mem d.Protocol.d_kind (base_kinds @ ext_kinds))
-    (Protocol.descriptors ())
-
-let test_lint_clean () =
-  let findings = Lint.run ~descriptors:(live_descriptors ()) ~ext_kinds () in
-  if not (Lint.ok findings) then
-    Alcotest.failf "lint rejected the live table: %s"
-      (String.concat "; "
-         (List.map (Format.asprintf "%a" Lint.pp_finding) findings))
-
-let test_lint_rejects_missing_descriptor () =
-  let mutated =
-    List.filter
-      (fun d -> d.Protocol.d_kind <> "back_call")
-      (live_descriptors ())
-  in
-  let findings = Lint.run ~descriptors:mutated ~ext_kinds () in
-  Alcotest.(check bool) "missing back_call flagged" true
-    (List.exists
-       (fun f ->
-         f.Lint.lf_kind = "back_call" && f.Lint.lf_check = "missing-descriptor")
-       findings)
-
-let test_lint_rejects_removed_dup_memo () =
-  (* The acceptance-bar negative test: strip the §4.6 call memo story
-     from back_call (claim the channel never duplicates) and the lint
-     must fail closed — only the reliable base channel may claim
-     exactly-once. *)
-  let mutated =
-    List.map
-      (fun d ->
-        if d.Protocol.d_kind = "back_call" then
-          { d with Protocol.d_dup = Protocol.Dup_exactly_once }
-        else d)
-      (live_descriptors ())
-  in
-  let findings = Lint.run ~descriptors:mutated ~ext_kinds () in
-  Alcotest.(check bool) "exactly-once on an ext kind rejected" true
-    (List.exists (fun f -> f.Lint.lf_kind = "back_call") findings)
-
-let test_lint_rejects_crash_none_on_ext () =
-  let mutated =
-    List.map
-      (fun d ->
-        if d.Protocol.d_kind = "back_reply" then
-          { d with Protocol.d_crash = Protocol.Crash_none }
-        else d)
-      (live_descriptors ())
-  in
-  let findings = Lint.run ~descriptors:mutated ~ext_kinds () in
-  Alcotest.(check bool) "crash-none on an ext kind rejected" true
-    (List.exists (fun f -> f.Lint.lf_kind = "back_reply") findings)
-
 (* --- dynamic rediscovery ---------------------------------------------------- *)
 
 let small_bounds =
@@ -281,17 +217,6 @@ let () =
         [
           Alcotest.test_case "sanitize on perturbs nothing" `Quick
             test_sanitize_identity;
-        ] );
-      ( "lint",
-        [
-          Alcotest.test_case "live descriptor table is clean" `Quick
-            test_lint_clean;
-          Alcotest.test_case "missing descriptor rejected" `Quick
-            test_lint_rejects_missing_descriptor;
-          Alcotest.test_case "removing the dup memo rejected" `Quick
-            test_lint_rejects_removed_dup_memo;
-          Alcotest.test_case "crash-none on ext rejected" `Quick
-            test_lint_rejects_crash_none_on_ext;
         ] );
       ( "detectors",
         [
