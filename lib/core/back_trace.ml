@@ -112,9 +112,17 @@ type shared = {
      gauge series; counting here keeps the samples O(1) *)
   mutable in_flight : int;
   mutable frames_held : int;
+  (* list cells held in every site's [visited_refs], kept by
+     [record_visit] and [apply_report] for [approx_bytes] *)
+  mutable visited_cells : int;
+  (* metric handles, each registered on first record *)
+  back_msgs : int ref Lazy.t;
+  in_flight_gauge : Tel.Series.series Lazy.t;
+  frames_gauge : Tel.Series.series Lazy.t;
 }
 
 let create eng =
+  let series = Engine.series eng in
   {
     eng;
     states =
@@ -136,15 +144,26 @@ let create eng =
     observers = [];
     in_flight = 0;
     frames_held = 0;
+    visited_cells = 0;
+    back_msgs = lazy (Metrics.counter_ref (Engine.metrics eng) "back.msgs");
+    in_flight_gauge =
+      lazy (Tel.Series.series_ref series "back.in_flight" ~kind:Gauge);
+    frames_gauge =
+      lazy (Tel.Series.series_ref series "back.frames_held" ~kind:Gauge);
   }
+
+let set_gauge sh g v =
+  Tel.Series.set_to (Lazy.force g)
+    ~at:(Sim_time.to_seconds (Engine.now sh.eng))
+    (float_of_int v)
 
 let gauge_in_flight sh d =
   sh.in_flight <- sh.in_flight + d;
-  Engine.series_set sh.eng "back.in_flight" (float_of_int sh.in_flight)
+  set_gauge sh sh.in_flight_gauge sh.in_flight
 
 let gauge_frames sh d =
   sh.frames_held <- sh.frames_held + d;
-  Engine.series_set sh.eng "back.frames_held" (float_of_int sh.frames_held)
+  set_gauge sh sh.frames_gauge sh.frames_held
 
 let state sh id = sh.states.(Site_id.to_int id)
 let on_outcome sh f = sh.observers <- f :: sh.observers
@@ -167,7 +186,7 @@ let send_back sh ~src ~dst trace ext =
       | _ ->
           s.ts_report_msgs <- s.ts_report_msgs + 1;
           s.ts_report_bytes <- s.ts_report_bytes + b);
-  Metrics.incr (Engine.metrics sh.eng) "back.msgs";
+  incr (Lazy.force sh.back_msgs);
   Engine.send sh.eng ~src ~dst payload
 
 (* Cap on memoized calls per site: entries normally die with the
@@ -490,6 +509,7 @@ and apply_report sh st trace outcome =
   | None -> ()
   | Some l ->
       Hashtbl.remove st.visited_refs trace;
+      sh.visited_cells <- sh.visited_cells - List.length !l;
       List.iter
         (fun r ->
           if Site_id.equal (Oid.site r) (self_id st) then begin
@@ -531,6 +551,7 @@ and apply_report sh st trace outcome =
   List.iter (Hashtbl.remove st.call_memo) stale_memo
 
 and record_visit sh st trace r =
+  sh.visited_cells <- sh.visited_cells + 1;
   match Hashtbl.find_opt st.visited_refs trace with
   | Some l -> l := r :: !l
   | None ->
@@ -916,16 +937,15 @@ let stats sh =
    visited refs. Covers the machinery a lost report would leak. *)
 let approx_bytes sh =
   let word = 8 in
-  let n = ref 0 in
-  Array.iter
-    (fun st ->
-      n := !n + (word * 18 * Hashtbl.length st.frames);
-      n := !n + (word * 6 * Hashtbl.length st.call_memo);
-      Hashtbl.iter
-        (fun _ l -> n := !n + (word * 3 * List.length !l))
-        st.visited_refs)
-    sh.states;
-  !n
+  Array.fold_left
+    (fun n st ->
+      n
+      + (word * 18 * Hashtbl.length st.frames)
+      + (word * 6 * Hashtbl.length st.call_memo))
+    (word * 3 * sh.visited_cells)
+    sh.states
+
+let visited_cells sh = sh.visited_cells
 
 let find_stat sh trace = Hashtbl.find_opt sh.tstats trace
 

@@ -135,6 +135,11 @@ val approx_bytes : shared -> int
     [bytes.back_trace] gauge; this is exactly the state a lost report
     would leak, so a flat-lining gauge is the healthy shape. *)
 
+val visited_cells : shared -> int
+(** Visited marks held across all sites, as a running count: the sum
+    of every trace's [rs_visited] in {!residue}. {!approx_bytes} reads
+    it instead of walking the marks. *)
+
 val find_stat : shared -> Trace_id.t -> trace_stat option
 
 val ledger_row : Trace_id.t -> trace_stat -> Dgc_profile.Ledger.row

@@ -2,6 +2,7 @@ open Dgc_prelude
 open Dgc_simcore
 open Dgc_heap
 open Dgc_rts
+module Tel = Dgc_telemetry
 
 (* What a trace will install: an outcome kept from an earlier trace
    with the same input stamp, or an input still to compute ([keep]:
@@ -24,12 +25,26 @@ type site_ctl = {
   mutable ctl_kept : Local_trace.outcome option;
   mutable ctl_reused : int;
   mutable ctl_computed : int;
+  (* the site's metric handles, each registered on first record *)
+  ctl_meters : Local_trace.meters;
+  ctl_candidates : Metrics.hist Lazy.t;
+  ctl_resident : Tel.Series.series Lazy.t;
+}
+
+(* The collector-wide metric handles, each registered on first
+   record. *)
+type meters = {
+  m_candidates : Metrics.hist Lazy.t;
+  m_candidates_series : Tel.Series.series Lazy.t;
+  m_back_bytes : Tel.Series.series Lazy.t;
+  m_workspace : Tel.Series.series Lazy.t;
 }
 
 type t = {
   eng : Engine.t;
   back : Back_trace.shared;
   ctls : site_ctl array;
+  meters : meters;
   mutable auto_back_traces : bool;
   mutable after_trace : Site_id.t -> unit;
   (* §3's tuning suggestion: when abortive (Live) verdicts dominate,
@@ -45,6 +60,7 @@ let ctl t id = t.ctls.(Site_id.to_int id)
 let in_window t id = (ctl t id).ctl_window <> None
 
 let cfg t = Engine.config t.eng
+let now_s t = Sim_time.to_seconds (Engine.now t.eng)
 
 (* ---- the transfer barrier (§6.1) ------------------------------------ *)
 
@@ -85,13 +101,12 @@ let trigger_back_traces t site_id =
         then candidates := o :: !candidates
       end);
   let candidates = !candidates in
-  let metrics = Engine.metrics t.eng in
-  let n_cand = float_of_int (List.length candidates) in
-  Metrics.hist_observe metrics "back.trigger_candidates" n_cand;
-  Metrics.hist_observe metrics
-    (Site.metric_label c.ctl_site "back.trigger_candidates")
-    n_cand;
-  Engine.series_add t.eng "back.trigger_candidates" (List.length candidates);
+  let n_cand = List.length candidates in
+  Metrics.observe (Lazy.force t.meters.m_candidates) (float_of_int n_cand);
+  Metrics.observe (Lazy.force c.ctl_candidates) (float_of_int n_cand);
+  Tel.Series.add_to
+    (Lazy.force t.meters.m_candidates_series)
+    ~at:(now_s t) n_cand;
   (* Deepest first: they are the most likely to be fully suspected.
      Ties go to the lower target, so which outrefs start traces does
      not depend on table order — determinism is observable here. *)
@@ -121,17 +136,15 @@ let effective_threshold2 t = t.eff_threshold2
    ([Tables.approx_bytes]), back-trace residue
    ([Back_trace.approx_bytes]), and the trace's transient workspace. *)
 let sample_memory t site_id outcome =
-  let s = (ctl t site_id).ctl_site in
-  let resident =
-    Heap.bytes_resident s.Site.heap + Tables.approx_bytes s.Site.tables
-  in
-  Engine.series_set t.eng
-    (Site.metric_label s "bytes_resident")
-    (float_of_int resident);
-  Engine.series_set t.eng "bytes.back_trace"
-    (float_of_int (Back_trace.approx_bytes t.back));
-  Engine.series_set t.eng "bytes.trace_workspace"
-    (float_of_int outcome.Local_trace.ot_stats.Local_trace.workspace_bytes)
+  let c = ctl t site_id in
+  let s = c.ctl_site in
+  let at = now_s t in
+  let set g n = Tel.Series.set_to (Lazy.force g) ~at (float_of_int n) in
+  set c.ctl_resident
+    (Heap.bytes_resident s.Site.heap + Tables.approx_bytes s.Site.tables);
+  set t.meters.m_back_bytes (Back_trace.approx_bytes t.back);
+  set t.meters.m_workspace
+    outcome.Local_trace.ot_stats.Local_trace.workspace_bytes
 
 (* Profiled [Local_trace.compute]: a [local_trace] scope with
    per-phase subscopes (clean / suspect / assemble) driven by the
@@ -178,7 +191,8 @@ let profiled_compute t c input =
 (* Install an outcome (frees, table swap, update sends) and sample the
    memory gauges. [arrived]: the window's recorded arrivals. *)
 let install_outcome t site_id ?arrived outcome =
-  Local_trace.apply ?arrived t.eng (ctl t site_id).ctl_site outcome;
+  let c = ctl t site_id in
+  Local_trace.apply ?arrived t.eng c.ctl_site c.ctl_meters outcome;
   sample_memory t site_id outcome
 
 (* Everything that happens after a trace's mark phase: install the
@@ -271,6 +285,8 @@ let reuse_stats t =
     (0, 0) t.ctls
 
 let install eng =
+  let metrics = Engine.metrics eng and series = Engine.series eng in
+  let gauge name = lazy (Tel.Series.series_ref series name ~kind:Gauge) in
   let t =
     {
       eng;
@@ -286,8 +302,29 @@ let install eng =
               ctl_kept = None;
               ctl_reused = 0;
               ctl_computed = 0;
+              ctl_meters = Local_trace.meters eng s;
+              ctl_candidates =
+                lazy
+                  (Metrics.hist_ref metrics
+                     (Site.metric_label s "back.trigger_candidates"));
+              ctl_resident =
+                lazy
+                  (Tel.Series.series_ref series
+                     (Site.metric_label s "bytes_resident")
+                     ~kind:Gauge);
             })
           (Engine.sites eng);
+      meters =
+        {
+          m_candidates =
+            lazy (Metrics.hist_ref metrics "back.trigger_candidates");
+          m_candidates_series =
+            lazy
+              (Tel.Series.series_ref series "back.trigger_candidates"
+                 ~kind:Counter);
+          m_back_bytes = gauge "bytes.back_trace";
+          m_workspace = gauge "bytes.trace_workspace";
+        };
       auto_back_traces = true;
       after_trace = (fun _ -> ());
       eff_threshold2 = (Engine.config eng).Config.threshold2;

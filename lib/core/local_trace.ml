@@ -666,25 +666,48 @@ let compute ?(mode = Bottom_up) ?probe ?memo inp =
 
 (* ---- the atomic swap (§6.2) ---- *)
 
-let apply ?(arrived = []) eng site outcome =
-  let tables = site.Site.tables in
+(* One site's swap metrics, each registered on first record. *)
+type meters = {
+  m_freed : int ref Lazy.t;
+  m_traces : int ref Lazy.t;
+  m_hit_rate : Metrics.hist Lazy.t;
+  m_site_hit_rate : Metrics.hist Lazy.t;
+  m_inset_entries : Metrics.hist Lazy.t;
+}
+
+let meters eng site =
   let metrics = Engine.metrics eng in
+  let counter name = lazy (Metrics.counter_ref metrics name) in
+  let hist name = lazy (Metrics.hist_ref metrics name) in
+  {
+    m_freed = counter "gc.objects_freed";
+    m_traces = counter "gc.local_traces";
+    m_hit_rate = hist "trace.outset_memo_hit_rate";
+    m_site_hit_rate =
+      lazy
+        (Metrics.hist_ref metrics
+           (Site.metric_label site "trace.outset_memo_hit_rate"));
+    m_inset_entries = hist "trace.inset_entries";
+  }
+
+let apply ?(arrived = []) eng site m outcome =
+  let tables = site.Site.tables in
   let delta = (Engine.config eng).Config.delta in
   let on_cleaned r = site.Site.hooks.Site.h_ioref_cleaned r in
   if (Engine.config eng).Config.oracle_checks then
     Dgc_oracle.Oracle.check_would_free eng site.Site.id outcome.dead;
   let freed = Heap.free site.Site.heap outcome.dead in
-  Metrics.add metrics "gc.objects_freed" freed;
-  Metrics.incr metrics "gc.local_traces";
+  let objects_freed = Lazy.force m.m_freed in
+  objects_freed := !objects_freed + freed;
+  incr (Lazy.force m.m_traces);
   let ts = outcome.ot_stats in
   if ts.union_calls > 0 then begin
     let rate = float_of_int ts.memo_hits /. float_of_int ts.union_calls in
-    Metrics.hist_observe metrics "trace.outset_memo_hit_rate" rate;
-    Metrics.hist_observe metrics
-      (Site.metric_label site "trace.outset_memo_hit_rate")
-      rate
+    Metrics.observe (Lazy.force m.m_hit_rate) rate;
+    Metrics.observe (Lazy.force m.m_site_hit_rate) rate
   end;
-  Metrics.hist_observe metrics "trace.inset_entries"
+  Metrics.observe
+    (Lazy.force m.m_inset_entries)
     (float_of_int ts.inset_entries);
   if freed > 0 then
     Engine.jlog eng ~cat:"gc" "%a freed %d (suspects: %d inrefs, %d outrefs)"

@@ -128,7 +128,14 @@ val compute :
     outcome is the same, byte for byte, with or without a memo:
     [clean_visits] counts objects marked clean, traced or replayed. *)
 
-val apply : ?arrived:Oid.t list -> Engine.t -> Site.t -> outcome -> unit
+type meters
+(** One site's handles on the metrics {!apply} records, each
+    registered on first record, as the string calls would. *)
+
+val meters : Engine.t -> Site.t -> meters
+
+val apply :
+  ?arrived:Oid.t list -> Engine.t -> Site.t -> meters -> outcome -> unit
 (** Atomic swap (§6.2): free the dead objects, install the outcome's
     statuses, outsets, insets and distances, remove untraced outrefs
     and send the [Update]s for them.

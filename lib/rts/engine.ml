@@ -87,6 +87,13 @@ type t = {
   mutable profile : Prof.t option;
   series : Tel.Series.t;
   mutable subs : (event -> unit) list;  (** in subscription order *)
+  (* [transmit]'s metric handles, each registered on first record: per
+     message kind the ("msg.<kind>", "msg.size.<kind>") pair *)
+  kind_meters : (string, int ref * Metrics.hist) Hashtbl.t;
+  msg_total : int ref Lazy.t;
+  msg_bytes : int ref Lazy.t;
+  (* [jlog]'s buffer and formatter, reused by every entry *)
+  jfmt : (Buffer.t * Format.formatter) Lazy.t;
 }
 
 let subscribe t f = t.subs <- t.subs @ [ f ]
@@ -108,19 +115,25 @@ let now_s t = Sim_time.to_seconds t.now
 let jlog t ?(level = Journal.Info) ~cat fmt =
   match t.journal with
   | Some j ->
-      Format.kasprintf
-        (fun text ->
+      let buf, ppf = Lazy.force t.jfmt in
+      (* The flush [Format.kasprintf] ends with, then the text. *)
+      Format.kfprintf
+        (fun ppf ->
+          Format.pp_print_flush ppf ();
+          let text = Buffer.contents buf in
+          Buffer.clear buf;
           let e = { Journal.at = t.now; level; cat; text } in
           Journal.add j e;
           emit t (Journal e))
-        fmt
+        ppf fmt
   | None -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
 
 let create cfg =
+  let metrics = Metrics.create () in
   {
     cfg;
     rng = Rng.create ~seed:cfg.Config.seed;
-    metrics = Metrics.create ();
+    metrics;
     queue = Event_queue.create ();
     now = Sim_time.zero;
     sites =
@@ -148,6 +161,13 @@ let create cfg =
     profile = None;
     series = Tel.Series.create ();
     subs = [];
+    kind_meters = Hashtbl.create 16;
+    msg_total = lazy (Metrics.counter_ref metrics "msg.total");
+    msg_bytes = lazy (Metrics.counter_ref metrics "msg.bytes");
+    jfmt =
+      lazy
+        (let buf = Buffer.create 128 in
+         (buf, Format.formatter_of_buffer buf));
   }
 
 let attach_journal t j = t.journal <- Some j
@@ -214,7 +234,6 @@ let profile_work t u n =
   match t.profile with None -> () | Some p -> Prof.work p u n
 
 let series t = t.series
-let series_add t name n = Tel.Series.add t.series name ~at:(now_s t) n
 let series_incr t name = Tel.Series.incr t.series name ~at:(now_s t)
 let series_set t name v = Tel.Series.set t.series name ~at:(now_s t) v
 
@@ -346,19 +365,20 @@ let force_clean t s r =
 
 (* --- delivery ------------------------------------------------------- *)
 
-(* Metric names per message kind ("msg.<kind>", "msg.size.<kind>") and
-   per drop reason, built once rather than on every send or drop. *)
-let kind_metric_names : (string, string * string) Hashtbl.t =
-  Hashtbl.create 16
-
-let kind_metrics kind =
-  match Hashtbl.find_opt kind_metric_names kind with
-  | Some names -> names
+(* The per-kind count and size handles, one lookup per payload; the
+   pair is registered by the payload that records it first. *)
+let kind_meters t kind =
+  match Hashtbl.find_opt t.kind_meters kind with
+  | Some m -> m
   | None ->
-      let names = ("msg." ^ kind, "msg.size." ^ kind) in
-      Hashtbl.add kind_metric_names kind names;
-      names
+      let m =
+        ( Metrics.counter_ref t.metrics ("msg." ^ kind),
+          Metrics.hist_ref t.metrics ("msg.size." ^ kind) )
+      in
+      Hashtbl.add t.kind_meters kind m;
+      m
 
+(* Metric names per drop reason, built once rather than on every drop. *)
 let dropped_metric = function
   | "crashed" -> "msg.dropped.crashed"
   | "partition" -> "msg.dropped.partition"
@@ -569,15 +589,16 @@ and transmit t ~src ~dst msgs =
   let bytes =
     List.fold_left
       (fun acc (p, _) ->
-        let count_name, size_name = kind_metrics (Protocol.kind p) in
+        let count, size = kind_meters t (Protocol.kind p) in
         let b = Protocol.approx_bytes p in
-        Metrics.incr t.metrics count_name;
-        Metrics.hist_observe t.metrics size_name (float_of_int b);
+        incr count;
+        Metrics.observe size (float_of_int b);
         acc + b)
       0 msgs
   in
-  Metrics.incr t.metrics "msg.total";
-  Metrics.add t.metrics "msg.bytes" bytes;
+  incr (Lazy.force t.msg_total);
+  let total_bytes = Lazy.force t.msg_bytes in
+  total_bytes := !total_bytes + bytes;
   profile_work t "msgs_sent" (List.length msgs);
   profile_work t "bytes_sent" bytes;
   let is_ext = List.exists (fun (p, _) -> Protocol.is_ext p) msgs in
@@ -629,26 +650,29 @@ and send t ~src ~dst payload =
    Each site's lists come out in reverse input order, and the sites go
    out in [Hashtbl] order; callers rely on both for message ids. *)
 let send_updates t ~src ~removals ~dists =
-  let by_site = Hashtbl.create 8 in
-  let add list_of ((r, _) as entry) =
-    let dst = Oid.site r in
-    let lists =
-      match Hashtbl.find_opt by_site dst with
-      | Some lists -> lists
-      | None ->
-          let lists = (ref [], ref []) in
-          Hashtbl.add by_site dst lists;
-          lists
-    in
-    let l = list_of lists in
-    l := entry :: !l
-  in
-  List.iter (add fst) removals;
-  List.iter (add snd) dists;
-  Hashtbl.iter
-    (fun dst (rem, ds) ->
-      send t ~src ~dst (Protocol.Update { removals = !rem; dists = !ds }))
-    by_site
+  match (removals, dists) with
+  | [], [] -> ()
+  | _ ->
+      let by_site = Hashtbl.create 8 in
+      let add list_of ((r, _) as entry) =
+        let dst = Oid.site r in
+        let lists =
+          match Hashtbl.find_opt by_site dst with
+          | Some lists -> lists
+          | None ->
+              let lists = (ref [], ref []) in
+              Hashtbl.add by_site dst lists;
+              lists
+        in
+        let l = list_of lists in
+        l := entry :: !l
+      in
+      List.iter (add fst) removals;
+      List.iter (add snd) dists;
+      Hashtbl.iter
+        (fun dst (rem, ds) ->
+          send t ~src ~dst (Protocol.Update { removals = !rem; dists = !ds }))
+        by_site
 
 (* --- mutator moves --------------------------------------------------- *)
 

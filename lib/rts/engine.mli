@@ -148,11 +148,8 @@ val series : t -> Dgc_telemetry.Series.t
     unconditionally present: recording costs a hash-table update and
     draws no randomness. *)
 
-val series_add : t -> string -> int -> unit
-(** Add to a counter series at the current simulated time. *)
-
 val series_incr : t -> string -> unit
-(** [series_add t name 1]. *)
+(** Add 1 to a counter series at the current simulated time. *)
 
 val series_set : t -> string -> float -> unit
 (** Set a gauge series at the current simulated time. *)

@@ -16,7 +16,25 @@ and manager = {
   eng : Engine.t;
   agents : (int, t) Hashtbl.t;
   mutable next_agent : int;
+  (* metric handles, each registered on first record *)
+  ops : int ref Lazy.t;
+  ops_failed : int ref Lazy.t;
+  failed_by : int ref Lazy.t array;  (** indexed by [failure_index] *)
 }
+
+(* Why an operation failed: counted under "mutator.op_failed.<name>". *)
+type failure = Traveling | No_root | No_var | Remote_obj | Dead_obj | No_field
+
+let failure_index = function
+  | Traveling -> 0
+  | No_root -> 1
+  | No_var -> 2
+  | Remote_obj -> 3
+  | Dead_obj -> 4
+  | No_field -> 5
+
+let failure_names =
+  [| "traveling"; "no_root"; "no_var"; "remote_obj"; "dead_obj"; "no_field" |]
 
 let var_refs a = Util.hashtbl_values a.vars
 
@@ -32,7 +50,18 @@ let repin a =
       a.pin_token <- Some tok
 
 let manager eng =
-  let mgr = { eng; agents = Hashtbl.create 8; next_agent = 0 } in
+  let counter name = lazy (Metrics.counter_ref (Engine.metrics eng) name) in
+  let mgr =
+    {
+      eng;
+      agents = Hashtbl.create 8;
+      next_agent = 0;
+      ops = counter "mutator.op";
+      ops_failed = counter "mutator.op_failed";
+      failed_by =
+        Array.map (fun n -> counter ("mutator.op_failed." ^ n)) failure_names;
+    }
+  in
   Engine.set_agent_arrival eng (fun ~agent ~dst ->
       match Hashtbl.find_opt mgr.agents agent with
       | None -> ()
@@ -84,13 +113,13 @@ let vars a =
 
 let var a name = Hashtbl.find_opt a.vars name
 
-let fail a reason =
-  Metrics.incr (Engine.metrics a.mgr.eng) "mutator.op_failed";
-  Metrics.incr (Engine.metrics a.mgr.eng) ("mutator.op_failed." ^ reason);
+let fail a why =
+  incr (Lazy.force a.mgr.ops_failed);
+  incr (Lazy.force a.mgr.failed_by.(failure_index why));
   false
 
 let ok a =
-  Metrics.incr (Engine.metrics a.mgr.eng) "mutator.op";
+  incr (Lazy.force a.mgr.ops);
   true
 
 let set_var a name r =
@@ -100,29 +129,29 @@ let set_var a name r =
 let ready a = not (a.traveling)
 
 let load_root a ~dst =
-  if not (ready a) then fail a "traveling"
+  if not (ready a) then fail a Traveling
   else begin
     let s = Engine.site a.mgr.eng a.at in
     match Heap.persistent_roots s.Site.heap with
-    | [] -> fail a "no_root"
+    | [] -> fail a No_root
     | r :: _ ->
         set_var a dst r;
         ok a
   end
 
 let load_root_named a ~root ~dst =
-  if not (ready a) then fail a "traveling"
+  if not (ready a) then fail a Traveling
   else begin
     let s = Engine.site a.mgr.eng a.at in
     if List.exists (Oid.equal root) (Heap.persistent_roots s.Site.heap) then begin
       set_var a dst root;
       ok a
     end
-    else fail a "no_root"
+    else fail a No_root
   end
 
 let new_obj a ~dst =
-  if not (ready a) then fail a "traveling"
+  if not (ready a) then fail a Traveling
   else begin
     let s = Engine.site a.mgr.eng a.at in
     let r = Heap.alloc s.Site.heap in
@@ -131,33 +160,33 @@ let new_obj a ~dst =
   end
 
 let read_field a ~obj ~idx ~dst =
-  if not (ready a) then fail a "traveling"
+  if not (ready a) then fail a Traveling
   else
     match var a obj with
-    | None -> fail a "no_var"
+    | None -> fail a No_var
     | Some o ->
-        if not (Site_id.equal (Oid.site o) a.at) then fail a "remote_obj"
+        if not (Site_id.equal (Oid.site o) a.at) then fail a Remote_obj
         else begin
           let s = Engine.site a.mgr.eng a.at in
-          if not (Heap.mem s.Site.heap o) then fail a "dead_obj"
+          if not (Heap.mem s.Site.heap o) then fail a Dead_obj
           else
             match List.nth_opt (Heap.fields s.Site.heap o) idx with
-            | None -> fail a "no_field"
+            | None -> fail a No_field
             | Some r ->
                 set_var a dst r;
                 ok a
         end
 
 let write a ~obj ~value =
-  if not (ready a) then fail a "traveling"
+  if not (ready a) then fail a Traveling
   else
     match (var a obj, var a value) with
-    | None, _ | _, None -> fail a "no_var"
+    | None, _ | _, None -> fail a No_var
     | Some o, Some v ->
-        if not (Site_id.equal (Oid.site o) a.at) then fail a "remote_obj"
+        if not (Site_id.equal (Oid.site o) a.at) then fail a Remote_obj
         else begin
           let s = Engine.site a.mgr.eng a.at in
-          if not (Heap.mem s.Site.heap o) then fail a "dead_obj"
+          if not (Heap.mem s.Site.heap o) then fail a Dead_obj
           else begin
             Heap.add_field s.Site.heap ~obj:o ~target:v;
             ok a
@@ -165,41 +194,41 @@ let write a ~obj ~value =
         end
 
 let unlink a ~obj ~target =
-  if not (ready a) then fail a "traveling"
+  if not (ready a) then fail a Traveling
   else
     match (var a obj, var a target) with
-    | None, _ | _, None -> fail a "no_var"
+    | None, _ | _, None -> fail a No_var
     | Some o, Some v ->
-        if not (Site_id.equal (Oid.site o) a.at) then fail a "remote_obj"
+        if not (Site_id.equal (Oid.site o) a.at) then fail a Remote_obj
         else begin
           let s = Engine.site a.mgr.eng a.at in
           if Heap.remove_field s.Site.heap ~obj:o ~target:v then ok a
-          else fail a "no_field"
+          else fail a No_field
         end
 
 let drop a name =
-  if not (ready a) then fail a "traveling"
+  if not (ready a) then fail a Traveling
   else if Hashtbl.mem a.vars name then begin
     Hashtbl.remove a.vars name;
     repin a;
     ok a
   end
-  else fail a "no_var"
+  else fail a No_var
 
 let copy_var a ~src ~dst =
-  if not (ready a) then fail a "traveling"
+  if not (ready a) then fail a Traveling
   else
     match var a src with
-    | None -> fail a "no_var"
+    | None -> fail a No_var
     | Some r ->
         set_var a dst r;
         ok a
 
 let travel a ~via ~k =
-  if not (ready a) then fail a "traveling"
+  if not (ready a) then fail a Traveling
   else
     match var a via with
-    | None -> fail a "no_var"
+    | None -> fail a No_var
     | Some r ->
         let dst = Oid.site r in
         a.arrival_k <- Some k;

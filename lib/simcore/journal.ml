@@ -5,18 +5,38 @@ let level_rank = function Debug -> 0 | Info -> 1 | Warn -> 2
 
 type entry = { at : Sim_time.t; level : level; cat : string; text : string }
 
+(* The buffer starts small and doubles whenever it is full, up to
+   [cap]; only then does the ring wrap. Below [cap] a full buffer holds
+   the entries at [0 .. total-1] with the cursor wrapped to 0, so
+   growing is a prefix copy that puts the cursor back at the end. *)
 type t = {
-  buf : entry option array;
+  cap : int;
+  mutable buf : entry array;
   mutable next : int;  (** write cursor *)
   mutable total : int;
 }
 
+let filler = { at = Sim_time.zero; level = Debug; cat = ""; text = "" }
+let initial = 16
+
 let create ?(capacity = 2048) () =
   if capacity <= 0 then invalid_arg "Journal.create: capacity";
-  { buf = Array.make capacity None; next = 0; total = 0 }
+  {
+    cap = capacity;
+    buf = Array.make (min capacity initial) filler;
+    next = 0;
+    total = 0;
+  }
 
 let add t e =
-  t.buf.(t.next) <- Some e;
+  let len = Array.length t.buf in
+  if t.total = len && len < t.cap then begin
+    let buf = Array.make (min t.cap (2 * len)) filler in
+    Array.blit t.buf 0 buf 0 len;
+    t.buf <- buf;
+    t.next <- len
+  end;
+  t.buf.(t.next) <- e;
   t.next <- (t.next + 1) mod Array.length t.buf;
   t.total <- t.total + 1
 
@@ -25,11 +45,7 @@ let fold_oldest_first t f acc =
   let start = if t.total >= cap then t.next else 0 in
   let n = min t.total cap in
   let rec go i acc =
-    if i >= n then acc
-    else
-      match t.buf.((start + i) mod cap) with
-      | Some e -> go (i + 1) (f acc e)
-      | None -> go (i + 1) acc
+    if i >= n then acc else go (i + 1) (f acc t.buf.((start + i) mod cap))
   in
   go 0 acc
 

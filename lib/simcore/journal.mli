@@ -3,8 +3,11 @@
     A ring buffer of timestamped, categorized, severity-tagged
     one-line events. The engine writes into it when one is attached
     ([Engine.jlog]); campaigns, the auditor and the CLI read it back.
-    Writing is O(1) and the buffer never grows beyond its capacity, so
-    it can stay attached during long runs. *)
+    The buffer starts small and doubles when full, up to its capacity;
+    only then does the oldest entry get overwritten. So a short run
+    pays for the entries it writes, writing is amortized O(1), and the
+    buffer never grows beyond its capacity, so it can stay attached
+    during long runs. *)
 
 type level = Debug | Info | Warn
 

@@ -70,8 +70,7 @@ let hist_ref t name =
       Hashtbl.add t.hists name h;
       h
 
-let hist_observe t name x =
-  let h = hist_ref t name in
+let observe h x =
   let nb = Array.length bounds in
   (* First bucket whose upper bound covers x (binary search). *)
   let rec find lo hi =
@@ -86,6 +85,8 @@ let hist_observe t name x =
   h.h_sum <- h.h_sum +. x;
   if x < h.h_min then h.h_min <- x;
   if x > h.h_max then h.h_max <- x
+
+let hist_observe t name x = observe (hist_ref t name) x
 
 let quantile_of h q =
   if h.h_n = 0 then Float.nan

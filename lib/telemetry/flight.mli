@@ -1,12 +1,15 @@
-(** The flight recorder: always-on, fixed-capacity binary rings.
+(** The flight recorder: always-on, bounded binary rings.
 
     One ring of bytes per site (plus a global ring for site-less
     events: faults, journal mirror) records engine events, span edges
     and journal entries as compact length-prefixed binary frames.
-    Writing is a few blits and never allocates on the steady path;
-    when a ring is full the oldest whole records are evicted, so the
+    Writing is a few blits. A ring's buffer starts empty and grows
+    as records arrive, up to the capacity, so a short run pays for
+    what it records; once a ring is full at its capacity the oldest
+    whole records are evicted and writing no longer allocates. The
     recorder always holds the causally-relevant last-N events per site
-    at O(capacity) memory.
+    at O(capacity) memory, and its counters and dumps are those of a
+    ring allocated at full capacity up front.
 
     On an invariant violation, campaign failure or an explicit
     [--dump-flight], the rings are snapshotted into a ["dgc.flight/1"]
@@ -53,8 +56,9 @@ type event = {
 type t
 
 val create : ?capacity:int -> n_sites:int -> unit -> t
-(** [capacity] is bytes per ring (default 32768, minimum 1024). Rings
-    exist for sites [0 .. n_sites-1] plus the global ring ([site:-1]). *)
+(** [capacity] is bytes per ring (default 32768, minimum 1024): the
+    size a ring grows to before it evicts. Rings exist for sites
+    [0 .. n_sites-1] plus the global ring ([site:-1]). *)
 
 val capacity : t -> int
 val n_sites : t -> int

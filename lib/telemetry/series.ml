@@ -4,6 +4,8 @@ let kind_name = function Counter -> "counter" | Gauge -> "gauge"
 
 type series = {
   s_kind : kind;
+  s_win : float;  (** the registry's bucket width *)
+  s_max : int;  (** the registry's retention bound *)
   buckets : (int, float) Hashtbl.t;
   mutable lo : int;  (** oldest retained bucket index *)
   mutable hi : int;  (** newest bucket index written *)
@@ -37,6 +39,8 @@ let series_ref t name ~kind =
       let s =
         {
           s_kind = kind;
+          s_win = t.win;
+          s_max = t.max_buckets;
           buckets = Hashtbl.create 32;
           lo = 0;
           hi = 0;
@@ -48,9 +52,9 @@ let series_ref t name ~kind =
       Hashtbl.add t.tbl name s;
       s
 
-let bucket_of t at = int_of_float (floor (Float.max 0. at /. t.win))
+let bucket_of s at = int_of_float (floor (Float.max 0. at /. s.s_win))
 
-let touch t s i =
+let touch s i =
   if not s.any then begin
     s.any <- true;
     s.lo <- i;
@@ -62,7 +66,7 @@ let touch t s i =
   end;
   (* Evict oldest buckets past the retention bound. The index range is
      walked rather than the (sparse) table, so eviction stays O(range). *)
-  while s.hi - s.lo + 1 > t.max_buckets do
+  while s.hi - s.lo + 1 > s.s_max do
     if Hashtbl.mem s.buckets s.lo then begin
       Hashtbl.remove s.buckets s.lo;
       s.s_evicted <- s.s_evicted + 1
@@ -70,23 +74,23 @@ let touch t s i =
     s.lo <- s.lo + 1
   done
 
-let add t name ~at n =
-  let s = series_ref t name ~kind:Counter in
-  let i = bucket_of t at in
+let add_to s ~at n =
+  let i = bucket_of s at in
   let v = float_of_int n in
   Hashtbl.replace s.buckets i
     (v +. Option.value ~default:0. (Hashtbl.find_opt s.buckets i));
   s.s_total <- s.s_total +. v;
-  touch t s i
+  touch s i
 
-let incr t name ~at = add t name ~at 1
-
-let set t name ~at v =
-  let s = series_ref t name ~kind:Gauge in
-  let i = bucket_of t at in
+let set_to s ~at v =
+  let i = bucket_of s at in
   Hashtbl.replace s.buckets i v;
   s.s_total <- v;
-  touch t s i
+  touch s i
+
+let add t name ~at n = add_to (series_ref t name ~kind:Counter) ~at n
+let incr t name ~at = add t name ~at 1
+let set t name ~at v = set_to (series_ref t name ~kind:Gauge) ~at v
 
 let names t =
   Hashtbl.fold (fun k s acc -> (k, s.s_kind) :: acc) t.tbl []

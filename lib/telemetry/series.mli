@@ -42,6 +42,26 @@ val set : t -> string -> at:float -> float -> unit
 (** Gauge: overwrite the bucket covering [at]; the newest write is
     also the series' last value. *)
 
+(** {1 Handles}
+
+    A hot path resolves its series once and records through the
+    handle. Resolving registers the name, exactly as the first string
+    call does, so resolve on first record (say behind [lazy]) to keep
+    a never-recorded name out of {!names}. {!add} and {!set} are
+    [add_to]/[set_to] on the resolved series. *)
+
+type series
+
+val series_ref : t -> string -> kind:kind -> series
+(** The series named [name], created with [kind] if new; raises
+    [Invalid_argument] if the name already has the other kind. *)
+
+val add_to : series -> at:float -> int -> unit
+(** {!add} on a resolved counter. *)
+
+val set_to : series -> at:float -> float -> unit
+(** {!set} on a resolved gauge. *)
+
 (** {1 Reading} *)
 
 val names : t -> (string * kind) list

@@ -319,6 +319,57 @@ let test_report_redundancy_counted () =
   | Some n when n > 0 -> ()
   | _ -> Alcotest.fail "no redundant reports were sent"
 
+(* [Back_trace.approx_bytes] reads a running count of visited marks.
+   It must equal what a walk of every site's marks finds, at every
+   step of a faulty case (marks are added by visits and cleared by
+   reports and the TTL) and after the case. *)
+let test_visited_count_matches_walk () =
+  let walked sh =
+    List.fold_left
+      (fun n (_, per_site) ->
+        List.fold_left (fun n (_, r) -> n + r.Back_trace.rs_visited) n per_site)
+      0 (Back_trace.residue sh)
+  in
+  List.iter
+    (fun workload ->
+      for seed = 1 to 4 do
+        let case =
+          {
+            Campaign.cs_name = Printf.sprintf "%s-visited-%d" workload seed;
+            cs_workload = workload;
+            cs_seed = seed;
+            cs_horizon_ms = 20_000.;
+            cs_plan =
+              Plan.random ~rng:(Rng.create ~seed)
+                ~sites:(Workloads.sites workload) ~horizon_ms:20_000. ~events:4;
+          }
+        in
+        let back = ref None and steps = ref 0 and mismatches = ref 0 in
+        let agree sh = Back_trace.visited_cells sh = walked sh in
+        ignore
+          (Campaign.run_case
+             ~probe:(fun pb ->
+               let sh = Collector.back pb.Campaign.pb_col in
+               back := Some sh;
+               Engine.add_step_watcher pb.Campaign.pb_eng (fun () ->
+                   incr steps;
+                   if not (agree sh) then incr mismatches))
+             case);
+        let sh = Option.get !back in
+        Alcotest.(check int)
+          (Printf.sprintf "%s: steps where the count and the walk differ"
+             case.Campaign.cs_name)
+          0 !mismatches;
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: the case stepped" case.Campaign.cs_name)
+          true (!steps > 0);
+        Alcotest.(check int)
+          (Printf.sprintf "%s: count equals walk after the case"
+             case.Campaign.cs_name)
+          (walked sh) (Back_trace.visited_cells sh)
+      done)
+    [ "ring"; "hypertext"; "race" ]
+
 (* --- the shrinker --------------------------------------------------------- *)
 
 let test_shrink_recovers_planted_pair () =
@@ -774,6 +825,8 @@ let () =
             test_retry_recovers_dropped_call;
           Alcotest.test_case "report redundancy counted" `Quick
             test_report_redundancy_counted;
+          Alcotest.test_case "visited count equals the walked marks" `Quick
+            test_visited_count_matches_walk;
         ] );
       ( "shrink",
         [

@@ -152,6 +152,154 @@ let test_random_round_trip () =
           (Flight.sites d)
   done
 
+(* --- growth against a fixed ring ----------------------------------------- *)
+
+(* The reference: every ring a buffer allocated at full capacity up
+   front, written in the documented frame layout. The recorder's rings
+   start empty and grow; at every point they must dump the same
+   document (intern table, live bytes, counters) as this one. *)
+module Fixed = struct
+  type ring = {
+    data : Bytes.t;
+    mutable head : int;
+    mutable used : int;
+    mutable written : int;
+    mutable evicted : int;
+  }
+
+  type t = {
+    cap : int;
+    rings : ring array;  (** index 0 = global ring *)
+    intern : (string, int) Hashtbl.t;
+    mutable strings : string list;  (** newest first *)
+  }
+
+  let create ~capacity ~n_sites =
+    {
+      cap = capacity;
+      rings =
+        Array.init (n_sites + 1) (fun _ ->
+            {
+              data = Bytes.create capacity;
+              head = 0;
+              used = 0;
+              written = 0;
+              evicted = 0;
+            });
+      intern = Hashtbl.create 8;
+      strings = [];
+    }
+
+  let intern t s =
+    match Hashtbl.find_opt t.intern s with
+    | Some i -> i
+    | None ->
+        let i = Hashtbl.length t.intern in
+        Hashtbl.add t.intern s i;
+        t.strings <- s :: t.strings;
+        i
+
+  let frame t ~at ~kind ~a ~b ~tag ~payload =
+    let plen = min 255 (String.length payload) in
+    let f = Bytes.create (2 + 21 + plen) in
+    Bytes.set_uint16_le f 0 (21 + plen);
+    Bytes.set_uint8 f 2 kind;
+    Bytes.set_uint16_le f 3 (intern t tag);
+    Bytes.set_int32_le f 5 (Int32.of_int a);
+    Bytes.set_int32_le f 9 (Int32.of_int b);
+    Bytes.set_int64_le f 13 (Int64.bits_of_float at);
+    Bytes.set_uint16_le f 21 plen;
+    Bytes.blit_string payload 0 f 23 plen;
+    f
+
+  let byte t r i = Bytes.get_uint8 r.data ((r.head + i) mod t.cap)
+
+  let record t ~site ~at ~kind ~a ~b ~tag ~payload =
+    if site >= -1 && site < Array.length t.rings - 1 then begin
+      ignore (intern t "");
+      let f = frame t ~at ~kind ~a ~b ~tag ~payload in
+      let r = t.rings.(site + 1) in
+      let sz = Bytes.length f in
+      while t.cap - r.used < sz do
+        let old = 2 + byte t r 0 + (byte t r 1 lsl 8) in
+        r.head <- (r.head + old) mod t.cap;
+        r.used <- r.used - old;
+        r.evicted <- r.evicted + 1
+      done;
+      Bytes.iteri
+        (fun i c -> Bytes.set r.data ((r.head + r.used + i) mod t.cap) c)
+        f;
+      r.used <- r.used + sz;
+      r.written <- r.written + 1
+    end
+
+  let to_json t ~reason ~at =
+    Json.Obj
+      [
+        ("schema", Json.Str Flight.schema);
+        ("reason", Json.Str reason);
+        ("at", Json.Float at);
+        ("capacity", Json.Int t.cap);
+        ( "strings",
+          Json.Arr (List.rev_map (fun s -> Json.Str s) t.strings) );
+        ( "rings",
+          Json.Arr
+            (Array.to_list
+               (Array.mapi
+                  (fun i r ->
+                    Json.Obj
+                      [
+                        ("site", Json.Int (i - 1));
+                        ("written", Json.Int r.written);
+                        ("evicted", Json.Int r.evicted);
+                        ( "data",
+                          Json.Str
+                            (String.concat ""
+                               (List.init r.used (fun j ->
+                                    Printf.sprintf "%02x" (byte t r j)))) );
+                      ])
+                  t.rings)) );
+      ]
+end
+
+let prop_growth_matches_fixed_ring =
+  QCheck2.Test.make ~name:"growing rings dump as fixed rings" ~count:30
+    ~print:QCheck2.Print.int
+    QCheck2.Gen.(1 -- 1_000_000)
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      let n_sites = 1 + Rng.int rng 3 in
+      let capacity = Rng.choose rng [ 1024; 4096 ] in
+      let f = Flight.create ~capacity ~n_sites ()
+      and r = Fixed.create ~capacity ~n_sites in
+      let same at =
+        Json.to_string (Flight.to_json (Flight.dump f ~reason:"grow" ~at))
+        = Json.to_string (Fixed.to_json r ~reason:"grow" ~at)
+        && List.for_all
+             (fun site ->
+               let ring = r.Fixed.rings.(site + 1) in
+               Flight.written f ~site = ring.Fixed.written
+               && Flight.evicted f ~site = ring.Fixed.evicted)
+             (List.init (n_sites + 1) (fun i -> i - 1))
+      in
+      (* Enough records to wrap every ring several times. *)
+      let n = 200 + Rng.int rng 600 in
+      let ok = ref true in
+      for i = 1 to n do
+        let at = float_of_int i in
+        let site = Rng.int_in rng (-1) n_sites in
+        let kind = Rng.int rng (Array.length kinds) in
+        let a = Rng.int_in rng (-2) 1_000_000
+        and b = Rng.int_in rng (-2) 1_000_000
+        and tag = Rng.choose rng [ ""; "update"; "back"; "crash" ]
+        and payload = String.make (Rng.int_in rng 0 255) 'p' in
+        Flight.record f ~site ~at ~kind:kinds.(kind) ~a ~b ~tag ~payload ();
+        Fixed.record r ~site ~at ~kind:(kind + 1) ~a ~b ~tag ~payload;
+        (* Often while the rings grow, then every 100 records. *)
+        if i land (i - 1) = 0 || i mod 100 = 0 then ok := !ok && same at
+      done;
+      !ok && same (float_of_int n))
+
 (* --- rejection of malformed documents ---------------------------------- *)
 
 let base_doc () =
@@ -415,6 +563,7 @@ let () =
           Alcotest.test_case "eviction keeps the newest" `Quick
             test_eviction_keeps_newest;
           Alcotest.test_case "payload clamp" `Quick test_payload_clamp;
+          QCheck_alcotest.to_alcotest prop_growth_matches_fixed_ring;
         ] );
       ( "round_trip",
         [

@@ -251,6 +251,29 @@ let test_journal_ring_wraps () =
   Alcotest.(check (list string)) "last filter" [ "9"; "10" ]
     (texts (Journal.entries ~last:2 j))
 
+(* The buffer grows by doubling up to its capacity, so the boundaries
+   are one short of full, full, one past full and several wraps, at a
+   capacity below the first buffer (1), equal to it (16) and one past
+   it (17, which grows at 16 entries). A ring that grew when its write
+   cursor wrapped instead of when it was full would overwrite entry 0
+   at the growth. *)
+let test_journal_growth_boundaries () =
+  List.iter
+    (fun cap ->
+      List.iter
+        (fun n ->
+          let j = Journal.create ~capacity:cap () in
+          for i = 1 to n do
+            Journal.add j (entry (float_of_int i) "t" (string_of_int i))
+          done;
+          let kept = min n cap in
+          Alcotest.(check (list string))
+            (Printf.sprintf "capacity %d, %d entries: the newest %d" cap n kept)
+            (List.init kept (fun i -> string_of_int (n - kept + 1 + i)))
+            (texts (Journal.entries j)))
+        [ cap - 1; cap; cap + 1; 3 * cap ])
+    [ 1; 16; 17 ]
+
 (* --- metrics --------------------------------------------------------------- *)
 
 let test_metrics () =
@@ -302,6 +325,8 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_journal_basics;
           Alcotest.test_case "ring wraps" `Quick test_journal_ring_wraps;
+          Alcotest.test_case "growth boundaries" `Quick
+            test_journal_growth_boundaries;
         ] );
       ("metrics", [ Alcotest.test_case "registry" `Quick test_metrics ]);
     ]

@@ -376,6 +376,54 @@ let test_series_prom_escaping () =
   Alcotest.(check string) "round-trips through the exposition format"
     original (Buffer.contents buf)
 
+(* --- handles ----------------------------------------------------------- *)
+
+(* A hot path resolves its metric once, on first record. A handle that
+   is never forced registers nothing, and a forced handle and the
+   string call on the same name record into one entry. *)
+let test_handles_share_entries () =
+  let m = Metrics.create () and s = Series.create () in
+  Metrics.incr m "seen";
+  Metrics.hist_observe m "h.seen" 1.;
+  Series.set s "g.seen" ~at:0. 1.;
+  let counters = Metrics.counters m
+  and hists = List.map fst (Metrics.hists m)
+  and names = Series.names s in
+  let unused_counter = lazy (Metrics.counter_ref m "unused")
+  and unused_hist = lazy (Metrics.hist_ref m "h.unused")
+  and unused_series =
+    lazy (Series.series_ref s "g.unused" ~kind:Series.Gauge)
+  in
+  ignore (unused_counter, unused_hist, unused_series);
+  Alcotest.(check (list (pair string int)))
+    "an unforced counter handle registers nothing" counters
+    (Metrics.counters m);
+  Alcotest.(check (list string))
+    "an unforced histogram handle registers nothing" hists
+    (List.map fst (Metrics.hists m));
+  Alcotest.(check bool) "an unforced series handle registers nothing" true
+    (names = Series.names s);
+  let c = Metrics.counter_ref m "seen" in
+  incr c;
+  Metrics.add m "seen" 2;
+  incr c;
+  Alcotest.(check int) "handle and string call share one counter" 5
+    (Metrics.get m "seen");
+  Alcotest.(check int) "no second entry" (List.length counters)
+    (List.length (Metrics.counters m));
+  Metrics.observe (Metrics.hist_ref m "h.seen") 3.;
+  (match Metrics.hist_stats m "h.seen" with
+  | Some st ->
+      Alcotest.(check int) "handle and string call share one histogram" 2
+        st.Metrics.n
+  | None -> Alcotest.fail "h.seen vanished");
+  Series.add_to (Series.series_ref s "c.seen" ~kind:Series.Counter) ~at:0. 2;
+  Series.add s "c.seen" ~at:1.5 3;
+  Alcotest.(check (float 0.)) "handle and string call share one series" 5.
+    (Series.total s "c.seen");
+  Alcotest.(check (list (pair (float 0.) (float 0.)))) "bucketed alike"
+    [ (0., 2.); (1., 3.) ] (Series.points s "c.seen")
+
 (* --- run artifact ------------------------------------------------------ *)
 
 let test_artifact_shape () =
@@ -483,6 +531,11 @@ let () =
             test_series_exports;
           Alcotest.test_case "strict prom escaping round-trips" `Quick
             test_series_prom_escaping;
+        ] );
+      ( "handles",
+        [
+          Alcotest.test_case "resolved once, registered on first record"
+            `Quick test_handles_share_entries;
         ] );
       ( "artifact",
         [
