@@ -516,8 +516,7 @@ and apply_report sh st trace outcome =
             match Tables.find_inref (tables st) r with
             | None -> ()
             | Some ir ->
-                ir.Ioref.ir_visited <-
-                  Trace_id.Set.remove trace ir.Ioref.ir_visited;
+                Tables.unvisit_inref (tables st) ir trace;
                 if Verdict.equal outcome Verdict.Garbage then begin
                   Tables.flag_inref (tables st) ir;
                   Metrics.incr (Engine.metrics sh.eng) "back.inrefs_flagged";
@@ -529,8 +528,7 @@ and apply_report sh st trace outcome =
             match Tables.find_outref (tables st) r with
             | None -> ()
             | Some o ->
-                o.Ioref.or_visited <-
-                  Trace_id.Set.remove trace o.Ioref.or_visited)
+                Tables.unvisit_outref (tables st) o trace)
         !l);
   (* Abort any leftover frames of this trace at this site. *)
   Hashtbl.fold
@@ -603,7 +601,7 @@ and step_local sh st trace r parent =
       else if Trace_id.Set.mem trace o.Ioref.or_visited then
         return_to sh st trace parent Verdict.Garbage
       else begin
-        o.Ioref.or_visited <- Trace_id.Set.add trace o.Ioref.or_visited;
+        Tables.visit_outref (tables st) o trace;
         o.Ioref.or_back_threshold <- o.Ioref.or_back_threshold + bump sh;
         record_visit sh st trace r;
         let fr = new_frame sh st trace parent r ~kind:"frame.local" in
@@ -630,7 +628,7 @@ and step_remote sh st trace i parent =
       else if Trace_id.Set.mem trace ir.Ioref.ir_visited then
         return_to sh st trace parent Verdict.Garbage
       else begin
-        ir.Ioref.ir_visited <- Trace_id.Set.add trace ir.Ioref.ir_visited;
+        Tables.visit_inref (tables st) ir trace;
         ir.Ioref.ir_back_threshold <- ir.Ioref.ir_back_threshold + bump sh;
         record_visit sh st trace i;
         let fr = new_frame sh st trace parent i ~kind:"frame.remote" in
