@@ -173,15 +173,15 @@ let exp_f4 () =
   let inp = Local_trace.input_of_site eng q in
   let outset_of mode r =
     let oc = Local_trace.compute ~mode inp in
-    List.find_map
-      (fun res ->
-        if Oid.equal res.Local_trace.i_ref r then
-          Some
-            (String.concat ","
-               (List.map Oid.to_string res.Local_trace.i_outset))
-        else None)
-      oc.Local_trace.in_results
-    |> Option.value ~default:"?"
+    match
+      Array.find_index
+        (fun ir -> Oid.equal ir.Ioref.ir_target r)
+        oc.Local_trace.i_irs
+    with
+    | Some k ->
+        String.concat ","
+          (List.map Oid.to_string oc.Local_trace.i_outsets.(k))
+    | None -> "?"
   in
   table
     [ "mode"; "outset(a)"; "outset(b)" ]

@@ -35,9 +35,10 @@ end)
 type t = {
   mutable sets : Oid.t array array;  (** id -> sorted elements *)
   mutable count : int;
+  mutable elems : int;  (** total size of the interned sets *)
   interned : id Ktbl.t;  (** canonical form -> id *)
   memo : id Itbl.t;
-  singl : id Oid.Tbl.t;  (** singleton cache: skip re-interning *)
+  mutable singles : int;  (** distinct singletons interned *)
   memoize : bool;
   mutable u_calls : int;
   mutable u_hits : int;
@@ -55,9 +56,10 @@ let create ?(memoize = true) () =
     {
       sets = Array.make 16 [||];
       count = 0;
+      elems = 0;
       interned = Ktbl.create 64;
       memo = Itbl.create 64;
-      singl = Oid.Tbl.create 64;
+      singles = 0;
       memoize;
       u_calls = 0;
       u_hits = 0;
@@ -81,18 +83,19 @@ let intern t sorted =
       end;
       t.sets.(id) <- sorted;
       t.count <- id + 1;
+      t.elems <- t.elems + Array.length sorted;
       Ktbl.add t.interned sorted id;
       id
 
 let empty _t = 0
 
+(* No union yields a singleton (a union of two distinct non-empty sets
+   has two elements or more), so a new id here is a new singleton. *)
 let singleton t r =
-  match Oid.Tbl.find_opt t.singl r with
-  | Some id -> id
-  | None ->
-      let id = intern t [| r |] in
-      Oid.Tbl.add t.singl r id;
-      id
+  let count = t.count in
+  let id = intern t [| r |] in
+  if t.count > count then t.singles <- t.singles + 1;
+  id
 
 let merge_sorted a b =
   let la = Array.length a and lb = Array.length b in
@@ -155,15 +158,11 @@ let cardinal t id = Array.length t.sets.(id)
 let is_empty_id _t id = id = 0
 
 let stats t =
-  let elements_stored = ref 0 in
-  for i = 0 to t.count - 1 do
-    elements_stored := !elements_stored + Array.length t.sets.(i)
-  done;
   {
     distinct = t.count;
     union_calls = t.u_calls;
     memo_hits = t.u_hits;
-    elements_stored = !elements_stored;
+    elements_stored = t.elems;
   }
 
 (* Same fixed size model as [Tables.approx_bytes]: 8-byte words, one
@@ -171,8 +170,4 @@ let stats t =
    and memo tables. Deterministic, so gauges built on it are gateable. *)
 let approx_bytes t =
   let word = 8 in
-  let elems = ref 0 in
-  for i = 0 to t.count - 1 do
-    elems := !elems + Array.length t.sets.(i)
-  done;
-  word * (!elems + (3 * t.count) + (3 * Itbl.length t.memo) + (3 * Oid.Tbl.length t.singl))
+  word * (t.elems + (3 * t.count) + (3 * Itbl.length t.memo) + (3 * t.singles))

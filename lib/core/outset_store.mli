@@ -9,8 +9,8 @@
 
     A store lives for one local trace and is discarded afterwards;
     only the resulting per-inref outsets (plain lists) are retained,
-    as in the paper. Every cache (interning table, union memo,
-    singleton cache) is per-instance, never module-level. *)
+    as in the paper. Every cache (interning table, union memo) is
+    per-instance, never module-level. *)
 
 open Dgc_heap
 
@@ -27,6 +27,10 @@ type id = int
 val create : ?memoize:bool -> unit -> t
 val empty : t -> id
 val singleton : t -> Oid.t -> id
+(** Interns [{r}]: one hash lookup per call, so a caller that asks for
+    the same singleton often keeps the id (the §5 trace keeps one per
+    outref). *)
+
 val union : t -> id -> id -> id
 val add : t -> id -> Oid.t -> id
 val elements : t -> id -> Oid.t list

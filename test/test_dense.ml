@@ -430,8 +430,10 @@ let test_stale_rows_unread () =
       Local_trace.in_site = Dense.site g;
       in_graph = g;
       in_roots = Heap.persistent_roots heap;
-      in_inrefs = [ (y, 5, false); (z, 6, false) ];
-      in_outrefs = [ r; r2 ];
+      in_irs = [| Ioref.make_inref y; Ioref.make_inref z |];
+      in_ir_dists = [| 5; 6 |];
+      in_ir_flagged = Bytes.make 2 '\000';
+      in_ors = [| Ioref.make_outref r; Ioref.make_outref r2 |];
       in_delta = 3;
     }
   in
