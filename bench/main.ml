@@ -809,8 +809,8 @@ let exp_c12 () =
   in
   let hughes_row =
     let eng = Engine.create cfg in
-    let h = Hughes.install eng ~slack:(Sim_time.of_seconds 30.) in
     build eng;
+    let h = Hughes.install eng ~depth:(Dgc_oracle.Oracle.max_distance eng) in
     Engine.start_gc_schedule eng;
     for _ = 1 to 60 do
       Engine.run_for eng (Sim_time.of_seconds 20.);
@@ -841,7 +841,45 @@ let exp_c12 () =
   in
   table
     [ "collector"; "collected"; "msgs"; "bytes"; "notes" ]
-    [ back_row; global_row; hughes_row; group_row; migration_row ]
+    [ back_row; global_row; hughes_row; group_row; migration_row ];
+  (* Every collector against the oracle: the comparison hypertext over
+     seeds 1-40, uniform latency, without loss and with 20% of
+     collector messages dropped (Hughes refuses loss). *)
+  say "";
+  say "Hypertext, seeds 1-40, 300 s each, oracle at every sweep:";
+  let seeds = List.init 40 (fun i -> i + 1) in
+  let rows =
+    List.concat_map
+      (fun c ->
+        List.filter_map
+          (fun ext_drop ->
+            if c = Comparison.Hughes && ext_drop > 0. then None
+            else
+              let outs =
+                List.map
+                  (fun seed ->
+                    Comparison.hypertext c (Comparison.config ~seed ~ext_drop))
+                  seeds
+              in
+              let sum f = List.fold_left (fun n o -> n + f o) 0 outs in
+              let collected = sum (fun o -> o.Comparison.collected) in
+              let msgs = sum (fun o -> o.Comparison.msgs) in
+              Some
+                [
+                  Comparison.name c;
+                  Printf.sprintf "%.1f" ext_drop;
+                  Printf.sprintf "%d/%d" collected
+                    (sum (fun o -> o.Comparison.cycles));
+                  (if collected = 0 then "-"
+                   else Printf.sprintf "%.0f" (float msgs /. float collected));
+                  string_of_int (sum (fun o -> o.Comparison.lost));
+                ])
+          [ 0.; 0.2 ])
+      Comparison.collectors
+  in
+  table
+    [ "collector"; "ext_drop"; "cycles collected"; "msgs/cycle"; "live lost" ]
+    rows
 
 (* ---------------------------------------------------------------------- *)
 (* C13: deferred / piggybacked messages (§4.7)                             *)

@@ -246,9 +246,18 @@ let install_collector ~traced cfg opts =
           Engine.run_for eng minutes;
           if not !finished then say "global collection DID NOT FINISH")
   | Hughes_ts ->
+      if cfg.Config.ext_drop > 0. then begin
+        prerr_endline "dgc-sim: --collector hughes needs --drop 0";
+        exit 2
+      end;
       let eng = Engine.create cfg in
-      let h = Hughes.install eng ~slack:(Sim_time.of_seconds 60.) in
-      baseline eng (fun minutes ->
+      (* The slack follows the built workload's depth, so install at
+         arm time. *)
+      let arm () =
+        let h =
+          Hughes.install eng ~depth:(Dgc_oracle.Oracle.max_distance eng)
+        in
+        fun minutes ->
           let steps =
             int_of_float (Sim_time.to_seconds minutes /. opts.o_interval)
           in
@@ -257,7 +266,9 @@ let install_collector ~traced cfg opts =
             Hughes.run_threshold_round h ()
           done;
           say "hughes threshold: %.1f after %d rounds" (Hughes.threshold h)
-            (Hughes.rounds_completed h))
+            (Hughes.rounds_completed h)
+      in
+      { i_eng = eng; i_audited = None; i_arm = arm }
   | Group ->
       let eng = Engine.create cfg in
       let g = Group_trace.install eng ~max_group:opts.o_sites in

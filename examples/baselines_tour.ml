@@ -72,8 +72,8 @@ let () =
   (* Hughes: the crashed site pins the threshold at zero. *)
   let () =
     let eng = Engine.create cfg in
-    let h = Hughes.install eng ~slack:(Sim_time.of_seconds 30.) in
     build eng;
+    let h = Hughes.install eng ~depth:(Dgc_oracle.Oracle.max_distance eng) in
     Engine.start_gc_schedule eng;
     for _ = 1 to 40 do
       Engine.run_for eng (Sim_time.of_seconds 15.);

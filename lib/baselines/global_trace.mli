@@ -4,9 +4,14 @@
     periodic global trace collects everything else, including
     inter-site cycles. The global trace marks from persistent and
     application roots only (inrefs are {e not} roots — that is what
-    lets it collect cycles), propagating marks across sites in
-    coordinator-driven rounds; when two consecutive rounds make no
-    progress the coordinator broadcasts the sweep.
+    lets it collect cycles), propagating marks across sites. The first
+    round or mark of an epoch that reaches a site starts the epoch
+    there. Each coordinator round reads every site's count of marks
+    sent and received; the coordinator broadcasts the sweep once the
+    marks received as one round counted them equal the marks sent as
+    the next round counts them ({!Four_counter}), so no
+    mark is in flight. A lost mark stalls the epoch instead. Every
+    sweep frees through {!Dgc_core.Sweep.free}.
 
     The known weakness this baseline exists to demonstrate: it needs
     the cooperation of {e every} site. One crashed site stalls the
@@ -20,7 +25,7 @@ open Dgc_rts
 type t
 
 val install : Engine.t -> t
-(** Install plain local tracing ({!Dgc_rts.Local_gc}) plus the global
+(** Install plain local tracing ({!Local_gc}) plus the global
     marking message handlers on every site. *)
 
 val collect :

@@ -19,10 +19,14 @@ type Protocol.ext +=
       busy : bool;
       targets : Site_id.t list;
     }
-  | Gr_mark_start of { gid : gid; initiator : Site_id.t; members : Site_id.t list }
-  | Gr_mark of { gid : gid; refs : Oid.t list }
-  | Gr_round of { gid : gid; initiator : Site_id.t }
-  | Gr_round_done of { gid : gid; dirty : bool }
+  | Gr_mark of {
+      gid : gid;
+      members : Site_id.t list;
+      seq : int;  (** numbers the sender's marks for the group *)
+      refs : Oid.t list;
+    }
+  | Gr_round of { gid : gid; round : int; members : Site_id.t list }
+  | Gr_round_done of { gid : gid; round : int; sent : int; received : int }
   | Gr_sweep of { gid : gid; initiator : Site_id.t }
   | Gr_sweep_done of { gid : gid; freed : int }
   | Gr_release of { gid : gid }
@@ -30,17 +34,21 @@ type Protocol.ext +=
 let () =
   Protocol.register_ext_kind (function
     | Gr_probe _ | Gr_probe_reply _ -> Some "gr_probe"
-    | Gr_mark_start _ | Gr_mark _ | Gr_round _ | Gr_round_done _ ->
-        Some "gr_mark"
+    | Gr_mark _ | Gr_round _ | Gr_round_done _ -> Some "gr_mark"
     | Gr_sweep _ | Gr_sweep_done _ | Gr_release _ -> Some "gr_sweep"
     | _ -> None)
 
 type site_state = {
   gs_site : Site.t;
   mutable gs_member_of : gid option;
+  mutable gs_entered : bool;
+      (** marking of [gs_member_of] has begun here: members known, group
+          roots marked *)
   gs_marked : unit Oid.Tbl.t;
-  mutable gs_dirty : bool;
   mutable gs_members : Site_id.Set.t;  (** membership of the active group *)
+  mutable gs_sent : int;  (** [Gr_mark]s sent for [gs_member_of] *)
+  gs_received : (Site_id.t * int, unit) Hashtbl.t;
+      (** (sender, seq) of each [Gr_mark] received for it *)
 }
 
 type formation = {
@@ -55,9 +63,8 @@ type marking = {
   m_gid : gid;
   m_members : Site_id.t list;
   mutable m_round : int;
-  mutable m_waiting : int;
-  mutable m_all_clean : bool;
-  mutable m_clean_streak : int;
+  m_marking : Four_counter.t;
+  mutable m_swept : int;  (** members that reported their sweep *)
   mutable m_freed : int;
 }
 
@@ -109,15 +116,21 @@ let mark_from t st refs =
       q := Oid.Set.add r !q
     end
   in
-  if Heap.mark st.gs_site.Site.heap ~marked:st.gs_marked ~remote refs > 0
-  then st.gs_dirty <- true;
+  Heap.mark st.gs_site.Site.heap ~marked:st.gs_marked ~remote refs;
   Hashtbl.iter
     (fun dst refs ->
       match st.gs_member_of with
       | Some gid ->
-          st.gs_dirty <- true;
+          st.gs_sent <- st.gs_sent + 1;
           Engine.send t.eng ~src:st.gs_site.Site.id ~dst
-            (Protocol.Ext (Gr_mark { gid; refs = Oid.Set.elements !refs }))
+            (Protocol.Ext
+               (Gr_mark
+                  {
+                    gid;
+                    members = Site_id.Set.elements st.gs_members;
+                    seq = st.gs_sent;
+                    refs = Oid.Set.elements !refs;
+                  }))
       | None -> ())
     outgoing
 
@@ -142,6 +155,30 @@ let group_roots t st =
   @ Engine.app_roots t.eng st.gs_site.Site.id
   @ inref_roots
 
+(* A site joins a group when it accepts the probe (or initiates). *)
+let join st gid =
+  st.gs_member_of <- Some gid;
+  st.gs_entered <- false;
+  Oid.Tbl.reset st.gs_marked;
+  st.gs_sent <- 0;
+  Hashtbl.reset st.gs_received
+
+(* The first round or mark of its group that reaches a member enters
+   the marking: it learns the members and marks from the group roots,
+   once. A mark may overtake the receiver's first round, so both carry
+   the member list. Returns whether the message is for the site's
+   group. *)
+let enter t st gid members =
+  match st.gs_member_of with
+  | Some g when gid_equal g gid ->
+      if not st.gs_entered then begin
+        st.gs_entered <- true;
+        st.gs_members <- Site_id.set_of_list members;
+        mark_from t st (group_roots t st)
+      end;
+      true
+  | _ -> false
+
 let broadcast_members t ~src members make =
   List.iter
     (fun m -> Engine.send t.eng ~src ~dst:m (Protocol.Ext (make m)))
@@ -149,10 +186,17 @@ let broadcast_members t ~src members make =
 
 let begin_mark_round t m =
   m.m_round <- m.m_round + 1;
-  m.m_waiting <- List.length m.m_members;
-  m.m_all_clean <- true;
+  Four_counter.start_round m.m_marking ~participants:(List.length m.m_members);
   broadcast_members t ~src:m.m_gid.g_site m.m_members (fun _ ->
-      Gr_round { gid = m.m_gid; initiator = m.m_gid.g_site })
+      Gr_round { gid = m.m_gid; round = m.m_round; members = m.m_members })
+
+let mark_round_done t m =
+  if Four_counter.over m.m_marking then
+    broadcast_members t ~src:m.m_gid.g_site m.m_members (fun _ ->
+        Gr_sweep { gid = m.m_gid; initiator = m.m_gid.g_site })
+  else
+    Engine.schedule t.eng ~delay:settle_delay (fun () ->
+        if Hashtbl.mem t.markings m.m_gid then begin_mark_round t m)
 
 let start_marking t gid members =
   t.groups_formed <- t.groups_formed + 1;
@@ -163,16 +207,13 @@ let start_marking t gid members =
       m_gid = gid;
       m_members = members;
       m_round = 0;
-      m_waiting = 0;
-      m_all_clean = true;
-      m_clean_streak = 0;
+      m_marking = Four_counter.create ~sites:(Array.length t.states);
+      m_swept = 0;
       m_freed = 0;
     }
   in
   Hashtbl.add t.markings gid m;
-  broadcast_members t ~src:gid.g_site members (fun _ ->
-      Gr_mark_start { gid; initiator = gid.g_site; members });
-  Engine.schedule t.eng ~delay:settle_delay (fun () -> begin_mark_round t m)
+  begin_mark_round t m
 
 (* ---- formation -------------------------------------------------------- *)
 
@@ -230,9 +271,7 @@ let maybe_initiate t site_id =
       | Some seed ->
           t.next_seq <- t.next_seq + 1;
           let gid = { g_site = site_id; g_seq = t.next_seq } in
-          st.gs_member_of <- Some gid;
-          Oid.Tbl.reset st.gs_marked;
-          st.gs_dirty <- false;
+          join st gid;
           let f =
             {
               f_gid = gid;
@@ -250,7 +289,7 @@ let maybe_initiate t site_id =
 
 (* ---- message handling ------------------------------------------------- *)
 
-let handle t site_id ~src:_ ext =
+let handle t site_id ~src ext =
   let st = state t site_id in
   match ext with
   | Gr_probe { gid; initiator } ->
@@ -260,11 +299,7 @@ let handle t site_id ~src:_ ext =
         | None -> false
       in
       let targets = if busy then [] else suspect_targets st in
-      if not busy then begin
-        st.gs_member_of <- Some gid;
-        Oid.Tbl.reset st.gs_marked;
-        st.gs_dirty <- false
-      end;
+      if (not busy) && st.gs_member_of = None then join st gid;
       Engine.send t.eng ~src:site_id ~dst:initiator
         (Protocol.Ext (Gr_probe_reply { gid; from = site_id; busy; targets }));
       true
@@ -286,52 +321,39 @@ let handle t site_id ~src:_ ext =
       | Some g when gid_equal g gid -> st.gs_member_of <- None
       | _ -> ());
       true
-  | Gr_mark_start { gid; initiator = _; members } ->
-      (match st.gs_member_of with
-      | Some g when gid_equal g gid ->
-          st.gs_members <- Site_id.set_of_list members;
-          mark_from t st (group_roots t st)
-      | _ -> ());
+  | Gr_mark { gid; members; seq; refs } ->
+      if enter t st gid members && not (Hashtbl.mem st.gs_received (src, seq))
+      then begin
+        Hashtbl.add st.gs_received (src, seq) ();
+        mark_from t st refs
+      end;
       true
-  | Gr_mark { gid; refs } ->
-      (match st.gs_member_of with
-      | Some g when gid_equal g gid -> mark_from t st refs
-      | _ -> ());
+  | Gr_round { gid; round; members } ->
+      if enter t st gid members then
+        Engine.send t.eng ~src:site_id ~dst:gid.g_site
+          (Protocol.Ext
+             (Gr_round_done
+                {
+                  gid;
+                  round;
+                  sent = st.gs_sent;
+                  received = Hashtbl.length st.gs_received;
+                }));
       true
-  | Gr_round { gid; initiator } ->
-      (match st.gs_member_of with
-      | Some g when gid_equal g gid ->
-          let dirty = st.gs_dirty in
-          st.gs_dirty <- false;
-          Engine.send t.eng ~src:site_id ~dst:initiator
-            (Protocol.Ext (Gr_round_done { gid; dirty }))
-      | _ -> ());
-      true
-  | Gr_round_done { gid; dirty } -> begin
+  | Gr_round_done { gid; round; sent; received } -> begin
       (match Hashtbl.find_opt t.markings gid with
-      | Some m ->
-          m.m_waiting <- m.m_waiting - 1;
-          if dirty then m.m_all_clean <- false;
-          if m.m_waiting = 0 then begin
-            if m.m_all_clean then m.m_clean_streak <- m.m_clean_streak + 1
-            else m.m_clean_streak <- 0;
-            if m.m_clean_streak >= 2 then
-              broadcast_members t ~src:gid.g_site m.m_members (fun _ ->
-                  Gr_sweep { gid; initiator = gid.g_site })
-            else
-              Engine.schedule t.eng ~delay:settle_delay (fun () ->
-                  match Hashtbl.find_opt t.markings gid with
-                  | Some m' -> begin_mark_round t m'
-                  | None -> ())
-          end
+      | Some m when m.m_round = round ->
+          if Four_counter.reply m.m_marking src ~sent ~received then
+            mark_round_done t m
       | _ -> ());
       true
     end
   | Gr_sweep { gid; initiator } ->
       (match st.gs_member_of with
-      | Some g when gid_equal g gid ->
-          let heap = st.gs_site.Site.heap in
-          let freed = Heap.sweep heap ~keep:(Oid.Tbl.mem st.gs_marked) in
+      | Some g when gid_equal g gid && st.gs_entered ->
+          let freed =
+            Sweep.sweep t.eng st.gs_site ~keep:(Oid.Tbl.mem st.gs_marked)
+          in
           Metrics.add (Engine.metrics t.eng) "group.objects_freed" freed;
           st.gs_member_of <- None;
           Engine.send t.eng ~src:site_id ~dst:initiator
@@ -342,8 +364,8 @@ let handle t site_id ~src:_ ext =
       (match Hashtbl.find_opt t.markings gid with
       | Some m ->
           m.m_freed <- m.m_freed + freed;
-          m.m_waiting <- m.m_waiting + 1;
-          if m.m_waiting >= List.length m.m_members then
+          m.m_swept <- m.m_swept + 1;
+          if m.m_swept >= List.length m.m_members then
             Hashtbl.remove t.markings gid
       | None -> ());
       true
@@ -366,9 +388,11 @@ let install eng ~max_group =
             {
               gs_site = s;
               gs_member_of = None;
+              gs_entered = false;
               gs_marked = Oid.Tbl.create 128;
-              gs_dirty = false;
               gs_members = Site_id.Set.empty;
+              gs_sent = 0;
+              gs_received = Hashtbl.create 8;
             })
           (Engine.sites eng);
       next_seq = 0;

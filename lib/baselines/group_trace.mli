@@ -6,7 +6,11 @@
     forward along suspected outrefs from the seed — and runs a marking
     trace restricted to the group. References entering the group from
     outside, clean inrefs, and local roots are treated as roots;
-    unmarked objects inside the group are swept.
+    unmarked objects inside the group are swept. The marking runs in
+    rounds from the initiator: the first round or mark that reaches a
+    member carries the member list and starts its marking, and the
+    sweep waits for the {!Four_counter} test, so a lost
+    mark stalls the group instead of sweeping.
 
     Weaknesses demonstrated, per the paper's §7 discussion:
     - the group can be much larger than the cycle (it follows all

@@ -2,10 +2,11 @@ open Dgc_prelude
 open Dgc_simcore
 open Dgc_heap
 open Dgc_rts
+open Dgc_core
 
 type Protocol.ext +=
   | H_ts_update of (Oid.t * float) list
-      (** new outref timestamps for the target's inrefs *)
+      (** the sender's outref timestamps for the target's inrefs *)
   | H_query of { round : int; coordinator : Site_id.t }
   | H_reply of { round : int; last_trace : float }
   | H_threshold of float
@@ -16,11 +17,17 @@ let () =
     | H_query _ | H_reply _ | H_threshold _ -> Some "h_round"
     | _ -> None)
 
-type site_state = { hs_site : Site.t; mutable hs_last_trace : float }
+type site_state = {
+  hs_site : Site.t;
+  mutable hs_last_trace : float;
+  hs_ts : (Ioref.inref * float) Oid.Tbl.t;
+      (** per inref target, the record seen and the newest timestamp
+          heard for it *)
+}
 
 type round = {
   r_id : int;
-  mutable r_waiting : int;
+  mutable r_replied : Site_id.Set.t;  (** a repeated reply counts once *)
   mutable r_min : float;
   r_coordinator : Site_id.t;
 }
@@ -39,6 +46,32 @@ let threshold t = t.threshold
 let rounds_completed t = t.rounds_done
 let state t id = t.states.(Site_id.to_int id)
 
+let slack cfg ~depth =
+  let latency =
+    match cfg.Config.latency with
+    | Latency.Fixed d -> d
+    | Latency.Uniform (_, hi) -> hi
+    | Latency.Exponential _ -> invalid_arg "Hughes: unbounded latency"
+  in
+  let hop =
+    Sim_time.to_seconds cfg.Config.trace_interval
+    +. Sim_time.to_seconds cfg.Config.trace_jitter
+    +. Sim_time.to_seconds latency
+  in
+  Sim_time.of_seconds (float_of_int (depth + 1) *. hop)
+
+(* An inref's timestamp. A record not seen before (a new inref, or one
+   re-created after a removal) takes the time it is first seen, which
+   is never earlier than its creation. *)
+let inref_ts t st ir =
+  let r = ir.Ioref.ir_target in
+  match Oid.Tbl.find_opt st.hs_ts r with
+  | Some (seen, ts) when seen == ir -> ts
+  | _ ->
+      let now = Sim_time.to_seconds (Engine.now t.eng) in
+      Oid.Tbl.replace st.hs_ts r (ir, now);
+      now
+
 (* Timestamp-propagating local trace: like the plain local trace, but
    roots are processed in decreasing timestamp order and the first
    reach of an object or outref assigns the (maximal) timestamp. *)
@@ -53,7 +86,7 @@ let hughes_trace t st =
     List.filter_map
       (fun ir ->
         if ir.Ioref.ir_flagged then None
-        else Some (ir.Ioref.ir_ts, [ ir.Ioref.ir_target ]))
+        else Some (inref_ts t st ir, [ ir.Ioref.ir_target ]))
       (Tables.inrefs tables)
   in
   let root_group =
@@ -71,12 +104,12 @@ let hughes_trace t st =
       let remote r =
         if not (Oid.Tbl.mem out_ts r) then Oid.Tbl.add out_ts r ts
       in
-      ignore (Heap.mark heap ~marked ~remote roots))
+      Heap.mark heap ~marked ~remote roots)
     groups;
-  (* Sweep local objects. *)
-  let freed = Heap.sweep heap ~keep:(Oid.Tbl.mem marked) in
+  let freed = Sweep.sweep t.eng site ~keep:(Oid.Tbl.mem marked) in
   Metrics.add (Engine.metrics t.eng) "gc.objects_freed" freed;
-  (* Trim outrefs and ship timestamp changes. *)
+  (* Trim outrefs and ship every traced outref's timestamp, so one that
+     is lost is sent again by the next trace. *)
   let removals = ref [] in
   let ts_changes = Hashtbl.create 8 in
   let bucket dst =
@@ -93,11 +126,8 @@ let hughes_trace t st =
       match Oid.Tbl.find_opt out_ts r with
       | Some ts ->
           o.Ioref.or_fresh <- false;
-          if ts > o.Ioref.or_ts then begin
-            o.Ioref.or_ts <- ts;
-            let b = bucket (Oid.site r) in
-            b := (r, ts) :: !b
-          end
+          let b = bucket (Oid.site r) in
+          b := (r, ts) :: !b
       | None ->
           if o.Ioref.or_pins > 0 then ()
           else if o.Ioref.or_fresh then o.Ioref.or_fresh <- false
@@ -114,24 +144,31 @@ let hughes_trace t st =
         (Protocol.Ext (H_ts_update !b)))
     ts_changes;
   Tables.iter_inrefs tables (fun ir -> ir.Ioref.ir_fresh <- false);
+  Oid.Tbl.filter_map_inplace
+    (fun r ((seen, _) as e) ->
+      match Tables.find_inref tables r with
+      | Some ir when ir == seen -> Some e
+      | _ -> None)
+    st.hs_ts;
   site.Site.trace_epoch <- site.Site.trace_epoch + 1
 
 let apply_threshold t st v =
   let tables = st.hs_site.Site.tables in
   Tables.iter_inrefs tables (fun ir ->
-      if (not ir.Ioref.ir_fresh) && ir.Ioref.ir_ts < v then begin
+      if (not ir.Ioref.ir_fresh) && inref_ts t st ir < v then begin
         Tables.flag_inref tables ir;
         Metrics.incr (Engine.metrics t.eng) "hughes.inrefs_flagged"
       end)
 
-let handle t site_id ~src:_ ext =
+let handle t site_id ~src ext =
   let st = state t site_id in
   match ext with
   | H_ts_update changes ->
       List.iter
         (fun (r, ts) ->
           match Tables.find_inref st.hs_site.Site.tables r with
-          | Some ir -> ir.Ioref.ir_ts <- Float.max ir.Ioref.ir_ts ts
+          | Some ir ->
+              Oid.Tbl.replace st.hs_ts r (ir, Float.max (inref_ts t st ir) ts)
           | None -> ())
         changes;
       true
@@ -141,10 +178,10 @@ let handle t site_id ~src:_ ext =
       true
   | H_reply { round; last_trace } -> begin
       (match t.round with
-      | Some r when r.r_id = round ->
+      | Some r when r.r_id = round && not (Site_id.Set.mem src r.r_replied) ->
+          r.r_replied <- Site_id.Set.add src r.r_replied;
           r.r_min <- Float.min r.r_min last_trace;
-          r.r_waiting <- r.r_waiting - 1;
-          if r.r_waiting = 0 then begin
+          if Site_id.Set.cardinal r.r_replied = Array.length t.states then begin
             t.round <- None;
             t.rounds_done <- t.rounds_done + 1;
             let v = r.r_min -. Sim_time.to_seconds t.slack in
@@ -164,14 +201,18 @@ let handle t site_id ~src:_ ext =
       true
   | _ -> false
 
-let install eng ~slack =
+let install eng ~depth =
+  let cfg = Engine.config eng in
+  if cfg.Config.ext_drop > 0. then
+    invalid_arg "Hughes.install: timestamps need loss-free delivery";
   let t =
     {
       eng;
-      slack;
+      slack = slack cfg ~depth;
       states =
         Array.map
-          (fun s -> { hs_site = s; hs_last_trace = 0. })
+          (fun s ->
+            { hs_site = s; hs_last_trace = 0.; hs_ts = Oid.Tbl.create 32 })
           (Engine.sites eng);
       round = None;
       threshold = 0.;
@@ -197,7 +238,7 @@ let run_threshold_round t ?(coordinator = Site_id.of_int 0) () =
     let r =
       {
         r_id = t.next_round;
-        r_waiting = Array.length t.states;
+        r_replied = Site_id.Set.empty;
         r_min = infinity;
         r_coordinator = coordinator;
       }

@@ -9,11 +9,29 @@
     is garbage — including inter-site cycles.
 
     The threshold is computed centrally: a coordinator collects every
-    site's last-trace time and broadcasts [min - slack]. The [slack]
-    accounts for propagation lag down reference chains (a faithful
-    implementation computes the exact safe bound with a distributed
-    minimum over propagation frontiers; the fixed slack approximates
-    it and must exceed depth × trace interval — see EXPERIMENTS.md).
+    site's last-trace time and broadcasts [min - slack]. Each inref's
+    timestamp lives in this module's own table, not in the core
+    {!Dgc_rts.Ioref} record: an inref takes the time it is first seen,
+    never earlier than its creation, and then the newest timestamp the
+    source's traces ship. Every trace ships the timestamp of every
+    outref it reached, so a lost update is replaced by the next one.
+
+    {b The slack bound.} A site traces every [trace_interval] plus up
+    to [trace_jitter], and a message lands within the latency bound
+    [L]. So one hop of a reference chain lags by at most
+    [P = trace_interval + trace_jitter + L]: at any time [t], an inref
+    at §3 distance [k] from a root holds a timestamp of at least
+    [t - k·P]. The threshold is at most the round's query time minus
+    the slack, so no live inref is flagged while the slack is at least
+    [depth·P], where [depth] is the largest §3 distance of a live
+    object. {!install} uses [(depth + 1)·P]: the extra hop covers the
+    start of the trace schedule.
+
+    The argument needs every timestamp update to land within [L], so
+    it holds only without message loss: {!install} refuses
+    [ext_drop > 0] (no fixed slack covers a run of losses), and a
+    crash, which drops the messages sent to the crashed site, may
+    leave a recovered site's inrefs stale for longer than the bound.
 
     The weakness this baseline demonstrates: the threshold is a global
     minimum, so one slow or crashed site holds back cycle collection
@@ -25,9 +43,13 @@ open Dgc_rts
 
 type t
 
-val install : Engine.t -> slack:Sim_time.t -> t
+val install : Engine.t -> depth:int -> t
 (** Replace every site's local trace with the timestamp-propagating
-    variant and install the threshold-round handlers. *)
+    variant and install the threshold-round handlers, with the slack
+    the bound above gives for [depth] (take it from the built
+    workload, e.g. {!Dgc_oracle.Oracle.max_distance}). Raises
+    [Invalid_argument] when the configuration drops collector
+    messages ([ext_drop > 0]) or its latency is unbounded. *)
 
 val run_threshold_round :
   t -> ?coordinator:Dgc_prelude.Site_id.t -> unit -> unit

@@ -29,7 +29,9 @@ type t = {
   mutable migrations : int;
   mutable bytes_moved : int;
   mutable skipped : int;
-  mutable in_flight : int;  (** migrations awaiting ack *)
+  departing : unit Oid.Tbl.t;
+      (** objects sent away whose destination has not acked yet *)
+  arrived : unit Oid.Tbl.t;  (** objects whose copy has landed *)
 }
 
 let collector t = t.col
@@ -69,10 +71,23 @@ let arrive t site_id ~old_oid ~fields ~size ~from =
 let handle t site_id ~src:_ ext =
   match ext with
   | M_migrate { old_oid; fields; size; from } ->
-      arrive t site_id ~old_oid ~fields ~size ~from;
+      if Oid.Tbl.mem t.arrived old_oid then
+        Engine.send t.eng ~src:site_id ~dst:from
+          (Protocol.Ext (M_ack { old_oid }))
+      else begin
+        Oid.Tbl.replace t.arrived old_oid ();
+        arrive t site_id ~old_oid ~fields ~size ~from
+      end;
       true
-  | M_ack { old_oid = _ } ->
-      t.in_flight <- t.in_flight - 1;
+  | M_ack { old_oid } ->
+      if Oid.Tbl.mem t.departing old_oid then begin
+        (* The move is complete: the destination holds the copy and has
+           retargeted every reference, so the source copy is garbage. *)
+        Oid.Tbl.remove t.departing old_oid;
+        let site = Engine.site t.eng site_id in
+        Tables.remove_inref site.Site.tables old_oid;
+        ignore (Sweep.free t.eng site [ Oid.index old_oid ])
+      end;
       true
   | _ -> false
 
@@ -110,15 +125,19 @@ let try_migrate t site_id =
                    && List.exists (Oid.equal r) o.Heap.fields)
           in
           if not locally_held then begin
-            t.migrations <- t.migrations + 1;
-            t.bytes_moved <- t.bytes_moved + size + List.length fields;
-            t.in_flight <- t.in_flight + 1;
-            Metrics.incr (Engine.metrics t.eng) "migration.departures";
-            Metrics.add (Engine.metrics t.eng) "migration.bytes"
-              (size + List.length fields);
-            (* Remove locally: the object now lives at [dst]. *)
-            ignore (Heap.free heap [ Oid.index r ]);
-            Tables.remove_inref site.Site.tables r;
+            if not (Oid.Tbl.mem t.departing r) then begin
+              t.migrations <- t.migrations + 1;
+              t.bytes_moved <- t.bytes_moved + size + List.length fields;
+              Metrics.incr (Engine.metrics t.eng) "migration.departures";
+              Metrics.add (Engine.metrics t.eng) "migration.bytes"
+                (size + List.length fields);
+              Oid.Tbl.replace t.departing r ()
+            end;
+            (* A departure is a move, not a free: the object stays, live
+               and referenced from [dst], until [dst] has taken the copy
+               and acks. Each trace that still finds it departing sends
+               it again, so a lost [M_migrate] or [M_ack] is repaired;
+               [dst] takes one copy and acks every repeat. *)
             Engine.send t.eng ~src:site_id ~dst
               (Protocol.Ext
                  (M_migrate { old_oid = r; fields; size; from = site_id }))
@@ -137,7 +156,8 @@ let install eng =
       migrations = 0;
       bytes_moved = 0;
       skipped = 0;
-      in_flight = 0;
+      departing = Oid.Tbl.create 16;
+      arrived = Oid.Tbl.create 16;
     }
   in
   Array.iter

@@ -6,6 +6,12 @@
     reference; repeated migrations converge a distributed garbage
     cycle onto a single site, where plain local tracing collects it.
 
+    A departure is a move: the source keeps the object, and its inref,
+    until the destination has taken the copy, retargeted its
+    references and acked; only then is the source copy, garbage by
+    now, freed through {!Dgc_core.Sweep.free}. Until the ack every
+    trace re-sends the object, and the destination takes one copy.
+
     The costs this baseline exists to quantify, per the paper's
     comparison: objects (bytes) physically move, and every reference to
     a migrated object must be patched. This implementation handles the

@@ -773,9 +773,7 @@ let apply ?(arrived = []) eng site m outcome =
   let tables = site.Site.tables in
   let delta = (Engine.config eng).Config.delta in
   let on_cleaned r = site.Site.hooks.Site.h_ioref_cleaned r in
-  if (Engine.config eng).Config.oracle_checks then
-    Dgc_oracle.Oracle.check_would_free eng site.Site.id outcome.dead;
-  let freed = Heap.free site.Site.heap outcome.dead in
+  let freed = Sweep.free eng site outcome.dead in
   let objects_freed = Lazy.force m.m_freed in
   objects_freed := !objects_freed + freed;
   incr (Lazy.force m.m_traces);

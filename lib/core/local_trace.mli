@@ -160,5 +160,5 @@ val apply :
     the list in arrival order, exactly as the barrier did on the old
     copy. Every suspected → clean transition, in the swap or in that
     step, raises the site's [h_ioref_cleaned] once (the §6.4
-    notification). With [Config.oracle_checks], the sweep is verified
-    against {!Dgc_oracle.Oracle} first. *)
+    notification). The sweep frees through {!Sweep.free}, so
+    [Config.oracle_checks] verifies it first. *)

@@ -195,22 +195,12 @@ let free t = function
       t.frees <- t.frees + n;
       n
 
-let sweep t ~keep =
-  let dead = ref [] in
-  for i = t.next_index - 1 downto 0 do
-    if live_at t i && not (keep (Oid.make ~site:t.site ~index:i)) then
-      dead := i :: !dead
-  done;
-  free t !dead
-
 let mark t ~marked ~remote roots =
-  let n = ref 0 in
   let stack = ref [] in
   let visit r =
     if Site_id.equal (Oid.site r) t.site then begin
       if mem t r && not (Oid.Tbl.mem marked r) then begin
         Oid.Tbl.add marked r ();
-        incr n;
         stack := r :: !stack
       end
     end
@@ -225,8 +215,7 @@ let mark t ~marked ~remote roots =
         List.iter visit (fields t r);
         drain ()
   in
-  drain ();
-  !n
+  drain ()
 
 let frees t = t.frees
 let generation t = match t.shape with Some _ -> t.builds | None -> -1

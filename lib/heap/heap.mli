@@ -3,9 +3,10 @@
     Objects hold unordered multisets of references ("fields"); a
     reference may point to a local or a remote object. Persistent roots
     (§2) are designated local objects that serve as entry points. The
-    store itself performs no collection — the collectors (local
-    mark-sweep in {!Dgc_rts}, the combined trace in the core library)
-    decide which objects to {!free}. *)
+    store itself performs no collection: the collectors (the combined
+    trace in the core library, the §7 baselines) decide which objects
+    to {!free}, and call it through the core library's one guarded
+    free path, [Sweep.free]. *)
 
 open Dgc_prelude
 
@@ -84,18 +85,12 @@ val free : t -> int list -> int
     actually freed. A freed index's fields and size are cleared:
     {!find} answers [None] for it and iteration skips it. *)
 
-val sweep : t -> keep:(Oid.t -> bool) -> int
-(** {!free} every live object that [keep] rejects, persistent roots
-    excepted; an index loop that builds no view. Returns the number
-    freed. *)
-
 val mark :
-  t -> marked:unit Oid.Tbl.t -> remote:(Oid.t -> unit) -> Oid.t list -> int
+  t -> marked:unit Oid.Tbl.t -> remote:(Oid.t -> unit) -> Oid.t list -> unit
 (** Depth-first mark from the roots, the baselines' local trace: each
     present local object not yet in [marked] is added to it and its
     fields are visited; every reference to another site goes to
-    [remote], in visit order. Returns the number of objects newly
-    marked. *)
+    [remote], in visit order. *)
 
 val frees : t -> int
 (** Objects freed so far: moves exactly when a {!free} frees one. *)

@@ -60,6 +60,8 @@ let distances eng =
   drain ();
   dist
 
+let max_distance eng = Oid.Tbl.fold (fun _ d m -> max d m) (distances eng) 0
+
 let live_set eng =
   Oid.Tbl.fold (fun r _ acc -> Oid.Set.add r acc) (distances eng) Oid.Set.empty
 

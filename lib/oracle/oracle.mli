@@ -30,6 +30,10 @@ val distances : Engine.t -> int Oid.Tbl.t
 (** The true §3 distance of every object reachable from the roots;
     unreachable objects have no entry. A fresh table per call. *)
 
+val max_distance : Engine.t -> int
+(** The largest value in {!distances}: how many inter-site references
+    the deepest live object lies behind (0 with none). *)
+
 val live_set : Engine.t -> Oid.Set.t
 (** The keys of {!distances}: all objects reachable from the roots. *)
 

@@ -78,7 +78,10 @@ type t = {
           prove (no continuation path: no reply in flight, no armed
           timer, callee down) *)
   (* verification *)
-  oracle_checks : bool;  (** assert oracle safety at every sweep *)
+  oracle_checks : bool;
+      (** assert oracle safety at every sweep: every collector, the
+          core one and each baseline, frees through [Sweep.free] in the
+          core library, which checks the oracle first *)
   check_level : check_level;
       (** how aggressively the §6.1 invariants are checked during a
           run; {!Check_step} is wired up by [Sim.make] as a [Step]

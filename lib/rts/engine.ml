@@ -420,11 +420,7 @@ let rec base_handlers =
       (fun (t, dst) ~src:_ ~r ~by ~inc ->
         let s = site t dst in
         let ir = Tables.ensure_inref s.Site.tables r in
-        (* A brand-new source is conservatively at distance 1 (§3); a
-           brand-new inref is stamped with its creation time (used by
-           the Hughes baseline's timestamps). *)
-        if ir.Ioref.ir_sources = [] then
-          ir.Ioref.ir_ts <- Sim_time.to_seconds t.now;
+        (* A brand-new source is conservatively at distance 1 (§3). *)
         Tables.add_source s.Site.tables ir by ~dist:1 ~inc;
         (* §6.1.2 case 4: the transfer barrier applies to inref z. *)
         s.Site.hooks.h_ref_arrived r;

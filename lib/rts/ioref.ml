@@ -17,7 +17,6 @@ type inref = {
   mutable ir_back_threshold : int;
   mutable ir_visited : Trace_id.Set.t;
   mutable ir_outset : Oid.t list;
-  mutable ir_ts : float;
   mutable ir_view : int;
 }
 
@@ -32,7 +31,6 @@ type outref = {
   mutable or_back_threshold : int;
   mutable or_visited : Trace_id.Set.t;
   mutable or_inset : Oid.t list;
-  mutable or_ts : float;
   mutable or_view : int;
 }
 
@@ -49,7 +47,6 @@ let make_inref ?(threshold2 = infinity_dist) target =
     ir_back_threshold = threshold2;
     ir_visited = Trace_id.Set.empty;
     ir_outset = [];
-    ir_ts = 0.;
     ir_view = -1;
   }
 
@@ -65,7 +62,6 @@ let make_outref ?(threshold2 = infinity_dist) ?(dist = 1) ?(inc = 0) target =
     or_back_threshold = threshold2;
     or_visited = Trace_id.Set.empty;
     or_inset = [];
-    or_ts = 0.;
     or_view = -1;
   }
 

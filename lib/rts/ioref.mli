@@ -3,8 +3,7 @@
     An inref records an incoming inter-site reference together with the
     list of source sites known to contain it (§2); an outref records an
     outgoing one. Both carry the distance-heuristic and back-tracing
-    state of §§3–6. Fields used only by a particular baseline are
-    grouped at the end and ignored by the core collector.
+    state of §§3–6.
 
     Clean/suspected status follows §3 and §6: the status computed by
     the last completed local trace is cached in [*_suspected], and the
@@ -39,8 +38,6 @@ type inref = {
   mutable ir_outset : Oid.t list;
       (** suspected outrefs locally reachable from this inref, as of the
           last completed local trace (§5); meaningful when suspected *)
-  (* Hughes baseline *)
-  mutable ir_ts : float;
   mutable ir_view : int;
       (** [Tables] bookkeeping: -1 when in no table, 0 when added since
           its table's ordered view was last read, 1 when in that view *)
@@ -67,8 +64,6 @@ type outref = {
   mutable or_inset : Oid.t list;
       (** suspected inrefs this outref is locally reachable from (§4.1),
           as of the last completed local trace *)
-  (* Hughes baseline *)
-  mutable or_ts : float;
   mutable or_view : int;  (** as [ir_view] *)
 }
 

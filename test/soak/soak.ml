@@ -9,7 +9,12 @@
    churn agents with 2 s §6.2 trace windows and the oracle checking
    every sweep, seeds 1-100. References keep arriving while windows
    are open, so this is the run that exercises the window's arrival
-   rule ([Local_trace.apply]). *)
+   rule ([Local_trace.apply]).
+
+   Between them, a block holds back tracing and every §7 baseline to
+   the oracle: the EXP-C12 hypertext comparison run, seeds 1-200,
+   without loss and (Hughes excepted: it refuses loss) with 20% of
+   collector messages dropped. *)
 
 open Dgc_prelude
 open Dgc_simcore
@@ -18,6 +23,7 @@ open Dgc_core
 open Dgc_chaos
 module Graph_gen = Dgc_workload.Graph_gen
 module Churn = Dgc_workload.Churn
+module Comparison = Dgc_baselines.Comparison
 
 let seeds_per_workload = 8
 let horizon_ms = 90_000.
@@ -67,6 +73,40 @@ let soak_windowed_churn () =
     (List.length windowed_churn_seeds);
   List.length failed
 
+let baseline_seeds = List.init 200 (fun i -> i + 1)
+
+(* One failing (collector, loss, seed) per line; returns the count of
+   runs and of failures. *)
+let soak_baselines () =
+  let runs = ref 0 and failed = ref 0 in
+  List.iter
+    (fun collector ->
+      let drops =
+        if collector = Comparison.Hughes then [ 0. ] else [ 0.; 0.2 ]
+      in
+      List.iter
+        (fun ext_drop ->
+          List.iter
+            (fun seed ->
+              incr runs;
+              let fail why =
+                incr failed;
+                Printf.printf "FAIL %s ext_drop %.1f seed %d: %s\n%!"
+                  (Comparison.name collector) ext_drop seed why
+              in
+              match
+                Comparison.hypertext collector
+                  (Comparison.config ~seed ~ext_drop)
+              with
+              | { Comparison.lost = 0; _ } -> ()
+              | o -> fail (Printf.sprintf "%d live objects lost" o.lost)
+              | exception e -> fail (Printexc.to_string e))
+            baseline_seeds)
+        drops)
+    Comparison.collectors;
+  Printf.printf "soak %-10s %d/%d ok\n%!" "baselines" (!runs - !failed) !runs;
+  (!runs, !failed)
+
 let () =
   let failures = ref 0 in
   let cases = ref 0 in
@@ -98,6 +138,9 @@ let () =
         - List.length summary.Campaign.sm_failures)
         (List.length summary.Campaign.sm_outcomes))
     Workloads.names;
+  let runs, baseline_failures = soak_baselines () in
+  failures := !failures + baseline_failures;
+  cases := !cases + runs;
   let churn_failures = soak_windowed_churn () in
   failures := !failures + churn_failures;
   cases := !cases + List.length windowed_churn_seeds;

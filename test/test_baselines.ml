@@ -74,9 +74,9 @@ let test_global_stalls_on_crash () =
 
 let test_hughes_collects_cycle () =
   let eng = Engine.create (cfg 3) in
-  let h = Hughes.install eng ~slack:(Sim_time.of_seconds 60.) in
   ignore (ring_garbage eng ~span:3 ~per_site:2);
   ignore (live_ring eng ~span:3 ~per_site:2);
+  let h = Hughes.install eng ~depth:(Dgc_oracle.Oracle.max_distance eng) in
   Engine.start_gc_schedule eng;
   (* Trace for a while, run threshold rounds periodically. *)
   for _ = 1 to 30 do
@@ -96,8 +96,8 @@ let test_hughes_collects_cycle () =
 
 let test_hughes_crashed_site_holds_threshold () =
   let eng = Engine.create (cfg 3) in
-  let h = Hughes.install eng ~slack:(Sim_time.of_seconds 60.) in
   ignore (Graph_gen.ring eng ~sites:[ s 0; s 1 ] ~per_site:1 ~rooted:false);
+  let h = Hughes.install eng ~depth:(Dgc_oracle.Oracle.max_distance eng) in
   (* Site 2 never traces: it crashes immediately. Its last-trace time
      stays 0, pinning the threshold at -slack. *)
   Engine.crash eng (s 2);
@@ -242,6 +242,28 @@ let test_migration_batched_refs_in_flight () =
   Alcotest.(check int) "ring collected" 0
     (Dgc_oracle.Oracle.garbage_count eng)
 
+(* A live object migrates too: a rooted chain deeper than Δ2 has
+   suspected inrefs. The move keeps every object, and the source copy
+   is freed (through the oracle guard) only once the destination acks. *)
+let test_migration_moves_live_chain () =
+  let c = { (cfg 4) with Config.delta = 1; threshold2 = 2 } in
+  let eng = Engine.create c in
+  let m = Migration.install eng in
+  ignore
+    (Graph_gen.chain eng ~sites:[ s 0; s 1; s 2; s 3 ] ~per_site:1
+       ~rooted:true);
+  let count () =
+    Array.fold_left
+      (fun acc st -> acc + Heap.object_count st.Site.heap)
+      0 (Engine.sites eng)
+  in
+  let before = count () in
+  Engine.start_gc_schedule eng;
+  run eng 300.;
+  Alcotest.(check bool) "a live object moved" true (Migration.migrations m > 0);
+  Alcotest.(check int) "object count kept" before (count ());
+  Alcotest.(check int) "no garbage" 0 (Dgc_oracle.Oracle.garbage_count eng)
+
 (* The same clique IS collected by back tracing — the core scheme
    handles what the restricted migration baseline cannot. *)
 let test_back_tracing_handles_clique () =
@@ -251,6 +273,62 @@ let test_back_tracing_handles_clique () =
   Sim.start sim;
   let ok = Sim.collect_all sim ~max_rounds:60 () in
   Alcotest.(check bool) "clique collected by back tracing" true ok
+
+(* --- every collector against the oracle ---------------------------------- *)
+
+(* The hypertext comparison run under uniform latency, with the oracle
+   at every sweep: a live free raises, and no object live at 1 s may be
+   lost. With [ext_drop] the marking baselines stall rather than sweep,
+   and migration re-sends; Hughes refuses loss (below). *)
+let oracle_block collector ~ext_drop seeds =
+  List.iter
+    (fun seed ->
+      let o =
+        Comparison.hypertext collector (Comparison.config ~seed ~ext_drop)
+      in
+      if o.Comparison.lost <> 0 then
+        Alcotest.failf "%s, seed %d, ext_drop %.1f: %d live objects lost"
+          (Comparison.name collector) seed ext_drop o.Comparison.lost)
+    seeds
+
+let oracle_seeds = List.init 40 (fun i -> i + 1)
+
+let oracle_cases =
+  List.concat_map
+    (fun collector ->
+      let case ~ext_drop =
+        Alcotest.test_case
+          (Printf.sprintf "%s, ext_drop %.1f, seeds 1-40"
+             (Comparison.name collector) ext_drop)
+          `Quick
+          (fun () -> oracle_block collector ~ext_drop oracle_seeds)
+      in
+      if collector = Comparison.Hughes then [ case ~ext_drop:0. ]
+      else [ case ~ext_drop:0.; case ~ext_drop:0.2 ])
+    Comparison.collectors
+
+let test_hughes_refuses_loss () =
+  let eng = Engine.create { (cfg 3) with Config.ext_drop = 0.1 } in
+  Alcotest.check_raises "install refuses ext_drop"
+    (Invalid_argument "Hughes.install: timestamps need loss-free delivery")
+    (fun () -> ignore (Hughes.install eng ~depth:1))
+
+(* A seeded wrong free: flagging a live object's inref makes plain
+   local tracing drop it as a root. The guard must stop the free. *)
+let test_guard_stops_wrong_local_free () =
+  let eng = Engine.create (cfg 2) in
+  Local_gc.install eng;
+  let holder = Builder.root_obj eng (s 0) in
+  let target = Builder.obj eng (s 1) in
+  Builder.link eng ~src:holder ~dst:target;
+  let site = Engine.site eng (s 1) in
+  (match Tables.find_inref site.Site.tables target with
+  | Some ir -> Tables.flag_inref site.Site.tables ir
+  | None -> Alcotest.fail "inref missing");
+  (match Local_gc.run eng site with
+  | () -> Alcotest.fail "the live object was freed unchecked"
+  | exception Dgc_oracle.Oracle.Safety_violation _ -> ());
+  Alcotest.(check bool) "object kept" true (Heap.mem site.Site.heap target)
 
 let () =
   Alcotest.run "baselines"
@@ -266,6 +344,8 @@ let () =
           Alcotest.test_case "collects cycles" `Quick test_hughes_collects_cycle;
           Alcotest.test_case "one site holds the threshold" `Quick
             test_hughes_crashed_site_holds_threshold;
+          Alcotest.test_case "refuses message loss" `Quick
+            test_hughes_refuses_loss;
         ] );
       ( "group",
         [
@@ -283,7 +363,15 @@ let () =
             test_migration_skips_multi_holder;
           Alcotest.test_case "batched references are in flight" `Quick
             test_migration_batched_refs_in_flight;
+          Alcotest.test_case "a live chain moves, nothing lost" `Quick
+            test_migration_moves_live_chain;
           Alcotest.test_case "back tracing handles the clique" `Quick
             test_back_tracing_handles_clique;
+        ] );
+      ("oracle", oracle_cases);
+      ( "guard",
+        [
+          Alcotest.test_case "stops a wrong local free" `Quick
+            test_guard_stops_wrong_local_free;
         ] );
     ]

@@ -461,8 +461,8 @@ let test_differential_crashed_bystander () =
   Inject.quiesce inj2;
   (* Hughes timestamps *)
   let eng3 = Engine.create (diff_cfg ()) in
-  let h = B.Hughes.install eng3 ~slack:(Sim_time.of_seconds 60.) in
   ignore (Graph_gen.ring eng3 ~sites:[ s 0; s 1 ] ~per_site:1 ~rooted:false);
+  let h = B.Hughes.install eng3 ~depth:(Oracle.max_distance eng3) in
   let inj3 = Inject.arm eng3 crash_uninvolved_site_plan in
   Engine.start_gc_schedule eng3;
   for _ = 1 to 20 do

@@ -7,6 +7,7 @@ open Dgc_heap
 open Dgc_rts
 open Dgc_core
 open Dgc_workload
+module Local_gc = Dgc_baselines.Local_gc
 
 let s k = Site_id.of_int k
 
