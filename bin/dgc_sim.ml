@@ -111,7 +111,12 @@ let report eng ~verbose =
   say "%s" (Report.garbage_overview eng);
   say "-- results ------------------------------------------------";
   say "garbage remaining (oracle): %d" (Dgc_oracle.Oracle.garbage_count eng);
-  say "objects freed:              %d" (Metrics.get m "gc.objects_freed");
+  (* Local traces count under "gc."; the global and group baselines
+     count their own frees. *)
+  say "objects freed:              %d"
+    (Metrics.get m "gc.objects_freed"
+    + Metrics.get m "global.objects_freed"
+    + Metrics.get m "group.objects_freed");
   say "local traces:               %d" (Metrics.get m "gc.local_traces");
   say "messages (total):           %d" (Metrics.get m "msg.total");
   say "back traces started:        %d" (Metrics.get m "back.traces_started");

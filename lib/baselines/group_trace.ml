@@ -55,7 +55,9 @@ type formation = {
   f_gid : gid;
   mutable f_members : Site_id.Set.t;
   mutable f_frontier : Site_id.t list;  (** probes not yet sent *)
-  mutable f_waiting : int;  (** probe replies outstanding *)
+  mutable f_waiting : Site_id.t list;
+      (** one entry per probe whose reply is outstanding; a reply from a
+          site not in it is a duplicate *)
   mutable f_aborted : bool;
 }
 
@@ -64,7 +66,7 @@ type marking = {
   m_members : Site_id.t list;
   mutable m_round : int;
   m_marking : Four_counter.t;
-  mutable m_swept : int;  (** members that reported their sweep *)
+  mutable m_swept : Site_id.Set.t;  (** members that reported their sweep *)
   mutable m_freed : int;
 }
 
@@ -208,7 +210,7 @@ let start_marking t gid members =
       m_members = members;
       m_round = 0;
       m_marking = Four_counter.create ~sites:(Array.length t.states);
-      m_swept = 0;
+      m_swept = Site_id.Set.empty;
       m_freed = 0;
     }
   in
@@ -217,11 +219,15 @@ let start_marking t gid members =
 
 (* ---- formation -------------------------------------------------------- *)
 
+let rec remove_one x = function
+  | [] -> []
+  | y :: rest -> if Site_id.equal x y then rest else y :: remove_one x rest
+
 let rec pump_formation t f =
   if not f.f_aborted then begin
     match f.f_frontier with
     | [] ->
-        if f.f_waiting = 0 then begin
+        if f.f_waiting = [] then begin
           Hashtbl.remove t.formations f.f_gid;
           start_marking t f.f_gid (Site_id.Set.elements f.f_members)
         end
@@ -235,7 +241,7 @@ let rec pump_formation t f =
           pump_formation t f
         end
         else begin
-          f.f_waiting <- f.f_waiting + 1;
+          f.f_waiting <- s :: f.f_waiting;
           Engine.send t.eng ~src:f.f_gid.g_site ~dst:s
             (Protocol.Ext (Gr_probe { gid = f.f_gid; initiator = f.f_gid.g_site }))
         end
@@ -278,7 +284,7 @@ let maybe_initiate t site_id =
               f_members = Site_id.Set.singleton site_id;
               f_frontier =
                 Oid.site seed.Ioref.or_target :: suspect_targets st;
-              f_waiting = 0;
+              f_waiting = [];
               f_aborted = false;
             }
           in
@@ -305,8 +311,8 @@ let handle t site_id ~src ext =
       true
   | Gr_probe_reply { gid; from; busy; targets } -> begin
       (match Hashtbl.find_opt t.formations gid with
-      | Some f ->
-          f.f_waiting <- f.f_waiting - 1;
+      | Some f when List.exists (Site_id.equal from) f.f_waiting ->
+          f.f_waiting <- remove_one from f.f_waiting;
           if busy then abort_formation t f
           else begin
             f.f_members <- Site_id.Set.add from f.f_members;
@@ -362,12 +368,12 @@ let handle t site_id ~src ext =
       true
   | Gr_sweep_done { gid; freed } -> begin
       (match Hashtbl.find_opt t.markings gid with
-      | Some m ->
+      | Some m when not (Site_id.Set.mem src m.m_swept) ->
           m.m_freed <- m.m_freed + freed;
-          m.m_swept <- m.m_swept + 1;
-          if m.m_swept >= List.length m.m_members then
+          m.m_swept <- Site_id.Set.add src m.m_swept;
+          if Site_id.Set.cardinal m.m_swept >= List.length m.m_members then
             Hashtbl.remove t.markings gid
-      | None -> ());
+      | _ -> ());
       true
     end
   | _ -> false

@@ -17,6 +17,3 @@ let list_dedup ~compare l =
         if compare x y = 0 then loop acc tl else loop (x :: acc) tl
   in
   loop [] sorted
-
-let hashtbl_values tbl = Hashtbl.fold (fun _ v acc -> v :: acc) tbl []
-

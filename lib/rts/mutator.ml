@@ -6,7 +6,7 @@ type t = {
   id : int;
   mgr : manager;
   mutable at : Site_id.t;
-  vars : (string, Oid.t) Hashtbl.t;
+  mutable vars : (string * Oid.t) list;  (** sorted by name, one per name *)
   mutable pin_token : int option;
   mutable traveling : bool;
   mutable arrival_k : (unit -> unit) option;
@@ -36,7 +36,23 @@ let failure_index = function
 let failure_names =
   [| "traveling"; "no_root"; "no_var"; "remote_obj"; "dead_obj"; "no_field" |]
 
-let var_refs a = Util.hashtbl_values a.vars
+let var_refs a = List.map snd a.vars
+
+(* [vars] with [name] bound to [r] / unbound, still sorted. *)
+let rec bind name r = function
+  | (n, _) :: rest when String.equal n name -> (name, r) :: rest
+  | ((n, _) as b) :: rest when String.compare n name < 0 ->
+      b :: bind name r rest
+  | l -> (name, r) :: l
+
+let rec unbind name = function
+  | [] -> []
+  | (n, _) :: rest when String.equal n name -> rest
+  | b :: rest -> b :: unbind name rest
+
+let rec lookup name = function
+  | [] -> None
+  | (n, r) :: rest -> if String.equal n name then Some r else lookup name rest
 
 (* Re-establish the agent's retention pin after any variable change. *)
 let repin a =
@@ -94,7 +110,7 @@ let spawn mgr ~at =
       id = mgr.next_agent;
       mgr;
       at;
-      vars = Hashtbl.create 8;
+      vars = [];
       pin_token = None;
       traveling = false;
       arrival_k = None;
@@ -107,11 +123,8 @@ let spawn mgr ~at =
 let agent_site a = a.at
 let traveling a = a.traveling
 
-let vars a =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) a.vars []
-  |> List.sort (fun (x, _) (y, _) -> String.compare x y)
-
-let var a name = Hashtbl.find_opt a.vars name
+let vars a = a.vars
+let var a name = lookup name a.vars
 
 let fail a why =
   incr (Lazy.force a.mgr.ops_failed);
@@ -123,7 +136,7 @@ let ok a =
   true
 
 let set_var a name r =
-  Hashtbl.replace a.vars name r;
+  a.vars <- bind name r a.vars;
   repin a
 
 let ready a = not (a.traveling)
@@ -208,8 +221,8 @@ let unlink a ~obj ~target =
 
 let drop a name =
   if not (ready a) then fail a Traveling
-  else if Hashtbl.mem a.vars name then begin
-    Hashtbl.remove a.vars name;
+  else if Option.is_some (var a name) then begin
+    a.vars <- unbind name a.vars;
     repin a;
     ok a
   end

@@ -279,19 +279,32 @@ let test_back_tracing_handles_clique () =
 (* The hypertext comparison run under uniform latency, with the oracle
    at every sweep: a live free raises, and no object live at 1 s may be
    lost. With [ext_drop] the marking baselines stall rather than sweep,
-   and migration re-sends; Hughes refuses loss (below). *)
-let oracle_block collector ~ext_drop seeds =
-  List.iter
-    (fun seed ->
-      let o =
-        Comparison.hypertext collector (Comparison.config ~seed ~ext_drop)
-      in
+   and migration re-sends; Hughes refuses loss (below). Returns the
+   garbage cycles collected over all seeds. *)
+let oracle_block collector ~ext_drop ?(ext_dup = 0.) seeds =
+  List.fold_left
+    (fun collected seed ->
+      let cfg = { (Comparison.config ~seed ~ext_drop) with Config.ext_dup } in
+      let o = Comparison.hypertext collector cfg in
       if o.Comparison.lost <> 0 then
-        Alcotest.failf "%s, seed %d, ext_drop %.1f: %d live objects lost"
-          (Comparison.name collector) seed ext_drop o.Comparison.lost)
-    seeds
+        Alcotest.failf
+          "%s, seed %d, ext_drop %.1f, ext_dup %.1f: %d live objects lost"
+          (Comparison.name collector) seed ext_drop ext_dup o.Comparison.lost;
+      collected + o.Comparison.collected)
+    0 seeds
 
 let oracle_seeds = List.init 40 (fun i -> i + 1)
+
+(* A duplicated collector message changes nothing: every collector
+   collects as many cycles as without duplication. *)
+let dup_case collector =
+  Alcotest.test_case
+    (Printf.sprintf "%s, ext_dup 0.2, seeds 1-40" (Comparison.name collector))
+    `Quick
+    (fun () ->
+      let plain = oracle_block collector ~ext_drop:0. oracle_seeds in
+      Alcotest.(check int) "cycles collected as without duplication" plain
+        (oracle_block collector ~ext_drop:0. ~ext_dup:0.2 oracle_seeds))
 
 let oracle_cases =
   List.concat_map
@@ -301,10 +314,11 @@ let oracle_cases =
           (Printf.sprintf "%s, ext_drop %.1f, seeds 1-40"
              (Comparison.name collector) ext_drop)
           `Quick
-          (fun () -> oracle_block collector ~ext_drop oracle_seeds)
+          (fun () -> ignore (oracle_block collector ~ext_drop oracle_seeds))
       in
-      if collector = Comparison.Hughes then [ case ~ext_drop:0. ]
-      else [ case ~ext_drop:0.; case ~ext_drop:0.2 ])
+      if collector = Comparison.Hughes then
+        [ case ~ext_drop:0.; dup_case collector ]
+      else [ case ~ext_drop:0.; case ~ext_drop:0.2; dup_case collector ])
     Comparison.collectors
 
 let test_hughes_refuses_loss () =

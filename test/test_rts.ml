@@ -429,6 +429,106 @@ let test_mutator_failure_modes () =
   Alcotest.(check int) "failures counted" 6
     (Metrics.get (Engine.metrics eng) "mutator.op_failed")
 
+(* Random variable operations against a [Map] model: [vars] is the
+   model's sorted bindings, [var] agrees with it, and each outref is
+   pinned once per variable holding its target, so dropping every
+   variable restores the site's pin count. *)
+module Names = Map.Make (String)
+
+type m_op =
+  | M_load of string
+  | M_new of string
+  | M_read of string * int * string
+  | M_copy of string * string
+  | M_drop of string
+
+let print_m_op = function
+  | M_load d -> "load " ^ d
+  | M_new d -> "new " ^ d
+  | M_read (o, i, d) -> Printf.sprintf "read %s.%d -> %s" o i d
+  | M_copy (src, d) -> Printf.sprintf "copy %s -> %s" src d
+  | M_drop n -> "drop " ^ n
+
+let m_names = [ "b"; "a"; "c1"; "ab"; "c" ]
+
+let m_op_gen =
+  let open QCheck2.Gen in
+  let name = oneofl m_names in
+  frequency
+    [
+      (2, map (fun d -> M_load d) name);
+      (1, map (fun d -> M_new d) name);
+      (4, map3 (fun o i d -> M_read (o, i, d)) name (int_bound 4) name);
+      (2, map2 (fun src d -> M_copy (src, d)) name name);
+      (3, map (fun n -> M_drop n) name);
+    ]
+
+let prop_mutator_vars_match_model =
+  QCheck2.Test.make ~name:"variables match a map model" ~count:300
+    ~print:QCheck2.Print.(list print_m_op)
+    QCheck2.Gen.(list_size (int_bound 60) m_op_gen)
+    (fun ops ->
+      let eng = Engine.create (cfg 2) in
+      let site = Engine.site eng (s 0) in
+      (* A root whose fields lead to two local and two remote objects. *)
+      let root = Builder.root_obj eng (s 0) in
+      List.iter
+        (fun k -> Builder.link eng ~src:root ~dst:(Builder.obj eng (s k)))
+        [ 0; 1; 0; 1 ];
+      let pins () =
+        let n = ref 0 in
+        Tables.iter_outrefs site.Site.tables (fun o ->
+            n := !n + o.Ioref.or_pins);
+        !n
+      in
+      let pins0 = pins () in
+      let a = Mutator.spawn (Mutator.manager eng) ~at:(s 0) in
+      let model = ref Names.empty in
+      let set d = function
+        | Some r ->
+            model := Names.add d r !model;
+            true
+        | None -> false
+      in
+      let check what b = if not b then failwith what in
+      List.iter
+        (fun op ->
+          let ok, expect =
+            match op with
+            | M_load d -> (Mutator.load_root a ~dst:d, set d (Some root))
+            | M_new d ->
+                let ok = Mutator.new_obj a ~dst:d in
+                (ok, set d (Mutator.var a d))
+            | M_read (o, i, d) ->
+                ( Mutator.read_field a ~obj:o ~idx:i ~dst:d,
+                  set d
+                    (match Names.find_opt o !model with
+                    | Some r when Site_id.equal (Oid.site r) (s 0) ->
+                        List.nth_opt (Heap.fields site.Site.heap r) i
+                    | _ -> None) )
+            | M_copy (src, d) ->
+                (Mutator.copy_var a ~src ~dst:d, set d (Names.find_opt src !model))
+            | M_drop n ->
+                let held = Names.mem n !model in
+                model := Names.remove n !model;
+                (Mutator.drop a n, held)
+          in
+          check ("result of " ^ print_m_op op) (ok = expect);
+          check "vars = sorted bindings" (Mutator.vars a = Names.bindings !model);
+          List.iter
+            (fun n -> check "var" (Mutator.var a n = Names.find_opt n !model))
+            m_names;
+          let remote_held =
+            Names.fold
+              (fun _ r n -> if Site_id.equal (Oid.site r) (s 1) then n + 1 else n)
+              !model 0
+          in
+          check "one pin per remote variable" (pins () = pins0 + remote_held))
+        ops;
+      Names.iter (fun n _ -> check "drop held" (Mutator.drop a n)) !model;
+      check "pins restored" (pins () = pins0);
+      Mutator.vars a = [])
+
 let test_travel_same_site_is_sync () =
   let eng = Engine.create (cfg 2) in
   let muts = Mutator.manager eng in
@@ -684,6 +784,7 @@ let () =
             test_mutator_failure_modes;
           Alcotest.test_case "same-site travel synchronous" `Quick
             test_travel_same_site_is_sync;
+          QCheck_alcotest.to_alcotest prop_mutator_vars_match_model;
         ] );
       ( "local-gc",
         [
