@@ -7,7 +7,7 @@ open Dgc_core
 type t = {
   sim : Sim.t;
   rng : Rng.t;
-  mean_gap : Sim_time.t;
+  gap : Latency.t;  (** exponential, the mean gap between an agent's steps *)
   mutable running : bool;
   mutable ops : int;
   agents : Mutator.t list;
@@ -55,17 +55,19 @@ let random_op t agent =
   in
   if attempt then t.ops <- t.ops + 1
 
-let rec schedule_agent t agent =
-  if t.running then begin
-    let gap =
-      Latency.sample t.rng (Latency.Exponential t.mean_gap)
-    in
-    Engine.schedule t.sim.Sim.eng ~delay:gap (fun () ->
-        if t.running then begin
-          if not (Mutator.traveling agent) then random_op t agent;
-          schedule_agent t agent
-        end)
-  end
+(* Each agent's step closure is made once: a step runs one operation
+   and schedules the next step after an exponential gap. *)
+let schedule_agent t agent =
+  let rec step () =
+    if t.running then begin
+      if not (Mutator.traveling agent) then random_op t agent;
+      next ()
+    end
+  and next () =
+    if t.running then
+      Engine.schedule t.sim.Sim.eng ~delay:(Latency.sample t.rng t.gap) step
+  in
+  next ()
 
 let start sim ~rng ~agents ~mean_op_gap =
   let eng = sim.Sim.eng in
@@ -75,7 +77,14 @@ let start sim ~rng ~agents ~mean_op_gap =
         Mutator.spawn sim.Sim.muts ~at:(Site_id.of_int (i mod n_sites)))
   in
   let t =
-    { sim; rng; mean_gap = mean_op_gap; running = true; ops = 0; agents = spawned }
+    {
+      sim;
+      rng;
+      gap = Latency.Exponential mean_op_gap;
+      running = true;
+      ops = 0;
+      agents = spawned;
+    }
   in
   List.iter (fun a -> schedule_agent t a) spawned;
   t

@@ -81,7 +81,7 @@ let test_conformance_battery () =
 (* --- the deviation primitive ------------------------------------------ *)
 
 let test_pop_nth () =
-  let q = Event_queue.create () in
+  let q = Event_queue.create ~dummy:"" in
   let at ms = Sim_time.of_millis ms in
   List.iter (fun (t, v) -> Event_queue.push q ~at:(at t) v)
     [ (10., "a"); (20., "b"); (30., "c"); (20., "b2") ];
@@ -91,14 +91,9 @@ let test_pop_nth () =
   | None -> Alcotest.fail "pop_nth returned None");
   (* the skipped events keep their order *)
   let drained = ref [] in
-  let rec drain () =
-    match Event_queue.pop q with
-    | Some (_, v) ->
-        drained := v :: !drained;
-        drain ()
-    | None -> ()
-  in
-  drain ();
+  while not (Event_queue.is_empty q) do
+    drained := Event_queue.pop_min q :: !drained
+  done;
   Alcotest.(check (list string))
     "remaining order preserved" [ "a"; "b"; "c" ] (List.rev !drained);
   Alcotest.(check (option reject)) "empty" None (Event_queue.pop_nth q 0)
